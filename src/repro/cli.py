@@ -631,8 +631,9 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     """``repro bench``: measured throughput with history and gates.
 
-    Measures the serial columnar/kernel fast path per scheme and the
-    pooled sweep at several worker counts (warmup + best-of-repeats),
+    Measures the serial columnar/kernel fast path per scheme, trace
+    generation per paper trace, and the pooled sweep at several worker
+    counts (warmup + best-of-repeats),
     refreshes ``BENCH_throughput.json``, appends to
     ``BENCH_history.jsonl``, and exits nonzero when a headline metric
     regresses more than ``--threshold`` below its rolling baseline (or
@@ -694,6 +695,16 @@ def cmd_bench(args) -> int:
                 f"{streaming['compression']}x compression, peak rss "
                 f"{streaming['peak_rss_mb']} MB)"
             ),
+        ))
+    generation = report.get("generation")
+    if generation is not None:
+        print(format_table(
+            ["workload", "make_trace refs/s", "stream_trace refs/s"],
+            [
+                (name, entry["refs_per_sec"], entry["stream_refs_per_sec"])
+                for name, entry in generation["workloads"].items()
+            ],
+            title=f"trace generation ({generation['length']} refs)",
         ))
     sweep = report["parallel_sweep"]
     print(format_table(

@@ -191,6 +191,10 @@ def run_chaos(
     injector = FaultInjector(seed)
     planned_worker, _, planned_refs = injector.kill_plan(workers, max_refs=200)
     victim = kill_worker if kill_worker is not None else planned_worker
+    if kill and not 0 <= victim < workers:
+        raise ConfigurationError(
+            f"kill_worker must be in [0, {workers}), got {victim}"
+        )
     refs = kill_refs if kill_refs is not None else planned_refs
 
     expected = serial_results(spec)
@@ -203,23 +207,37 @@ def run_chaos(
         )
     queue.submit(spec, job_id)
 
-    processes: list[subprocess.Popen] = []
+    processes: dict[int, subprocess.Popen] = {}
     deadline = time.monotonic() + timeout_s
+
+    def spawn(number: int) -> None:
+        is_victim = kill and number == victim
+        processes[number] = _spawn_worker(
+            db=db,
+            cache_dir=cache_dir,
+            worker_id=f"chaos-w{number}",
+            lease_s=lease_s,
+            kill=(kill_lease, refs) if is_victim else None,
+        )
+
     try:
+        if kill:
+            # The victim runs alone until it dies (or drains the queue):
+            # started together, the rest of the fleet can finish every
+            # cell before the victim takes its armed lease.
+            spawn(victim)
+            while processes[victim].poll() is None:
+                if time.monotonic() >= deadline:
+                    raise ServiceError(
+                        f"chaos victim did not exit within {timeout_s}s"
+                    )
+                time.sleep(0.05)
         for number in range(workers):
-            is_victim = kill and number == victim
-            processes.append(
-                _spawn_worker(
-                    db=db,
-                    cache_dir=cache_dir,
-                    worker_id=f"chaos-w{number}",
-                    lease_s=lease_s,
-                    kill=(kill_lease, refs) if is_victim else None,
-                )
-            )
+            if number not in processes:
+                spawn(number)
         exit_codes: list[int | None] = [None] * workers
         while time.monotonic() < deadline:
-            for number, process in enumerate(processes):
+            for number, process in processes.items():
                 if exit_codes[number] is None:
                     exit_codes[number] = process.poll()
             if all(code is not None for code in exit_codes):
@@ -230,7 +248,7 @@ def run_chaos(
                 f"chaos fleet did not drain within {timeout_s}s"
             )
     finally:
-        for process in processes:
+        for process in processes.values():
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10.0)

@@ -208,6 +208,38 @@ def measure_streaming(
     }
 
 
+def measure_generation(
+    length: int = DEFAULT_LENGTH,
+    repeats: int = DEFAULT_REPEATS,
+    warmup: int = DEFAULT_WARMUP,
+) -> dict[str, Any]:
+    """Synthetic trace generation throughput for each paper trace.
+
+    ``refs_per_sec`` times ``make_trace``, which emits packed columns
+    and builds no records; ``stream_refs_per_sec`` drains
+    ``stream_trace``, which builds every record as it streams.
+    """
+    from collections import deque
+
+    from repro.workloads.registry import make_trace, stream_trace
+
+    entries: dict[str, dict[str, Any]] = {}
+    for name in ("pops", "thor", "pero"):
+        build_s = _best_seconds(
+            lambda n=name: make_trace(n, length=length), repeats, warmup
+        )
+        stream_s = _best_seconds(
+            lambda n=name: deque(stream_trace(n, length=length), maxlen=0),
+            repeats,
+            warmup,
+        )
+        entries[name] = {
+            "refs_per_sec": round(length / build_s),
+            "stream_refs_per_sec": round(length / stream_s),
+        }
+    return {"length": length, "workloads": entries}
+
+
 def measure_parallel(
     traces: Sequence[Any],
     schemes: Sequence[str],
@@ -299,6 +331,7 @@ def build_report(
         "schemes": measure_schemes(pops, schemes, repeats, warmup),
         "finite": measure_finite(pops, schemes, repeats=repeats, warmup=warmup),
         "streaming": measure_streaming(pops, schemes, repeats, warmup),
+        "generation": measure_generation(length, repeats, warmup),
         "parallel_sweep": sweep,
     }
     if full_roster:
@@ -327,6 +360,9 @@ def headline_metrics(report: dict[str, Any]) -> dict[str, float]:
         metrics[f"finite.{scheme}.refs_per_sec"] = entry["finite_refs_per_sec"]
     for scheme, entry in report.get("streaming", {}).get("schemes", {}).items():
         metrics[f"streaming.{scheme}.refs_per_sec"] = entry["chunked_refs_per_sec"]
+    for name, entry in report.get("generation", {}).get("workloads", {}).items():
+        metrics[f"generation.{name}.refs_per_sec"] = entry["refs_per_sec"]
+        metrics[f"generation.{name}.stream_refs_per_sec"] = entry["stream_refs_per_sec"]
     for jobs, value in (
         report.get("parallel_sweep", {}).get("refs_per_sec_by_jobs", {}).items()
     ):
@@ -358,6 +394,7 @@ def append_history(report: dict[str, Any], path: Path) -> dict[str, Any]:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": report.get("python"),
         "platform": report.get("platform"),
+        "cpu_cores": report.get("cpu_cores"),
         "trace": report.get("trace"),
         "metrics": headline_metrics(report),
     }

@@ -35,9 +35,50 @@ TYPE_INSTR, TYPE_READ, TYPE_WRITE = 0, 1, 2
 _TYPE_TO_CODE = {RefType.INSTR: TYPE_INSTR, RefType.READ: TYPE_READ, RefType.WRITE: TYPE_WRITE}
 _CODE_TO_TYPE = (RefType.INSTR, RefType.READ, RefType.WRITE)
 
-_FLAG_SYSTEM = 0x1
-_FLAG_LOCK = 0x2
-_FLAG_SPIN = 0x4
+#: Bits of the flags column: system mode, lock access, spin test read.
+FLAG_SYSTEM, FLAG_LOCK, FLAG_SPIN = 0x1, 0x2, 0x4
+
+#: flags byte -> (system, lock, spin) record fields.  All 256 bytes are
+#: covered: binary trace files carry an unconstrained flags byte.
+_FLAG_FIELDS = tuple(
+    (bool(flags & FLAG_SYSTEM), bool(flags & FLAG_LOCK), bool(flags & FLAG_SPIN))
+    for flags in range(256)
+)
+
+#: flags byte -> 1 where it marks a spin reference that is not a lock
+#: reference (which :class:`TraceRecord` rejects), else 0.
+_SPIN_WITHOUT_LOCK = bytes(
+    1 if flags & FLAG_SPIN and not flags & FLAG_LOCK else 0 for flags in range(256)
+)
+
+
+def check_flags(flags: bytes | bytearray) -> None:
+    """Reject a flags column :class:`TraceRecord` would refuse to build.
+
+    One C-speed pass, raising the same ``ValueError`` the record
+    constructor raises for a spin reference without the lock flag.
+    """
+    if flags.translate(_SPIN_WITHOUT_LOCK).find(1) != -1:
+        raise ValueError("spin references must also be lock references")
+
+
+def iter_column_records(
+    cpu: Iterable[int],
+    pid: Iterable[int],
+    type_code: Iterable[int],
+    address: Iterable[int],
+    flags: Iterable[int],
+) -> Iterator[TraceRecord]:
+    """Build one :class:`TraceRecord` per row of parallel columns.
+
+    Records are built positionally with table lookups for the type and
+    flags, and each still runs ``TraceRecord.__post_init__``.
+    """
+    code_to_type = _CODE_TO_TYPE
+    flag_fields = _FLAG_FIELDS
+    record = TraceRecord
+    for c, p, t, a, f in zip(cpu, pid, type_code, address, flags):
+        yield record(c, p, code_to_type[t], a, *flag_fields[f])
 
 
 class ColumnarTrace:
@@ -128,17 +169,30 @@ class ColumnarTrace:
             types.append(type_to_code[record.ref_type])
             addresses.append(record.address)
             flags.append(
-                (_FLAG_SYSTEM if record.system else 0)
-                | (_FLAG_LOCK if record.lock else 0)
-                | (_FLAG_SPIN if record.spin else 0)
+                (FLAG_SYSTEM if record.system else 0)
+                | (FLAG_LOCK if record.lock else 0)
+                | (FLAG_SPIN if record.spin else 0)
             )
         return cls(name, cpus, pids, types, addresses, flags, description)
 
     @classmethod
     def from_trace(cls, trace: "Trace | ColumnarTrace") -> "ColumnarTrace":
-        """Convert any trace to columnar form (identity if already columnar)."""
+        """Convert any trace to columnar form (identity if already columnar).
+
+        A :class:`Trace` still holding the columns it was built from
+        (its records never materialized) hands them over without a
+        copy; otherwise its current records are packed.
+        """
         if isinstance(trace, ColumnarTrace):
             return trace
+        columns = trace.columns if isinstance(trace, Trace) else None
+        if columns is not None:
+            if (columns.name, columns.description) == (trace.name, trace.description):
+                return columns
+            return cls(
+                trace.name, columns.cpu, columns.pid, columns.type_code,
+                columns.address, columns.flags, trace.description,
+            )
         return cls.from_records(
             trace.records,
             name=trace.name,
@@ -196,19 +250,9 @@ class ColumnarTrace:
         return len(self.type_code)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        code_to_type = _CODE_TO_TYPE
-        for cpu, pid, code, address, flags in zip(
+        return iter_column_records(
             self.cpu, self.pid, self.type_code, self.address, self.flags
-        ):
-            yield TraceRecord(
-                cpu=cpu,
-                pid=pid,
-                ref_type=code_to_type[code],
-                address=address,
-                system=bool(flags & _FLAG_SYSTEM),
-                lock=bool(flags & _FLAG_LOCK),
-                spin=bool(flags & _FLAG_SPIN),
-            )
+        )
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -222,15 +266,12 @@ class ColumnarTrace:
                 self.description,
             )
         code = self.type_code[index]  # IndexError propagates for bad indices
-        flags = self.flags[index]
         return TraceRecord(
-            cpu=self.cpu[index],
-            pid=self.pid[index],
-            ref_type=_CODE_TO_TYPE[code],
-            address=self.address[index],
-            system=bool(flags & _FLAG_SYSTEM),
-            lock=bool(flags & _FLAG_LOCK),
-            spin=bool(flags & _FLAG_SPIN),
+            self.cpu[index],
+            self.pid[index],
+            _CODE_TO_TYPE[code],
+            self.address[index],
+            *_FLAG_FIELDS[self.flags[index]],
         )
 
     @property

@@ -109,18 +109,21 @@ def fingerprint_trace(trace: Any) -> str:
     * objects exposing ``fingerprint_into(hasher)`` (the chunked store)
       stream themselves through the hasher chunk by chunk;
     * :class:`~repro.trace.columnar.ColumnarTrace` feeds its columns in
-      one call;
+      one call, and so does a :class:`~repro.trace.stream.Trace` still
+      holding the columns it was built from (no records are built);
     * anything else is treated as (or iterated for) records.
     """
     from repro.trace.columnar import ColumnarTrace
+    from repro.trace.stream import Trace
 
     hasher = TraceHasher()
     feed = getattr(trace, "fingerprint_into", None)
+    columns = trace.columns if isinstance(trace, Trace) else trace
     if feed is not None:
         feed(hasher)
-    elif isinstance(trace, ColumnarTrace):
+    elif isinstance(columns, ColumnarTrace):
         hasher.update_columns(
-            trace.cpu, trace.pid, trace.type_code, trace.address, trace.flags
+            columns.cpu, columns.pid, columns.type_code, columns.address, columns.flags
         )
     else:
         hasher.update_records(

@@ -22,18 +22,37 @@ Each process mixes:
 
 Every knob lives in :class:`WorkloadConfig`; the POPS/THOR/PERO
 analogue configurations are in their own modules.
+
+The process state machines append straight into packed columns (see
+:class:`~repro.trace.columnar.ColumnarTrace`); :meth:`SyntheticWorkload.build`
+wraps them in a :class:`~repro.trace.stream.Trace` that builds its
+:class:`~repro.trace.record.TraceRecord` objects only when a caller reads
+them, and :meth:`SyntheticWorkload.iter_records` turns each scheduling
+round's rows into records as it streams.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.errors import ConfigurationError
-from repro.trace.record import RefType, TraceRecord
+from repro.trace.columnar import (
+    FLAG_LOCK,
+    FLAG_SPIN,
+    FLAG_SYSTEM,
+    TYPE_INSTR,
+    TYPE_READ,
+    TYPE_WRITE,
+    ColumnarTrace,
+    check_flags,
+    iter_column_records,
+)
+from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
-from repro.workloads.layout import AddressSpaceLayout
+from repro.workloads.layout import MAX_PROCESSES, AddressSpaceLayout
 from repro.workloads.locks import LockTable
 from repro.workloads.patterns import LocalityPicker, ProducerConsumerBuffers
 
@@ -94,6 +113,11 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_processes < 1:
             raise ConfigurationError("num_processes must be >= 1")
+        if self.num_processes > MAX_PROCESSES:
+            raise ConfigurationError(
+                f"num_processes must be <= {MAX_PROCESSES}: beyond that the "
+                "per-process address regions overlap"
+            )
         if self.length < 1:
             raise ConfigurationError("length must be >= 1")
         if self.quantum < 1:
@@ -127,71 +151,123 @@ class WorkloadConfig:
         return replace(self, length=length)
 
 
-class _Process:
-    """One process's state machine; emits records via the workload."""
+#: Flags of a spinning test read of a lock word.
+_SPIN = FLAG_LOCK | FLAG_SPIN
 
-    def __init__(self, workload: "SyntheticWorkload", pid: int) -> None:
+
+class _Columns:
+    """The generated reference stream, one packed column per field.
+
+    ``flushed`` counts rows a streaming consumer has already taken and
+    cleared, so :attr:`total` is the number of rows generated so far.
+    """
+
+    __slots__ = ("cpu", "pid", "type_code", "address", "flags", "flushed")
+
+    def __init__(self) -> None:
+        self.cpu = array("Q")
+        self.pid = array("Q")
+        self.type_code = bytearray()
+        self.address = array("Q")
+        self.flags = bytearray()
+        self.flushed = 0
+
+    def fields(self) -> tuple:
+        return (self.cpu, self.pid, self.type_code, self.address, self.flags)
+
+    @property
+    def total(self) -> int:
+        return self.flushed + len(self.type_code)
+
+    def truncate(self, length: int) -> None:
+        """Drop rows beyond *length* total rows (a round's overshoot)."""
+        excess = self.total - length
+        if excess > 0:
+            for column in self.fields():
+                del column[-excess:]
+
+    def clear(self) -> None:
+        """Forget the buffered rows after a consumer has taken them."""
+        self.flushed += len(self.type_code)
+        for column in self.fields():
+            del column[:]
+
+
+class _Process:
+    """One process's state machine; appends its references to the columns."""
+
+    def __init__(
+        self, workload: "SyntheticWorkload", pid: int, columns: _Columns
+    ) -> None:
+        config = workload.config
+        layout = config.layout
         self.workload = workload
-        self.config = workload.config
+        self.config = config
         self.pid = pid
-        self.cpu = pid % max(1, self.config.num_processes)
-        self.rng = random.Random((self.config.seed << 8) ^ (pid * 0x9E3779B1))
+        self.cpu = pid % max(1, config.num_processes)
+        self.rng = random.Random((config.seed << 8) ^ (pid * 0x9E3779B1))
         self.instr_offset = pid * 17
         self.kernel_instr_offset = pid * 31
         self.blocked_on = None  # Lock instance while spinning
         self.cs_remaining = 0
         self.cs_block = 0
         self.held_lock = None
-        self.pending_write = None  # (address, system) for read-modify-write
-        self.private_picker = LocalityPicker(self.config.layout.private_blocks)
+        self.pending_write = None  # (address, flags) for read-modify-write
+        self.private_picker = LocalityPicker(layout.private_blocks)
         self.produced_buffers = workload.buffers.buffers_produced_by(pid)
         self.produce_slot = 0
+
+        # Per-process constants, hoisted off the per-reference path (the
+        # layout checks the pid here, once).
+        self.instr_base = layout.instr_address(pid, 0)
+        self.kernel_text_base = layout.kernel_text_address(0)
+        self.private_base = layout.private_address(pid, 0)
+        self.kernel_private_base = layout.kernel_private_address(pid, 0)
+        # Emitting f/(1-f) instructions per data reference yields an
+        # instruction fraction of f overall; the ratio exceeds one when
+        # instructions outnumber data references.
+        fraction = config.instr_fraction
+        ratio = fraction / (1.0 - fraction)
+        self.emits_instr = fraction > 0.0
+        self.instr_whole = int(ratio)
+        self.instr_fractional = ratio - int(ratio)
+
+        self._cpu_column = columns.cpu.append
+        self._pid_column = columns.pid.append
+        self._type_column = columns.type_code.append
+        self._address_column = columns.address.append
+        self._flags_column = columns.flags.append
 
     # ------------------------------------------------------------------
     # Emission helpers
     # ------------------------------------------------------------------
 
-    def _emit(self, ref_type, address, system, lock=False, spin=False) -> None:
-        self.workload.emit(
-            TraceRecord(
-                cpu=self.cpu,
-                pid=self.pid,
-                ref_type=ref_type,
-                address=address,
-                system=system,
-                lock=lock,
-                spin=spin,
-            )
-        )
+    def _emit(self, code: int, address: int, flags: int) -> None:
+        self._cpu_column(self.cpu)
+        self._pid_column(self.pid)
+        self._type_column(code)
+        self._address_column(address)
+        self._flags_column(flags)
 
-    def _emit_instr(self, system: bool) -> None:
-        layout = self.config.layout
+    def _emit_instr(self, system: int) -> None:
         if system:
             self.kernel_instr_offset = (self.kernel_instr_offset + 1) % 4096
-            address = layout.kernel_text_address(self.kernel_instr_offset)
+            address = self.kernel_text_base + 4 * self.kernel_instr_offset
         else:
             self.instr_offset = (self.instr_offset + 1) % 2048
-            address = layout.instr_address(self.pid, self.instr_offset)
-        self._emit(RefType.INSTR, address, system)
+            address = self.instr_base + 4 * self.instr_offset
+        self._emit(TYPE_INSTR, address, system)
 
-    def _maybe_emit_instr(self, system: bool) -> None:
-        fraction = self.config.instr_fraction
-        if fraction <= 0.0:
-            return
-        # Emitting f/(1-f) instructions per data reference yields an
-        # instruction fraction of f overall; the ratio exceeds one when
-        # instructions outnumber data references.
-        ratio = fraction / (1.0 - fraction)
-        whole, fractional = int(ratio), ratio - int(ratio)
-        for _ in range(whole):
-            self._emit_instr(system)
-        if self.rng.random() < fractional:
-            self._emit_instr(system)
-
-    def _emit_data(self, address, is_write, system, lock=False, spin=False) -> None:
-        self._maybe_emit_instr(system)
-        ref_type = RefType.WRITE if is_write else RefType.READ
-        self._emit(ref_type, address, system, lock=lock, spin=spin)
+    def _emit_data(self, address: int, is_write: bool, flags: int) -> None:
+        """One data reference (flags carry system/lock/spin), preceded by
+        its share of instruction fetches."""
+        if self.emits_instr:
+            system = flags & FLAG_SYSTEM
+            for _ in range(self.instr_whole):
+                self._emit_instr(system)
+            if self.rng.random() < self.instr_fractional:
+                self._emit_instr(system)
+        self._emit(TYPE_WRITE if is_write else TYPE_READ, address, flags)
 
     # ------------------------------------------------------------------
     # One scheduling step = one data action
@@ -203,9 +279,9 @@ class _Process:
             self._spin_step()
             return
         if self.pending_write is not None:
-            address, system = self.pending_write
+            address, flags = self.pending_write
             self.pending_write = None
-            self._emit_data(address, True, system)
+            self._emit_data(address, True, flags)
             return
         if self.cs_remaining > 0:
             self._critical_section_step()
@@ -224,12 +300,12 @@ class _Process:
         if self.rng.random() < rate - count:
             count += 1
         for _ in range(count):
-            self._emit_data(lock.address, False, False, lock=True, spin=True)
+            self._emit_data(lock.address, False, _SPIN)
 
     def _acquire(self, lock) -> None:
         # Successful test read followed by the test-and-set write.
-        self._emit_data(lock.address, False, False, lock=True)
-        self._emit_data(lock.address, True, False, lock=True)
+        self._emit_data(lock.address, False, FLAG_LOCK)
+        self._emit_data(lock.address, True, FLAG_LOCK)
         lock.acquire(self.pid)
         self.held_lock = lock
         self.cs_remaining = self.config.cs_data_refs
@@ -242,7 +318,7 @@ class _Process:
         self.cs_remaining -= 1
         if self.cs_remaining == 0:
             # Release: a write to the lock word.
-            self._emit_data(lock.address, True, False, lock=True)
+            self._emit_data(lock.address, True, FLAG_LOCK)
             lock.release(self.pid)
             self.held_lock = None
             return
@@ -253,11 +329,11 @@ class _Process:
             block = self.rng.randrange(layout.protected_blocks_per_lock)
         address = layout.protected_address(lock.index, block)
         is_write = self.rng.random() < self.config.write_fraction_protected
-        self._emit_data(address, is_write, False)
+        self._emit_data(address, is_write, 0)
 
     def _free_step(self) -> None:
         config = self.config
-        system = self.rng.random() < config.system_fraction
+        system = FLAG_SYSTEM if self.rng.random() < config.system_fraction else 0
         roll = self.rng.random()
 
         if not system and roll < config.p_lock_attempt and config.num_locks:
@@ -266,12 +342,12 @@ class _Process:
         roll -= config.p_lock_attempt
 
         if roll < config.p_shared_read:
-            self._shared_read(system)
+            self._shared_access(False, system)
             return
         roll -= config.p_shared_read
 
         if roll < config.p_shared_update:
-            self._shared_update(system)
+            self._shared_access(True, system)
             return
         roll -= config.p_shared_update
 
@@ -296,15 +372,15 @@ class _Process:
             # Failed test: start spinning.
             lock.waiters.add(self.pid)
             self.blocked_on = lock
-            self._emit_data(lock.address, False, False, lock=True, spin=True)
+            self._emit_data(lock.address, False, _SPIN)
         elif not lock.held:
             self._acquire(lock)
         # Already holding it (can only happen with num_locks == 1 and a
         # re-attempt); treat as a no-op private access.
         else:
-            self._private_access(False)
+            self._private_access(0)
 
-    def _shared_read(self, system: bool) -> None:
+    def _shared_access(self, is_write: bool, system: int) -> None:
         layout = self.config.layout
         if system:
             block = self.rng.randrange(layout.kernel_shared_blocks)
@@ -312,19 +388,9 @@ class _Process:
         else:
             block = self.workload.shared_picker.pick(self.rng)
             address = layout.shared_read_address(block)
-        self._emit_data(address, False, system)
+        self._emit_data(address, is_write, system)
 
-    def _shared_update(self, system: bool) -> None:
-        layout = self.config.layout
-        if system:
-            block = self.rng.randrange(layout.kernel_shared_blocks)
-            address = layout.kernel_shared_address(block)
-        else:
-            block = self.workload.shared_picker.pick(self.rng)
-            address = layout.shared_read_address(block)
-        self._emit_data(address, True, system)
-
-    def _migratory_episode(self, system: bool) -> None:
+    def _migratory_episode(self, system: int) -> None:
         layout = self.config.layout
         block = self.rng.randrange(layout.migratory_blocks)
         address = layout.migratory_address(block)
@@ -335,7 +401,7 @@ class _Process:
         else:
             self._emit_data(address, True, system)
 
-    def _buffer_access(self, system: bool) -> None:
+    def _buffer_access(self, system: int) -> None:
         layout = self.config.layout
         buffers = self.workload.buffers
         consume = (
@@ -363,14 +429,18 @@ class _Process:
             address = layout.buffer_address(buffers.block_index(buffer, slot))
             self._emit_data(address, True, system)
 
-    def _private_access(self, system: bool) -> None:
+    def _private_access(self, system: int) -> None:
         layout = self.config.layout
         if system:
             block = self.rng.randrange(layout.kernel_private_blocks)
-            address = layout.kernel_private_address(self.pid, block)
+            address = self.kernel_private_base + (
+                block % layout.kernel_private_blocks
+            ) * layout.block_bytes
         else:
             block = self.private_picker.pick(self.rng)
-            address = layout.private_address(self.pid, block)
+            address = self.private_base + (
+                block % layout.private_blocks
+            ) * layout.block_bytes
         is_write = self.rng.random() < self.config.write_fraction_private
         self._emit_data(address, is_write, system)
 
@@ -388,13 +458,6 @@ class SyntheticWorkload:
             num_processes=config.num_processes,
         )
         self.shared_picker = LocalityPicker(config.layout.shared_read_blocks)
-        self._pending: list[TraceRecord] = []
-        self._count = 0
-
-    def emit(self, record: TraceRecord) -> None:
-        """Append one record to the trace under construction."""
-        self._pending.append(record)
-        self._count += 1
 
     def _maybe_migrate(self, processes: list[_Process]) -> None:
         """Occasionally swap the CPUs of two processes (§4.4 migration)."""
@@ -406,53 +469,70 @@ class SyntheticWorkload:
             processes[first].cpu,
         )
 
+    def _rounds(self, columns: _Columns) -> Iterator[None]:
+        """Run the round-robin scheduler, appending to *columns*.
+
+        Yields after every scheduling round; the consumer may take and
+        :meth:`~_Columns.clear` the round's rows before resuming.  The
+        final round can overshoot mid-quantum, so the rows are cut at
+        ``config.length`` before each yield.
+        """
+        config = self.config
+        length = config.length
+        quantum = range(config.quantum)
+        processes = [
+            _Process(self, pid, columns) for pid in range(config.num_processes)
+        ]
+        next_migration = config.migration_interval
+        while columns.total < length:
+            for process in processes:
+                step = process.step
+                for _ in quantum:
+                    step()
+                if columns.total >= length:
+                    break
+            if columns.total >= next_migration:
+                self._maybe_migrate(processes)
+                next_migration += config.migration_interval
+            columns.truncate(length)
+            yield
+
     def iter_records(self) -> "Iterator[TraceRecord]":
         """Stream the trace's records without materializing the trace.
 
         Yields exactly the records :meth:`build` would produce, in the
-        same order — the scheduler, RNG draws, and truncation at
-        ``config.length`` are shared code, so streaming generation is
-        bit-identical to materialized generation (the chunked-store
-        differential tests hold this).  Buffered records are bounded by
-        one scheduling round (``num_processes * quantum`` data actions
-        plus their instruction fetches), so a generator feeding a
-        :class:`~repro.store.writer.StreamingTraceWriter` can emit
-        traces far larger than memory.  One workload instance supports
-        one iteration at a time.
+        same order — both drive the same column generator, so streaming
+        generation is bit-identical to materialized generation (the
+        chunked-store differential tests hold this).  Buffered rows are
+        bounded by one scheduling round (``num_processes * quantum``
+        data actions plus their instruction fetches), so a generator
+        feeding a :class:`~repro.store.writer.StreamingTraceWriter` can
+        emit traces far larger than memory.  Each record is built (and
+        validated) as it is yielded.  One workload instance supports one
+        iteration at a time.
         """
-        config = self.config
-        processes = [_Process(self, pid) for pid in range(config.num_processes)]
-        self._pending = []
-        self._count = 0
-        next_migration = config.migration_interval
-        yielded = 0
-
-        while self._count < config.length:
-            for process in processes:
-                for _ in range(config.quantum):
-                    process.step()
-                if self._count >= config.length:
-                    break
-            if self._count >= next_migration:
-                self._maybe_migrate(processes)
-                next_migration += config.migration_interval
-            # Drain the round's records, truncating at the target length
-            # (the final round can overshoot mid-quantum, exactly like
-            # the materialized path's [:length] slice).
-            for record in self._pending:
-                if yielded == config.length:
-                    break
-                yielded += 1
-                yield record
-            self._pending.clear()
-        self._pending = []
+        columns = _Columns()
+        for _ in self._rounds(columns):
+            yield from iter_column_records(*columns.fields())
+            columns.clear()
 
     def build(self) -> Trace:
-        """Generate the full trace (deterministic for a given config)."""
+        """Generate the full trace (deterministic for a given config).
+
+        The returned trace holds the generated columns; its records are
+        built on first access, and :meth:`ColumnarTrace.from_trace`
+        adopts the columns without copying until then.
+        """
         config = self.config
-        return Trace(
-            name=config.name,
-            records=list(self.iter_records()),
-            description=config.description
-            or f"synthetic workload ({config.num_processes} processes)",
+        columns = _Columns()
+        for _ in self._rounds(columns):
+            pass
+        check_flags(columns.flags)
+        return Trace.from_columns(
+            ColumnarTrace(
+                config.name,
+                *columns.fields(),
+                description=config.description
+                or f"synthetic workload ({config.num_processes} processes)",
+            )
         )

@@ -5,7 +5,7 @@ code and private data, the shared data structures (read-mostly tables,
 migratory objects, producer-consumer buffers), lock words with their
 protected data, and kernel text/data for the OS-activity component.
 All region bases are block-aligned and far enough apart that regions
-can never overlap for the supported process counts.
+never overlap for up to :data:`MAX_PROCESSES` processes.
 """
 
 from __future__ import annotations
@@ -23,9 +23,19 @@ _LOCK_BASE = 0x7000_0000
 _PROTECTED_BASE = 0x7100_0000
 _KERNEL_TEXT_BASE = 0x8000_0000
 _KERNEL_DATA_BASE = 0x9000_0000
+_KERNEL_PRIVATE_BASE = _KERNEL_DATA_BASE + 0x0008_0000
+_ADDRESS_SPACE_END = 0x1_0000_0000
 _PER_PROCESS_STRIDE = 0x0010_0000
 
-_MAX_PROCESSES = _PER_PROCESS_STRIDE // DEFAULT_BLOCK_BYTES
+#: Processes whose per-process regions (code, private data, kernel
+#: private data) fit below the next region up.  Each process's slice is
+#: ``_PER_PROCESS_STRIDE`` bytes, so the tightest gap sets the limit:
+#: the code region, which has 496 slices before private data begins.
+MAX_PROCESSES = min(
+    (_PRIVATE_BASE - _INSTR_BASE) // _PER_PROCESS_STRIDE,
+    (_SHARED_READ_BASE - _PRIVATE_BASE) // _PER_PROCESS_STRIDE,
+    (_ADDRESS_SPACE_END - _KERNEL_PRIVATE_BASE) // _PER_PROCESS_STRIDE,
+)
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,8 @@ class AddressSpaceLayout:
                 raise ValueError(f"{name} must be >= 1")
 
     def _check_pid(self, pid: int) -> None:
-        if not 0 <= pid < _MAX_PROCESSES:
-            raise ValueError(f"pid {pid} outside supported range [0, {_MAX_PROCESSES})")
+        if not 0 <= pid < MAX_PROCESSES:
+            raise ValueError(f"pid {pid} outside supported range [0, {MAX_PROCESSES})")
 
     def instr_address(self, pid: int, offset_words: int) -> int:
         """Instruction-fetch address for a process's code region."""
@@ -109,9 +119,5 @@ class AddressSpaceLayout:
     def kernel_private_address(self, pid: int, block_index: int) -> int:
         """Kernel data private to one process (u-area analogue)."""
         self._check_pid(pid)
-        base = (
-            _KERNEL_DATA_BASE
-            + 0x0008_0000
-            + pid * _PER_PROCESS_STRIDE
-        )
+        base = _KERNEL_PRIVATE_BASE + pid * _PER_PROCESS_STRIDE
         return base + (block_index % self.kernel_private_blocks) * self.block_bytes

@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError, UnknownSchemeError
 from repro.memory.address import BlockMapper
 from repro.trace.stats import compute_statistics
 from repro.workloads.base import SyntheticWorkload, WorkloadConfig
-from repro.workloads.layout import AddressSpaceLayout
+from repro.workloads.layout import MAX_PROCESSES, AddressSpaceLayout
 from repro.workloads.locks import Lock, LockTable
 from repro.workloads.patterns import LocalityPicker, ProducerConsumerBuffers
 from repro.workloads.registry import (
@@ -37,6 +37,58 @@ class TestLayout:
                 block = mapper.block_of(address)
                 assert block not in blocks, f"address {address:#x} collides"
                 blocks.add(block)
+
+    def test_highest_allowed_pid_stays_disjoint(self):
+        layout = AddressSpaceLayout()
+        mapper = BlockMapper()
+        top = MAX_PROCESSES - 1
+        per_process = {
+            "code": [layout.instr_address(top, w) for w in range(0, 2048, 4)],
+            "private": [layout.private_address(top, i) for i in range(layout.private_blocks)],
+            "kernel-private": [
+                layout.kernel_private_address(top, i)
+                for i in range(layout.kernel_private_blocks)
+            ],
+        }
+        others = {
+            "code 0": [layout.instr_address(0, w) for w in range(0, 2048, 4)],
+            "private 0": [layout.private_address(0, i) for i in range(layout.private_blocks)],
+            "kernel-private 0": [
+                layout.kernel_private_address(0, i)
+                for i in range(layout.kernel_private_blocks)
+            ],
+            "shared": [layout.shared_read_address(i) for i in range(layout.shared_read_blocks)],
+            "migratory": [layout.migratory_address(i) for i in range(layout.migratory_blocks)],
+            "buffers": [layout.buffer_address(i) for i in range(layout.buffer_blocks)],
+            "locks": [layout.lock_address(i) for i in range(8)],
+            "protected": [
+                layout.protected_address(i, j)
+                for i in range(8)
+                for j in range(layout.protected_blocks_per_lock)
+            ],
+            "kernel-text": [layout.kernel_text_address(w) for w in range(0, 4096, 4)],
+            "kernel-shared": [
+                layout.kernel_shared_address(i) for i in range(layout.kernel_shared_blocks)
+            ],
+        }
+        regions = {**{f"{name} {top}": v for name, v in per_process.items()}, **others}
+        owner = {}
+        for name, addresses in regions.items():
+            for block in {mapper.block_of(address) for address in addresses}:
+                assert block not in owner, f"{name} overlaps {owner.get(block)}"
+                owner[block] = name
+        assert max(map(max, regions.values())) < 1 << 32
+        with pytest.raises(ValueError):
+            layout.instr_address(MAX_PROCESSES, 0)
+
+    def test_old_alias_point_is_out_of_range(self):
+        # With a 1 MB per-process stride, pid 496's code would start at
+        # process 0's private data.
+        layout = AddressSpaceLayout()
+        assert MAX_PROCESSES == 496
+        assert layout.instr_address(0, 0) + MAX_PROCESSES * 0x10_0000 == (
+            layout.private_address(0, 0)
+        )
 
     def test_indices_wrap_around(self):
         layout = AddressSpaceLayout()
@@ -128,6 +180,14 @@ class TestWorkloadConfig:
     def test_lock_attempts_require_locks(self):
         with pytest.raises(ConfigurationError):
             WorkloadConfig(p_lock_attempt=0.1, num_locks=0)
+
+    def test_process_count_limited_by_the_layout(self):
+        trace = SyntheticWorkload(
+            WorkloadConfig(num_processes=MAX_PROCESSES, length=50_000)
+        ).build()
+        assert trace.pids[-1] == MAX_PROCESSES - 1
+        with pytest.raises(ConfigurationError, match="address regions overlap"):
+            WorkloadConfig(num_processes=MAX_PROCESSES + 1)
 
     def test_scaled_to(self):
         config = WorkloadConfig(length=1000).scaled_to(5000)
