@@ -37,10 +37,12 @@ fuzz:
 chaos:
 	PYTHONPATH=src python -m repro chaos --workers 3 --seed 0
 
-# What CI runs (.github/workflows/ci.yml): the tier-1 suite plus
-# exhaustive protocol verification, without needing an install.
+# What CI runs (.github/workflows/ci.yml): the tier-1 suite, the
+# end-to-end benchmark's smoke tests and exhaustive protocol
+# verification, without needing an install.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 	PYTHONPATH=src python -m repro verify
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation

@@ -42,11 +42,9 @@ class SpinLockImpact:
 
 def strip_spins(trace: Trace) -> Trace:
     """A copy of *trace* without the spin-lock test reads."""
-    return Trace(
-        name=trace.name,
-        records=list(exclude_lock_spins(trace.records)),
-        description=f"{trace.description} (lock spins excluded)",
-    )
+    kept = exclude_lock_spins(trace)
+    kept.description = f"{trace.description} (lock spins excluded)"
+    return Trace.from_columns(kept)
 
 
 def spin_lock_impact(

@@ -266,7 +266,7 @@ def cmd_trace_gen(args) -> int:
 def cmd_stats(args) -> int:
     """``repro stats``: summarize a trace."""
     trace = _resolve_trace(args)
-    stats = compute_statistics(trace.records, trace.name)
+    stats = compute_statistics(trace, trace.name)
     rows = [
         ("references", stats.total_refs),
         ("instructions", stats.instr_refs),
@@ -540,7 +540,6 @@ def cmd_run(args) -> int:
     )
     from repro.runner.cache import ResultCache
     from repro.runner.checkpoint import CheckpointManager
-    from repro.trace.columnar import ColumnarTrace
 
     # Trace files are read lazily so a corrupt file is contained inside
     # its own cells instead of aborting the whole sweep at load time.
@@ -551,13 +550,6 @@ def cmd_run(args) -> int:
         traces.append(_make_any_trace(workload, length=args.length))
     if not traces:
         traces = [_make_any_trace("pops", length=args.length)]
-    if args.columnar:
-        # Opt-in fast path: pack eagerly-loaded traces into columns
-        # (bit-identical results; lazy files keep their containment).
-        traces = [
-            ColumnarTrace.from_trace(trace) if isinstance(trace, Trace) else trace
-            for trace in traces
-        ]
 
     plan = ExecutionPlan(
         traces=traces,
@@ -1198,10 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--result-cache", metavar="DIR",
         help="cache cell results in DIR, keyed by trace content + scheme + config",
-    )
-    run.add_argument(
-        "--columnar", action="store_true",
-        help="pack in-memory traces into columns for the simulator fast path",
     )
     run.add_argument(
         "--progress", action="store_true",

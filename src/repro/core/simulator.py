@@ -29,7 +29,8 @@ from repro.memory.address import BlockMapper
 from repro.protocols.base import CoherenceProtocol
 from repro.protocols.kernels import kernel_run, open_kernel_session
 from repro.protocols.registry import make_protocol
-from repro.trace.columnar import TYPE_READ, ColumnarTrace
+from repro.store.format import DEFAULT_CHUNK_RECORDS
+from repro.trace.columnar import TYPE_READ, ColumnarTrace, pack_chunks
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
 
@@ -103,15 +104,18 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate *protocol* over *trace* and return the measurements.
 
-        A :class:`~repro.trace.columnar.ColumnarTrace` input takes the
-        columnar fast path, which produces a result identical to the
-        record path (see ``docs/PERFORMANCE.md``); any other input is
-        processed record by record.
+        The simulator picks the representation: every trace runs on the
+        columnar path (a state-table kernel where one applies).  A
+        column-backed :class:`~repro.trace.stream.Trace` hands over its
+        columns, a record-backed one is packed, and a lazily read file
+        or a chunked store streams a chunk at a time.  Bare record
+        iterables and invariant checking take the record loop, the
+        reference implementation (see ``docs/PERFORMANCE.md``).
 
         Args:
             trace: a :class:`~repro.trace.stream.Trace`, a
-                :class:`~repro.trace.columnar.ColumnarTrace`, or any
-                iterable of records.
+                :class:`~repro.trace.columnar.ColumnarTrace`, a chunked
+                store trace, or any iterable of records.
             protocol: a protocol instance, or a registry name to build.
             num_caches: machine size when building by name; inferred
                 from a materialized trace's sharer ids when omitted.
@@ -121,46 +125,56 @@ class Simulator:
                 same context and protocol instance to every segment).
             protocol_options: forwarded to the protocol factory.
         """
-        if isinstance(trace, (Trace, ColumnarTrace)) or hasattr(trace, "iter_chunks"):
-            records: Iterable[TraceRecord] = trace.records
-            name = trace_name or trace.name
-        else:
-            records = trace
-            name = trace_name or "stream"
+        named = isinstance(trace, (Trace, ColumnarTrace)) or hasattr(trace, "iter_chunks")
+        name = trace_name or (trace.name if named else "stream")
 
         built = self._resolve_protocol(protocol, trace, num_caches, protocol_options)
         result = SimulationResult(scheme=built.name, trace_name=name)
-        checker = InvariantChecker(built) if self.check_interval else None
-
         context = context or SimulationContext()
-        if checker is None and hasattr(trace, "iter_chunks"):
-            # Chunk-streamed simulation: decode and feed one chunk at a
-            # time, so peak memory is bounded by the chunk size, not the
-            # trace.  (The invariant checker needs the record path's
-            # per-data-ref cadence, same as the columnar fast path.)
-            return self._run_chunked(trace, built, result, context)
-        if isinstance(trace, ColumnarTrace) and checker is None:
-            # Invariant checking needs the per-data-ref cadence of the
-            # record path, so it opts out of the fast path.
-            if type(trace) is ColumnarTrace:
-                # State-table kernels for the exact stock protocols;
-                # they bail (return None) on wrappers, finite caches,
-                # or any state outside their verified encoding.
-                ran = kernel_run(self, trace, built, result, context)
-                if ran is not None:
-                    return ran
+        if self.check_interval:
+            # Invariant checking needs the record loop's per-data-ref
+            # cadence.
+            records = trace.records if named else trace
+            return self._run_records(records, built, result, context)
+        if hasattr(trace, "iter_chunks"):
+            return self._run_chunked(trace.iter_chunks(), built, result, context)
+        if isinstance(trace, Trace):
+            if not trace.in_memory:
+                chunks = pack_chunks(trace.records, DEFAULT_CHUNK_RECORDS)
+                return self._run_chunked(chunks, built, result, context)
+            trace = ColumnarTrace.from_trace(trace)
+        if isinstance(trace, ColumnarTrace):
+            # State-table kernels for the exact stock protocols; they
+            # bail (return None) on wrappers, finite caches, or any
+            # state outside their verified encoding.
+            ran = kernel_run(self, trace, built, result, context)
+            if ran is not None:
+                return ran
             return self._run_columnar(trace, built, result, context)
+        return self._run_records(trace, built, result, context)
 
+    def _run_records(
+        self,
+        records: Iterable[TraceRecord],
+        built: CoherenceProtocol,
+        result: SimulationResult,
+        context: SimulationContext,
+    ) -> SimulationResult:
+        """The record loop: one protocol call per data record.
+
+        The reference implementation: simple enough to check by eye,
+        and the only path that runs the invariant checker.
+        """
+        checker = InvariantChecker(built) if self.check_interval else None
         sharer_index = context.sharer_index
         seen_blocks = context.seen_blocks
         seen_add = seen_blocks.add
         data_refs = 0
 
-        # Hoisted per-record overheads (satellite of the columnar fast
-        # path, but these pay off on the record path too): the sharer
-        # key resolves to one attrgetter per run instead of a string
-        # compare per record, and the sharer -> cache-index mapping uses
-        # a plain get instead of allocating a setdefault default.
+        # Hoisted per-record overheads: the sharer key resolves to one
+        # attrgetter per run instead of a string compare per record,
+        # and the sharer -> cache-index mapping uses a plain get instead
+        # of allocating a setdefault default.
         sharer_of = attrgetter(self.sharer_key)
         sharer_lookup = sharer_index.get
         block_of = self.block_mapper.block_of
@@ -291,12 +305,12 @@ class Simulator:
 
     def _run_chunked(
         self,
-        trace: Any,
+        chunks: Iterable[ColumnarTrace],
         built: CoherenceProtocol,
         result: SimulationResult,
         context: SimulationContext,
     ) -> SimulationResult:
-        """Bounded-memory simulation of a chunked on-disk trace.
+        """Bounded-memory simulation of a trace that arrives in chunks.
 
         When a state-table kernel applies, the protocol state is
         imported into the compact encoding once and stays resident
@@ -304,15 +318,15 @@ class Simulator:
         otherwise each chunk runs through the generic columnar loop with
         the shared context and result, which — because accumulation is
         purely additive and the context carries all cross-chunk state —
-        is exactly one continuous run.  Either way at most one decoded
-        chunk is live at a time.
+        is exactly one continuous run.  Either way at most one chunk is
+        live at a time.
         """
         session = open_kernel_session(self, built, result, context)
         if session is not None:
-            for chunk in trace.iter_chunks():
+            for chunk in chunks:
                 session.run_chunk(chunk)
             return session.finish()
-        for chunk in trace.iter_chunks():
+        for chunk in chunks:
             self._run_columnar(chunk, built, result, context)
         return result
 

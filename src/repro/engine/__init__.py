@@ -17,7 +17,6 @@ from repro.engine.backends import (
     ProcessPoolBackend,
     backend_for,
     execute_batch,
-    execute_cell,
     run_cell,
     shutdown_pools,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "backend_for",
     "build_protocol_for_cell",
     "execute_batch",
-    "execute_cell",
     "num_caches_for",
     "rehydrate_failure",
     "run_cell",

@@ -14,8 +14,9 @@ The pooled backend's dispatch path is built for throughput:
 * **warm workers** — pools are module-level and keyed by worker count,
   so consecutive sweeps (a scheduler draining jobs, a benchmark loop)
   reuse live worker processes instead of re-forking per sweep;
-* **shared-memory traces** — every :class:`ColumnarTrace` in the sweep
-  is packed once into a :class:`~repro.engine.shm.TraceArena`; cell
+* **shared-memory traces** — every :class:`ColumnarTrace` (or
+  column-backed :class:`~repro.trace.stream.Trace`) in the sweep is
+  packed once into a :class:`~repro.engine.shm.TraceArena`; cell
   descriptors then carry a small arena index instead of a pickled
   trace (see ``repro/engine/shm.py``);
 * **batched cells** — one pool round-trip carries a batch of cell
@@ -174,26 +175,6 @@ def _terminal_payload(
         "message": str(error),
         "attempts": attempts,
     }
-
-
-def execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
-    """Run one cell to a terminal outcome; never raises (worker entry point).
-
-    Module-level and picklable: the single-cell pool entry point, kept
-    for the runner compatibility shims and for parent-side fallback.
-    The payload carries the simulator, the cell, and the retry policy;
-    the return value is either ``{"status": "ok", "result": <json>,
-    "attempts": n}`` or ``{"status": "error", "category": ...,
-    "message": ..., "attempts": n}`` — the same outcome shape the
-    checkpoint manifest records.
-    """
-    return _terminal_payload(
-        payload["simulator"],
-        payload["spec"],
-        payload["key"],
-        payload["trace"],
-        payload["retry"],
-    )
 
 
 def execute_batch(payload: dict[str, Any]) -> list[dict[str, Any]]:
@@ -396,19 +377,21 @@ class ProcessPoolBackend:
                     spec_memo[memo_key] = None
             return spec_memo[memo_key]
 
-        # Pack every columnar trace referenced by a shippable cell into
-        # one shared-memory arena for the whole sweep; cells then name
-        # their trace by index instead of shipping its bytes per batch.
+        # Pack every columnar or column-backed trace referenced by a
+        # shippable cell into one shared-memory arena for the whole
+        # sweep; cells then name their trace by index instead of
+        # shipping its bytes per batch.  Other traces ship pickled, so a
+        # lazy file's decode errors stay inside its cells.
         arena_index: dict[int, int] = {}
         unique_columnar: list[ColumnarTrace] = []
         for task in tasks:
+            trace = task.trace
             if (
-                isinstance(task.trace, ColumnarTrace)
-                and id(task.trace) not in arena_index
-                and spec_blob(task.spec) is not None
-            ):
-                arena_index[id(task.trace)] = len(unique_columnar)
-                unique_columnar.append(task.trace)
+                isinstance(trace, ColumnarTrace)
+                or (isinstance(trace, Trace) and trace.columns is not None)
+            ) and id(trace) not in arena_index and spec_blob(task.spec) is not None:
+                arena_index[id(trace)] = len(unique_columnar)
+                unique_columnar.append(ColumnarTrace.from_trace(trace))
         arena = TraceArena.create(unique_columnar) if unique_columnar else None
         if arena is None:
             arena_index.clear()

@@ -41,6 +41,8 @@ from repro.runner.checkpoint import (
     result_from_json,
     result_to_json,
 )
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.stream import Trace
 
 from repro.engine.backends import ProcessPoolBackend, run_cell
 from repro.engine.observer import (
@@ -347,7 +349,13 @@ class Engine:
             accumulated = None
             position = 0
 
-        records = trace.records
+        # Windows of an in-memory trace are column slices, so each runs
+        # on the columnar path; chunked stores and lazily read files
+        # slice their own records.
+        if isinstance(trace, Trace) and trace.in_memory:
+            records = ColumnarTrace.from_trace(trace)
+        else:
+            records = trace.records
         total = len(trace)
         while position < total:
             segment = records[position : position + self.checkpoint_every]

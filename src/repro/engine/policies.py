@@ -5,9 +5,7 @@ as small, single-purpose pieces that wrap the one ``run_cell`` unit:
 
 * :class:`RetryPolicy` + :func:`run_with_retry` — **the** retry loop.
   Every execution path (serial runner, pool workers, service scheduler)
-  goes through this one implementation; before the engine existed the
-  same loop lived, duplicated, in ``runner/resilient.py`` and
-  ``runner/parallel.py``.
+  goes through this one implementation.
 * :class:`ManifestRecorder` — **the** checkpoint-manifest write site.
   Completed cells and contained failures are recorded here and only
   here, so the manifest format has exactly one producer.

@@ -77,26 +77,44 @@ def _best_seconds(fn: Callable[[], Any], repeats: int, warmup: int) -> float:
 # ----------------------------------------------------------------------
 
 
+def _record_loop(simulator: Any, columnar: Any) -> Callable[..., Any]:
+    """A runner for *columnar*'s records on the simulator's record loop."""
+    records = columnar.to_records()
+    sharers = columnar.pids if simulator.sharer_key == "pid" else columnar.cpus
+    num_caches = max(1, len(sharers))
+
+    def run(scheme: str, **options: Any) -> Any:
+        return simulator.run(
+            records, scheme, num_caches=num_caches, trace_name=columnar.name,
+            **options,
+        )
+
+    return run
+
+
 def measure_schemes(
     trace: Any,
     schemes: Sequence[str],
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
 ) -> dict[str, dict[str, Any]]:
-    """Serial columnar vs record-path throughput per scheme."""
+    """Serial columnar vs record-loop throughput per scheme.
+
+    The record loop is timed on a bare record list, the only input
+    ``Simulator.run`` does not put on the columnar path.
+    """
     from repro.core.simulator import Simulator
     from repro.trace.columnar import ColumnarTrace
 
     simulator = Simulator()
     columnar = ColumnarTrace.from_trace(trace)
     columnar.data_view(simulator.sharer_key)
+    record_loop = _record_loop(simulator, columnar)
     refs = len(trace)
     report: dict[str, dict[str, Any]] = {}
     for scheme in schemes:
-        assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
-        record_s = _best_seconds(
-            lambda s=scheme: simulator.run(trace, s), repeats, warmup
-        )
+        assert simulator.run(columnar, scheme) == record_loop(scheme)
+        record_s = _best_seconds(lambda s=scheme: record_loop(s), repeats, warmup)
         columnar_s = _best_seconds(
             lambda s=scheme: simulator.run(columnar, s), repeats, warmup
         )
@@ -134,11 +152,12 @@ def measure_finite(
     simulator = Simulator()
     columnar = ColumnarTrace.from_trace(trace)
     columnar.data_view(simulator.sharer_key)
+    record_loop = _record_loop(simulator, columnar)
     refs = len(trace)
     entries: dict[str, dict[str, Any]] = {}
     for scheme in schemes:
-        assert simulator.run(columnar, scheme, geometry=geometry) == simulator.run(
-            trace, scheme, geometry=geometry
+        assert simulator.run(columnar, scheme, geometry=geometry) == record_loop(
+            scheme, geometry=geometry
         )
         finite_s = _best_seconds(
             lambda s=scheme: simulator.run(columnar, s, geometry=geometry),

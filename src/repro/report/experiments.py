@@ -184,7 +184,7 @@ class PaperExperiments:
 
     def table3(self) -> Artifact:
         """Table 3: trace characteristics (counts in thousands)."""
-        stats = [compute_statistics(trace.records, trace.name) for trace in self.traces]
+        stats = [compute_statistics(trace, trace.name) for trace in self.traces]
         rows = [
             (
                 s.name.upper(),

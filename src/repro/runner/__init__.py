@@ -18,12 +18,9 @@ here are the runner's durable artifacts and test instruments:
 * :mod:`repro.runner.cache` — :class:`ResultCache`, an on-disk cache of
   simulation results keyed by (trace fingerprint, scheme + options,
   simulator config).
-* :mod:`repro.runner.parallel` — deprecated shim; the pool executor is
-  now :class:`repro.engine.backends.ProcessPoolBackend`.
 
 Names are resolved lazily so that engine modules can import runner
-submodules (cache, checkpoint) without forcing the whole runner — and
-so the deprecated parallel aliases only warn when actually used.
+submodules (cache, checkpoint) without forcing the whole runner.
 
 See ``docs/ARCHITECTURE.md`` for the engine layering,
 ``docs/ROBUSTNESS.md`` for the fault model and guarantees, and
@@ -43,7 +40,6 @@ _EXPORTS = {
     "CheckpointManager": "repro.runner.checkpoint",
     "result_from_json": "repro.runner.checkpoint",
     "result_to_json": "repro.runner.checkpoint",
-    "ParallelExecutor": "repro.runner.parallel",  # deprecated; warns
     "FaultInjector": "repro.runner.faults",
     "FlakyReader": "repro.runner.faults",
     "FlakyTrace": "repro.runner.faults",
@@ -61,7 +57,6 @@ _EXPORTS = {
 
 __all__ = [
     "CheckpointManager",
-    "ParallelExecutor",
     "ResultCache",
     "cache_key",
     "trace_fingerprint",
@@ -88,8 +83,7 @@ def __getattr__(name: str) -> Any:
     if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(module_name), name)
-    if name != "ParallelExecutor":  # keep the deprecated alias warning live
-        globals()[name] = value
+    globals()[name] = value
     return value
 
 

@@ -21,7 +21,7 @@ records at all.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -327,6 +327,20 @@ class ColumnarTrace:
             and self.flags == other.flags
         )
 
+    def drop_flagged(self, flag: int) -> "ColumnarTrace":
+        """The references whose flags carry none of *flag*'s bits."""
+        unflagged = bytes(0 if flags & flag else 1 for flags in range(256))
+        keep = bytes(self.flags).translate(unflagged)
+        return ColumnarTrace(
+            self.name,
+            compress(self.cpu, keep),
+            compress(self.pid, keep),
+            compress(self.type_code, keep),
+            compress(self.address, keep),
+            compress(self.flags, keep),
+            self.description,
+        )
+
     # ------------------------------------------------------------------
     # Simulation support
     # ------------------------------------------------------------------
@@ -352,6 +366,23 @@ class ColumnarTrace:
             view = (len(types) - len(data_types), data_types, sharers, addresses)
             self._data_views[sharer_key] = view
         return view
+
+
+def pack_chunks(
+    records: Iterable[TraceRecord], chunk_records: int
+) -> Iterator[ColumnarTrace]:
+    """Pack a record stream into consecutive chunks of *chunk_records*.
+
+    Only one chunk's records are read ahead, so a stream decoded from a
+    file is simulated in bounded memory, and its decode errors surface
+    when the chunk holding them is packed.
+    """
+    iterator = iter(records)
+    while True:
+        chunk = ColumnarTrace.from_records(islice(iterator, chunk_records))
+        if not len(chunk):
+            return
+        yield chunk
 
 
 def columnar_trace(trace: "Trace | ColumnarTrace | Iterable[TraceRecord]") -> ColumnarTrace:

@@ -16,23 +16,31 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.trace.columnar import FLAG_LOCK, FLAG_SPIN, ColumnarTrace, columnar_trace
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 
 
-def exclude_lock_spins(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
+def exclude_lock_spins(
+    trace: Trace | ColumnarTrace | Iterable[TraceRecord],
+) -> ColumnarTrace:
     """Drop spin-lock *test* reads (Section 5.2's lock-exclusion experiment).
 
     Only the repeated test reads while a lock is held are removed; the
     test-and-set write and the first (successful) test read are ordinary
-    synchronization traffic and remain in the trace.
+    synchronization traffic and remain in the trace.  The filter runs on
+    columns (a record stream is packed first) and returns the kept
+    references as a :class:`~repro.trace.columnar.ColumnarTrace`, which
+    iterates as records.
     """
-    return (record for record in records if not record.spin)
+    return columnar_trace(trace).drop_flagged(FLAG_SPIN)
 
 
-def exclude_all_lock_refs(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:
+def exclude_all_lock_refs(
+    trace: Trace | ColumnarTrace | Iterable[TraceRecord],
+) -> ColumnarTrace:
     """Drop every lock-related reference (a stronger variant of §5.2)."""
-    return (record for record in records if not record.lock)
+    return columnar_trace(trace).drop_flagged(FLAG_LOCK)
 
 
 def relabel_sharers_by_process(records: Iterable[TraceRecord]) -> Iterator[TraceRecord]:

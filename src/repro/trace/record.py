@@ -35,6 +35,9 @@ class RefType(enum.Enum):
 _SHORT_CODES = {RefType.INSTR: "i", RefType.READ: "r", RefType.WRITE: "w"}
 _FROM_SHORT = {code: ref for ref, code in _SHORT_CODES.items()}
 
+#: Exclusive upper bound of cpu, pid and address (unsigned 64-bit).
+_LIMIT = 1 << 64
+
 
 def ref_type_from_code(code: str) -> RefType:
     """Parse a one-letter reference-type code (``i``, ``r``, or ``w``)."""
@@ -72,12 +75,13 @@ class TraceRecord:
     spin: bool = field(default=False)
 
     def __post_init__(self) -> None:
-        if self.cpu < 0:
-            raise ValueError(f"cpu must be non-negative, got {self.cpu}")
-        if self.pid < 0:
-            raise ValueError(f"pid must be non-negative, got {self.pid}")
-        if self.address < 0:
-            raise ValueError(f"address must be non-negative, got {self.address}")
+        # Fields must fit the 64-bit columns every trace is packed into.
+        if not 0 <= self.cpu < _LIMIT:
+            raise ValueError(f"cpu must be in [0, 2**64), got {self.cpu}")
+        if not 0 <= self.pid < _LIMIT:
+            raise ValueError(f"pid must be in [0, 2**64), got {self.pid}")
+        if not 0 <= self.address < _LIMIT:
+            raise ValueError(f"address must be in [0, 2**64), got {self.address}")
         if self.spin and not self.lock:
             raise ValueError("spin references must also be lock references")
 

@@ -14,7 +14,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.trace.record import RefType, TraceRecord
+from repro.store.format import DEFAULT_CHUNK_RECORDS
+from repro.trace.columnar import (
+    FLAG_LOCK,
+    FLAG_SPIN,
+    FLAG_SYSTEM,
+    TYPE_INSTR,
+    TYPE_READ,
+    TYPE_WRITE,
+    ColumnarTrace,
+    pack_chunks,
+)
+from repro.trace.record import TraceRecord
+from repro.trace.stream import Trace
 
 
 @dataclass(frozen=True)
@@ -84,43 +96,47 @@ class TraceStatistics:
 
 
 def compute_statistics(
-    records: Iterable[TraceRecord], name: str = "trace"
+    trace: Trace | ColumnarTrace | Iterable[TraceRecord], name: str = "trace"
 ) -> TraceStatistics:
-    """Compute :class:`TraceStatistics` over a record stream in one pass."""
-    total = instr = reads = writes = 0
-    user = system = lock = spin = 0
+    """Compute :class:`TraceStatistics` by counting over columns.
+
+    Columns are counted as they are, a chunked store a chunk at a time,
+    and anything else is packed a chunk at a time first, so memory stays
+    bounded.
+    """
+    columns = trace.columns if isinstance(trace, Trace) else trace
+    if isinstance(columns, ColumnarTrace):
+        chunks = (columns,)
+    elif hasattr(trace, "iter_chunks"):
+        chunks = trace.iter_chunks()
+    else:
+        chunks = pack_chunks(trace, DEFAULT_CHUNK_RECORDS)
+
+    types = Counter()
+    flag_counts = Counter()
     per_cpu: Counter[int] = Counter()
     per_pid: Counter[int] = Counter()
+    for chunk in chunks:
+        types.update(bytes(chunk.type_code))
+        flag_counts.update(bytes(chunk.flags))
+        per_cpu.update(chunk.cpu)
+        per_pid.update(chunk.pid)
 
-    for record in records:
-        total += 1
-        per_cpu[record.cpu] += 1
-        per_pid[record.pid] += 1
-        if record.ref_type is RefType.INSTR:
-            instr += 1
-        elif record.ref_type is RefType.READ:
-            reads += 1
-        else:
-            writes += 1
-        if record.system:
-            system += 1
-        else:
-            user += 1
-        if record.lock:
-            lock += 1
-        if record.spin:
-            spin += 1
+    def flagged(flag: int) -> int:
+        return sum(count for flags, count in flag_counts.items() if flags & flag)
 
+    total = sum(types.values())
+    system = flagged(FLAG_SYSTEM)
     return TraceStatistics(
         name=name,
         total_refs=total,
-        instr_refs=instr,
-        data_reads=reads,
-        data_writes=writes,
-        user_refs=user,
+        instr_refs=types[TYPE_INSTR],
+        data_reads=types[TYPE_READ],
+        data_writes=types[TYPE_WRITE],
+        user_refs=total - system,
         system_refs=system,
-        lock_refs=lock,
-        spin_reads=spin,
+        lock_refs=flagged(FLAG_LOCK),
+        spin_reads=flagged(FLAG_SPIN),
         refs_per_cpu=dict(per_cpu),
         refs_per_pid=dict(per_pid),
     )

@@ -76,6 +76,12 @@ class Trace:
         """The columns this trace was built from, until its records exist."""
         return self._columns
 
+    @property
+    def in_memory(self) -> bool:
+        """False when the records are decoded on every pass (a lazily
+        read file) instead of held as columns or a record list."""
+        return self._columns is not None or isinstance(self._records, (list, tuple))
+
     def __len__(self) -> int:
         if self._columns is not None:
             return len(self._columns)

@@ -8,6 +8,7 @@ from hypothesis import settings
 from repro.core.invariants import InvariantChecker
 from repro.protocols.base import CoherenceProtocol
 from repro.protocols.events import ProtocolResult
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
 from repro.workloads.registry import make_trace
@@ -60,6 +61,22 @@ def make_records(spec) -> list[TraceRecord]:
         TraceRecord(cpu=cpu, pid=pid, ref_type=types[op], address=address)
         for cpu, pid, op, address in spec
     ]
+
+
+def record_loop(simulator, trace, protocol, **kwargs):
+    """Simulate *trace* on the record loop, the reference implementation.
+
+    ``Simulator.run`` puts every trace on the columnar path; only a bare
+    record iterable reaches the record loop, so this passes the trace's
+    records as a list, with the machine size and name the trace itself
+    would have given.  The trace keeps its columns.
+    """
+    if isinstance(protocol, str) and "num_caches" not in kwargs:
+        sharers = trace.pids if simulator.sharer_key == "pid" else trace.cpus
+        kwargs["num_caches"] = max(1, len(sharers))
+    kwargs.setdefault("trace_name", trace.name)
+    records = ColumnarTrace.from_trace(trace).to_records()
+    return simulator.run(records, protocol, **kwargs)
 
 
 def tiny_trace(name: str = "tiny") -> Trace:

@@ -35,3 +35,15 @@ def test_dir1nb_improves_dramatically_dir0b_barely(standard_small):
     assert abs(dir0b.relative_drop) < 0.15
     # And Dir1NB remains the more expensive scheme even without spins.
     assert dir1nb.without_spins > dir0b.without_spins
+
+
+def test_strip_spins_filters_columns():
+    from repro.trace.columnar import ColumnarTrace
+    from repro.workloads.registry import make_trace
+
+    trace = make_trace("pops", length=3000)
+    stripped = strip_spins(trace)
+    assert trace.columns is not None and stripped.columns is not None
+    expected = [r for r in ColumnarTrace.from_trace(trace) if not r.spin]
+    assert stripped.records == expected
+    assert stripped.description.endswith("(lock spins excluded)")

@@ -232,6 +232,27 @@ def test_trace_format_error_exits_3(tmp_path, capsys):
     assert f"{bad}:2" in err  # path and 1-based line number
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("trace", "pack", "{path}", "{out}"), ("simulate", "--trace-file", "{path}")],
+)
+def test_address_wider_than_64_bits_exits_3(tmp_path, capsys, argv):
+    """A value the 64-bit columns cannot hold is a located format error."""
+    wide = tmp_path / "wide.trace"
+    wide.write_text("0 0 r 0x100\n0 0 r 0x400000000000000000\n")
+    out = tmp_path / "wide.ctrc"
+    code, _out, err = run_cli(
+        capsys, *(arg.format(path=wide, out=out) for arg in argv)
+    )
+    assert code == 3
+    assert "error [trace-format]:" in err and f"{wide}:2" in err
+
+
+def test_run_rejects_the_removed_columnar_flag():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--columnar"])
+
+
 def test_configuration_error_exits_5(capsys):
     code, _out, err = run_cli(
         capsys, "run", "--workloads", "pops", "--length", "500",

@@ -10,6 +10,7 @@ payloads: event counts, op units, histograms, transaction counts.
 
 import pytest
 
+from conftest import record_loop
 from repro.core.simulator import SimulationContext, Simulator
 from repro.protocols.registry import available_protocols, make_protocol
 from repro.runner.resilient import ResilientExperiment
@@ -32,7 +33,7 @@ def columnar(trace):
 @pytest.mark.parametrize("scheme", available_protocols())
 def test_columnar_fast_path_is_bit_identical(trace, columnar, scheme):
     simulator = Simulator()
-    record_result = simulator.run(trace, scheme)
+    record_result = record_loop(simulator, trace, scheme)
     columnar_result = simulator.run(columnar, scheme)
     assert columnar_result == record_result
 
@@ -40,7 +41,7 @@ def test_columnar_fast_path_is_bit_identical(trace, columnar, scheme):
 @pytest.mark.parametrize("scheme", available_protocols())
 def test_columnar_fast_path_matches_with_cpu_sharers(trace, columnar, scheme):
     simulator = Simulator(sharer_key="cpu")
-    assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
+    assert simulator.run(columnar, scheme) == record_loop(simulator, trace, scheme)
 
 
 def test_segmented_columnar_run_matches_continuous(trace, columnar):
@@ -50,7 +51,7 @@ def test_segmented_columnar_run_matches_continuous(trace, columnar):
     instance and context fed slice by slice.
     """
     simulator = Simulator()
-    whole = simulator.run(trace, "dir0b")
+    whole = record_loop(simulator, trace, "dir0b")
 
     protocol = make_protocol("dir0b", num_caches=len(columnar.pids))
     context = SimulationContext()
@@ -73,7 +74,7 @@ def test_parallel_sweep_matches_record_path(trace, columnar):
     schemes = list(available_protocols())
     simulator = Simulator()
     serial = {
-        scheme: simulator.run(trace, scheme, trace_name=trace.name)
+        scheme: record_loop(simulator, trace, scheme)
         for scheme in schemes
     }
     parallel = ResilientExperiment(

@@ -6,7 +6,7 @@ from repro.core.simulator import Simulator, simulate
 from repro.errors import ConfigurationError
 from repro.memory.address import BlockMapper
 from repro.protocols.events import EventType
-from repro.protocols.registry import make_protocol
+from repro.protocols.registry import available_protocols, make_protocol
 from repro.trace.stream import Trace
 
 from conftest import make_records, tiny_trace
@@ -121,3 +121,92 @@ def test_deterministic_across_runs(pops_small):
 def test_trace_name_override(trace_tiny):
     result = simulate(trace_tiny, "wti", trace_name="renamed")
     assert result.trace_name == "renamed"
+
+
+# ----------------------------------------------------------------------
+# The simulator picks the representation
+# ----------------------------------------------------------------------
+
+KERNEL_SCHEMES = ("dir0b", "dir1nb", "wti", "dragon")
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The results ``kernel_run`` returned inside ``Simulator.run``."""
+    import repro.core.simulator as simulator_module
+
+    returned = []
+    real = simulator_module.kernel_run
+
+    def spy(*args):
+        ran = real(*args)
+        returned.append(ran)
+        return ran
+
+    monkeypatch.setattr(simulator_module, "kernel_run", spy)
+    return returned
+
+
+@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+def test_column_backed_trace_runs_the_kernel(kernel_runs, scheme):
+    from repro.workloads.registry import make_trace
+
+    trace = make_trace("pops", length=5000)
+    result = Simulator().run(trace, scheme)
+    assert len(kernel_runs) == 1 and kernel_runs[0] is result
+    assert trace.columns is not None  # no records were built
+
+
+@pytest.mark.parametrize("scheme", available_protocols())
+def test_record_backed_trace_matches_the_record_loop(scheme):
+    from repro.workloads.registry import make_trace
+
+    records = list(make_trace("thor", length=3000, seed=9).records)
+    trace = Trace("thor", records)
+    reference = Simulator().run(
+        list(records), scheme, num_caches=len(trace.pids), trace_name="thor"
+    )
+    assert Simulator().run(trace, scheme) == reference
+
+
+@pytest.mark.parametrize("scheme", ["dir0b", "dirnnb"])
+def test_lazy_trace_file_streams_in_chunks(tmp_path, monkeypatch, scheme):
+    """A lazily read file is packed and simulated a chunk at a time."""
+    import repro.core.simulator as simulator_module
+    from repro.trace.io import LazyTraceFile, read_trace_file, write_trace_file
+    from repro.workloads.registry import make_trace
+
+    path = tmp_path / "long.trace"
+    write_trace_file(make_trace("pero", length=2500).records, path)
+    chunks = []
+    real = simulator_module.pack_chunks
+
+    def counting(records, chunk_records):
+        for chunk in real(records, chunk_records):
+            chunks.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(simulator_module, "DEFAULT_CHUNK_RECORDS", 1000)
+    monkeypatch.setattr(simulator_module, "pack_chunks", counting)
+    lazy = LazyTraceFile(path)
+    result = Simulator().run(lazy, scheme)
+    assert chunks == [1000, 1000, 500]
+    reference = Simulator().run(
+        list(read_trace_file(path)), scheme,
+        num_caches=len(lazy.pids), trace_name=lazy.name,
+    )
+    assert result == reference
+
+
+def test_invariant_checking_runs_the_record_loop(monkeypatch, kernel_runs):
+    from repro.workloads.registry import make_trace
+
+    def refuse(*args):
+        raise AssertionError("the columnar loop ran")
+
+    monkeypatch.setattr(Simulator, "_run_columnar", refuse)
+    monkeypatch.setattr(Simulator, "_run_chunked", refuse)
+    trace = make_trace("pops", length=2000)
+    checked = Simulator(check_invariants=True).run(trace, "dir0b")
+    assert kernel_runs == []
+    assert checked.total_refs == 2000

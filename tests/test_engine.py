@@ -317,3 +317,49 @@ def test_inline_backend_matches_pool_backend(traces):
     inline = InlineBackend().run(simulator, cells)
     pooled = ProcessPoolBackend(jobs=2).run(simulator, cells)
     assert inline == pooled
+
+
+# ----------------------------------------------------------------------
+# Traces stay columns on every engine path
+# ----------------------------------------------------------------------
+
+def test_checkpoint_windows_slice_columns(tmp_path, traces):
+    from repro.runner.checkpoint import CheckpointManager
+
+    plan = ExecutionPlan(traces=traces, schemes=["dir0b", "dirnnb"])
+    windowed = Engine(
+        checkpoint=CheckpointManager(tmp_path / "ckpt"), checkpoint_every=500
+    ).run(plan)
+    assert windowed.ok
+    assert all(trace.columns is not None for trace in traces)
+    assert windowed.results == Engine().run(plan).results
+
+
+def test_pool_ships_column_backed_traces_through_the_arena(monkeypatch, traces):
+    from repro.engine import backends
+
+    packed = []
+    real = backends.TraceArena.create
+
+    def create(cls, columnar):
+        packed.extend(columnar)
+        return real(columnar)
+
+    monkeypatch.setattr(backends.TraceArena, "create", classmethod(create))
+    cells = ExecutionPlan(traces=traces, schemes=["dir0b", "wti"]).cells()
+    pooled = ProcessPoolBackend(jobs=2).run(Simulator(), cells)
+    assert all(payload["status"] == "ok" for payload in pooled.values())
+    assert len(packed) == len(traces)
+    assert all(columns is trace.columns for columns, trace in zip(packed, traces))
+    assert pooled == InlineBackend().run(Simulator(), cells)
+
+
+def test_removed_parallel_shim_names_are_gone():
+    import repro.runner
+
+    with pytest.raises(AttributeError):
+        repro.runner.ParallelExecutor
+    with pytest.raises(AttributeError):
+        repro.runner.no_such_export
+    with pytest.raises(ImportError):
+        __import__("repro.runner.parallel")

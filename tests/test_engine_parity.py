@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from conftest import record_loop
 from repro.core.simulator import Simulator
 from repro.engine import Engine, EngineMetrics, ExecutionPlan
 from repro.errors import CheckpointError
@@ -49,9 +50,15 @@ def canonical(results) -> str:
 
 
 def test_all_execution_stacks_are_byte_identical(trace):
-    """Record path == columnar fast path == pooled sweep == service job."""
-    record = Engine().run(ExecutionPlan(traces=[trace], schemes=SCHEMES))
-    assert record.ok
+    """Record loop == engine == columnar input == pooled sweep == service job."""
+    simulator = Simulator()
+    record = {}
+    for scheme in SCHEMES:
+        result = record_loop(simulator, trace, scheme)
+        result.scheme = scheme
+        record[scheme] = {trace.name: result}
+    serial = Engine().run(ExecutionPlan(traces=[trace], schemes=SCHEMES))
+    assert serial.ok
 
     columnar = Engine().run(
         ExecutionPlan(traces=[ColumnarTrace.from_trace(trace)], schemes=SCHEMES)
@@ -69,7 +76,8 @@ def test_all_execution_stacks_are_byte_identical(trace):
         scheduler.shutdown(mode="drain", timeout=30.0)
     assert deadline_ok and job.cell_errors == 0
 
-    baseline = canonical(record.results)
+    baseline = canonical(record)
+    assert canonical(serial.results) == baseline
     assert canonical(columnar.results) == baseline
     assert canonical(pooled.results) == baseline
     assert canonical(job.results) == baseline
@@ -95,7 +103,7 @@ def _pre_refactor_manifest(trace, completed_schemes):
     simulator = Simulator()
     completed = {}
     for scheme in completed_schemes:
-        result = simulator.run(trace, scheme, trace_name=trace.name)
+        result = record_loop(simulator, trace, scheme)
         result.scheme = scheme
         completed[scheme] = {trace.name: result_to_json(result)}
     return {

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import record_loop
 from repro.core.simulator import Simulator
 from repro.cost.bus import pipelined_bus
 from repro.memory.geometry import CacheGeometry
@@ -49,7 +50,8 @@ def ample(trace):
     """
     simulator = Simulator()
     shift = simulator.block_mapper.offset_bits
-    footprint = len({record.address >> shift for record in trace.records})
+    addresses = ColumnarTrace.from_trace(trace).address
+    footprint = len({address >> shift for address in addresses})
     return CacheGeometry(lines=footprint + 1, assoc=footprint + 1)
 
 
@@ -57,8 +59,8 @@ def ample(trace):
 def test_ample_capacity_is_digest_identical(trace, ample, scheme):
     """Capacity >= footprint: finite digest == infinite digest."""
     simulator = Simulator()
-    infinite = simulator.run(trace, scheme)
-    finite = simulator.run(trace, scheme, geometry=ample.canonical())
+    infinite = record_loop(simulator, trace, scheme)
+    finite = record_loop(simulator, trace, scheme, geometry=ample.canonical())
     assert result_to_json(finite) == result_to_json(infinite)
 
 
@@ -83,7 +85,7 @@ def test_ample_capacity_identical_on_streaming_backend(
     pack_trace(trace, path, chunk_records=700)
     with ChunkedTrace(path) as chunked:
         finite = simulator.run(chunked, scheme, geometry=ample.canonical())
-    infinite = simulator.run(trace, scheme)
+    infinite = record_loop(simulator, trace, scheme)
     assert result_to_json(finite) == result_to_json(infinite)
 
 
@@ -113,7 +115,7 @@ def test_small_capacity_backends_agree(trace, columnar, scheme, tmp_path):
     from repro.store import ChunkedTrace, pack_trace
 
     simulator = Simulator()
-    record = simulator.run(trace, scheme, geometry="64x2")
+    record = record_loop(simulator, trace, scheme, geometry="64x2")
     fast = simulator.run(columnar, scheme, geometry="64x2")
     path = tmp_path / "small.ctrc"
     pack_trace(trace, path, chunk_records=700)

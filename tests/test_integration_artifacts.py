@@ -112,3 +112,10 @@ def test_all_artifacts_regenerate(experiments):
         assert isinstance(artifact, Artifact)
         assert artifact.text.strip()
         assert str(artifact) == artifact.text
+
+
+def test_all_artifacts_read_the_traces_as_columns():
+    """No artifact builds records from the paper traces."""
+    small = PaperExperiments(length=2000)
+    small.all_artifacts()
+    assert all(trace.columns is not None for trace in small.traces)

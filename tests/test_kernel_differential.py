@@ -11,6 +11,7 @@ exercise the real state machines.
 
 import pytest
 
+from conftest import record_loop
 from repro.core.simulator import SimulationContext, Simulator
 from repro.core.result import merge_results
 from repro.errors import ConfigurationError
@@ -90,7 +91,7 @@ def test_no_kernel_for_other_protocols(columnar):
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_kernel_matches_record_path(trace, columnar, scheme):
     simulator = Simulator()
-    assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
+    assert simulator.run(columnar, scheme) == record_loop(simulator, trace, scheme)
 
 
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
@@ -116,15 +117,15 @@ def test_kernel_matches_generic_columnar_loop(columnar, scheme):
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_kernel_matches_on_write_heavy_trace(write_heavy, scheme):
     simulator = Simulator()
-    assert simulator.run(write_heavy, scheme) == simulator.run(
-        write_heavy.to_trace(), scheme
+    assert simulator.run(write_heavy, scheme) == record_loop(
+        simulator, write_heavy, scheme
     )
 
 
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_kernel_matches_with_cpu_sharers(trace, columnar, scheme):
     simulator = Simulator(sharer_key="cpu")
-    assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
+    assert simulator.run(columnar, scheme) == record_loop(simulator, trace, scheme)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_kernel_segmented_run_matches_continuous(trace, columnar, scheme):
     (dirty owners, shared masks, directory entries) at odd boundaries.
     """
     simulator = Simulator()
-    whole = simulator.run(trace, scheme)
+    whole = record_loop(simulator, trace, scheme)
 
     protocol = make_protocol(scheme, num_caches=len(columnar.pids))
     context = SimulationContext()
@@ -252,8 +253,8 @@ def test_finite_cache_columnar_run_still_correct(trace, columnar):
     fast = simulator.run(
         columnar, make_protocol("dir0b", num_caches, cache_factory=factory)
     )
-    slow = simulator.run(
-        trace, make_protocol("dir0b", num_caches, cache_factory=factory)
+    slow = record_loop(
+        simulator, trace, make_protocol("dir0b", num_caches, cache_factory=factory)
     )
     assert fast == slow
 

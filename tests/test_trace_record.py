@@ -48,6 +48,16 @@ def test_record_rejects_negative_address():
         TraceRecord(cpu=0, pid=0, ref_type=RefType.READ, address=-4)
 
 
+@pytest.mark.parametrize("field", ["cpu", "pid", "address"])
+def test_record_fields_must_fit_64_bits(field):
+    """Every trace is packed into unsigned 64-bit columns."""
+    fields = {"cpu": 0, "pid": 0, "address": 0}
+    widest = TraceRecord(ref_type=RefType.READ, **{**fields, field: 2**64 - 1})
+    assert getattr(widest, field) == 2**64 - 1
+    with pytest.raises(ValueError, match=field):
+        TraceRecord(ref_type=RefType.READ, **{**fields, field: 2**64})
+
+
 def test_spin_implies_lock():
     with pytest.raises(ValueError):
         TraceRecord(cpu=0, pid=0, ref_type=RefType.READ, address=0, spin=True)

@@ -85,3 +85,28 @@ def test_workload_statistics_match_config(pops_small):
     assert 0.48 < stats.instr_fraction < 0.56
     assert 0.25 < stats.spin_read_fraction_of_reads < 0.45
     assert stats.system_fraction > 0.05
+
+
+def test_columns_record_streams_and_chunked_stores_agree(tmp_path, monkeypatch):
+    """Every input form is counted over columns to the same statistics."""
+    import repro.trace.stats as stats_module
+    from repro.store import ChunkedTrace, pack_trace
+    from repro.trace.columnar import ColumnarTrace
+    from repro.workloads.registry import make_trace
+
+    trace = make_trace("pops", length=6000)
+    expected = compute_statistics(trace, "pops")
+    assert trace.columns is not None
+    records = ColumnarTrace.from_trace(trace).to_records()
+    assert expected.total_refs == len(records)
+    assert expected.system_refs == sum(record.system for record in records)
+    assert expected.lock_refs == sum(record.lock for record in records)
+    assert expected.spin_reads == sum(record.spin for record in records)
+    assert expected.data_writes == sum(record.is_write for record in records)
+
+    monkeypatch.setattr(stats_module, "DEFAULT_CHUNK_RECORDS", 1000)
+    assert compute_statistics(iter(records), "pops") == expected
+    path = tmp_path / "pops.ctrc"
+    pack_trace(trace, path, chunk_records=1500)
+    with ChunkedTrace(path) as chunked:
+        assert compute_statistics(chunked, "pops") == expected
