@@ -38,14 +38,19 @@ chaos:
 	PYTHONPATH=src python -m repro chaos --workers 3 --seed 0
 
 # What CI runs (.github/workflows/ci.yml): the tier-1 suite, the
-# end-to-end benchmark's smoke tests and exhaustive protocol
-# verification, without needing an install.
+# end-to-end benchmark's smoke tests, exhaustive protocol
+# verification, and the conformance fuzz with mutation testing on
+# infinite caches and on the finite-parity job's evicting 4x2
+# geometry (fuzz cells re-run on the fast path, so the state-table
+# kernels see adversarial traces in both cache models), without
+# needing an install.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 	PYTHONPATH=src python -m repro verify
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation
+	PYTHONPATH=src python -m repro verify --fuzz 15 --seed 2 --finite-geometry 4x2 --mutation
 
 # Regenerate the machine-derived protocol reference.
 docs:

@@ -145,8 +145,9 @@ class Simulator:
             trace = ColumnarTrace.from_trace(trace)
         if isinstance(trace, ColumnarTrace):
             # State-table kernels for the exact stock protocols; they
-            # bail (return None) on wrappers, finite caches, or any
-            # state outside their verified encoding.
+            # bail (return None) on wrappers, mixed or subclassed
+            # caches, bounded directories, or any state outside their
+            # verified encoding.
             ran = kernel_run(self, trace, built, result, context)
             if ran is not None:
                 return ran

@@ -5,17 +5,25 @@ per-reference *method dispatch*: every data reference walks
 ``on_read``/``on_write`` through cache-model calls, directory
 bookkeeping, and ``ProtocolResult`` construction.  For the four
 protocols that dominate sweeps — ``dir0b``, ``dir1nb``, ``wti``, and
-``dragon`` — the reachable state space under infinite caches is tiny,
-so each protocol's inner loop collapses to a handful of dict lookups
-over a **compact state encoding** plus a table of precomputed, shared
+``dragon`` — the reachable state space is tiny, so each protocol's
+inner loop collapses to a handful of dict lookups over a **compact
+state encoding** plus a table of precomputed, shared
 :class:`ProtocolResult` instances keyed on (state, op, holder
 relation).
+
+Each protocol has **one kernel**, used for both cache models: the
+paper's :class:`InfiniteCache` (Section 4) and this repository's
+capacity extension, a :class:`FiniteCache` of one geometry shared by
+every cache.  Finite capacity is an optional **LRU layer** on top of
+the same transitions (see below); the kernel's ``finite`` flag guards
+every piece of set bookkeeping, so infinite runs never touch it.
 
 Each kernel is split into three stages so chunk-streamed simulation
 (:mod:`repro.store`) can amortize the expensive ends:
 
-* an **importer** reads the protocol's live object state into the
-  compact encoding, cross-checking every derived invariant;
+* an **importer** reads the protocol's live object state, from either
+  cache model, into the compact encoding, cross-checking every derived
+  invariant;
 * a **loop** runs the hot per-reference state machine over one
   columnar chunk, accumulating identity-batched outcomes;
 * an **exporter** writes the compact state back into the protocol's
@@ -38,7 +46,9 @@ A kernel is an alternative *evaluator*, not an alternative *model*:
   wrapper — a conformance oracle, a mutation-testing saboteur, a
   subclassed cache — fails the ``type() is`` gates and falls back to
   the generic path, so differential and chaos suites still exercise
-  the real object model);
+  the real object model), for caches that are all infinite or all
+  finite of one geometry, and only without a directory-entry bound
+  (``dir_capacity`` recalls stay on the generic path);
 * before running, the importer cross-checks the live state; any
   inconsistency aborts the kernel (returning None with protocol state
   untouched) and the generic path runs instead;
@@ -49,44 +59,38 @@ A kernel is an alternative *evaluator*, not an alternative *model*:
 * event classification, bus-op tuples, ``clean_write_sharers``
   populations, and the identity-batched accumulation replicate the
   generic path decision for decision, so results are bit-identical
-  (``tests/test_kernel_differential.py`` holds this per protocol, and
-  the engine-parity / ``repro verify`` suites hold it end to end).
+  (``tests/test_kernel_differential.py`` holds this per protocol and
+  cache model, and the engine-parity / ``repro verify`` suites hold it
+  end to end).
 
-State encodings (all under infinite caches):
+State encodings
+---------------
 
-* ``dir0b`` — per block: a holder bitmask plus an optional dirty
-  owner.  The two-bit directory state is a pure function of these
-  (popcount 0/1/many, owner present or not).
+* ``dir0b`` — per block: a holder bitmask, an optional dirty owner,
+  and the two-bit directory state as an int.  Without evictions the
+  directory state is a function of the other two; silent evictions
+  make ``CLEAN_MANY`` sticky, so it is kept explicitly.
 * ``dir1nb`` — per block: ``(holder << 1) | dirty`` — at most one
   cache ever holds a block.
 * ``wti`` — per block: a holder bitmask (write-through caches are
   always clean).
-* ``dragon`` — per block: a holder bitmask plus an optional owner;
-  the four Dragon line states are derived (sole holder: VE, or D when
-  owning; shared: SC with the owner SD).
+* ``dragon`` — per block: a holder bitmask plus an optional owner.
+  Without evictions the four Dragon line states are derived (sole
+  holder: VE, or D when owning; shared: SC with the owner SD); finite
+  caches store each line's state int in its LRU set instead, because
+  a holder left alone by evictions stays ``SHARED_*``.
 
-Finite-capacity kernels
------------------------
+The LRU layer
+-------------
 
-The same four protocols also have **capacity-aware** kernels that
-engage when every cache is exactly a :class:`FiniteCache` of one shared
-geometry (and no directory-entry bound is set — recalls stay on the
-generic path).  They keep, per cache, compact LRU stacks over the
-integer encodings: one plain dict per cache set whose insertion order
-is the set's LRU order (oldest first), exactly mirroring the
-``OrderedDict`` sets of :class:`FiniteCache`.  Replacement picks
-``next(iter(set_dict))``; a touch is delete-and-reinsert.  Because a
-reference installs at most one line, a replacement adds at most one
-trailing bus op to an infinite-model outcome — memoized as the
-``_with_wb`` variant so identity batching still works.
-Two encodings change shape under eviction pressure:
-
-* ``dir0b`` keeps an explicit two-bit directory state per block
-  (silent evictions make ``CLEAN_MANY`` sticky, so it is no longer a
-  pure function of the holder mask);
-* ``dragon`` stores each line's state int explicitly (a holder left
-  alone by evictions stays ``SHARED_*`` — sole-holder states are not
-  derivable).
+Under finite caches each kernel also keeps, per cache, one plain dict
+per cache set whose insertion order is the set's LRU order (oldest
+first), exactly mirroring the ``OrderedDict`` sets of
+:class:`FiniteCache`.  Replacement picks ``next(iter(set_dict))``; a
+touch is delete-and-reinsert.  Because a reference installs at most
+one line, a replacement adds at most one trailing bus op to the
+outcome — memoized as the ``_with_wb`` variant so identity batching
+still works.
 """
 
 from __future__ import annotations
@@ -246,16 +250,108 @@ def _wt_wm(n_others: int) -> ProtocolResult:
 # Shared scaffolding
 # ----------------------------------------------------------------------
 
+#: Infinite-model outcome -> the same outcome with the trailing
+#: write-back of a replaced dirty victim (dir0b / dir1nb / dragon).
+_WITH_WB: dict[ProtocolResult, ProtocolResult] = {}
 
-def _infinite_lines(protocol: Any) -> list[dict] | None:
-    """Each cache's line dict, or None unless every cache is the exact
-    :class:`InfiniteCache` (finite caches change reachable states)."""
-    lines = []
+
+def _with_wb(base: ProtocolResult) -> ProtocolResult:
+    """*base* plus the write-back of the replaced dirty victim."""
+    outcome = _WITH_WB.get(base)
+    if outcome is None:
+        outcome = ProtocolResult(
+            base.event,
+            base.ops + (write_back(),),
+            clean_write_sharers=base.clean_write_sharers,
+            wasted_invalidations=base.wasted_invalidations,
+            pointer_evictions=base.pointer_evictions,
+            directory_recalls=base.directory_recalls,
+        )
+        _WITH_WB[base] = outcome
+    return outcome
+
+
+def _cache_geometry(protocol: Any) -> tuple[int, int] | None:
+    """The (num_sets, associativity) every cache shares.
+
+    ``(0, 0)`` when every cache is the exact :class:`InfiniteCache`;
+    None for anything else — a subclassed cache, a mix of cache models,
+    or finite caches of different geometries.
+    """
+    geometry: tuple[int, int] | None = None
     for cache in protocol._caches:
-        if type(cache) is not InfiniteCache:
+        kind = type(cache)
+        if kind is InfiniteCache:
+            shape = (0, 0)
+        elif kind is FiniteCache:
+            shape = (cache._num_sets, cache._associativity)
+        else:
             return None
-        lines.append(cache._lines)
-    return lines
+        if geometry is None:
+            geometry = shape
+        elif shape != geometry:
+            return None
+    return geometry
+
+
+def _lru_layer(
+    protocol: Any,
+    geometry: tuple[int, int],
+    state: dict[str, Any],
+    encode: Callable | None = None,
+) -> dict[str, Any]:
+    """Add the LRU layer's fields to an imported kernel *state*.
+
+    Under finite caches ``sets`` holds, per cache, one plain dict per
+    set in the set's LRU order, mapping each block to None (or to
+    ``encode(line state)``).  Infinite caches have no sets.
+    """
+    num_sets, assoc = geometry
+    finite = num_sets > 0
+    sets = None
+    if finite:
+        sets = [
+            [
+                dict.fromkeys(line_set)
+                if encode is None
+                else {block: encode(line) for block, line in line_set.items()}
+                for line_set in cache._sets
+            ]
+            for cache in protocol._caches
+        ]
+    state.update(finite=finite, sets=sets, set_mask=num_sets - 1, assoc=assoc)
+    return state
+
+
+def _write_lines(
+    protocol: Any,
+    state: dict[str, Any],
+    mask: dict[int, int],
+    line_state: Callable[[int, int], Any],
+) -> None:
+    """Store every cache's lines back into its own cache model.
+
+    Finite caches get their sets rebuilt in the kernel's LRU order;
+    infinite caches get one line per holder bit of each block's *mask*.
+    ``line_state(cache index, block)`` gives each line's state.
+    """
+    caches = protocol._caches
+    if state["finite"]:
+        for index, (cache, per_set) in enumerate(zip(caches, state["sets"])):
+            cache._sets = [
+                OrderedDict((block, line_state(index, block)) for block in line_set)
+                for line_set in per_set
+            ]
+        return
+    new_lines: list[dict] = [{} for _ in caches]
+    for block, held in mask.items():
+        while held:
+            low = held & -held
+            index = low.bit_length() - 1
+            new_lines[index][block] = line_state(index, block)
+            held ^= low
+    for cache, cache_lines in zip(caches, new_lines):
+        cache._lines = cache_lines
 
 
 def _too_many_sharers(limit: int, sharer: int) -> ConfigurationError:
@@ -289,714 +385,63 @@ def _flush_batches(
 # dir0b
 # ----------------------------------------------------------------------
 
-
-def _import_masked(
-    lines: list[dict], seen: set
-) -> tuple[dict[int, int], dict[int, int]] | None:
-    """Collect (holder bitmask, dirty owner) per block from cache lines.
-
-    Returns None on any state outside the multicopy model: an unknown
-    line state, two dirty owners, a dirty owner sharing with others, or
-    a held block the context has never seen (which would let a
-    ``first_ref`` land on a held block — unreachable in the object
-    model, so the kernel refuses to guess).
-    """
-    mask: dict[int, int] = {}
-    owner: dict[int, int] = {}
-    clean = LineState.CLEAN
-    dirty = LineState.DIRTY
-    for index, cache_lines in enumerate(lines):
-        bit = 1 << index
-        for block, state in cache_lines.items():
-            mask[block] = mask.get(block, 0) | bit
-            if state is dirty:
-                if block in owner:
-                    return None
-                owner[block] = index
-            elif state is not clean:
-                return None
-    for block, who in owner.items():
-        if mask[block] != 1 << who:
-            return None
-    if not seen >= mask.keys():
-        return None
-    return mask, owner
+#: TwoBitState -> the kernel's directory-state int (0 is never stored).
+_D0_CODES: dict[TwoBitState, int] = {
+    TwoBitState.NOT_CACHED: 0,
+    TwoBitState.CLEAN_ONE: 1,
+    TwoBitState.CLEAN_MANY: 2,
+    TwoBitState.DIRTY_ONE: 3,
+}
+_D0_STATES = (
+    TwoBitState.NOT_CACHED,
+    TwoBitState.CLEAN_ONE,
+    TwoBitState.CLEAN_MANY,
+    TwoBitState.DIRTY_ONE,
+)
 
 
 def _import_dir0b(protocol: Any, context: Any) -> dict[str, Any] | None:
-    directory = protocol._directory
-    if type(directory) is not TwoBitDirectory:
-        return None
-    lines = _infinite_lines(protocol)
-    if lines is None:
-        return None
-    imported = _import_masked(lines, context.seen_blocks)
-    if imported is None:
-        return None
-    mask, owner = imported
-
-    # The two-bit state must be exactly the function of (mask, owner)
-    # the object model maintains; otherwise transitions would diverge.
-    states = directory._states
-    not_cached = TwoBitState.NOT_CACHED
-    for block in mask.keys() | states.keys():
-        held = mask.get(block, 0)
-        if block in owner:
-            expected = TwoBitState.DIRTY_ONE
-        elif held == 0:
-            expected = not_cached
-        elif held & (held - 1) == 0:
-            expected = TwoBitState.CLEAN_ONE
-        else:
-            expected = TwoBitState.CLEAN_MANY
-        if states.get(block, not_cached) is not expected:
-            return None
-    return {"mask": mask, "owner": owner}
-
-
-def _loop_dir0b(
-    simulator: Any,
-    trace: ColumnarTrace,
-    protocol: Any,
-    context: Any,
-    state: dict[str, Any],
-    pending: dict[int, list],
-    previous: ProtocolResult | None,
-    run_length: int,
-) -> tuple[ProtocolResult | None, int, int]:
-    mask = state["mask"]
-    owner = state["owner"]
-    instr_count, type_codes, sharer_col, addresses = trace.data_view(
-        simulator.sharer_key
-    )
-    sharer_index = context.sharer_index
-    sharer_lookup = sharer_index.get
-    seen = context.seen_blocks
-    seen_add = seen.add
-    shift = simulator.block_mapper.offset_bits
-    limit = protocol.num_caches
-    mask_get = mask.get
-    wh_cln = _D0_WH_CLN.get
-    wm_cln = _D0_WM_CLN.get
-    read = TYPE_READ
-    pending_get = pending.get
-
-    for code, sharer, address in zip(type_codes, sharer_col, addresses):
-        cache = sharer_lookup(sharer)
-        if cache is None:
-            cache = len(sharer_index)
-            if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
-            sharer_index[sharer] = cache
-        block = address >> shift
-        if block in seen:
-            first = False
-        else:
-            first = True
-            seen_add(block)
-        bit = 1 << cache
-        held = mask_get(block, 0)
-        if code == read:
-            if held & bit:
-                outcome = RESULT_RD_HIT
-            elif first:
-                outcome = _RM_FIRST
-                mask[block] = bit
-            else:
-                own = owner.pop(block, None)
-                # A dirty owner writes back and keeps a clean copy.
-                outcome = _D0_RM_CLN if own is None else _D0_RM_DRTY
-                mask[block] = held | bit
-        else:
-            if held & bit:
-                if block in owner:
-                    # Sole-holder invariant: the owner is this cache.
-                    outcome = RESULT_WH_BLK_DRTY
-                else:
-                    n_others = (held & ~bit).bit_count()
-                    if n_others == 0:
-                        outcome = _D0_WH_SOLE
-                    else:
-                        outcome = wh_cln(n_others) or _d0_wh_cln(n_others)
-                    mask[block] = bit
-                    owner[block] = cache
-            else:
-                if first:
-                    outcome = _WM_FIRST
-                elif block in owner:
-                    del owner[block]
-                    outcome = _D0_WM_DRTY
-                elif held:
-                    n_holders = held.bit_count()
-                    outcome = wm_cln(n_holders) or _d0_wm_cln(n_holders)
-                else:
-                    outcome = _D0_WM_ALONE
-                mask[block] = bit
-                owner[block] = cache
-        if outcome is previous:
-            run_length += 1
-        elif previous is None:
-            previous = outcome
-            run_length = 1
-        else:
-            entry = pending_get(id(previous))
-            if entry is None:
-                pending[id(previous)] = [previous, run_length]
-            else:
-                entry[1] += run_length
-            previous = outcome
-            run_length = 1
-    return previous, run_length, instr_count
-
-
-def _export_dir0b(protocol: Any, state: dict[str, Any]) -> None:
-    # Export: rebuild each cache's lines and the directory states from
-    # the compact encoding (the exact inverse of the import mapping).
-    mask = state["mask"]
-    owner = state["owner"]
-    new_lines: list[dict] = [{} for _ in protocol._caches]
-    new_states: dict[int, TwoBitState] = {}
-    clean = LineState.CLEAN
-    for block, held in mask.items():
-        own = owner.get(block)
-        if own is not None:
-            new_lines[own][block] = LineState.DIRTY
-            new_states[block] = TwoBitState.DIRTY_ONE
-        else:
-            count = 0
-            remaining = held
-            while remaining:
-                low = remaining & -remaining
-                new_lines[low.bit_length() - 1][block] = clean
-                remaining ^= low
-                count += 1
-            new_states[block] = (
-                TwoBitState.CLEAN_ONE if count == 1 else TwoBitState.CLEAN_MANY
-            )
-    for cache, cache_lines in zip(protocol._caches, new_lines):
-        cache._lines = cache_lines
-    protocol._directory._states = new_states
-
-
-# ----------------------------------------------------------------------
-# dir1nb
-# ----------------------------------------------------------------------
-
-
-def _import_dir1nb(protocol: Any, context: Any) -> dict[str, Any] | None:
-    directory = protocol._directory
-    if (
-        type(directory) is not LimitedPointerDirectory
-        or directory.num_pointers != 1
-        or directory.broadcast_bit
-    ):
-        return None
-    lines = _infinite_lines(protocol)
-    if lines is None:
-        return None
-
-    # Per block: (holder << 1) | dirty — the single-copy invariant.
-    holders: dict[int, int] = {}
-    for index, cache_lines in enumerate(lines):
-        for block, state in cache_lines.items():
-            if block in holders:
-                return None  # two copies: outside the dir1nb model
-            if state is LineState.DIRTY:
-                holders[block] = (index << 1) | 1
-            elif state is LineState.CLEAN:
-                holders[block] = index << 1
-            else:
-                return None
-    if not context.seen_blocks >= holders.keys():
-        return None
-    entries = directory._entries
-    for block, stored in entries.items():
-        if stored.broadcast:
-            return None
-        encoded = holders.get(block)
-        if encoded is None:
-            if stored.pointers or stored.dirty:
-                return None
-        elif stored.pointers != [encoded >> 1] or stored.dirty != bool(encoded & 1):
-            return None
-    for block in holders:
-        if block not in entries:
-            return None
-    return {"holders": holders}
-
-
-def _loop_dir1nb(
-    simulator: Any,
-    trace: ColumnarTrace,
-    protocol: Any,
-    context: Any,
-    state: dict[str, Any],
-    pending: dict[int, list],
-    previous: ProtocolResult | None,
-    run_length: int,
-) -> tuple[ProtocolResult | None, int, int]:
-    holders = state["holders"]
-    instr_count, type_codes, sharer_col, addresses = trace.data_view(
-        simulator.sharer_key
-    )
-    sharer_index = context.sharer_index
-    sharer_lookup = sharer_index.get
-    seen = context.seen_blocks
-    seen_add = seen.add
-    shift = simulator.block_mapper.offset_bits
-    limit = protocol.num_caches
-    holders_get = holders.get
-    read = TYPE_READ
-    pending_get = pending.get
-
-    for code, sharer, address in zip(type_codes, sharer_col, addresses):
-        cache = sharer_lookup(sharer)
-        if cache is None:
-            cache = len(sharer_index)
-            if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
-            sharer_index[sharer] = cache
-        block = address >> shift
-        if block in seen:
-            first = False
-        else:
-            first = True
-            seen_add(block)
-        encoded = holders_get(block)
-        if code == read:
-            if encoded is not None and encoded >> 1 == cache:
-                outcome = RESULT_RD_HIT
-            else:
-                if first:
-                    outcome = _RM_FIRST
-                elif encoded is None:
-                    outcome = _D1_RM_NOHOLDER
-                elif encoded & 1:
-                    outcome = _D1_RM_DRTY
-                else:
-                    outcome = _D1_RM_CLN
-                holders[block] = cache << 1
-        else:
-            if encoded is not None and encoded >> 1 == cache:
-                if encoded & 1:
-                    outcome = RESULT_WH_BLK_DRTY
-                else:
-                    outcome = _D1_WH_CLN
-                    holders[block] = encoded | 1
-            else:
-                if first:
-                    outcome = _WM_FIRST
-                elif encoded is None:
-                    outcome = _D1_WM_NOHOLDER
-                elif encoded & 1:
-                    outcome = _D1_WM_DRTY
-                else:
-                    outcome = _D1_WM_CLN
-                holders[block] = (cache << 1) | 1
-        if outcome is previous:
-            run_length += 1
-        elif previous is None:
-            previous = outcome
-            run_length = 1
-        else:
-            entry = pending_get(id(previous))
-            if entry is None:
-                pending[id(previous)] = [previous, run_length]
-            else:
-                entry[1] += run_length
-            previous = outcome
-            run_length = 1
-    return previous, run_length, instr_count
-
-
-def _export_dir1nb(protocol: Any, state: dict[str, Any]) -> None:
-    holders = state["holders"]
-    new_lines: list[dict] = [{} for _ in protocol._caches]
-    new_entries: dict[int, _PointerEntry] = {}
-    for block, encoded in holders.items():
-        holder, dirty = encoded >> 1, bool(encoded & 1)
-        new_lines[holder][block] = LineState.DIRTY if dirty else LineState.CLEAN
-        new_entries[block] = _PointerEntry(dirty=dirty, pointers=[holder])
-    for cache, cache_lines in zip(protocol._caches, new_lines):
-        cache._lines = cache_lines
-    protocol._directory._entries = new_entries
-
-
-# ----------------------------------------------------------------------
-# wti
-# ----------------------------------------------------------------------
-
-
-def _import_wti(protocol: Any, context: Any) -> dict[str, Any] | None:
-    lines = _infinite_lines(protocol)
-    if lines is None:
-        return None
-    mask: dict[int, int] = {}
-    clean = LineState.CLEAN
-    for index, cache_lines in enumerate(lines):
-        bit = 1 << index
-        for block, state in cache_lines.items():
-            if state is not clean:
-                return None  # write-through lines are never dirty
-            mask[block] = mask.get(block, 0) | bit
-    if not context.seen_blocks >= mask.keys():
-        return None
-    return {"mask": mask}
-
-
-def _loop_wti(
-    simulator: Any,
-    trace: ColumnarTrace,
-    protocol: Any,
-    context: Any,
-    state: dict[str, Any],
-    pending: dict[int, list],
-    previous: ProtocolResult | None,
-    run_length: int,
-) -> tuple[ProtocolResult | None, int, int]:
-    mask = state["mask"]
-    instr_count, type_codes, sharer_col, addresses = trace.data_view(
-        simulator.sharer_key
-    )
-    sharer_index = context.sharer_index
-    sharer_lookup = sharer_index.get
-    seen = context.seen_blocks
-    seen_add = seen.add
-    shift = simulator.block_mapper.offset_bits
-    limit = protocol.num_caches
-    mask_get = mask.get
-    wt_wh = _WT_WH.get
-    wt_wm = _WT_WM.get
-    read = TYPE_READ
-    pending_get = pending.get
-
-    for code, sharer, address in zip(type_codes, sharer_col, addresses):
-        cache = sharer_lookup(sharer)
-        if cache is None:
-            cache = len(sharer_index)
-            if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
-            sharer_index[sharer] = cache
-        block = address >> shift
-        if block in seen:
-            first = False
-        else:
-            first = True
-            seen_add(block)
-        bit = 1 << cache
-        held = mask_get(block, 0)
-        if code == read:
-            if held & bit:
-                outcome = RESULT_RD_HIT
-            else:
-                outcome = _RM_FIRST if first else _WT_RM_CLN
-                mask[block] = held | bit
-        else:
-            # Every write goes to the bus; snoopers drop their copies.
-            n_others = (held & ~bit).bit_count()
-            if held & bit:
-                outcome = wt_wh(n_others) or _wt_wh(n_others)
-            elif first:
-                outcome = _WT_WM_FIRST
-            else:
-                outcome = wt_wm(n_others) or _wt_wm(n_others)
-            mask[block] = bit
-        if outcome is previous:
-            run_length += 1
-        elif previous is None:
-            previous = outcome
-            run_length = 1
-        else:
-            entry = pending_get(id(previous))
-            if entry is None:
-                pending[id(previous)] = [previous, run_length]
-            else:
-                entry[1] += run_length
-            previous = outcome
-            run_length = 1
-    return previous, run_length, instr_count
-
-
-def _export_wti(protocol: Any, state: dict[str, Any]) -> None:
-    mask = state["mask"]
-    clean = LineState.CLEAN
-    new_lines: list[dict] = [{} for _ in protocol._caches]
-    for block, held in mask.items():
-        remaining = held
-        while remaining:
-            low = remaining & -remaining
-            new_lines[low.bit_length() - 1][block] = clean
-            remaining ^= low
-    for cache, cache_lines in zip(protocol._caches, new_lines):
-        cache._lines = cache_lines
-
-
-# ----------------------------------------------------------------------
-# dragon
-# ----------------------------------------------------------------------
-
-
-def _import_dragon(protocol: Any, context: Any) -> dict[str, Any] | None:
-    lines = _infinite_lines(protocol)
-    if lines is None:
-        return None
-    mask: dict[int, int] = {}
-    owner: dict[int, int] = {}
-    for index, cache_lines in enumerate(lines):
-        bit = 1 << index
-        for block, state in cache_lines.items():
-            mask[block] = mask.get(block, 0) | bit
-            if state.is_owner:
-                if block in owner:
-                    return None
-                owner[block] = index
-    # Verify each block's line states are exactly the derived encoding.
-    ve = DragonLineState.VALID_EXCLUSIVE
-    dirty = DragonLineState.DIRTY
-    sc = DragonLineState.SHARED_CLEAN
-    sd = DragonLineState.SHARED_DIRTY
-    for block, held in mask.items():
-        own = owner.get(block)
-        if held & (held - 1) == 0:
-            state = lines[held.bit_length() - 1][block]
-            if state is not (ve if own is None else dirty):
-                return None
-        else:
-            remaining = held
-            while remaining:
-                low = remaining & -remaining
-                index = low.bit_length() - 1
-                if lines[index][block] is not (sd if index == own else sc):
-                    return None
-                remaining ^= low
-    if not context.seen_blocks >= mask.keys():
-        return None
-    return {"mask": mask, "owner": owner}
-
-
-def _loop_dragon(
-    simulator: Any,
-    trace: ColumnarTrace,
-    protocol: Any,
-    context: Any,
-    state: dict[str, Any],
-    pending: dict[int, list],
-    previous: ProtocolResult | None,
-    run_length: int,
-) -> tuple[ProtocolResult | None, int, int]:
-    mask = state["mask"]
-    owner = state["owner"]
-    instr_count, type_codes, sharer_col, addresses = trace.data_view(
-        simulator.sharer_key
-    )
-    sharer_index = context.sharer_index
-    sharer_lookup = sharer_index.get
-    seen = context.seen_blocks
-    seen_add = seen.add
-    shift = simulator.block_mapper.offset_bits
-    limit = protocol.num_caches
-    mask_get = mask.get
-    read = TYPE_READ
-    pending_get = pending.get
-
-    for code, sharer, address in zip(type_codes, sharer_col, addresses):
-        cache = sharer_lookup(sharer)
-        if cache is None:
-            cache = len(sharer_index)
-            if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
-            sharer_index[sharer] = cache
-        block = address >> shift
-        if block in seen:
-            first = False
-        else:
-            first = True
-            seen_add(block)
-        bit = 1 << cache
-        held = mask_get(block, 0)
-        if code == read:
-            if held & bit:
-                outcome = RESULT_RD_HIT
-            elif first:
-                outcome = _RM_FIRST
-                mask[block] = bit
-            else:
-                if block in owner:
-                    # The owner supplies the block and stays owner
-                    # (DIRTY demotes to SHARED_DIRTY, still owning).
-                    outcome = _DG_RM_DRTY
-                else:
-                    outcome = _DG_RM_CLN
-                mask[block] = held | bit
-        else:
-            if held & bit:
-                if held == bit:
-                    outcome = RESULT_WH_LOCAL
-                else:
-                    # Update broadcast: the writer takes ownership, a
-                    # previous owner demotes to SHARED_CLEAN.
-                    outcome = RESULT_WH_DISTRIB
-                owner[block] = cache
-            else:
-                if first:
-                    outcome = _WM_FIRST
-                    mask[block] = bit
-                elif block in owner:
-                    outcome = _DG_WM_DRTY
-                    mask[block] = held | bit
-                elif held:
-                    outcome = _DG_WM_CLN
-                    mask[block] = held | bit
-                else:
-                    outcome = _DG_WM_ALONE
-                    mask[block] = bit
-                owner[block] = cache
-        if outcome is previous:
-            run_length += 1
-        elif previous is None:
-            previous = outcome
-            run_length = 1
-        else:
-            entry = pending_get(id(previous))
-            if entry is None:
-                pending[id(previous)] = [previous, run_length]
-            else:
-                entry[1] += run_length
-            previous = outcome
-            run_length = 1
-    return previous, run_length, instr_count
-
-
-def _export_dragon(protocol: Any, state: dict[str, Any]) -> None:
-    mask = state["mask"]
-    owner = state["owner"]
-    ve = DragonLineState.VALID_EXCLUSIVE
-    dirty = DragonLineState.DIRTY
-    sc = DragonLineState.SHARED_CLEAN
-    sd = DragonLineState.SHARED_DIRTY
-    new_lines: list[dict] = [{} for _ in protocol._caches]
-    for block, held in mask.items():
-        own = owner.get(block)
-        if held & (held - 1) == 0:
-            index = held.bit_length() - 1
-            new_lines[index][block] = ve if own is None else dirty
-        else:
-            remaining = held
-            while remaining:
-                low = remaining & -remaining
-                index = low.bit_length() - 1
-                new_lines[index][block] = sd if index == own else sc
-                remaining ^= low
-    for cache, cache_lines in zip(protocol._caches, new_lines):
-        cache._lines = cache_lines
-
-
-# ----------------------------------------------------------------------
-# Finite-capacity kernels
-# ----------------------------------------------------------------------
-#
-# Shared structure: per cache, a list of per-set plain dicts whose
-# insertion order is the set's LRU order, oldest first — the compact
-# mirror of FiniteCache's OrderedDict sets.  A touch is
-# delete-and-reinsert; the replacement victim is next(iter(set_dict)).
-# Because each reference installs at most one line, a replacement adds
-# at most one trailing bus op to the infinite-model outcome.
-
-#: Infinite-model outcome -> the same outcome with the trailing
-#: write-back of a replaced dirty victim (dir0b / dir1nb / dragon
-#: replacement).
-_WITH_WB: dict[ProtocolResult, ProtocolResult] = {}
-
-
-def _with_trailing_op(
-    memo: dict[ProtocolResult, ProtocolResult], base: ProtocolResult, op: Any
-) -> ProtocolResult:
-    outcome = memo.get(base)
-    if outcome is None:
-        outcome = ProtocolResult(
-            base.event,
-            base.ops + (op,),
-            clean_write_sharers=base.clean_write_sharers,
-            wasted_invalidations=base.wasted_invalidations,
-            pointer_evictions=base.pointer_evictions,
-            directory_recalls=base.directory_recalls,
-        )
-        memo[base] = outcome
-    return outcome
-
-
-def _with_wb(base: ProtocolResult) -> ProtocolResult:
-    """*base* plus the write-back of the replaced dirty victim."""
-    return _with_trailing_op(_WITH_WB, base, write_back())
-
-
-def _finite_geometry(protocol: Any) -> tuple[int, int] | None:
-    """The (num_sets, associativity) every cache shares, or None unless
-    each cache is the exact :class:`FiniteCache` of one geometry."""
-    geometry: tuple[int, int] | None = None
-    for cache in protocol._caches:
-        if type(cache) is not FiniteCache:
-            return None
-        shape = (cache._num_sets, cache._associativity)
-        if geometry is None:
-            geometry = shape
-        elif shape != geometry:
-            return None
-    return geometry
-
-
-# ----------------------------------------------------------------------
-# dir0b, finite
-# ----------------------------------------------------------------------
-
-
-def _import_dir0b_finite(protocol: Any, context: Any) -> dict[str, Any] | None:
     if protocol.dir_capacity is not None:
         return None  # directory recalls stay on the generic path
     directory = protocol._directory
     if type(directory) is not TwoBitDirectory:
         return None
-    geometry = _finite_geometry(protocol)
+    geometry = _cache_geometry(protocol)
     if geometry is None:
         return None
-    num_sets, assoc = geometry
+    finite = geometry[0] > 0
 
+    # (holder bitmask, dirty owner) per block: one dirty owner at most,
+    # and a dirty owner never shares.
     mask: dict[int, int] = {}
     owner: dict[int, int] = {}
-    sets: list[list[dict[int, None]]] = []
     clean = LineState.CLEAN
     dirty = LineState.DIRTY
     for index, cache in enumerate(protocol._caches):
         bit = 1 << index
-        per_set: list[dict[int, None]] = []
-        for line_set in cache._sets:
-            per_set.append(dict.fromkeys(line_set))
-            for block, line in line_set.items():
-                mask[block] = mask.get(block, 0) | bit
-                if line is dirty:
-                    if block in owner:
-                        return None
-                    owner[block] = index
-                elif line is not clean:
+        for block, line in cache.items():
+            mask[block] = mask.get(block, 0) | bit
+            if line is dirty:
+                if block in owner:
                     return None
-        sets.append(per_set)
+                owner[block] = index
+            elif line is not clean:
+                return None
     for block, who in owner.items():
         if mask[block] != 1 << who:
             return None
+    # A held block the context has never seen would let a first_ref
+    # land on it — unreachable in the object model, so refuse to guess.
     if not context.seen_blocks >= mask.keys():
         return None
 
-    # Silent evictions decouple the two-bit state from the holder mask
-    # (CLEAN_MANY is sticky), so the directory state is imported
-    # explicitly and only cross-checked against the hard invariants.
     dirstate: dict[int, int] = {}
     for block, stored in directory._states.items():
-        if stored is TwoBitState.CLEAN_ONE:
-            dirstate[block] = 1
-        elif stored is TwoBitState.CLEAN_MANY:
-            dirstate[block] = 2
-        elif stored is TwoBitState.DIRTY_ONE:
-            dirstate[block] = 3
+        code = _D0_CODES.get(stored)
+        if code is None:
+            return None
+        if code:
+            dirstate[block] = code
     for block, held in mask.items():
         code = dirstate.get(block, 0)
         if code == 0:
@@ -1011,18 +456,17 @@ def _import_dir0b_finite(protocol: Any, context: Any) -> dict[str, Any] | None:
             return None
         if code == 3 and block not in owner:
             return None
-        # code == 2 with no holders is reachable under finite caches.
-    return {
-        "mask": mask,
-        "owner": owner,
-        "dirstate": dirstate,
-        "sets": sets,
-        "set_mask": num_sets - 1,
-        "assoc": assoc,
-    }
+        # Silent evictions make CLEAN_MANY sticky: under finite caches
+        # it can outlive all but one holder, or all of them.  Without
+        # evictions it always means two holders or more.
+        if code == 2 and not finite and held & (held - 1) == 0:
+            return None
+    return _lru_layer(
+        protocol, geometry, {"mask": mask, "owner": owner, "dirstate": dirstate}
+    )
 
 
-def _loop_dir0b_finite(
+def _loop_dir0b(
     simulator: Any,
     trace: ColumnarTrace,
     protocol: Any,
@@ -1035,6 +479,7 @@ def _loop_dir0b_finite(
     mask = state["mask"]
     owner = state["owner"]
     dirstate = state["dirstate"]
+    finite = state["finite"]
     sets = state["sets"]
     set_mask = state["set_mask"]
     assoc = state["assoc"]
@@ -1072,6 +517,13 @@ def _loop_dir0b_finite(
             del dirstate[victim]  # note_invalidated; CLEAN_MANY sticks
         return False
 
+    def drop(rem: int, block: int) -> None:
+        """Invalidate the lines of every holder in *rem*."""
+        while rem:
+            low = rem & -rem
+            del sets[low.bit_length() - 1][block & set_mask][block]
+            rem ^= low
+
     for code, sharer, address in zip(type_codes, sharer_col, addresses):
         cache = sharer_lookup(sharer)
         if cache is None:
@@ -1087,12 +539,13 @@ def _loop_dir0b_finite(
             seen_add(block)
         bit = 1 << cache
         held = mask_get(block, 0)
-        line_set = sets[cache][block & set_mask]
         if code == read:
             if held & bit:
                 outcome = RESULT_RD_HIT
-                del line_set[block]
-                line_set[block] = None
+                if finite:
+                    line_set = sets[cache][block & set_mask]
+                    del line_set[block]
+                    line_set[block] = None
             else:
                 if first:
                     base = _RM_FIRST
@@ -1101,23 +554,26 @@ def _loop_dir0b_finite(
                     if own is not None:
                         # The owner flushes and keeps a clean copy.
                         dirstate[block] = 1
-                        own_set = sets[own][block & set_mask]
-                        del own_set[block]
-                        own_set[block] = None
+                        if finite:
+                            own_set = sets[own][block & set_mask]
+                            del own_set[block]
+                            own_set[block] = None
                         base = _D0_RM_DRTY
                     else:
                         base = _D0_RM_CLN
-                wrote_back = len(line_set) >= assoc and spill(cache, bit, line_set)
-                line_set[block] = None
                 mask[block] = held | bit
                 dirstate[block] = 1 if dirstate_get(block, 0) == 0 else 2
-                outcome = _with_wb(base) if wrote_back else base
+                outcome = base
+                if finite:
+                    line_set = sets[cache][block & set_mask]
+                    if len(line_set) >= assoc and spill(cache, bit, line_set):
+                        outcome = _with_wb(base)
+                    line_set[block] = None
         else:
             if held & bit:
-                if owner.get(block) == cache:
+                if block in owner:
+                    # Sole-holder invariant: the owner is this cache.
                     outcome = RESULT_WH_BLK_DRTY
-                    del line_set[block]
-                    line_set[block] = None
                 else:
                     # Sticky CLEAN_MANY broadcasts even with no other
                     # holders left, so branch on the directory state.
@@ -1126,14 +582,13 @@ def _loop_dir0b_finite(
                     else:
                         n_others = (held & ~bit).bit_count()
                         outcome = wh_cln(n_others) or _d0_wh_cln(n_others)
-                    rem = held & ~bit
-                    while rem:
-                        low = rem & -rem
-                        del sets[low.bit_length() - 1][block & set_mask][block]
-                        rem ^= low
+                    if finite:
+                        drop(held & ~bit, block)
                     mask[block] = bit
                     owner[block] = cache
                     dirstate[block] = 3
+                if finite:
+                    line_set = sets[cache][block & set_mask]
                     del line_set[block]
                     line_set[block] = None
             else:
@@ -1141,26 +596,27 @@ def _loop_dir0b_finite(
                     base = _WM_FIRST
                 elif block in owner:
                     own = owner.pop(block)
-                    del sets[own][block & set_mask][block]
+                    if finite:
+                        del sets[own][block & set_mask][block]
                     base = _D0_WM_DRTY
                 elif held:
                     n_holders = held.bit_count()
                     base = wm_cln(n_holders) or _d0_wm_cln(n_holders)
-                    rem = held
-                    while rem:
-                        low = rem & -rem
-                        del sets[low.bit_length() - 1][block & set_mask][block]
-                        rem ^= low
+                    if finite:
+                        drop(held, block)
                 elif dirstate_get(block, 0):
                     base = wm_cln(0) or _d0_wm_cln(0)
                 else:
                     base = _D0_WM_ALONE
-                wrote_back = len(line_set) >= assoc and spill(cache, bit, line_set)
-                line_set[block] = None
                 mask[block] = bit
                 owner[block] = cache
                 dirstate[block] = 3
-                outcome = _with_wb(base) if wrote_back else base
+                outcome = base
+                if finite:
+                    line_set = sets[cache][block & set_mask]
+                    if len(line_set) >= assoc and spill(cache, bit, line_set):
+                        outcome = _with_wb(base)
+                    line_set[block] = None
         if outcome is previous:
             run_length += 1
         elif previous is None:
@@ -1177,37 +633,29 @@ def _loop_dir0b_finite(
     return previous, run_length, instr_count
 
 
-def _export_dir0b_finite(protocol: Any, state: dict[str, Any]) -> None:
+def _export_dir0b(protocol: Any, state: dict[str, Any]) -> None:
     owner = state["owner"]
     clean = LineState.CLEAN
     dirty = LineState.DIRTY
-    for index, (cache, per_set) in enumerate(zip(protocol._caches, state["sets"])):
-        cache._sets = [
-            OrderedDict(
-                (block, dirty if owner.get(block) == index else clean)
-                for block in line_set
-            )
-            for line_set in per_set
-        ]
-    lookup = (
-        None,
-        TwoBitState.CLEAN_ONE,
-        TwoBitState.CLEAN_MANY,
-        TwoBitState.DIRTY_ONE,
+    _write_lines(
+        protocol,
+        state,
+        state["mask"],
+        lambda index, block: dirty if owner.get(block) == index else clean,
     )
     protocol._directory._states = {
-        block: lookup[code] for block, code in state["dirstate"].items()
+        block: _D0_STATES[code] for block, code in state["dirstate"].items()
     }
 
 
 # ----------------------------------------------------------------------
-# dir1nb, finite
+# dir1nb
 # ----------------------------------------------------------------------
 
 
-def _import_dir1nb_finite(protocol: Any, context: Any) -> dict[str, Any] | None:
+def _import_dir1nb(protocol: Any, context: Any) -> dict[str, Any] | None:
     if protocol.dir_capacity is not None:
-        return None
+        return None  # directory recalls stay on the generic path
     directory = protocol._directory
     if (
         type(directory) is not LimitedPointerDirectory
@@ -1215,27 +663,22 @@ def _import_dir1nb_finite(protocol: Any, context: Any) -> dict[str, Any] | None:
         or directory.broadcast_bit
     ):
         return None
-    geometry = _finite_geometry(protocol)
+    geometry = _cache_geometry(protocol)
     if geometry is None:
         return None
-    num_sets, assoc = geometry
 
+    # Per block: (holder << 1) | dirty — the single-copy invariant.
     holders: dict[int, int] = {}
-    sets: list[list[dict[int, None]]] = []
     for index, cache in enumerate(protocol._caches):
-        per_set: list[dict[int, None]] = []
-        for line_set in cache._sets:
-            per_set.append(dict.fromkeys(line_set))
-            for block, line in line_set.items():
-                if block in holders:
-                    return None  # two copies: outside the dir1nb model
-                if line is LineState.DIRTY:
-                    holders[block] = (index << 1) | 1
-                elif line is LineState.CLEAN:
-                    holders[block] = index << 1
-                else:
-                    return None
-        sets.append(per_set)
+        for block, line in cache.items():
+            if block in holders:
+                return None  # two copies: outside the dir1nb model
+            if line is LineState.DIRTY:
+                holders[block] = (index << 1) | 1
+            elif line is LineState.CLEAN:
+                holders[block] = index << 1
+            else:
+                return None
     if not context.seen_blocks >= holders.keys():
         return None
     entries = directory._entries
@@ -1251,15 +694,10 @@ def _import_dir1nb_finite(protocol: Any, context: Any) -> dict[str, Any] | None:
     for block in holders:
         if block not in entries:
             return None
-    return {
-        "holders": holders,
-        "sets": sets,
-        "set_mask": num_sets - 1,
-        "assoc": assoc,
-    }
+    return _lru_layer(protocol, geometry, {"holders": holders})
 
 
-def _loop_dir1nb_finite(
+def _loop_dir1nb(
     simulator: Any,
     trace: ColumnarTrace,
     protocol: Any,
@@ -1270,6 +708,7 @@ def _loop_dir1nb_finite(
     run_length: int,
 ) -> tuple[ProtocolResult | None, int, int]:
     holders = state["holders"]
+    finite = state["finite"]
     sets = state["sets"]
     set_mask = state["set_mask"]
     assoc = state["assoc"]
@@ -1286,6 +725,21 @@ def _loop_dir1nb_finite(
     read = TYPE_READ
     pending_get = pending.get
 
+    def install(cache: int, block: int, encoded: int | None) -> int:
+        """Move *block*'s single copy (*encoded*, if any) into *cache*'s
+        set, replacing the set's LRU line; nonzero when the victim was
+        dirty."""
+        if encoded is not None:
+            del sets[encoded >> 1][block & set_mask][block]
+        line_set = sets[cache][block & set_mask]
+        wrote_back = 0
+        if len(line_set) >= assoc:
+            victim = next(iter(line_set))
+            del line_set[victim]
+            wrote_back = holders.pop(victim) & 1
+        line_set[block] = None
+        return wrote_back
+
     for code, sharer, address in zip(type_codes, sharer_col, addresses):
         cache = sharer_lookup(sharer)
         if cache is None:
@@ -1300,53 +754,41 @@ def _loop_dir1nb_finite(
             first = True
             seen_add(block)
         encoded = holders_get(block)
-        line_set = sets[cache][block & set_mask]
-        if code == read:
-            if encoded is not None and encoded >> 1 == cache:
+        if encoded is not None and encoded >> 1 == cache:
+            if code == read:
                 outcome = RESULT_RD_HIT
+            elif encoded & 1:
+                outcome = RESULT_WH_BLK_DRTY
+            else:
+                outcome = _D1_WH_CLN
+                holders[block] = encoded | 1
+            if finite:
+                line_set = sets[cache][block & set_mask]
                 del line_set[block]
                 line_set[block] = None
-            else:
+        else:
+            if code == read:
                 if first:
                     base = _RM_FIRST
                 elif encoded is None:
                     base = _D1_RM_NOHOLDER
+                elif encoded & 1:
+                    base = _D1_RM_DRTY
                 else:
-                    del sets[encoded >> 1][block & set_mask][block]
-                    base = _D1_RM_DRTY if encoded & 1 else _D1_RM_CLN
-                wrote_back = 0
-                if len(line_set) >= assoc:
-                    victim = next(iter(line_set))
-                    del line_set[victim]
-                    wrote_back = holders.pop(victim) & 1
-                line_set[block] = None
-                holders[block] = cache << 1
-                outcome = _with_wb(base) if wrote_back else base
-        else:
-            if encoded is not None and encoded >> 1 == cache:
-                del line_set[block]
-                line_set[block] = None
-                if encoded & 1:
-                    outcome = RESULT_WH_BLK_DRTY
-                else:
-                    outcome = _D1_WH_CLN
-                    holders[block] = encoded | 1
+                    base = _D1_RM_CLN
+            elif first:
+                base = _WM_FIRST
+            elif encoded is None:
+                base = _D1_WM_NOHOLDER
+            elif encoded & 1:
+                base = _D1_WM_DRTY
             else:
-                if first:
-                    base = _WM_FIRST
-                elif encoded is None:
-                    base = _D1_WM_NOHOLDER
-                else:
-                    del sets[encoded >> 1][block & set_mask][block]
-                    base = _D1_WM_DRTY if encoded & 1 else _D1_WM_CLN
-                wrote_back = 0
-                if len(line_set) >= assoc:
-                    victim = next(iter(line_set))
-                    del line_set[victim]
-                    wrote_back = holders.pop(victim) & 1
-                line_set[block] = None
-                holders[block] = (cache << 1) | 1
-                outcome = _with_wb(base) if wrote_back else base
+                base = _D1_WM_CLN
+            if finite and install(cache, block, encoded):
+                outcome = _with_wb(base)
+            else:
+                outcome = base
+            holders[block] = cache << 1 if code == read else (cache << 1) | 1
         if outcome is previous:
             run_length += 1
         elif previous is None:
@@ -1363,18 +805,16 @@ def _loop_dir1nb_finite(
     return previous, run_length, instr_count
 
 
-def _export_dir1nb_finite(protocol: Any, state: dict[str, Any]) -> None:
+def _export_dir1nb(protocol: Any, state: dict[str, Any]) -> None:
     holders = state["holders"]
     clean = LineState.CLEAN
     dirty = LineState.DIRTY
-    for index, (cache, per_set) in enumerate(zip(protocol._caches, state["sets"])):
-        cache._sets = [
-            OrderedDict(
-                (block, dirty if holders[block] & 1 else clean)
-                for block in line_set
-            )
-            for line_set in per_set
-        ]
+    _write_lines(
+        protocol,
+        state,
+        {block: 1 << (encoded >> 1) for block, encoded in holders.items()},
+        lambda index, block: dirty if holders[block] & 1 else clean,
+    )
     protocol._directory._entries = {
         block: _PointerEntry(dirty=bool(encoded & 1), pointers=[encoded >> 1])
         for block, encoded in holders.items()
@@ -1382,34 +822,28 @@ def _export_dir1nb_finite(protocol: Any, state: dict[str, Any]) -> None:
 
 
 # ----------------------------------------------------------------------
-# wti, finite
+# wti
 # ----------------------------------------------------------------------
 
 
-def _import_wti_finite(protocol: Any, context: Any) -> dict[str, Any] | None:
-    geometry = _finite_geometry(protocol)
+def _import_wti(protocol: Any, context: Any) -> dict[str, Any] | None:
+    geometry = _cache_geometry(protocol)
     if geometry is None:
         return None
-    num_sets, assoc = geometry
     mask: dict[int, int] = {}
-    sets: list[list[dict[int, None]]] = []
     clean = LineState.CLEAN
     for index, cache in enumerate(protocol._caches):
         bit = 1 << index
-        per_set: list[dict[int, None]] = []
-        for line_set in cache._sets:
-            per_set.append(dict.fromkeys(line_set))
-            for block, line in line_set.items():
-                if line is not clean:
-                    return None  # write-through lines are never dirty
-                mask[block] = mask.get(block, 0) | bit
-        sets.append(per_set)
+        for block, line in cache.items():
+            if line is not clean:
+                return None  # write-through lines are never dirty
+            mask[block] = mask.get(block, 0) | bit
     if not context.seen_blocks >= mask.keys():
         return None
-    return {"mask": mask, "sets": sets, "set_mask": num_sets - 1, "assoc": assoc}
+    return _lru_layer(protocol, geometry, {"mask": mask})
 
 
-def _loop_wti_finite(
+def _loop_wti(
     simulator: Any,
     trace: ColumnarTrace,
     protocol: Any,
@@ -1420,6 +854,7 @@ def _loop_wti_finite(
     run_length: int,
 ) -> tuple[ProtocolResult | None, int, int]:
     mask = state["mask"]
+    finite = state["finite"]
     sets = state["sets"]
     set_mask = state["set_mask"]
     assoc = state["assoc"]
@@ -1438,16 +873,18 @@ def _loop_wti_finite(
     read = TYPE_READ
     pending_get = pending.get
 
-    def spill(bit: int, line_set: dict) -> None:
+    def install(bit: int, line_set: dict, block: int) -> None:
         # Write-through victims drop silently: nothing is dirty and
         # snoop bookkeeping has no directory to notify.
-        victim = next(iter(line_set))
-        del line_set[victim]
-        held = mask[victim] & ~bit
-        if held:
-            mask[victim] = held
-        else:
-            del mask[victim]
+        if len(line_set) >= assoc:
+            victim = next(iter(line_set))
+            del line_set[victim]
+            held = mask[victim] & ~bit
+            if held:
+                mask[victim] = held
+            else:
+                del mask[victim]
+        line_set[block] = None
 
     for code, sharer, address in zip(type_codes, sharer_col, addresses):
         cache = sharer_lookup(sharer)
@@ -1464,38 +901,40 @@ def _loop_wti_finite(
             seen_add(block)
         bit = 1 << cache
         held = mask_get(block, 0)
-        line_set = sets[cache][block & set_mask]
         if code == read:
             if held & bit:
                 outcome = RESULT_RD_HIT
-                del line_set[block]
-                line_set[block] = None
+                if finite:
+                    line_set = sets[cache][block & set_mask]
+                    del line_set[block]
+                    line_set[block] = None
             else:
                 outcome = _RM_FIRST if first else _WT_RM_CLN
-                if len(line_set) >= assoc:
-                    spill(bit, line_set)
-                line_set[block] = None
+                if finite:
+                    install(bit, sets[cache][block & set_mask], block)
                 mask[block] = held | bit
         else:
             # Every write goes to the bus; snoopers drop their copies.
-            n_others = (held & ~bit).bit_count()
             rem = held & ~bit
-            while rem:
-                low = rem & -rem
-                del sets[low.bit_length() - 1][block & set_mask][block]
-                rem ^= low
+            n_others = rem.bit_count()
+            if finite:
+                while rem:
+                    low = rem & -rem
+                    del sets[low.bit_length() - 1][block & set_mask][block]
+                    rem ^= low
             if held & bit:
                 outcome = wt_wh(n_others) or _wt_wh(n_others)
-                del line_set[block]
-                line_set[block] = None
+                if finite:
+                    line_set = sets[cache][block & set_mask]
+                    del line_set[block]
+                    line_set[block] = None
             else:
                 if first:
                     outcome = _WT_WM_FIRST
                 else:
                     outcome = wt_wm(n_others) or _wt_wm(n_others)
-                if len(line_set) >= assoc:
-                    spill(bit, line_set)
-                line_set[block] = None
+                if finite:
+                    install(bit, sets[cache][block & set_mask], block)
             mask[block] = bit
         if outcome is previous:
             run_length += 1
@@ -1513,17 +952,13 @@ def _loop_wti_finite(
     return previous, run_length, instr_count
 
 
-def _export_wti_finite(protocol: Any, state: dict[str, Any]) -> None:
+def _export_wti(protocol: Any, state: dict[str, Any]) -> None:
     clean = LineState.CLEAN
-    for cache, per_set in zip(protocol._caches, state["sets"]):
-        cache._sets = [
-            OrderedDict((block, clean) for block in line_set)
-            for line_set in per_set
-        ]
+    _write_lines(protocol, state, state["mask"], lambda index, block: clean)
 
 
 # ----------------------------------------------------------------------
-# dragon, finite
+# dragon
 # ----------------------------------------------------------------------
 
 #: DragonLineState <-> compact int code (owner states are >= 2).
@@ -1541,51 +976,44 @@ _DG_STATES: tuple[DragonLineState, ...] = (
 )
 
 
-def _import_dragon_finite(protocol: Any, context: Any) -> dict[str, Any] | None:
-    geometry = _finite_geometry(protocol)
+def _import_dragon(protocol: Any, context: Any) -> dict[str, Any] | None:
+    geometry = _cache_geometry(protocol)
     if geometry is None:
         return None
-    num_sets, assoc = geometry
+    finite = geometry[0] > 0
     code_of = _DG_CODES.get
     mask: dict[int, int] = {}
     owner: dict[int, int] = {}
     exclusive: set[int] = set()
-    sets: list[list[dict[int, int]]] = []
     for index, cache in enumerate(protocol._caches):
         bit = 1 << index
-        per_set: list[dict[int, int]] = []
-        for line_set in cache._sets:
-            coded: dict[int, int] = {}
-            for block, line in line_set.items():
-                line_code = code_of(line)
-                if line_code is None:
+        for block, line in cache.items():
+            line_code = code_of(line)
+            if line_code is None:
+                return None
+            mask[block] = mask.get(block, 0) | bit
+            if line_code >= 2:
+                if block in owner:
                     return None
-                coded[block] = line_code
-                mask[block] = mask.get(block, 0) | bit
-                if line_code >= 2:
-                    if block in owner:
-                        return None
-                    owner[block] = index
-                if line_code == 0 or line_code == 3:
-                    exclusive.add(block)
-            per_set.append(coded)
-        sets.append(per_set)
-    for block in exclusive:
-        held = mask[block]
+                owner[block] = index
+            if line_code == 0 or line_code == 3:
+                exclusive.add(block)
+    for block, held in mask.items():
         if held & (held - 1):
-            return None  # VE / D lines must be sole holders
+            if block in exclusive:
+                return None  # VE / D lines must be sole holders
+        elif not finite and block not in exclusive:
+            # Only an eviction leaves a sole holder in a shared state;
+            # without evictions the line states are derived.
+            return None
     if not context.seen_blocks >= mask.keys():
         return None
-    return {
-        "mask": mask,
-        "owner": owner,
-        "sets": sets,
-        "set_mask": num_sets - 1,
-        "assoc": assoc,
-    }
+    return _lru_layer(
+        protocol, geometry, {"mask": mask, "owner": owner}, encode=_DG_CODES.get
+    )
 
 
-def _loop_dragon_finite(
+def _loop_dragon(
     simulator: Any,
     trace: ColumnarTrace,
     protocol: Any,
@@ -1597,6 +1025,7 @@ def _loop_dragon_finite(
 ) -> tuple[ProtocolResult | None, int, int]:
     mask = state["mask"]
     owner = state["owner"]
+    finite = state["finite"]
     sets = state["sets"]
     set_mask = state["set_mask"]
     assoc = state["assoc"]
@@ -1667,78 +1096,75 @@ def _loop_dragon_finite(
         if code == read:
             if held & bit:
                 outcome = RESULT_RD_HIT
-                line_set = sets[cache][block & set_mask]
-                line_set[block] = line_set.pop(block)
+                if finite:
+                    line_set = sets[cache][block & set_mask]
+                    line_set[block] = line_set.pop(block)
             else:
                 if first:
                     base = _RM_FIRST
-                    flushed = install(cache, bit, block, 0)
-                    mask[block] = bit
                 elif block in owner:
+                    # The owner supplies the block and stays owner
+                    # (DIRTY demotes to SHARED_DIRTY, still owning).
                     base = _DG_RM_DRTY
-                    demote(held, block)
-                    flushed = install(cache, bit, block, 1)
-                    mask[block] = held | bit
-                elif held:
-                    base = _DG_RM_CLN
-                    demote(held, block)
-                    flushed = install(cache, bit, block, 1)
-                    mask[block] = held | bit
                 else:
-                    # All copies silently evicted; memory is current.
+                    # With no holders left (all copies silently
+                    # evicted) memory is current.
                     base = _DG_RM_CLN
-                    flushed = install(cache, bit, block, 0)
-                    mask[block] = bit
-                outcome = _with_wb(base) if flushed else base
+                mask[block] = held | bit
+                outcome = base
+                if finite:
+                    if held:
+                        demote(held, block)
+                    if install(cache, bit, block, 1 if held else 0):
+                        outcome = _with_wb(base)
         else:
             if held & bit:
-                line_set = sets[cache][block & set_mask]
-                others = held & ~bit
-                if not others:
-                    del line_set[block]
-                    line_set[block] = 3
-                    owner[block] = cache
+                if held == bit:
                     outcome = RESULT_WH_LOCAL
+                    if finite:
+                        line_set = sets[cache][block & set_mask]
+                        del line_set[block]
+                        line_set[block] = 3
                 else:
-                    # Update broadcast: a previous owner demotes to
-                    # SHARED_CLEAN (touched), the writer takes SHARED_DIRTY.
-                    index_in_set = block & set_mask
-                    rem = others
-                    while rem:
-                        low = rem & -rem
-                        holder_set = sets[low.bit_length() - 1][index_in_set]
-                        if holder_set[block] >= 2:
-                            del holder_set[block]
-                            holder_set[block] = 1
-                        rem ^= low
-                    del line_set[block]
-                    line_set[block] = 2
-                    owner[block] = cache
+                    # Update broadcast: the writer takes SHARED_DIRTY
+                    # ownership, a previous owner demotes to
+                    # SHARED_CLEAN (touched).
                     outcome = RESULT_WH_DISTRIB
+                    if finite:
+                        index_in_set = block & set_mask
+                        rem = held & ~bit
+                        while rem:
+                            low = rem & -rem
+                            holder_set = sets[low.bit_length() - 1][index_in_set]
+                            if holder_set[block] >= 2:
+                                del holder_set[block]
+                                holder_set[block] = 1
+                            rem ^= low
+                        line_set = sets[cache][index_in_set]
+                        del line_set[block]
+                        line_set[block] = 2
+                owner[block] = cache
             else:
                 if first:
                     base = _WM_FIRST
-                    flushed = install(cache, bit, block, 3)
-                    mask[block] = bit
                 elif block in owner:
                     base = _DG_WM_DRTY
-                    own = owner.pop(block)
-                    own_set = sets[own][block & set_mask]
-                    del own_set[block]
-                    own_set[block] = 1
-                    flushed = install(cache, bit, block, 2)
-                    mask[block] = held | bit
+                    if finite:
+                        # The previous owner keeps a SHARED_CLEAN copy.
+                        own_set = sets[owner[block]][block & set_mask]
+                        del own_set[block]
+                        own_set[block] = 1
                 elif held:
                     base = _DG_WM_CLN
-                    demote(held, block)
-                    flushed = install(cache, bit, block, 2)
-                    mask[block] = held | bit
+                    if finite:
+                        demote(held, block)
                 else:
                     base = _DG_WM_ALONE
-                    flushed = install(cache, bit, block, 3)
-                    mask[block] = bit
+                mask[block] = held | bit
                 owner[block] = cache
-                outcome = _with_wb(base) if flushed else base
+                outcome = base
+                if finite and install(cache, bit, block, 2 if held else 3):
+                    outcome = _with_wb(base)
         if outcome is previous:
             run_length += 1
         elif previous is None:
@@ -1755,15 +1181,26 @@ def _loop_dragon_finite(
     return previous, run_length, instr_count
 
 
-def _export_dragon_finite(protocol: Any, state: dict[str, Any]) -> None:
-    states = _DG_STATES
-    for cache, per_set in zip(protocol._caches, state["sets"]):
-        cache._sets = [
-            OrderedDict(
-                (block, states[line_code]) for block, line_code in line_set.items()
-            )
-            for line_set in per_set
-        ]
+def _export_dragon(protocol: Any, state: dict[str, Any]) -> None:
+    mask = state["mask"]
+    owner = state["owner"]
+    if state["finite"]:
+        sets = state["sets"]
+        set_mask = state["set_mask"]
+
+        def line_state(index: int, block: int) -> DragonLineState:
+            return _DG_STATES[sets[index][block & set_mask][block]]
+
+    else:
+
+        def line_state(index: int, block: int) -> DragonLineState:
+            held = mask[block]
+            own = owner.get(block)
+            if held & (held - 1) == 0:
+                return _DG_STATES[0 if own is None else 3]
+            return _DG_STATES[2 if index == own else 1]
+
+    _write_lines(protocol, state, mask, line_state)
 
 
 # ----------------------------------------------------------------------
@@ -1778,20 +1215,6 @@ _KERNELS: dict[type, tuple[Callable, Callable, Callable]] = {
     Dir1NBProtocol: (_import_dir1nb, _loop_dir1nb, _export_dir1nb),
     WTIProtocol: (_import_wti, _loop_wti, _export_wti),
     DragonProtocol: (_import_dragon, _loop_dragon, _export_dragon),
-}
-
-#: Capacity-aware kernels for the same protocols; tried after the
-#: infinite table (whose importers bail on finite caches), so dispatch
-#: picks whichever matches the live cache model.
-_FINITE_KERNELS: dict[type, tuple[Callable, Callable, Callable]] = {
-    Dir0BProtocol: (_import_dir0b_finite, _loop_dir0b_finite, _export_dir0b_finite),
-    Dir1NBProtocol: (
-        _import_dir1nb_finite, _loop_dir1nb_finite, _export_dir1nb_finite,
-    ),
-    WTIProtocol: (_import_wti_finite, _loop_wti_finite, _export_wti_finite),
-    DragonProtocol: (
-        _import_dragon_finite, _loop_dragon_finite, _export_dragon_finite,
-    ),
 }
 
 
@@ -1877,8 +1300,7 @@ class KernelSession:
 
 def has_kernel(protocol: Any) -> bool:
     """True if *protocol*'s exact type has a table-driven kernel."""
-    kind = type(protocol)
-    return kind in _KERNELS or kind in _FINITE_KERNELS
+    return type(protocol) in _KERNELS
 
 
 def open_kernel_session(
@@ -1886,24 +1308,19 @@ def open_kernel_session(
 ) -> KernelSession | None:
     """Import *protocol*'s live state and open a chunk-streaming session.
 
-    Tries the infinite-cache kernel first, then the capacity-aware one
-    (each importer bails on the other's cache model).  Returns None
-    (protocol and context untouched) when no kernel exists for the
-    protocol's exact type or the live state fails an import invariant —
-    the caller then falls back to the generic columnar loop for every
-    chunk.
+    Returns None (protocol and context untouched) when no kernel exists
+    for the protocol's exact type or the live state fails an import
+    invariant — the caller then falls back to the generic columnar loop
+    for every chunk.
     """
-    for table in (_KERNELS, _FINITE_KERNELS):
-        triple = table.get(type(protocol))
-        if triple is None:
-            continue
-        importer, loop, export = triple
-        state = importer(protocol, context)
-        if state is not None:
-            return KernelSession(
-                simulator, protocol, result, context, state, loop, export
-            )
-    return None
+    triple = _KERNELS.get(type(protocol))
+    if triple is None:
+        return None
+    importer, loop, export = triple
+    state = importer(protocol, context)
+    if state is None:
+        return None
+    return KernelSession(simulator, protocol, result, context, state, loop, export)
 
 
 def kernel_run(

@@ -43,9 +43,9 @@ DEFAULT_THRESHOLD = 0.10
 DEFAULT_WINDOW = 5
 DEFAULT_GEOMETRY = "1024x4"
 
-#: Ceiling on finite-kernel slowdown vs the infinite kernels — the
-#: finite kernels do strictly more work (LRU maintenance, victim
-#: write-backs) but must stay on the same fast path.
+#: Ceiling on a kernel's finite-cache slowdown vs its infinite-cache
+#: run — the LRU layer does strictly more work (LRU maintenance,
+#: victim write-backs) but must stay on the same fast path.
 FINITE_SLOWDOWN_LIMIT = 2.0
 
 #: Record-path throughput of the seed revision (pre-fast-path) on the
@@ -137,14 +137,15 @@ def measure_finite(
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
 ) -> dict[str, Any]:
-    """Finite-kernel columnar throughput vs the infinite kernels.
+    """Kernel columnar throughput on finite vs infinite caches.
 
-    Runs each scheme's capacity-aware state-table kernel (LRU sets,
-    replacement write-backs) against the same trace the infinite kernel
-    measures, after asserting the columnar finite result matches the
-    record path bit for bit.  ``slowdown_vs_infinite`` is the headline:
-    the finite kernels are expected to stay within 2x of the infinite
-    ones (they do strictly more work per reference).
+    Runs each scheme's state-table kernel with its LRU layer engaged
+    (LRU sets, replacement write-backs) against the same trace its
+    infinite-cache run measures, after asserting the columnar finite
+    result matches the record path bit for bit.
+    ``slowdown_vs_infinite`` is the headline: finite runs are expected
+    to stay within 2x of infinite ones (they do strictly more work per
+    reference).
     """
     from repro.core.simulator import Simulator
     from repro.trace.columnar import ColumnarTrace

@@ -16,6 +16,10 @@ them as **one gate**:
   differentials** are compared across schemes: the instruction count,
   read/write totals, and first-reference totals are properties of the
   *trace*, so every correct protocol must report identical values;
+* every clean plain cell is then simulated once more on the **fast
+  path** — the bare protocol through an uninstrumented
+  :class:`Simulator`, so the columnar loop or a state-table kernel
+  runs it — and must reproduce the checked cell's result exactly;
 * cells fan out through the engine's execution backends
   (:func:`repro.engine.backends.backend_for`), so ``--jobs`` parallelism
   and failure containment come from the same layer every other sweep
@@ -37,11 +41,12 @@ from repro.core.simulator import Simulator
 from repro.core.oracle import CoherentOracle
 from repro.core.statespace import default_caches_for, explore_block_states
 from repro.engine.backends import backend_for
-from repro.engine.plan import CellTask
+from repro.engine.plan import CellTask, num_caches_for
 from repro.engine.policies import RetryPolicy
 from repro.errors import ConformanceError, ConfigurationError, UnknownSchemeError
 from repro.protocols.events import EventType
 from repro.protocols.registry import available_protocols, make_protocol
+from repro.runner.checkpoint import result_to_json
 from repro.runner.faults import SaboteurProtocol
 from repro.trace.stream import Trace
 
@@ -112,11 +117,15 @@ class ConformanceSpec:
             key = f"{key}+{self.saboteur_mode}@{self.saboteur_trigger}"
         return key
 
-    def __call__(self, num_caches: int):
+    def build(self, num_caches: int):
+        """The bare protocol this cell checks, at the cell's machine size."""
         options = {} if self.geometry is None else {"geometry": self.geometry}
-        built = make_protocol(
+        return make_protocol(
             self.scheme, default_caches_for(self.scheme, num_caches), **options
         )
+
+    def __call__(self, num_caches: int):
+        built = self.build(num_caches)
         if self.saboteur_trigger is not None:
             built = SaboteurProtocol(
                 built, self.saboteur_trigger, mode=self.saboteur_mode
@@ -134,8 +143,9 @@ class Finding:
             trace-level differential findings).
         kind: ``oracle`` (stale read), ``invariant`` (structural),
             ``protocol`` (other protocol error), ``differential``
-            (cross-protocol mismatch), ``fault`` (injected transient),
-            or ``error`` (anything else).
+            (cross-protocol mismatch), ``fast-path`` (the uninstrumented
+            fast path disagrees with the checked cell), ``fault``
+            (injected transient), or ``error`` (anything else).
         message: the failure detail.
     """
 
@@ -331,6 +341,10 @@ class ConformanceChecker:
                 report.summaries.setdefault(task.trace_name, {})[task.scheme_key] = (
                     summarize_events(payload["result"])
                 )
+                if task.spec.saboteur_trigger is None:
+                    finding = self._fast_path(task, payload["result"])
+                    if finding is not None:
+                        report.findings.append(finding)
             else:
                 category = payload.get("category", "ReproError")
                 report.findings.append(
@@ -349,6 +363,38 @@ class ConformanceChecker:
     def check_trace(self, trace: Trace, **kwargs: Any) -> ConformanceReport:
         """Convenience: :meth:`check` over a single trace."""
         return self.check([trace], **kwargs)
+
+    def _fast_path(self, task: CellTask, checked: dict[str, Any]) -> Finding | None:
+        """Re-run a clean cell on the fast path; a finding on any mismatch.
+
+        The checked cell ran the oracle-wrapped protocol with invariant
+        checks, which forces the record loop.  Here the bare protocol
+        runs through a plain :class:`Simulator`, so the columnar loop —
+        or a state-table kernel, where one applies — simulates the same
+        trace, and its result (labels aside) must match exactly.
+        """
+        simulator = Simulator(sharer_key=self.sharer_key)
+        protocol = task.spec.build(num_caches_for(simulator, task.trace))
+        try:
+            fast = result_to_json(simulator.run(task.trace, protocol))
+        except Exception as exc:  # any failure here is the fast path's
+            message = f"{type(exc).__name__}: {exc}"
+        else:
+            differing = sorted(
+                key
+                for key in fast.keys() | checked.keys()
+                if key not in ("scheme", "trace_name")
+                and fast.get(key) != checked.get(key)
+            )
+            if not differing:
+                return None
+            message = f"fast path disagrees on {', '.join(differing)}"
+        return Finding(
+            trace_name=task.trace_name,
+            scheme=task.scheme_key,
+            kind="fast-path",
+            message=message,
+        )
 
     # ------------------------------------------------------------------
 

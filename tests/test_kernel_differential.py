@@ -1,12 +1,13 @@
 """Differential tests for the state-table kernels.
 
 ``repro.protocols.kernels`` reimplements the dir0b/dir1nb/wti/dragon
-inner loops as table lookups over a compact state encoding.  The
+inner loops as table lookups over a compact state encoding, one kernel
+per protocol for infinite caches and uniform finite caches alike.  The
 contract is strict bit-identity with the object model plus a guarantee
 that the kernel *refuses* (returns None, state untouched) whenever the
 protocol, caches, or live state fall outside its verified encoding —
-so wrappers, finite caches, and mutation-tested variants always
-exercise the real state machines.
+so wrappers, subclassed or mixed caches, bounded directories, and
+mutation-tested variants always exercise the real state machines.
 """
 
 import pytest
@@ -24,11 +25,26 @@ from repro.workloads.registry import make_trace
 KERNEL_SCHEMES = ("dir0b", "dir1nb", "wti", "dragon")
 TRACE_LENGTH = 6000
 
+#: Each kernel scheme on infinite caches (bare scheme id) and on an
+#: evicting finite geometry, so both cache models of the one kernel get
+#: the same checks.
+KERNEL_CASES = [
+    pytest.param(
+        scheme, geometry, id=scheme if geometry is None else f"{scheme}-{geometry}"
+    )
+    for geometry in (None, "64x2")
+    for scheme in KERNEL_SCHEMES
+]
+
 
 def _snapshot(protocol):
-    """Every cache's visible line states, for state-equality checks."""
+    """Every cache's visible line states, for state-equality checks.
+
+    Finite caches keep their residency (per-set LRU) order too.
+    """
     return [
-        protocol.cache_contents(index) for index in range(protocol.num_caches)
+        list(cache.items()) if isinstance(cache, FiniteCache) else dict(cache.items())
+        for cache in protocol._caches
     ]
 
 
@@ -114,18 +130,20 @@ def test_kernel_matches_generic_columnar_loop(columnar, scheme):
     assert kernel_result == generic
 
 
-@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
-def test_kernel_matches_on_write_heavy_trace(write_heavy, scheme):
+@pytest.mark.parametrize("scheme, geometry", KERNEL_CASES)
+def test_kernel_matches_on_write_heavy_trace(write_heavy, scheme, geometry):
     simulator = Simulator()
-    assert simulator.run(write_heavy, scheme) == record_loop(
-        simulator, write_heavy, scheme
+    assert simulator.run(write_heavy, scheme, geometry=geometry) == record_loop(
+        simulator, write_heavy, scheme, geometry=geometry
     )
 
 
-@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
-def test_kernel_matches_with_cpu_sharers(trace, columnar, scheme):
+@pytest.mark.parametrize("scheme, geometry", KERNEL_CASES)
+def test_kernel_matches_with_cpu_sharers(trace, columnar, scheme, geometry):
     simulator = Simulator(sharer_key="cpu")
-    assert simulator.run(columnar, scheme) == record_loop(simulator, trace, scheme)
+    assert simulator.run(columnar, scheme, geometry=geometry) == record_loop(
+        simulator, trace, scheme, geometry=geometry
+    )
 
 
 # ----------------------------------------------------------------------
@@ -133,18 +151,21 @@ def test_kernel_matches_with_cpu_sharers(trace, columnar, scheme):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
-def test_kernel_segmented_run_matches_continuous(trace, columnar, scheme):
+@pytest.mark.parametrize("scheme, geometry", KERNEL_CASES)
+def test_kernel_segmented_run_matches_continuous(trace, columnar, scheme, geometry):
     """Checkpoint-shaped execution: one protocol + context, many windows.
 
     Every window after the first imports live state the previous
     window's kernel exported, so this round-trips the full encoding
-    (dirty owners, shared masks, directory entries) at odd boundaries.
+    (dirty owners, shared masks, directory entries, and under finite
+    caches the LRU sets) at odd boundaries.
     """
     simulator = Simulator()
-    whole = record_loop(simulator, trace, scheme)
+    whole = record_loop(simulator, trace, scheme, geometry=geometry)
 
-    protocol = make_protocol(scheme, num_caches=len(columnar.pids))
+    protocol = make_protocol(
+        scheme, num_caches=len(columnar.pids), geometry=geometry
+    )
     context = SimulationContext()
     parts = []
     for start in range(0, len(columnar), 777):
@@ -157,25 +178,20 @@ def test_kernel_segmented_run_matches_continuous(trace, columnar, scheme):
     assert total == whole
 
 
-@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
-def test_kernel_export_matches_object_model_state(columnar, scheme):
+@pytest.mark.parametrize("scheme, geometry", KERNEL_CASES)
+def test_kernel_export_matches_object_model_state(columnar, scheme, geometry):
     """After a run, the kernel-exported caches equal the generic path's."""
     from repro.core.result import SimulationResult
 
     simulator = Simulator()
     num_caches = len(columnar.pids)
 
-    via_kernel = make_protocol(scheme, num_caches=num_caches)
-    ran = kernel_run(
-        simulator,
-        columnar,
-        via_kernel,
-        SimulationResult(scheme=via_kernel.name, trace_name=columnar.name),
-        SimulationContext(),
-    )
-    assert ran is not None
+    via_kernel = make_protocol(scheme, num_caches=num_caches, geometry=geometry)
+    result = SimulationResult(scheme=via_kernel.name, trace_name=columnar.name)
+    ran = kernel_run(simulator, columnar, via_kernel, result, SimulationContext())
+    assert ran is result  # the kernel engaged
 
-    via_generic = make_protocol(scheme, num_caches=num_caches)
+    via_generic = make_protocol(scheme, num_caches=num_caches, geometry=geometry)
     simulator._run_columnar(
         columnar,
         via_generic,
@@ -192,7 +208,7 @@ def test_kernel_export_matches_object_model_state(columnar, scheme):
 
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_finite_kernel_engages_for_uniform_geometry(columnar, scheme):
-    """Exact FiniteCaches of one geometry run the capacity-aware kernel."""
+    """Exact FiniteCaches of one geometry run the kernel's LRU layer."""
     from repro.core.result import SimulationResult
 
     simulator = Simulator()
@@ -257,6 +273,27 @@ def test_finite_cache_columnar_run_still_correct(trace, columnar):
         simulator, trace, make_protocol("dir0b", num_caches, cache_factory=factory)
     )
     assert fast == slow
+
+
+@pytest.mark.parametrize("scheme", ("dir0b", "dir1nb"))
+def test_kernel_bails_on_bounded_directory(trace, columnar, scheme):
+    """Directory recalls (``dir_capacity``) stay on the generic path.
+
+    The kernels do not model recalls, so with infinite caches too they
+    must refuse rather than ignore the bound.
+    """
+    protocol = make_protocol(scheme, num_caches=len(columnar.pids), dir_capacity=4)
+    before = _snapshot(protocol)
+    assert (
+        kernel_run(Simulator(), columnar, protocol, object(), SimulationContext())
+        is None
+    )
+    assert _snapshot(protocol) == before
+
+    simulator = Simulator()
+    assert simulator.run(columnar, scheme, dir_capacity=4) == record_loop(
+        simulator, trace, scheme, dir_capacity=4
+    )
 
 
 def test_kernel_bails_on_unseen_held_block(columnar):

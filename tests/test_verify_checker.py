@@ -93,6 +93,33 @@ def test_saboteur_specs_surface_as_findings():
     assert by_scheme["dir1nb+transient@3"].kind == "fault"
 
 
+def test_miscounting_fast_path_is_a_fast_path_finding(monkeypatch):
+    """Clean oracle cells re-run on the fast path, kernels included.
+
+    The oracle-wrapped cell takes the record loop, so only the re-run
+    reaches the (here deliberately miscounting) state-table kernel, for
+    infinite and finite caches alike.
+    """
+    import repro.core.simulator as simulator_module
+
+    real_kernel_run = simulator_module.kernel_run
+
+    def miscounting_kernel_run(simulator, trace, protocol, result, context):
+        ran = real_kernel_run(simulator, trace, protocol, result, context)
+        if ran is not None:
+            ran.record_instructions(1)
+        return ran
+
+    monkeypatch.setattr(simulator_module, "kernel_run", miscounting_kernel_run)
+    checker = ConformanceChecker(schemes=["dir0b", "dirnnb"])
+    report = checker.check(fuzz_traces(2), specs=checker.specs_for((None, "4x2")))
+    assert {(f.scheme, f.kind) for f in report.findings} == {
+        ("dir0b", "fast-path"),
+        ("dir0b@4x2", "fast-path"),
+    }
+    assert all("event_counts" in f.message for f in report.findings)
+
+
 def test_differentials_catch_event_count_disagreement():
     summaries = {
         "t": {
