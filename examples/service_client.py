@@ -51,7 +51,7 @@ def main() -> None:
                 print(f"  {scheme_label(scheme):>22}: {rate:.3f} %")
 
         # 5. Resubmit the identical sweep: every cell is served from
-        #    the result memo/cache — zero duplicate simulations.
+        #    the result cache — zero duplicate simulations.
         again = client.submit(spec)
         final = client.wait(again["id"])
         stats = client.stats()

@@ -1263,7 +1263,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--result-cache", metavar="DIR",
         help="content-addressed result cache shared by all jobs "
-             "(defaults to STATE_DIR/cache when --state-dir is given)",
+             "(defaults to STATE_DIR/cache when --state-dir is given, "
+             "else to a private temp directory removed at shutdown)",
     )
     serve.add_argument(
         "--state-dir", metavar="DIR",

@@ -15,9 +15,10 @@ every accepted job into the fabric database.  What that buys:
 Only the job rows are mirrored at submission time.  Cells are
 deliberately **not** expanded here: the scheduler first resolves each
 cell against its checkpoint manifest, the shared result cache, and the
-in-flight coalescing table, and only the cells it actually *owns* are
-handed to the fleet — otherwise workers would re-simulate work the
-service already has.
+in-flight coalescing table, and only the cells it actually *owns* —
+:func:`~repro.fabric.queue.expand_spec`'s descriptors filtered to
+their indices — are handed to the fleet; otherwise workers would
+re-simulate work the service already has.
 """
 
 from __future__ import annotations

@@ -36,15 +36,14 @@ import threading
 import uuid
 import zlib
 from dataclasses import replace
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.simulator import Simulator
 from repro.engine.plan import build_protocol_for_cell
 from repro.engine.policies import RetryPolicy
-from repro.runner.cache import ResultCache, cache_key, trace_fingerprint
+from repro.runner.cache import ResultCache, cache_key
 from repro.runner.checkpoint import result_to_json
-from repro.service.spec import TraceSpec
+from repro.service.spec import FingerprintMemo, TraceSpec
 
 from repro.fabric.queue import DurableCellQueue, LeasedCell
 
@@ -156,8 +155,11 @@ class FabricWorker:
         #: Leases taken so far (the chaos harness indexes kills by this).
         self.leases = 0
 
-        self._traces: dict[str, tuple[Any, str]] = {}
+        self.fingerprints = FingerprintMemo()
         self._simulators: dict[str, Simulator] = {}
+        #: Workload traces of the job being leased from, dropped on a job
+        #: switch or an empty queue: built once per job, never kept after.
+        self._job_traces: tuple[str | None, dict[str, Any]] = (None, {})
 
     # ------------------------------------------------------------------
 
@@ -177,6 +179,7 @@ class FabricWorker:
                     pass  # another sweeper will catch what we missed
             cell = self.queue.lease(self.worker_id, lease_s=self.lease_s)
             if cell is None:
+                self._job_traces = (None, {})
                 if self.drain and self.queue.unfinished_cells() == 0:
                     break
                 self._stop.wait(self.poll_s)
@@ -186,6 +189,7 @@ class FabricWorker:
             processed += 1
             if max_cells is not None and processed >= max_cells:
                 break
+        self._job_traces = (None, {})
         return processed
 
     # ------------------------------------------------------------------
@@ -197,47 +201,22 @@ class FabricWorker:
             self._simulators[sharer_key] = simulator
         return simulator
 
-    def _trace(self, spec_dict: dict[str, Any]) -> tuple[Any, str]:
-        """Build (or reuse) the trace + content fingerprint for one cell.
+    def _job_trace(self, cell: LeasedCell, tspec: TraceSpec, built: Any) -> Any:
+        """The trace *cell* simulates; *built* is the memo's, if it built one.
 
-        Workload traces are deterministic from their spec, so both the
-        trace and its fingerprint are memoized.  File-backed traces are
-        rebuilt and re-fingerprinted every time — their content can
-        change between cells — except chunked store traces
-        (:class:`~repro.store.chunked.ChunkedTrace`), whose fingerprint
-        is memoized by ``(path, mtime, size)``: re-hashing a
-        multi-gigabyte ``.ctrc`` per cell would dominate the sweep, and
-        any rewrite of the file changes the stat signature.
+        Workload traces are kept for the rest of the cell's job; file
+        traces are re-read per cell, since their content can change.
         """
-        tspec = TraceSpec(**spec_dict)
-        if tspec.path is not None:
+        if self._job_traces[0] != cell.job_id:
+            self._job_traces = (cell.job_id, {})
+        held = self._job_traces[1]
+        key = json.dumps(cell.trace_spec, sort_keys=True)
+        trace = held.get(key, built)
+        if trace is None:
             trace = tspec.build()
-            if hasattr(trace, "iter_chunks"):
-                stat = Path(tspec.path).stat()
-                memo_key = json.dumps(
-                    [str(tspec.path), stat.st_mtime_ns, stat.st_size]
-                )
-                entry = self._traces.get(memo_key)
-                if entry is not None:
-                    return trace, entry[1]
-                fingerprint = trace_fingerprint(trace)
-                if len(self._traces) >= 32:
-                    self._traces.pop(next(iter(self._traces)))
-                # Memoize only the fingerprint: the handle is cheap to
-                # reopen and holding decoded chunks would defeat the
-                # bounded-memory point.
-                self._traces[memo_key] = (None, fingerprint)
-                return trace, fingerprint
-            return trace, trace_fingerprint(trace)
-        memo_key = json.dumps(spec_dict, sort_keys=True)
-        entry = self._traces.get(memo_key)
-        if entry is None:
-            trace = tspec.build()
-            entry = (trace, trace_fingerprint(trace))
-            if len(self._traces) >= 32:
-                self._traces.pop(next(iter(self._traces)))
-            self._traces[memo_key] = entry
-        return entry
+        if tspec.path is None:
+            held[key] = trace
+        return trace
 
     @staticmethod
     def _scheme_spec(scheme: dict[str, Any]) -> Any:
@@ -249,7 +228,8 @@ class FabricWorker:
         """Run one leased cell to settlement (never raises for cell errors)."""
         simulator = self._simulator(cell.sharer_key)
         try:
-            trace, trace_fp = self._trace(cell.trace_spec)
+            tspec = TraceSpec(**cell.trace_spec)
+            _, trace_fp, trace = self.fingerprints.lookup(tspec)
         except Exception as exc:
             # The trace cannot be built: permanent, contained failure.
             self._settle_error(cell, exc)
@@ -257,7 +237,7 @@ class FabricWorker:
         scheme_spec = self._scheme_spec(cell.scheme)
         cache_id = cache_key(scheme_spec, simulator, trace_fp)
 
-        if self.result_cache is not None and cache_id is not None:
+        if self.result_cache is not None:
             cached = self.result_cache.get_json(cache_id)
             if cached is not None:
                 result_json = {
@@ -265,17 +245,12 @@ class FabricWorker:
                     "scheme": cell.scheme_key,
                     "trace_name": cell.trace_label,
                 }
-                if self.queue.settle(
-                    cell.id,
-                    self.worker_id,
-                    {
-                        "status": "ok",
-                        "result": result_json,
-                        "attempts": cell.attempts,
-                    },
-                    source="cache",
-                ):
-                    self.settled["cache"] += 1
+                self._settle_ok(cell, result_json, "cache")
+                return
+        try:
+            trace = self._job_trace(cell, tspec, trace)
+        except Exception as exc:
+                self._settle_error(cell, exc)
                 return
 
         heartbeat = _Heartbeat(
@@ -314,20 +289,19 @@ class FabricWorker:
             return
         heartbeat.stop()
 
-        if self.result_cache is not None and cache_id is not None:
+        if self.result_cache is not None:
             try:
                 # Cache before settling, so any reassigned twin of this
                 # cell finds the result instead of re-simulating it.
                 self.result_cache.put_json(cache_id, result_json)
             except Exception:
                 pass  # the cache can only skip work, not break a cell
-        if self.queue.settle(
-            cell.id,
-            self.worker_id,
-            {"status": "ok", "result": result_json, "attempts": cell.attempts},
-            source="simulated",
-        ):
-            self.settled["simulated"] += 1
+        self._settle_ok(cell, result_json, "simulated")
+
+    def _settle_ok(self, cell: LeasedCell, result_json: Any, source: str) -> None:
+        payload = {"status": "ok", "result": result_json, "attempts": cell.attempts}
+        if self.queue.settle(cell.id, self.worker_id, payload, source=source):
+            self.settled[source] += 1
 
     def _settle_error(self, cell: LeasedCell, exc: BaseException) -> None:
         self.queue.settle(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -182,7 +183,12 @@ class ResultCache:
             sort_keys=True,
         )
         path = self._path_for(key)
-        tmp = path.with_name(path.name + ".tmp")
+        # Unique per writer: service threads, or a fabric worker and its
+        # reassigned twin, can put the same key concurrently, and a
+        # shared tmp name would let one truncate the other's file.
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         try:
             tmp.write_text(payload, "utf-8")
             os.replace(tmp, path)

@@ -1,11 +1,13 @@
 """repro.service — the simulation service (async jobs over HTTP/JSON).
 
 The first long-running subsystem in the repo: instead of one-shot CLI
-sweeps, a server process keeps the trace memo, the content-addressed
-:class:`~repro.runner.cache.ResultCache`, and a pool of simulation
-workers warm, and multiplexes many callers onto them:
+sweeps, a server process keeps the content-addressed
+:class:`~repro.runner.cache.ResultCache`, a small memo of trace
+fingerprints, and a pool of simulation workers warm, and multiplexes
+many callers onto them:
 
-* :mod:`repro.service.spec` — the JSON job-spec format and validation.
+* :mod:`repro.service.spec` — the JSON job-spec format, validation,
+  and the trace-fingerprint memo shared with the fabric workers.
 * :mod:`repro.service.jobs` — job lifecycle + append-only event log.
 * :mod:`repro.service.queue` — priority queue with job-level dedup.
 * :mod:`repro.service.coalesce` — cell-level request coalescing: one

@@ -191,8 +191,10 @@ def _make_handler(server: ServiceServer) -> type[BaseHTTPRequestHandler]:
                         raise JobSpecError(
                             f"shutdown mode must be drain/checkpoint, got {mode!r}"
                         )
-                    self._send_json(202, {"stopping": True, "mode": mode})
+                    # Before responding, so a client that sees the 202
+                    # can rely on the stop already being requested.
                     server.request_shutdown(mode)
+                    self._send_json(202, {"stopping": True, "mode": mode})
                 else:
                     self._send_json(404, {"error": f"no such route {path!r}",
                                           "category": "JobNotFoundError"})

@@ -12,21 +12,22 @@ phases:
 2. **Owned execution** — owned cells run in stop-checked batches through
    the engine: serially via :func:`repro.engine.backends.run_cell` or
    fanned across a :class:`~repro.engine.backends.ProcessPoolBackend`
-   process pool when ``sim_jobs > 1``.  Outcomes are cached *before*
-   the in-flight entry resolves, so late claimants always find the
-   cache.
+   process pool when ``sim_jobs > 1`` — or by the fabric fleet in
+   fabric mode.  Outcomes are cached *before* the in-flight entry
+   resolves, so late claimants always find the cache.
 3. **Waiting** — coalesced cells block on their in-flight entries; an
    abandoned entry (its owner was stopped mid-shutdown) sends the
    waiter back through resolution so no cell is ever stranded.
 
-Each job is normalized into an
-:class:`~repro.engine.plan.ExecutionPlan`, which also memoizes every
-trace's content fingerprint (once per plan, not once per cell); cell
-metrics come from the engine's
-:class:`~repro.engine.observer.EngineMetrics` observer — the same
-instrumentation the CLI's ``--progress`` reads — and per-job checkpoint
-manifests are written through the engine's single
-:class:`~repro.engine.policies.ManifestRecorder` site.
+Between jobs the scheduler keeps only the ``ResultCache`` and a
+:class:`~repro.service.spec.FingerprintMemo` from trace spec to (trace
+name, content fingerprint) — all a cell's cache key needs.  A trace is
+built only when its spec is new or one of its cells must simulate
+in-process, and nothing holds it once its job ends.  Cell metrics come
+from the engine's :class:`~repro.engine.observer.EngineMetrics`
+observer — the same instrumentation the CLI's ``--progress`` reads —
+and per-job checkpoint manifests are written through the engine's
+single :class:`~repro.engine.policies.ManifestRecorder` site.
 
 Graceful shutdown has two modes.  ``drain`` finishes every queued and
 running job, then stops.  ``checkpoint`` stops running jobs at the next
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -48,15 +50,11 @@ from typing import Any, Callable
 from repro.core.simulator import Simulator
 from repro.engine.backends import ProcessPoolBackend, run_cell
 from repro.engine.observer import EngineMetrics
-from repro.engine.plan import CellTask, ExecutionPlan
+from repro.engine.plan import CellTask
 from repro.engine.policies import ManifestRecorder, RetryPolicy
 from repro.errors import ServiceUnavailableError
-from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import (
-    CheckpointManager,
-    result_from_json,
-    result_to_json,
-)
+from repro.runner.cache import ResultCache, cache_key
+from repro.runner.checkpoint import CheckpointManager
 from repro.service.coalesce import InFlightCell, InFlightTable
 from repro.service.jobs import (
     CANCELLED,
@@ -73,7 +71,7 @@ from repro.service.jobs import (
     JobStore,
 )
 from repro.service.queue import JobQueue
-from repro.service.spec import JobSpec, TraceSpec
+from repro.service.spec import FingerprintMemo, JobSpec
 
 #: How long waiters sleep between stop-flag checks on an in-flight cell.
 _WAIT_POLL = 0.1
@@ -87,9 +85,9 @@ class Scheduler:
     Args:
         workers: concurrent jobs (one worker thread each).
         sim_jobs: processes per job's owned-cell batches (1 = in-thread).
-        result_cache: shared content-addressed cache; created under
-            ``state_dir/cache`` when a state dir is given and no cache
-            is passed explicitly.
+        result_cache: shared content-addressed cache.  Defaults to
+            ``state_dir/cache`` when a state dir is given, else to a
+            private temporary directory removed at shutdown.
         state_dir: persistence root; enables checkpoint shutdown/resume.
         retry: per-cell transient-failure policy (engine semantics).
         fabric_db: path to a durable fabric database.  When set, jobs
@@ -118,9 +116,17 @@ class Scheduler:
         self.workers = max(1, workers)
         self.sim_jobs = max(1, sim_jobs)
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        if result_cache is None and self.state_dir is not None:
-            result_cache = ResultCache(self.state_dir / "cache")
+        self._private_cache: tempfile.TemporaryDirectory | None = None
+        if result_cache is None:
+            if self.state_dir is not None:
+                result_cache = ResultCache(self.state_dir / "cache")
+            else:
+                self._private_cache = tempfile.TemporaryDirectory(
+                    prefix="repro-service-cache-", ignore_cleanup_errors=True
+                )
+                result_cache = ResultCache(self._private_cache.name)
         self.result_cache = result_cache
+        self.fingerprints = FingerprintMemo()
         self.retry = retry or RetryPolicy()
 
         # Fabric imports are deferred: repro.fabric's modules import
@@ -150,13 +156,6 @@ class Scheduler:
         self._outstanding = 0
         self._idle = threading.Condition()
         self._started_at = time.monotonic()
-
-        # Shared memos: canonical trace spec -> built Trace, and
-        # cell key -> result JSON (the warm-process layer above the
-        # on-disk ResultCache — works even with no cache configured).
-        self._trace_memo: dict[str, Any] = {}
-        self._result_memo: dict[str, Any] = {}
-        self._memo_lock = threading.Lock()
 
         #: Engine instrumentation: owned-cell outcomes arrive through
         #: the observer protocol; scheduler-only counters (cache,
@@ -258,6 +257,8 @@ class Scheduler:
                 self.fabric.close()
             except Exception:
                 pass  # this thread's connection only; workers own theirs
+        if self._private_cache is not None:
+            self._private_cache.cleanup()
 
     @property
     def stopping(self) -> bool:
@@ -294,21 +295,12 @@ class Scheduler:
         snapshot is exposed under ``engine``.
         """
         counters = self.metrics.snapshot()
-        cache_stats = None
-        if self.result_cache is not None:
-            cache_stats = {
-                "hits": self.result_cache.hits,
-                "misses": self.result_cache.misses,
-                "quarantined": getattr(self.result_cache, "quarantined", 0),
-                "entries": len(self.result_cache),
-            }
         return {
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "workers": self.workers,
             "sim_jobs": self.sim_jobs,
             "queue_depth": len(self.queue),
             "inflight_cells": len(self.inflight),
-            "result_memo_entries": len(self._result_memo),
             "stopping": self.stopping,
             "jobs": {
                 **self.jobs.state_counts(),
@@ -325,7 +317,12 @@ class Scheduler:
                 "errors": int(counters.get("cells_failed", 0)),
             },
             "engine": counters,
-            "cache": cache_stats,
+            "cache": {
+                "hits": self.result_cache.hits,
+                "misses": self.result_cache.misses,
+                "quarantined": self.result_cache.quarantined,
+                "entries": len(self.result_cache),
+            },
             "fabric": self.fabric.stats() if self.fabric is not None else None,
         }
 
@@ -443,32 +440,6 @@ class Scheduler:
         job.set_state(persisted.get("state", DONE), error=persisted.get("error"))
 
     # ------------------------------------------------------------------
-    # Trace plumbing
-    # ------------------------------------------------------------------
-
-    def _build_trace(self, tspec: TraceSpec) -> Any:
-        """Build (or reuse) the trace for one trace spec.
-
-        Workload traces are memoized on the canonical spec so identical
-        jobs share one Trace object.  File-backed traces are rebuilt
-        each time — they are lazy readers whose content can change
-        between jobs.
-        """
-        if tspec.path is not None:
-            return tspec.build()
-        memo_key = json.dumps(tspec.canonical(), sort_keys=True)
-        with self._memo_lock:
-            trace = self._trace_memo.get(memo_key)
-        if trace is not None:
-            return trace
-        trace = tspec.build()
-        with self._memo_lock:
-            if len(self._trace_memo) >= 32:
-                self._trace_memo.pop(next(iter(self._trace_memo)))
-            self._trace_memo.setdefault(memo_key, trace)
-            return self._trace_memo[memo_key]
-
-    # ------------------------------------------------------------------
     # Worker loop
     # ------------------------------------------------------------------
 
@@ -535,230 +506,176 @@ class Scheduler:
                 recorder.save()
         restored = recorder.manifest["completed"] if recorder is not None else {}
 
-        # Build each trace once; a failed build poisons only its cells.
-        traces: list[Any] = []
-        build_errors: list[Exception | None] = []
-        labels: list[str] = []
-        for tspec in spec.traces:
-            label = tspec.workload or os.path.basename(tspec.path or "?")
-            labels.append(label)
-            try:
-                trace = self._build_trace(tspec)
-            except Exception as exc:
-                traces.append(None)
-                build_errors.append(exc)
-            else:
-                traces.append(trace)
-                build_errors.append(None)
-
-        # The job's plan: fingerprint memoization and cache keys live
-        # here (one fingerprint per trace per plan, not per cell).
-        plan = ExecutionPlan(
-            traces=[trace for trace in traces if trace is not None],
-            schemes=list(spec.scheme_specs()),
-            simulator=simulator,
-        )
-
         def checkpoint_cell(scheme: str, trace_name: str, result_json) -> None:
             if recorder is not None:
                 recorder.record_completed(scheme, trace_name, result_json)
 
-        owned: list[tuple[CellTask, InFlightCell | None]] = []
+        # Each trace's name and fingerprint; a failed lookup poisons only
+        # its own cells.  ``traces`` holds what this job built, and is
+        # the only reference to any of them.
+        traces: list[Any] = [None] * len(spec.traces)
+        names: list[str] = []
+        fingerprints: list[str | Exception] = []
+        for t_index, tspec in enumerate(spec.traces):
+            try:
+                name, fingerprint, traces[t_index] = self.fingerprints.lookup(tspec)
+            except Exception as exc:
+                name = tspec.workload or os.path.basename(tspec.path or "?")
+                fingerprint = exc
+            names.append(name)
+            fingerprints.append(fingerprint)
+
+        owned: list[tuple[CellTask, InFlightCell]] = []
         waiting: list[tuple[CellTask, InFlightCell]] = []
         index = 0
         for scheme_spec, skey in zip(spec.scheme_specs(), spec.scheme_keys()):
-            for t_index, trace in enumerate(traces):
-                cell_index = index
+            for name, fingerprint in zip(names, fingerprints):
+                cell = CellTask(
+                    spec=scheme_spec, scheme_key=skey, trace=None,
+                    trace_name=name, index=index,
+                )
                 index += 1
-                if trace is None:
-                    exc = build_errors[t_index]
-                    job.record_cell(
-                        scheme=skey, trace_name=labels[t_index], index=cell_index,
-                        source=SOURCE_SIMULATED,
-                        payload={
-                            "status": "error",
-                            "category": type(exc).__name__,
-                            "message": str(exc),
-                            "attempts": 1,
-                        },
-                    )
-                    self.metrics.bump("cells_failed")
+                if isinstance(fingerprint, Exception):
+                    self._fail(job, cell, fingerprint, checkpoint_cell)
                     continue
-                if trace.name in restored.get(skey, {}):
+                if name in restored.get(skey, {}):
                     job.record_cell(
-                        scheme=skey, trace_name=trace.name, index=cell_index,
+                        scheme=skey, trace_name=name, index=cell.index,
                         source=SOURCE_CHECKPOINT,
                         payload={
                             "status": "ok",
-                            "result": restored[skey][trace.name],
+                            "result": restored[skey][name],
                             "attempts": 1,
                         },
                     )
                     self.metrics.bump("cells_checkpoint")
                     continue
-                cell = CellTask(
-                    spec=scheme_spec, scheme_key=skey, trace=trace,
-                    trace_name=trace.name, index=cell_index,
-                    cache_id=plan.cache_id(scheme_spec, trace),
-                )
-                resolved = self._try_cache(job, cell, checkpoint_cell)
-                if resolved:
-                    continue
-                if cell.cache_id is None:
-                    owned.append((cell, None))
+                cell.cache_id = cache_key(scheme_spec, simulator, fingerprint)
+                if self._try_cache(job, cell, checkpoint_cell):
                     continue
                 entry, is_owner = self.inflight.claim(cell.cache_id, job.id)
-                if is_owner:
-                    owned.append((cell, entry))
-                else:
-                    waiting.append((cell, entry))
+                (owned if is_owner else waiting).append((cell, entry))
 
         if self.fabric is not None:
             finished = self._run_owned_fabric(job, owned, checkpoint_cell)
         else:
-            finished = self._run_owned(job, simulator, owned, checkpoint_cell)
-        finished = self._await_coalesced(
-            job, simulator, waiting, checkpoint_cell
+            finished = self._run_owned(job, simulator, owned, traces, checkpoint_cell)
+        return self._await_coalesced(
+            job, simulator, waiting, traces, checkpoint_cell
         ) and finished
-        return finished
 
-    def _try_cache(self, job: Job, cell: CellTask, checkpoint_cell) -> bool:
-        """Serve *cell* from the result memo or the on-disk cache."""
-        if cell.cache_id is None:
-            return False
-        with self._memo_lock:
-            memo_json = self._result_memo.get(cell.cache_id)
-        if memo_json is not None:
-            # Content-addressed: relabel under this job's names.
-            result_json = {
-                **memo_json,
-                "scheme": cell.scheme_key,
-                "trace_name": cell.trace_name,
-            }
-        elif self.result_cache is not None:
-            cached = self.result_cache.get(cell.cache_id)
-            if cached is None:
-                return False
-            cached.scheme = cell.scheme_key
-            cached.trace_name = cell.trace_name
-            result_json = result_to_json(cached)
-        else:
-            return False
-        job.record_cell(
-            scheme=cell.scheme_key, trace_name=cell.trace_name, index=cell.index,
-            source=SOURCE_CACHE,
-            payload={"status": "ok", "result": result_json, "attempts": 1},
-        )
-        self.metrics.bump("cells_cache")
-        checkpoint_cell(cell.scheme_key, cell.trace_name, result_json)
-        return True
-
-    def _finish_owned(
-        self, job: Job, cell: CellTask, entry: InFlightCell | None,
-        payload: dict[str, Any], checkpoint_cell,
+    def _finish(
+        self, job: Job, cell: CellTask, payload: dict[str, Any], source: str,
+        checkpoint_cell: Callable[[str, str, Any], None],
+        entry: InFlightCell | None = None,
     ) -> None:
-        """Record one simulated cell: cache, manifest, in-flight, event.
+        """Record one resolved cell: cache, manifest, counters, in-flight, event.
 
-        Terminal-outcome counters (``cells_ok``/``cells_failed``) are
-        already bumped by the engine observer when the cell executes.
+        Results computed in-process or by the fleet are cached before
+        *entry* resolves, so late claimants hit the cache.  The engine
+        observer already counted the outcome of in-process simulations.
         """
-        if payload["status"] == "ok":
-            if cell.cache_id is not None:
-                with self._memo_lock:
-                    if len(self._result_memo) >= 4096:
-                        self._result_memo.pop(next(iter(self._result_memo)))
-                    self._result_memo[cell.cache_id] = payload["result"]
-                if self.result_cache is not None:
-                    try:
-                        self.result_cache.put(
-                            cell.cache_id, result_from_json(payload["result"])
-                        )
-                    except Exception:
-                        pass  # the cache can only skip work, not break a job
+        ok = payload["status"] == "ok"
+        if ok:
+            if source in (SOURCE_SIMULATED, SOURCE_FABRIC):
+                self.result_cache.put_json(cell.cache_id, payload["result"])
             checkpoint_cell(cell.scheme_key, cell.trace_name, payload["result"])
-        # Resolve after the cache write so late claimants hit the cache.
+        if source != SOURCE_SIMULATED:
+            self.metrics.bump(f"cells_{source}" if ok else "cells_failed")
         if entry is not None:
             self.inflight.resolve_and_release(entry, payload)
         job.record_cell(
             scheme=cell.scheme_key, trace_name=cell.trace_name, index=cell.index,
-            source=SOURCE_SIMULATED, payload=payload,
+            source=source, payload=payload,
         )
 
-    def _simulate_cell(self, simulator: Simulator, cell: CellTask) -> dict[str, Any]:
-        """Run one owned cell in-thread through the engine unit."""
-        self.metrics.cell_started(cell)
-        outcome = run_cell(
-            simulator, cell, retry=self.retry, observer=self.metrics
-        )
-        return outcome.to_payload()
+    def _fail(
+        self, job: Job, cell: CellTask, exc: Exception,
+        checkpoint_cell: Callable[[str, str, Any], None],
+        entry: InFlightCell | None = None,
+    ) -> None:
+        """Settle a cell whose trace could not be resolved or built."""
+        self.metrics.bump("cells_failed")
+        payload = {
+            "status": "error",
+            "category": type(exc).__name__,
+            "message": str(exc),
+            "attempts": 1,
+        }
+        self._finish(job, cell, payload, SOURCE_SIMULATED, checkpoint_cell, entry)
+
+    def _try_cache(self, job: Job, cell: CellTask, checkpoint_cell) -> bool:
+        """Serve *cell* from the result cache; False on a miss."""
+        cached = self.result_cache.get_json(cell.cache_id)
+        if cached is None:
+            return False
+        # Content-addressed: relabel under this job's names.
+        result_json = {
+            **cached, "scheme": cell.scheme_key, "trace_name": cell.trace_name
+        }
+        payload = {"status": "ok", "result": result_json, "attempts": 1}
+        self._finish(job, cell, payload, SOURCE_CACHE, checkpoint_cell)
+        return True
+
+    def _load_trace(
+        self, job: Job, cell: CellTask, entry: InFlightCell,
+        traces: list[Any], checkpoint_cell: Callable[[str, str, Any], None],
+    ) -> bool:
+        """Give an owned cell its trace, built on the job's first need."""
+        t_index = cell.index % len(traces)
+        try:
+            if traces[t_index] is None:
+                traces[t_index] = job.spec.traces[t_index].build()
+        except Exception as exc:
+            self._fail(job, cell, exc, checkpoint_cell, entry)
+            return False
+        cell.trace = traces[t_index]
+        return True
 
     def _run_owned(
         self, job: Job, simulator: Simulator,
-        owned: list[tuple[CellTask, InFlightCell | None]],
+        owned: list[tuple[CellTask, InFlightCell]], traces: list[Any],
         checkpoint_cell: Callable[[str, str, Any], None],
     ) -> bool:
         """Execute this job's owned cells in stop-checked batches."""
-        batch_size = self.sim_jobs if self.sim_jobs > 1 else 1
         position = 0
         while position < len(owned):
             if job.stop_requested:
-                for cell, entry in owned[position:]:
-                    if entry is not None:
-                        self.inflight.abandon_and_release(entry)
+                for _, entry in owned[position:]:
+                    self.inflight.abandon_and_release(entry)
                 return False
-            batch = owned[position : position + batch_size]
-            position += len(batch)
+            batch = [
+                (cell, entry)
+                for cell, entry in owned[position : position + self.sim_jobs]
+                if self._load_trace(job, cell, entry, traces, checkpoint_cell)
+            ]
+            position += self.sim_jobs
+            for cell, _ in batch:
+                self.metrics.cell_started(cell)
+
+            def on_complete(i: int, payload: dict[str, Any]) -> None:
+                cell, entry = batch[i]
+                self._finish(
+                    job, cell, payload, SOURCE_SIMULATED, checkpoint_cell, entry
+                )
+
             if len(batch) > 1:
-                backend = ProcessPoolBackend(jobs=self.sim_jobs, retry=self.retry)
-                for cell, _ in batch:
-                    self.metrics.cell_started(cell)
-
-                def on_complete(i: int, payload: dict[str, Any]) -> None:
-                    cell, entry = batch[i]
-                    self._finish_owned(job, cell, entry, payload, checkpoint_cell)
-
-                backend.run(
+                ProcessPoolBackend(jobs=self.sim_jobs, retry=self.retry).run(
                     simulator,
                     [cell for cell, _ in batch],
                     on_complete=on_complete,
                     observer=self.metrics,
                 )
-            else:
-                cell, entry = batch[0]
-                payload = self._simulate_cell(simulator, cell)
-                self._finish_owned(job, cell, entry, payload, checkpoint_cell)
+            elif batch:
+                outcome = run_cell(
+                    simulator, batch[0][0], retry=self.retry, observer=self.metrics
+                )
+                on_complete(0, outcome.to_payload())
         return True
-
-    def _finish_fabric(
-        self, job: Job, cell: CellTask, entry: InFlightCell | None,
-        payload: dict[str, Any], checkpoint_cell,
-    ) -> None:
-        """Record one fleet-settled cell: memo, manifest, in-flight, event.
-
-        The worker that simulated the cell already wrote the shared
-        on-disk cache (before settling, so reassigned twins hit it);
-        here only the in-process memo is warmed.
-        """
-        if payload["status"] == "ok":
-            if cell.cache_id is not None:
-                with self._memo_lock:
-                    if len(self._result_memo) >= 4096:
-                        self._result_memo.pop(next(iter(self._result_memo)))
-                    self._result_memo[cell.cache_id] = payload["result"]
-            checkpoint_cell(cell.scheme_key, cell.trace_name, payload["result"])
-            self.metrics.bump("cells_fabric")
-        else:
-            self.metrics.bump("cells_failed")
-        if entry is not None:
-            self.inflight.resolve_and_release(entry, payload)
-        job.record_cell(
-            scheme=cell.scheme_key, trace_name=cell.trace_name, index=cell.index,
-            source=SOURCE_FABRIC, payload=payload,
-        )
 
     def _run_owned_fabric(
         self, job: Job,
-        owned: list[tuple[CellTask, InFlightCell | None]],
+        owned: list[tuple[CellTask, InFlightCell]],
         checkpoint_cell: Callable[[str, str, Any], None],
     ) -> bool:
         """Hand this job's owned cells to the fleet and collect outcomes.
@@ -774,38 +691,24 @@ class Scheduler:
             DEAD as CELL_DEAD,
             DONE as CELL_DONE,
             FAILED as CELL_FAILED,
+            expand_spec,
         )
 
         if not owned:
             return True
-        spec = job.spec
         # The job row may be missing when this job was recovered from
         # state_dir before the fabric existed; (re)insert idempotently.
-        self.fabric.submit(spec, job.id, expand=False)
-        by_index: dict[int, tuple[CellTask, InFlightCell | None]] = {}
-        descriptors: list[dict[str, Any]] = []
-        for cell, entry in owned:
-            by_index[cell.index] = (cell, entry)
-            t_index = cell.index % len(spec.traces)
-            scheme_i = cell.index // len(spec.traces)
-            name, options = spec.schemes[scheme_i]
-            descriptors.append(
-                {
-                    "idx": cell.index,
-                    "scheme": {"name": name, "options": dict(options)},
-                    "scheme_key": cell.scheme_key,
-                    "trace_spec": spec.traces[t_index].canonical(),
-                    "trace_label": cell.trace_name,
-                    "sharer_key": spec.sharer_key,
-                    "priority": spec.priority,
-                    **(
-                        {"max_attempts": spec.max_attempts}
-                        if spec.max_attempts
-                        else {}
-                    ),
-                }
-            )
-        self.fabric.add_cells(job.id, descriptors)
+        self.fabric.submit(job.spec, job.id, expand=False)
+        by_index = {cell.index: (cell, entry) for cell, entry in owned}
+        self.fabric.add_cells(
+            job.id,
+            [
+                # Filed under the built trace's name, as in-process cells are.
+                {**cell, "trace_label": by_index[cell["idx"]][0].trace_name}
+                for cell in expand_spec(job.spec)
+                if cell["idx"] in by_index
+            ],
+        )
 
         pending = set(by_index)
         while pending:
@@ -813,9 +716,7 @@ class Scheduler:
                 # Leased cells keep running; their results settle in the
                 # db and are collected on resume (or served from cache).
                 for index in pending:
-                    _, entry = by_index[index]
-                    if entry is not None:
-                        self.inflight.abandon_and_release(entry)
+                    self.inflight.abandon_and_release(by_index[index][1])
                 return False
             for outcome in self.fabric.cell_outcomes(job.id):
                 index = outcome["index"]
@@ -836,7 +737,7 @@ class Scheduler:
                     continue  # still pending/leased
                 pending.discard(index)
                 cell, entry = by_index[index]
-                self._finish_fabric(job, cell, entry, payload, checkpoint_cell)
+                self._finish(job, cell, payload, SOURCE_FABRIC, checkpoint_cell, entry)
             if pending:
                 try:
                     # The wait loop doubles as a reaper, so a fleet of
@@ -850,7 +751,7 @@ class Scheduler:
 
     def _await_coalesced(
         self, job: Job, simulator: Simulator,
-        waiting: list[tuple[CellTask, InFlightCell]],
+        waiting: list[tuple[CellTask, InFlightCell]], traces: list[Any],
         checkpoint_cell: Callable[[str, str, Any], None],
     ) -> bool:
         """Collect outcomes for cells another job is computing."""
@@ -863,17 +764,8 @@ class Scheduler:
                 if not entry.wait(_WAIT_POLL):
                     continue
                 if not entry.abandoned:
-                    payload = entry.outcome
-                    if payload["status"] == "ok":
-                        self.metrics.bump("cells_coalesced")
-                        checkpoint_cell(
-                            cell.scheme_key, cell.trace_name, payload["result"]
-                        )
-                    else:
-                        self.metrics.bump("cells_failed")
-                    job.record_cell(
-                        scheme=cell.scheme_key, trace_name=cell.trace_name,
-                        index=cell.index, source=SOURCE_COALESCED, payload=payload,
+                    self._finish(
+                        job, cell, entry.outcome, SOURCE_COALESCED, checkpoint_cell
                     )
                     break
                 # Abandoned by a stopped owner: re-resolve ourselves.
@@ -881,7 +773,8 @@ class Scheduler:
                     break
                 entry, is_owner = self.inflight.claim(cell.cache_id, job.id)
                 if is_owner:
-                    payload = self._simulate_cell(simulator, cell)
-                    self._finish_owned(job, cell, entry, payload, checkpoint_cell)
+                    finished = self._run_owned(
+                        job, simulator, [(cell, entry)], traces, checkpoint_cell
+                    ) and finished
                     break
         return finished

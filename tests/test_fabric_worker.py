@@ -10,7 +10,9 @@ deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.fabric.chaos import canonical_digest, serial_results
 from repro.fabric.queue import DurableCellQueue
 from repro.fabric.worker import FabricWorker
 from repro.runner.cache import ResultCache
-from repro.service.spec import parse_job_spec
+from repro.service.spec import TraceSpec, parse_job_spec
 
 SPEC = {
     "schemes": ["dir0b", "wti", "dragon"],
@@ -107,6 +109,59 @@ class TestFleetParity:
         assert list(assembled["results"]["dir0b"]) == ["pops"]
         # A permanent failure settles once; it never crash-loops.
         assert queue.stats()["dead_letters"] == 0
+
+
+class TestTraceLifetime:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Weak references to every trace ``TraceSpec.build`` returns."""
+        refs: list[weakref.ref] = []
+        real_build = TraceSpec.build
+
+        def spy(self):
+            trace = real_build(self)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(TraceSpec, "build", spy)
+        return refs
+
+    def test_worker_builds_each_trace_once_per_job(self, tmp_path, built):
+        spec, queue, workers = run_fleet(tmp_path / "fabric.db", None, n_workers=1)
+        assert queue.job_state("job-1") == "done"
+        assert workers[0].settled["simulated"] == spec.cell_count()
+        # Three schemes share each of the two traces.
+        assert len(built) == len(spec.traces)
+
+    def test_no_trace_outlives_the_job(self, tmp_path, built):
+        _, queue, workers = run_fleet(tmp_path / "fabric.db", None, n_workers=1)
+        assert queue.job_state("job-1") == "done"
+        gc.collect()
+        # The worker is still alive, but it holds none of the job's traces.
+        assert workers[0].leases > 0
+        assert built and all(ref() is None for ref in built)
+
+    def test_malformed_trace_spec_settles_as_error(self, tmp_path):
+        spec = parse_job_spec(dict(SPEC))
+        queue = DurableCellQueue(tmp_path / "fabric.db")
+        queue.submit(spec, "job-1", expand=False)
+        queue.add_cells(
+            "job-1",
+            [
+                {
+                    "idx": 0,
+                    "scheme": {"name": "dir0b", "options": {}},
+                    "scheme_key": "dir0b",
+                    "trace_spec": {"workload": "pops", "bogus": 1},
+                    "trace_label": "pops",
+                    "sharer_key": spec.sharer_key,
+                }
+            ],
+        )
+        worker = FabricWorker(queue, worker_id="w0", poll_s=0.02)
+        assert worker.run() == 1
+        assert worker.settled["error"] == 1
+        assert queue.unfinished_cells() == 0
 
 
 class TestFullJitter:

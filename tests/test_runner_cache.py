@@ -1,6 +1,8 @@
 """ResultCache corruption handling: quarantine, never raise (ISSUE satellite)."""
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -94,3 +96,35 @@ def test_sweep_resimulates_through_garbage_cache_entry(tmp_path, trace):
     # The recomputed result was written back over the freed slot.
     rewritten = json.loads(entries[0].read_text("utf-8"))
     assert rewritten["version"] == CACHE_VERSION
+
+
+def test_concurrent_puts_of_one_key_use_separate_temp_files(
+    tmp_path, simulator, trace, monkeypatch
+):
+    cache = ResultCache(tmp_path / "cache")
+    key = cache_key("dir0b", simulator, trace_fingerprint(trace))
+    payload = result_to_json(run_cell(simulator, trace))
+    temp_paths = []
+    both_written = threading.Barrier(2, timeout=10.0)
+    replace = os.replace
+
+    def replace_after_both_writes(src, dst):
+        temp_paths.append(str(src))
+        both_written.wait()
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_both_writes)
+    writers = [
+        threading.Thread(target=cache.put_json, args=(key, payload))
+        for _ in range(2)
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=10.0)
+    assert not any(writer.is_alive() for writer in writers)
+    monkeypatch.undo()
+
+    assert len(set(temp_paths)) == 2
+    assert cache.get_json(key) == payload
+    assert cache.quarantined == 0

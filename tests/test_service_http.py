@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -176,6 +177,19 @@ def test_shutdown_endpoint_requests_stop(server, client):
     assert response == {"stopping": True, "mode": "drain"}
     assert server.stop_event.is_set()
     assert server.requested_shutdown_mode == "drain"
+
+
+def test_shutdown_is_requested_before_the_response(server, client, monkeypatch):
+    request_shutdown = ServiceServer.request_shutdown
+
+    def slow_request_shutdown(self, mode):
+        time.sleep(0.2)
+        request_shutdown(self, mode)
+
+    monkeypatch.setattr(ServiceServer, "request_shutdown", slow_request_shutdown)
+    client.shutdown(mode="checkpoint")
+    assert server.stop_event.is_set()
+    assert server.requested_shutdown_mode == "checkpoint"
 
 
 def test_http_submit_body_matches_cli_json_registry(client, capsys):

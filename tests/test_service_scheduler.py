@@ -1,15 +1,20 @@
 """Scheduler behaviour: execution, dedup layers, shutdown, resume."""
 
+import gc
 import json
 import time
+import weakref
 
 import pytest
 
+import repro.runner.cache as cache_module
 from repro.core.simulator import Simulator
 from repro.runner.checkpoint import result_to_json
 from repro.service.jobs import CANCELLED, DONE, QUEUED
 from repro.service.scheduler import Scheduler
-from repro.service.spec import parse_job_spec
+from repro.service.spec import TraceSpec, parse_job_spec
+from repro.store.writer import pack_trace
+from repro.trace.io import load_trace, write_trace_file
 from repro.workloads.registry import make_trace
 
 pytestmark = pytest.mark.service
@@ -208,3 +213,100 @@ def test_stats_shape(scheduler):
     assert {"uptime_s", "jobs", "cells", "queue_depth", "workers"} <= set(stats)
     assert stats["jobs"]["total"] == 0
     assert stats["cells"]["simulated"] == 0
+
+
+def run_job(scheduler, spec):
+    job, _ = scheduler.submit(spec)
+    assert wait_for(lambda: job.finished)
+    assert job.state == DONE
+    return job
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Count ``TraceSpec.build`` and trace-fingerprint calls (delegating)."""
+    calls = {"build": 0, "fingerprint": 0}
+    build, fingerprint = TraceSpec.build, cache_module.fingerprint_trace
+
+    def spy_build(self):
+        calls["build"] += 1
+        return build(self)
+
+    def spy_fingerprint(trace):
+        calls["fingerprint"] += 1
+        return fingerprint(trace)
+
+    monkeypatch.setattr(TraceSpec, "build", spy_build)
+    # Every trace_fingerprint() call, whoever imported it, lands here.
+    monkeypatch.setattr(cache_module, "fingerprint_trace", spy_fingerprint)
+    return calls
+
+
+def test_finished_job_holds_no_reference_to_its_trace(scheduler, monkeypatch):
+    built = []
+    build = TraceSpec.build
+
+    def spy_build(self):
+        trace = build(self)
+        built.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(TraceSpec, "build", spy_build)
+    run_job(scheduler, make_spec())
+    gc.collect()
+    assert built
+    assert all(ref() is None for ref in built)
+
+
+def test_repeated_job_neither_builds_nor_fingerprints(scheduler, spies):
+    first = run_job(scheduler, make_spec())
+    assert spies == {"build": 1, "fingerprint": 1}
+    second = run_job(scheduler, make_spec(tags={"round": "two"}))
+    assert spies == {"build": 1, "fingerprint": 1}
+    assert second.cell_sources["cache"] == 2
+    assert second.results == first.results
+
+
+def test_ctrc_rewritten_in_place_is_refingerprinted(scheduler, spies, tmp_path):
+    path = tmp_path / "shared.ctrc"
+    pack_trace(make_trace("pops", length=1500, seed=3), path)
+    spec = make_spec(traces=[{"path": str(path)}])
+    first = run_job(scheduler, spec)
+    run_job(scheduler, make_spec(traces=[{"path": str(path)}], tags={"n": 2}))
+    assert spies["fingerprint"] == 1  # unchanged store: memo hit
+
+    pack_trace(make_trace("pops", length=1700, seed=5), path)
+    second = run_job(scheduler, make_spec(traces=[{"path": str(path)}], tags={"n": 3}))
+    assert spies["fingerprint"] == 2
+    assert second.cell_sources["simulated"] == 2
+    assert second.results != first.results
+    trace = load_trace(path)
+    for scheme, per_trace in second.results.items():
+        direct = Simulator().run(trace, scheme, trace_name=trace.name)
+        direct.scheme = scheme
+        assert per_trace == {trace.name: result_to_json(direct)}
+
+
+def test_text_trace_is_refingerprinted_on_every_job(scheduler, spies, tmp_path):
+    path = tmp_path / "plain.trace"
+    write_trace_file(make_trace("pops", length=1500, seed=3), path)
+    first = run_job(scheduler, make_spec(traces=[{"path": str(path)}]))
+    assert spies["fingerprint"] == 1
+    second = run_job(
+        scheduler, make_spec(traces=[{"path": str(path)}], tags={"n": 2})
+    )
+    assert spies["fingerprint"] == 2
+    assert second.cell_sources["cache"] == 2
+    assert second.results == first.results
+
+
+def test_private_cache_directory_removed_at_shutdown():
+    scheduler = Scheduler(workers=1)
+    directory = scheduler.result_cache.directory
+    scheduler.start()
+    try:
+        run_job(scheduler, make_spec())
+        assert len(scheduler.result_cache) == 2
+    finally:
+        scheduler.shutdown(mode="drain", timeout=30.0)
+    assert not directory.exists()
