@@ -38,15 +38,19 @@ chaos:
 	PYTHONPATH=src python -m repro chaos --workers 3 --seed 0
 
 # What CI runs (.github/workflows/ci.yml): the tier-1 suite, the
-# end-to-end benchmark's smoke tests, exhaustive protocol
-# verification, and the conformance fuzz with mutation testing on
-# infinite caches and on the finite-parity job's evicting 4x2
-# geometry (fuzz cells re-run on the fast path, so the state-table
-# kernels see adversarial traces in both cache models), without
-# needing an install.
+# end-to-end benchmark's smoke tests, a streamed .ctrc generation
+# re-hashed against its stored fingerprint (4096-record chunks split
+# scheduling rounds), exhaustive protocol verification, and the
+# conformance fuzz with mutation testing on infinite caches and on the
+# finite-parity job's evicting 4x2 geometry (fuzz cells re-run on the
+# fast path, so the state-table kernels see adversarial traces in both
+# cache models), without needing an install.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
+	mkdir -p build
+	PYTHONPATH=src python -m repro trace gen thor build/ci-thor.ctrc --length 50000 --chunk-records 4096
+	PYTHONPATH=src python -m repro trace info build/ci-thor.ctrc --verify
 	PYTHONPATH=src python -m repro verify
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation

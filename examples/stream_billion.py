@@ -3,7 +3,7 @@
 The paper's traces are ~3.2M references; the in-memory reproduction
 scales them down to fit comfortably in RAM.  The chunked trace store
 (``docs/TRACESTORE.md``) removes that constraint: the workload
-generator emits records one at a time, the ``.ctrc`` writer holds one
+generator emits one scheduling round at a time, the ``.ctrc`` writer holds one
 chunk of columns, and the simulator replays one decoded chunk at a
 time — so the only resource that scales with trace length is disk.
 
@@ -11,7 +11,7 @@ This example streams a configurable number of references (default ten
 million; pass a count to go higher — a billion works, given ~25 GB of
 disk and a few hours) and demonstrates:
 
-* streaming generation (``stream_trace`` -> ``StreamingTraceWriter``),
+* streaming generation (``stream_trace`` -> ``write_stream``),
 * index inspection without touching the chunk data,
 * bounded-memory simulation bit-identical to the in-memory path,
 * mid-chunk checkpoint/resume over the same file.
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.core.simulator import Simulator
 from repro.runner.resilient import run_resilient_sweep
-from repro.store import ChunkedTrace, StreamingTraceWriter
+from repro.store import ChunkedTrace, write_stream
 from repro.workloads.registry import stream_trace
 
 LENGTH = 10_000_000
@@ -48,16 +48,14 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{WORKLOAD}-{length}.ctrc"
 
-        # 1. Stream the workload to disk.  The writer never holds more
-        # than one chunk (262,144 references) of column buffers, so
-        # this loop runs at the same memory footprint whether length
-        # is ten thousand or ten billion.
+        # 1. Stream the workload to disk, one scheduling round's
+        # columns at a time.  The writer never holds more than one
+        # chunk (262,144 references) of column buffers, so this runs at
+        # the same memory footprint whether length is ten thousand or
+        # ten billion.
         print(f"streaming {length:,} references of '{WORKLOAD}' ...")
         start = time.perf_counter()
-        with StreamingTraceWriter(path, WORKLOAD) as writer:
-            for record in stream_trace(WORKLOAD, length=length):
-                writer.append(record)
-        meta = writer.close()
+        meta = write_stream(stream_trace(WORKLOAD, length=length), path, WORKLOAD)
         elapsed = time.perf_counter() - start
         print(
             f"  {meta['records']:,} records -> {len(meta['chunks'])} chunks, "

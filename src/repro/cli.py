@@ -233,29 +233,30 @@ def cmd_trace_info(args) -> int:
 def cmd_trace_gen(args) -> int:
     """``repro trace gen``: stream a workload straight into a ``.ctrc`` file.
 
-    The workload generator and the chunked writer both run at bounded
-    memory, so the trace length is limited by disk, not RAM.
+    The paper workloads stream one scheduling round's columns at a time
+    into the chunked writer, so the trace length is limited by disk, not
+    RAM.  The ``micro-`` and ``modern-`` generators are small by design:
+    they are materialized, then packed from their columns.
     """
-    from repro.store import StreamingTraceWriter
+    from repro.store import pack_trace, write_stream
     from repro.workloads.registry import stream_trace
 
-    if args.workload.startswith("micro-"):
-        # Micro generators are small by design; materialize then stream.
+    options = {
+        "codec": args.codec,
+        "chunk_records": args.chunk_records,
+        "level": args.level,
+    }
+    if args.workload.startswith(("micro-", "modern-")):
         trace = _make_any_trace(args.workload, length=args.length, seed=args.seed)
-        records = iter(trace.records)
+        meta = pack_trace(trace, args.output, name=args.workload, **options)
     else:
         kwargs = {} if args.seed is None else {"seed": args.seed}
-        records = stream_trace(args.workload, length=args.length, **kwargs)
-    with StreamingTraceWriter(
-        args.output,
-        args.workload,
-        codec=args.codec,
-        chunk_records=args.chunk_records,
-        level=args.level,
-    ) as writer:
-        for record in records:
-            writer.append(record)
-    meta = writer.close()
+        meta = write_stream(
+            stream_trace(args.workload, length=args.length, **kwargs),
+            args.output,
+            args.workload,
+            **options,
+        )
     print(
         f"streamed {meta['records']:,} records of '{args.workload}' into "
         f"{len(meta['chunks'])} {args.codec} chunks at {args.output}"

@@ -27,9 +27,10 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.errors import TraceFormatError
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, check_flags
 from repro.trace.fingerprint import TraceHasher
 from repro.trace.record import RefType, TraceRecord
+from repro.trace.stream import Trace
 
 from repro.store.format import (
     CHUNK_CODECS,
@@ -284,17 +285,31 @@ def write_stream(
     name: str | None = None,
     **options: Any,
 ) -> dict[str, Any]:
-    """Stream a record iterable into a ``.ctrc`` file; returns the metadata."""
+    """Stream a record iterable into a ``.ctrc`` file; returns the metadata.
+
+    A source that also has ``iter_columns()`` — a generated workload's
+    :class:`~repro.workloads.base.WorkloadStream` — is packed from its
+    column rounds instead, with no record built.  Each round's flags
+    pass :func:`~repro.trace.columnar.check_flags`, as the record
+    constructor would, and a value outside the 64-bit columns raises
+    ``OverflowError``; either way no file is left at *path*.
+    """
     with StreamingTraceWriter(path, name, **options) as writer:
-        writer.extend(records)
+        iter_columns = getattr(records, "iter_columns", None)
+        if iter_columns is None:
+            writer.extend(records)
+        else:
+            for cpu, pid, type_code, address, flags in iter_columns():
+                check_flags(flags)
+                writer.append_columns(cpu, pid, type_code, address, flags)
     return writer.close()
 
 
 def pack_trace(trace: Any, path: str | Path, **options: Any) -> dict[str, Any]:
     """Pack any trace representation into a ``.ctrc`` file.
 
-    Columnar traces (and chunked traces, chunk by chunk) take the bulk
-    column path; record-backed and lazy traces stream record by record.
+    Columnar and in-memory traces (and chunked traces, chunk by chunk)
+    take the bulk column path; lazy traces stream record by record.
     Returns the written index metadata.
     """
     options.setdefault("name", getattr(trace, "name", None))
@@ -306,9 +321,13 @@ def pack_trace(trace: Any, path: str | Path, **options: Any) -> dict[str, Any]:
                 writer.append_columns(
                     chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
                 )
-        elif isinstance(trace, ColumnarTrace):
+        elif isinstance(trace, ColumnarTrace) or (
+            isinstance(trace, Trace) and trace.in_memory
+        ):
+            columns = ColumnarTrace.from_trace(trace)
             writer.append_columns(
-                trace.cpu, trace.pid, trace.type_code, trace.address, trace.flags
+                columns.cpu, columns.pid, columns.type_code, columns.address,
+                columns.flags,
             )
         else:
             writer.extend(trace.records if hasattr(trace, "records") else trace)

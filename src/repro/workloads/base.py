@@ -24,11 +24,12 @@ Every knob lives in :class:`WorkloadConfig`; the POPS/THOR/PERO
 analogue configurations are in their own modules.
 
 The process state machines append straight into packed columns (see
-:class:`~repro.trace.columnar.ColumnarTrace`); :meth:`SyntheticWorkload.build`
-wraps them in a :class:`~repro.trace.stream.Trace` that builds its
+:class:`~repro.trace.columnar.ColumnarTrace`), one scheduling quantum
+per call.  :meth:`SyntheticWorkload.build` wraps them in a
+:class:`~repro.trace.stream.Trace` that builds its
 :class:`~repro.trace.record.TraceRecord` objects only when a caller reads
-them, and :meth:`SyntheticWorkload.iter_records` turns each scheduling
-round's rows into records as it streams.
+them; :class:`WorkloadStream` hands out each scheduling round's columns,
+or its records, as it generates.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class WorkloadConfig:
     cs_data_refs: int = 6
     #: Spin test reads emitted per blocked scheduling step.  Fractional
     #: values emit probabilistically (a slow spin loop with several
-    #: instructions per test); a step that emits no test still fetches
-    #: a spin-loop instruction.
+    #: instructions per test): a step emits ``int(rate)`` reads, plus one
+    #: with probability ``rate - int(rate)``.  A step that draws no read
+    #: emits nothing at all, not even an instruction fetch.
     spin_reads_per_step: float = 1.0
 
     #: Within a critical section, fraction of protected-data references
@@ -194,7 +196,13 @@ class _Columns:
 
 
 class _Process:
-    """One process's state machine; appends its references to the columns."""
+    """One process's state machine; appends its references to the columns.
+
+    :meth:`run` executes a whole scheduling quantum in one loop.  It
+    appends only the type, address and flags columns: the scheduler
+    fills ``cpu`` and ``pid`` once per quantum, since migration happens
+    only between rounds.
+    """
 
     def __init__(
         self, workload: "SyntheticWorkload", pid: int, columns: _Columns
@@ -205,15 +213,15 @@ class _Process:
         self.config = config
         self.pid = pid
         self.cpu = pid % max(1, config.num_processes)
-        self.rng = random.Random((config.seed << 8) ^ (pid * 0x9E3779B1))
+        self.rng = rng = random.Random((config.seed << 8) ^ (pid * 0x9E3779B1))
         self.instr_offset = pid * 17
         self.kernel_instr_offset = pid * 31
         self.blocked_on = None  # Lock instance while spinning
         self.cs_remaining = 0
-        self.cs_block = 0
+        self.cs_base = 0  # address of block 0 of the held lock's data
+        self.cs_focus_address = 0  # the block this holder focuses on
         self.held_lock = None
         self.pending_write = None  # (address, flags) for read-modify-write
-        self.private_picker = LocalityPicker(layout.private_blocks)
         self.produced_buffers = workload.buffers.buffers_produced_by(pid)
         self.produce_slot = 0
 
@@ -221,8 +229,6 @@ class _Process:
         # layout checks the pid here, once).
         self.instr_base = layout.instr_address(pid, 0)
         self.kernel_text_base = layout.kernel_text_address(0)
-        self.private_base = layout.private_address(pid, 0)
-        self.kernel_private_base = layout.kernel_private_address(pid, 0)
         # Emitting f/(1-f) instructions per data reference yields an
         # instruction fraction of f overall; the ratio exceeds one when
         # instructions outnumber data references.
@@ -232,73 +238,233 @@ class _Process:
         self.instr_whole = int(ratio)
         self.instr_fractional = ratio - int(ratio)
 
-        self._cpu_column = columns.cpu.append
-        self._pid_column = columns.pid.append
         self._type_column = columns.type_code.append
         self._address_column = columns.address.append
         self._flags_column = columns.flags.append
 
+        # Everything run() reads per step, unpacked once per quantum.
+        spin_rate = config.spin_reads_per_step
+        p_hot, hot_blocks, private_blocks = LocalityPicker(
+            layout.private_blocks
+        ).draw_parameters
+        self._constants = (
+            rng.random,
+            rng.getrandbits,
+            self._type_column,
+            self._address_column,
+            self._flags_column,
+            config.system_fraction,
+            config.p_lock_attempt,
+            config.p_shared_read,
+            config.p_shared_update,
+            config.p_migratory,
+            config.p_buffer,
+            config.num_locks,
+            config.write_fraction_private,
+            config.cs_focus,
+            config.write_fraction_protected,
+            int(spin_rate),
+            spin_rate - int(spin_rate),
+            self.emits_instr,
+            self.instr_whole,
+            self.instr_fractional,
+            self.instr_base,
+            self.kernel_text_base,
+            layout.private_address(pid, 0),
+            layout.kernel_private_address(pid, 0),
+            layout.block_bytes,
+            p_hot,
+            hot_blocks,
+            hot_blocks.bit_length(),
+            private_blocks,
+            private_blocks.bit_length(),
+            layout.kernel_private_blocks,
+            layout.kernel_private_blocks.bit_length(),
+            layout.protected_blocks_per_lock,
+            layout.protected_blocks_per_lock.bit_length(),
+        )
+
     # ------------------------------------------------------------------
-    # Emission helpers
+    # One scheduling quantum: one data action per step
     # ------------------------------------------------------------------
 
-    def _emit(self, code: int, address: int, flags: int) -> None:
-        self._cpu_column(self.cpu)
-        self._pid_column(self.pid)
-        self._type_column(code)
-        self._address_column(address)
-        self._flags_column(flags)
+    def run(self, steps: range) -> None:
+        """Execute one scheduling quantum: one data action per step.
 
-    def _emit_instr(self, system: int) -> None:
-        if system:
-            self.kernel_instr_offset = (self.kernel_instr_offset + 1) % 4096
-            address = self.kernel_text_base + 4 * self.kernel_instr_offset
-        else:
-            self.instr_offset = (self.instr_offset + 1) % 2048
-            address = self.instr_base + 4 * self.instr_offset
-        self._emit(TYPE_INSTR, address, system)
+        Single-reference actions (private and critical-section accesses,
+        a read-modify-write's pending write, a one-read spin step) share
+        the emission tail at the bottom of the loop; rare and
+        multi-reference actions call their helpers.  The RNG draws and
+        float comparisons keep the order the pinned fingerprints fix:
+        the action cascade subtracts each probability in turn, and each
+        inlined bounded draw is CPython's ``randrange(n)`` —
+        ``getrandbits(n.bit_length())``, redrawn while ``>= n``.
+        """
+        (
+            random,
+            getrandbits,
+            type_append,
+            address_append,
+            flags_append,
+            system_fraction,
+            p_lock_attempt,
+            p_shared_read,
+            p_shared_update,
+            p_migratory,
+            p_buffer,
+            num_locks,
+            write_fraction_private,
+            cs_focus,
+            write_fraction_protected,
+            spin_whole,
+            spin_fractional,
+            emits_instr,
+            instr_whole,
+            instr_fractional,
+            instr_base,
+            kernel_text_base,
+            private_base,
+            kernel_private_base,
+            block_bytes,
+            p_hot,
+            hot_blocks,
+            hot_bits,
+            private_blocks,
+            private_bits,
+            kernel_private_blocks,
+            kernel_private_bits,
+            protected_blocks,
+            protected_bits,
+        ) = self._constants
+        for _ in steps:
+            lock = self.blocked_on
+            if lock is not None:
+                if lock.holder is None:
+                    # The test finally succeeds: test read, then test-and-set.
+                    self.blocked_on = None
+                    self._acquire(lock)
+                    continue
+                count = spin_whole + 1 if random() < spin_fractional else spin_whole
+                if count != 1:
+                    self._spin(lock, count)
+                    continue
+                address = lock.address
+                code = TYPE_READ
+                flags = _SPIN
+            elif self.pending_write is not None:
+                address, flags = self.pending_write
+                self.pending_write = None
+                code = TYPE_WRITE
+            elif self.cs_remaining:
+                self.cs_remaining -= 1
+                if not self.cs_remaining:
+                    self._release()
+                    continue
+                if random() < cs_focus:
+                    address = self.cs_focus_address
+                else:
+                    block = getrandbits(protected_bits)
+                    while block >= protected_blocks:
+                        block = getrandbits(protected_bits)
+                    address = self.cs_base + block * block_bytes
+                code = TYPE_WRITE if random() < write_fraction_protected else TYPE_READ
+                flags = 0
+            else:
+                flags = FLAG_SYSTEM if random() < system_fraction else 0
+                roll = random()
+                if not flags and roll < p_lock_attempt and num_locks:
+                    self._attempt_lock()
+                    continue
+                roll -= p_lock_attempt
+                if roll < p_shared_read:
+                    self._shared_access(False, flags)
+                    continue
+                roll -= p_shared_read
+                if roll < p_shared_update:
+                    self._shared_access(True, flags)
+                    continue
+                roll -= p_shared_update
+                if roll < p_migratory:
+                    self._migratory_episode(flags)
+                    continue
+                roll -= p_migratory
+                if roll < p_buffer:
+                    self._buffer_access(flags)
+                    continue
+                # Private data: kernel-private in system mode, else the
+                # hot-set picker over the process's own blocks.
+                if flags:
+                    block = getrandbits(kernel_private_bits)
+                    while block >= kernel_private_blocks:
+                        block = getrandbits(kernel_private_bits)
+                    address = kernel_private_base + block * block_bytes
+                else:
+                    if random() < p_hot:
+                        block = getrandbits(hot_bits)
+                        while block >= hot_blocks:
+                            block = getrandbits(hot_bits)
+                    else:
+                        block = getrandbits(private_bits)
+                        while block >= private_blocks:
+                            block = getrandbits(private_bits)
+                    address = private_base + block * block_bytes
+                code = TYPE_WRITE if random() < write_fraction_private else TYPE_READ
+
+            # The emission tail: instruction fetches, then the reference.
+            if emits_instr:
+                fetches = instr_whole
+                if random() < instr_fractional:
+                    fetches += 1
+                if flags & FLAG_SYSTEM:
+                    offset = self.kernel_instr_offset
+                    while fetches:
+                        offset = (offset + 1) % 4096
+                        type_append(TYPE_INSTR)
+                        address_append(kernel_text_base + 4 * offset)
+                        flags_append(FLAG_SYSTEM)
+                        fetches -= 1
+                    self.kernel_instr_offset = offset
+                else:
+                    offset = self.instr_offset
+                    while fetches:
+                        offset = (offset + 1) % 2048
+                        type_append(TYPE_INSTR)
+                        address_append(instr_base + 4 * offset)
+                        flags_append(0)
+                        fetches -= 1
+                    self.instr_offset = offset
+            type_append(code)
+            address_append(address)
+            flags_append(flags)
+
+    # ------------------------------------------------------------------
+    # Rare and multi-reference actions
+    # ------------------------------------------------------------------
 
     def _emit_data(self, address: int, is_write: bool, flags: int) -> None:
         """One data reference (flags carry system/lock/spin), preceded by
-        its share of instruction fetches."""
+        its share of instruction fetches; :meth:`run`'s tail inlined."""
         if self.emits_instr:
-            system = flags & FLAG_SYSTEM
-            for _ in range(self.instr_whole):
-                self._emit_instr(system)
+            fetches = self.instr_whole
             if self.rng.random() < self.instr_fractional:
-                self._emit_instr(system)
-        self._emit(TYPE_WRITE if is_write else TYPE_READ, address, flags)
+                fetches += 1
+            system = flags & FLAG_SYSTEM
+            for _ in range(fetches):
+                if system:
+                    self.kernel_instr_offset = (self.kernel_instr_offset + 1) % 4096
+                    fetch = self.kernel_text_base + 4 * self.kernel_instr_offset
+                else:
+                    self.instr_offset = (self.instr_offset + 1) % 2048
+                    fetch = self.instr_base + 4 * self.instr_offset
+                self._type_column(TYPE_INSTR)
+                self._address_column(fetch)
+                self._flags_column(system)
+        self._type_column(TYPE_WRITE if is_write else TYPE_READ)
+        self._address_column(address)
+        self._flags_column(flags)
 
-    # ------------------------------------------------------------------
-    # One scheduling step = one data action
-    # ------------------------------------------------------------------
-
-    def step(self) -> None:
-        """Execute one data action for this process."""
-        if self.blocked_on is not None:
-            self._spin_step()
-            return
-        if self.pending_write is not None:
-            address, flags = self.pending_write
-            self.pending_write = None
-            self._emit_data(address, True, flags)
-            return
-        if self.cs_remaining > 0:
-            self._critical_section_step()
-            return
-        self._free_step()
-
-    def _spin_step(self) -> None:
-        lock = self.blocked_on
-        if not lock.held:
-            # The test finally succeeds: test read, then test-and-set.
-            self.blocked_on = None
-            self._acquire(lock)
-            return
-        rate = self.config.spin_reads_per_step
-        count = int(rate)
-        if self.rng.random() < rate - count:
-            count += 1
+    def _spin(self, lock, count: int) -> None:
+        """A blocked step with other than one test read of *lock*."""
         for _ in range(count):
             self._emit_data(lock.address, False, _SPIN)
 
@@ -309,58 +475,18 @@ class _Process:
         lock.acquire(self.pid)
         self.held_lock = lock
         self.cs_remaining = self.config.cs_data_refs
-        self.cs_block = self.rng.randrange(
-            self.config.layout.protected_blocks_per_lock
+        layout = self.config.layout
+        self.cs_base = layout.protected_address(lock.index, 0)
+        self.cs_focus_address = layout.protected_address(
+            lock.index, self.rng.randrange(layout.protected_blocks_per_lock)
         )
 
-    def _critical_section_step(self) -> None:
+    def _release(self) -> None:
+        # Release: a write to the lock word.
         lock = self.held_lock
-        self.cs_remaining -= 1
-        if self.cs_remaining == 0:
-            # Release: a write to the lock word.
-            self._emit_data(lock.address, True, FLAG_LOCK)
-            lock.release(self.pid)
-            self.held_lock = None
-            return
-        layout = self.config.layout
-        if self.rng.random() < self.config.cs_focus:
-            block = self.cs_block
-        else:
-            block = self.rng.randrange(layout.protected_blocks_per_lock)
-        address = layout.protected_address(lock.index, block)
-        is_write = self.rng.random() < self.config.write_fraction_protected
-        self._emit_data(address, is_write, 0)
-
-    def _free_step(self) -> None:
-        config = self.config
-        system = FLAG_SYSTEM if self.rng.random() < config.system_fraction else 0
-        roll = self.rng.random()
-
-        if not system and roll < config.p_lock_attempt and config.num_locks:
-            self._attempt_lock()
-            return
-        roll -= config.p_lock_attempt
-
-        if roll < config.p_shared_read:
-            self._shared_access(False, system)
-            return
-        roll -= config.p_shared_read
-
-        if roll < config.p_shared_update:
-            self._shared_access(True, system)
-            return
-        roll -= config.p_shared_update
-
-        if roll < config.p_migratory:
-            self._migratory_episode(system)
-            return
-        roll -= config.p_migratory
-
-        if roll < config.p_buffer:
-            self._buffer_access(system)
-            return
-
-        self._private_access(system)
+        self._emit_data(lock.address, True, FLAG_LOCK)
+        lock.release(self.pid)
+        self.held_lock = None
 
     def _attempt_lock(self) -> None:
         config = self.config
@@ -368,17 +494,15 @@ class _Process:
             lock = self.workload.locks[0]
         else:
             lock = self.workload.locks[self.rng.randrange(config.num_locks)]
-        if lock.held and lock.holder != self.pid:
+        # A free-running process holds no lock: every acquisition runs
+        # its critical section to the release before the next attempt.
+        if lock.held:
             # Failed test: start spinning.
             lock.waiters.add(self.pid)
             self.blocked_on = lock
             self._emit_data(lock.address, False, _SPIN)
-        elif not lock.held:
-            self._acquire(lock)
-        # Already holding it (can only happen with num_locks == 1 and a
-        # re-attempt); treat as a no-op private access.
         else:
-            self._private_access(0)
+            self._acquire(lock)
 
     def _shared_access(self, is_write: bool, system: int) -> None:
         layout = self.config.layout
@@ -429,21 +553,6 @@ class _Process:
             address = layout.buffer_address(buffers.block_index(buffer, slot))
             self._emit_data(address, True, system)
 
-    def _private_access(self, system: int) -> None:
-        layout = self.config.layout
-        if system:
-            block = self.rng.randrange(layout.kernel_private_blocks)
-            address = self.kernel_private_base + (
-                block % layout.kernel_private_blocks
-            ) * layout.block_bytes
-        else:
-            block = self.private_picker.pick(self.rng)
-            address = self.private_base + (
-                block % layout.private_blocks
-            ) * layout.block_bytes
-        is_write = self.rng.random() < self.config.write_fraction_private
-        self._emit_data(address, is_write, system)
-
 
 class SyntheticWorkload:
     """Builds a deterministic synthetic trace from a configuration."""
@@ -483,13 +592,22 @@ class SyntheticWorkload:
         processes = [
             _Process(self, pid, columns) for pid in range(config.num_processes)
         ]
+        # cpu and pid are constant over a quantum, and both lie in
+        # range(num_processes): fill them from one-row arrays.
+        one_row = [array("Q", (value,)) for value in range(config.num_processes)]
+        type_code = columns.type_code
+        cpu_extend = columns.cpu.extend
+        pid_extend = columns.pid.extend
         next_migration = config.migration_interval
         while columns.total < length:
+            stop = length - columns.flushed
             for process in processes:
-                step = process.step
-                for _ in quantum:
-                    step()
-                if columns.total >= length:
+                start = len(type_code)
+                process.run(quantum)
+                end = len(type_code)
+                cpu_extend(one_row[process.cpu] * (end - start))
+                pid_extend(one_row[process.pid] * (end - start))
+                if end >= stop:
                     break
             if columns.total >= next_migration:
                 self._maybe_migrate(processes)
@@ -497,23 +615,24 @@ class SyntheticWorkload:
             columns.truncate(length)
             yield
 
-    def iter_records(self) -> "Iterator[TraceRecord]":
-        """Stream the trace's records without materializing the trace.
+    def iter_columns(self) -> Iterator[tuple]:
+        """Stream the trace one scheduling round at a time.
 
-        Yields exactly the records :meth:`build` would produce, in the
-        same order — both drive the same column generator, so streaming
-        generation is bit-identical to materialized generation (the
-        chunked-store differential tests hold this).  Buffered rows are
-        bounded by one scheduling round (``num_processes * quantum``
-        data actions plus their instruction fetches), so a generator
-        feeding a :class:`~repro.store.writer.StreamingTraceWriter` can
-        emit traces far larger than memory.  Each record is built (and
-        validated) as it is yielded.  One workload instance supports one
-        iteration at a time.
+        Yields each round's ``(cpu, pid, type_code, address, flags)``
+        columns; they are cleared when the next round is requested, so
+        a consumer copies what it keeps.  Concatenated, the rounds are
+        exactly the columns :meth:`build` produces — both drive the same
+        generator — and buffered rows are bounded by one round
+        (``num_processes * quantum`` data actions plus their instruction
+        fetches), so a trace of any length streams at bounded memory.
+        The flags are not validated here; :meth:`build` and
+        :func:`~repro.store.writer.write_stream` run
+        :func:`~repro.trace.columnar.check_flags`.  One workload
+        instance supports one iteration at a time.
         """
         columns = _Columns()
         for _ in self._rounds(columns):
-            yield from iter_column_records(*columns.fields())
+            yield columns.fields()
             columns.clear()
 
     def build(self) -> Trace:
@@ -536,3 +655,27 @@ class SyntheticWorkload:
                 or f"synthetic workload ({config.num_processes} processes)",
             )
         )
+
+
+class WorkloadStream:
+    """A workload's trace, generated on demand one round at a time.
+
+    Iterating yields the :class:`~repro.trace.record.TraceRecord` s
+    :meth:`SyntheticWorkload.build` would produce; :meth:`iter_columns`
+    yields each scheduling round's columns instead, which is what
+    :func:`~repro.store.writer.write_stream` consumes.  Every pass runs
+    a fresh generator, so the stream can be consumed more than once and
+    always yields the same references.
+    """
+
+    def __init__(self, config: WorkloadConfig) -> None:
+        self.config = config
+
+    def __iter__(self) -> "Iterator[TraceRecord]":
+        # Each record is built (and validated) as it is yielded.
+        for fields in self.iter_columns():
+            yield from iter_column_records(*fields)
+
+    def iter_columns(self) -> Iterator[tuple]:
+        """Each round's columns (see :meth:`SyntheticWorkload.iter_columns`)."""
+        return SyntheticWorkload(self.config).iter_columns()

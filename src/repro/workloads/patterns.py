@@ -29,6 +29,13 @@ class LocalityPicker:
         self._hot_size = max(1, int(size * hot_fraction))
         self._p_hot = p_hot
 
+    @property
+    def draw_parameters(self) -> tuple[float, int, int]:
+        """``(p_hot, hot_size, size)``: :meth:`pick` draws
+        ``randrange(hot_size)`` when ``rng.random() < p_hot``, else
+        ``randrange(size)``."""
+        return self._p_hot, self._hot_size, self._size
+
     def pick(self, rng: random.Random) -> int:
         """Draw one index with hot-set locality."""
         if rng.random() < self._p_hot:

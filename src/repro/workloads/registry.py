@@ -7,7 +7,7 @@ from typing import Callable
 
 from repro.errors import UnknownSchemeError
 from repro.trace.stream import Trace
-from repro.workloads.base import SyntheticWorkload, WorkloadConfig
+from repro.workloads.base import SyntheticWorkload, WorkloadConfig, WorkloadStream
 from repro.workloads.pero import pero_config
 from repro.workloads.pops import pops_config
 from repro.workloads.thor import thor_config
@@ -44,17 +44,17 @@ def make_trace(name: str, length: int = DEFAULT_LENGTH, **kwargs) -> Trace:
     return SyntheticWorkload(workload_config(name, length=length, **kwargs)).build()
 
 
-def stream_trace(name: str, length: int = DEFAULT_LENGTH, **kwargs):
-    """Stream a named workload's records without materializing the trace.
+def stream_trace(name: str, length: int = DEFAULT_LENGTH, **kwargs) -> WorkloadStream:
+    """Stream a named workload without materializing the trace.
 
-    Yields exactly the records :func:`make_trace` would produce (the
-    generator is the same code path), so feeding the stream to
-    :func:`repro.store.write_stream` packs a ``.ctrc`` file whose
-    fingerprint matches the in-memory trace — at bounded memory for any
-    length.
+    The returned :class:`~repro.workloads.base.WorkloadStream` iterates
+    exactly the records :func:`make_trace` would produce (the generator
+    is the same code path) and also hands out each scheduling round's
+    columns, which :func:`repro.store.write_stream` packs straight into
+    a ``.ctrc`` file whose fingerprint matches the in-memory trace — at
+    bounded memory for any length.
     """
-    workload = SyntheticWorkload(workload_config(name, length=length, **kwargs))
-    return workload.iter_records()
+    return WorkloadStream(workload_config(name, length=length, **kwargs))
 
 
 @lru_cache(maxsize=8)

@@ -411,3 +411,24 @@ def test_submit_wait_prints_final_status(capsys):
         assert final["cells"]["completed"] == 2
     finally:
         server.stop(mode="drain", timeout=30.0)
+
+
+@pytest.mark.parametrize("workload", ["thor", "micro-spinlock", "modern-rcu"])
+def test_trace_gen_writes_the_in_memory_trace(tmp_path, capsys, workload):
+    """Every workload family ``trace gen`` offers packs the trace the
+    in-memory generator builds (a round never divides 1,000 records)."""
+    from repro.cli import _make_any_trace
+    from repro.runner.cache import trace_fingerprint
+    from repro.store import ChunkedTrace
+
+    out = tmp_path / "out.ctrc"
+    code, stdout, _err = run_cli(
+        capsys, "trace", "gen", workload, str(out), "--length", "2500",
+        "--seed", "3", "--chunk-records", "1000",
+    )
+    assert code == 0 and "2,500 records" in stdout
+    expected = trace_fingerprint(_make_any_trace(workload, length=2500, seed=3))
+    with ChunkedTrace(out) as stored:
+        assert len(stored.chunks) == 3
+        assert trace_fingerprint(stored) == expected
+        assert stored.meta["fingerprint"] == expected
