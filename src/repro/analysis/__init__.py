@@ -1,86 +1,49 @@
 """Analyses behind the paper's tables, figures, and back-of-envelope models."""
 
-from repro.analysis.breakdown import breakdown_table, breakdown_fractions
-from repro.analysis.invalidations import (
-    InvalidationHistogram,
-    invalidation_histogram,
-)
-from repro.analysis.transactions import transaction_costs
-from repro.analysis.sensitivity import (
-    OverheadModel,
-    overhead_model,
-    crossover_q,
-)
-from repro.analysis.spinlocks import SpinLockImpact, spin_lock_impact
-from repro.analysis.scalability import (
-    BroadcastCostModel,
-    broadcast_cost_model,
-    directory_storage_table,
-    pointer_sweep,
-    wasted_invalidation_rate,
-)
-from repro.analysis.system import SystemBound, effective_processor_bound
-from repro.analysis.bandwidth import BandwidthComparison, bandwidth_comparison
-from repro.analysis.contention import (
-    BusContentionModel,
-    ContentionPoint,
-    contention_model,
-)
-from repro.analysis.scaling import ScalingPoint, by_scheme, run_scaling_study
-from repro.analysis.event_costs import EventCost, event_cost_table, verify_decomposition
-from repro.analysis.networks import NetworkPoint, network_scaling_study
-from repro.analysis.finite import (
-    FiniteCacheDecomposition,
-    RankingShift,
-    capacity_sweep,
-    decompose_finite_cost,
-    ranking_shift,
-    ranking_shifts,
-)
-from repro.analysis.analytic import (
-    MigratoryPrediction,
-    ProducerConsumerPrediction,
-    ReadOnlyDir1NBPrediction,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "breakdown_table",
-    "breakdown_fractions",
-    "InvalidationHistogram",
-    "invalidation_histogram",
-    "transaction_costs",
-    "OverheadModel",
-    "overhead_model",
-    "crossover_q",
-    "SpinLockImpact",
-    "spin_lock_impact",
-    "BroadcastCostModel",
-    "broadcast_cost_model",
-    "directory_storage_table",
-    "pointer_sweep",
-    "wasted_invalidation_rate",
-    "SystemBound",
-    "effective_processor_bound",
-    "BandwidthComparison",
-    "bandwidth_comparison",
-    "BusContentionModel",
-    "ContentionPoint",
-    "contention_model",
-    "ScalingPoint",
-    "by_scheme",
-    "run_scaling_study",
-    "EventCost",
-    "event_cost_table",
-    "verify_decomposition",
-    "NetworkPoint",
-    "network_scaling_study",
-    "FiniteCacheDecomposition",
-    "RankingShift",
-    "capacity_sweep",
-    "decompose_finite_cost",
-    "ranking_shift",
-    "ranking_shifts",
-    "MigratoryPrediction",
-    "ProducerConsumerPrediction",
-    "ReadOnlyDir1NBPrediction",
-]
+_EXPORTS = {
+    "breakdown_table": "repro.analysis.breakdown",
+    "breakdown_fractions": "repro.analysis.breakdown",
+    "InvalidationHistogram": "repro.analysis.invalidations",
+    "invalidation_histogram": "repro.analysis.invalidations",
+    "transaction_costs": "repro.analysis.transactions",
+    "OverheadModel": "repro.analysis.sensitivity",
+    "overhead_model": "repro.analysis.sensitivity",
+    "crossover_q": "repro.analysis.sensitivity",
+    "SpinLockImpact": "repro.analysis.spinlocks",
+    "spin_lock_impact": "repro.analysis.spinlocks",
+    "BroadcastCostModel": "repro.analysis.scalability",
+    "broadcast_cost_model": "repro.analysis.scalability",
+    "directory_storage_table": "repro.analysis.scalability",
+    "pointer_sweep": "repro.analysis.scalability",
+    "wasted_invalidation_rate": "repro.analysis.scalability",
+    "SystemBound": "repro.analysis.system",
+    "effective_processor_bound": "repro.analysis.system",
+    "BandwidthComparison": "repro.analysis.bandwidth",
+    "bandwidth_comparison": "repro.analysis.bandwidth",
+    "BusContentionModel": "repro.analysis.contention",
+    "ContentionPoint": "repro.analysis.contention",
+    "contention_model": "repro.analysis.contention",
+    "ScalingPoint": "repro.analysis.scaling",
+    "by_scheme": "repro.analysis.scaling",
+    "run_scaling_study": "repro.analysis.scaling",
+    "EventCost": "repro.analysis.event_costs",
+    "event_cost_table": "repro.analysis.event_costs",
+    "verify_decomposition": "repro.analysis.event_costs",
+    "NetworkPoint": "repro.analysis.networks",
+    "network_scaling_study": "repro.analysis.networks",
+    "FiniteCacheDecomposition": "repro.analysis.finite",
+    "RankingShift": "repro.analysis.finite",
+    "capacity_sweep": "repro.analysis.finite",
+    "decompose_finite_cost": "repro.analysis.finite",
+    "ranking_shift": "repro.analysis.finite",
+    "ranking_shifts": "repro.analysis.finite",
+    "MigratoryPrediction": "repro.analysis.analytic",
+    "ProducerConsumerPrediction": "repro.analysis.analytic",
+    "ReadOnlyDir1NBPrediction": "repro.analysis.analytic",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -53,9 +53,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from repro.core.simulator import Simulator
-from repro.cost.bus import non_pipelined_bus, pipelined_bus
 from repro.errors import (
     ConfigurationError,
     ConformanceError,
@@ -65,29 +64,20 @@ from repro.errors import (
     ServiceError,
     TraceFormatError,
 )
-from repro.protocols.registry import available_protocols
-from repro.report.experiments import PaperExperiments
-from repro.report.tables import format_table
-from repro.store.format import DEFAULT_CHUNK_RECORDS
-from repro.trace.io import (
-    DecodeReport,
-    load_trace,
-    write_trace_binary,
-    write_trace_file,
-)
-from repro.trace.stats import compute_statistics
-from repro.trace.stream import Trace
-from repro.workloads.micro import MICRO_GENERATORS
-from repro.workloads.modern import MODERN_GENERATORS
-from repro.workloads.registry import (
-    DEFAULT_LENGTH,
-    available_workloads,
-    make_trace,
-)
+
+if TYPE_CHECKING:
+    from repro.trace.stream import Trace
+
+# Each command imports what it uses, so a process loads only its own
+# verb's modules (``repro serve`` never loads the report stack).
 
 
 def workload_choices() -> list[str]:
     """Full workloads plus ``micro-`` and ``modern-`` generator names."""
+    from repro.workloads.micro import MICRO_GENERATORS
+    from repro.workloads.modern import MODERN_GENERATORS
+    from repro.workloads.registry import available_workloads
+
     return (
         available_workloads()
         + [f"micro-{name}" for name in MICRO_GENERATORS]
@@ -96,6 +86,10 @@ def workload_choices() -> list[str]:
 
 
 def _make_any_trace(name: str, length: int, seed: int | None = None) -> Trace:
+    from repro.workloads.micro import MICRO_GENERATORS
+    from repro.workloads.modern import MODERN_GENERATORS
+    from repro.workloads.registry import make_trace
+
     kwargs = {} if seed is None else {"seed": seed}
     if name.startswith("micro-"):
         return MICRO_GENERATORS[name[len("micro-"):]](length=length, **kwargs)
@@ -114,6 +108,8 @@ _ARTIFACT_IDS = (
 
 def _load_trace(path: str, lenient: bool = False, lazy: bool = False) -> Trace:
     """Read a trace file, auto-detecting text vs binary format."""
+    from repro.trace.io import DecodeReport, load_trace
+
     if lazy:
         return load_trace(path, lazy=True, lenient=lenient)
     report = DecodeReport()
@@ -136,6 +132,8 @@ def cmd_list(args) -> int:
     ``--json`` emits the machine-readable registry the service client
     uses to validate job specs without importing this package.
     """
+    from repro.protocols.registry import available_protocols
+
     if getattr(args, "json", False):
         print(
             json.dumps(
@@ -160,6 +158,8 @@ def cmd_list(args) -> int:
 
 def cmd_generate(args) -> int:
     """``repro generate``: write a synthetic trace file."""
+    from repro.trace.io import write_trace_binary, write_trace_file
+
     trace = _make_any_trace(args.workload, length=args.length, seed=args.seed)
     if args.format == "binary":
         count = write_trace_binary(trace.records, args.output)
@@ -190,6 +190,7 @@ def cmd_trace_pack(args) -> int:
 
 def cmd_trace_info(args) -> int:
     """``repro trace info``: inspect a ``.ctrc`` store's index."""
+    from repro.report.tables import format_table
     from repro.store import ChunkedTrace
 
     with ChunkedTrace(args.path) as trace:
@@ -266,6 +267,9 @@ def cmd_trace_gen(args) -> int:
 
 def cmd_stats(args) -> int:
     """``repro stats``: summarize a trace."""
+    from repro.report.tables import format_table
+    from repro.trace.stats import compute_statistics
+
     trace = _resolve_trace(args)
     stats = compute_statistics(trace, trace.name)
     rows = [
@@ -292,6 +296,9 @@ def cmd_simulate(args) -> int:
     own ``@geometry`` suffix, which wins over the flag.
     """
     from repro.core.experiment import parse_scheme, scheme_key
+    from repro.core.simulator import Simulator
+    from repro.cost.bus import non_pipelined_bus, pipelined_bus
+    from repro.report.tables import format_table
 
     trace = _resolve_trace(args)
     simulator = Simulator(sharer_key=args.sharer_key)
@@ -323,6 +330,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_artifact(args) -> int:
     """``repro artifact``: regenerate a paper table/figure."""
+    from repro.report.experiments import PaperExperiments
+
     experiments = PaperExperiments(length=args.length)
     if args.id == "all":
         for artifact in experiments.all_artifacts():
@@ -532,6 +541,8 @@ def cmd_run(args) -> int:
     instrumented executor behind :class:`ResilientExperiment` and the
     simulation service.
     """
+    from repro.core.simulator import Simulator
+    from repro.cost.bus import non_pipelined_bus, pipelined_bus
     from repro.engine import (
         Engine,
         EngineMetrics,
@@ -539,6 +550,7 @@ def cmd_run(args) -> int:
         ObserverGroup,
         RetryPolicy,
     )
+    from repro.report.tables import format_table
     from repro.runner.cache import ResultCache
     from repro.runner.checkpoint import CheckpointManager
 
@@ -624,7 +636,8 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     """``repro bench``: measured throughput with history and gates.
 
-    Measures the serial columnar/kernel fast path per scheme, trace
+    Measures cold-start processes, the serial columnar/kernel fast path
+    per scheme, every protocol's ``Simulator.run`` throughput, trace
     generation per paper trace, and the pooled sweep at several worker
     counts (warmup + best-of-repeats),
     refreshes ``BENCH_throughput.json``, appends to
@@ -636,6 +649,7 @@ def cmd_bench(args) -> int:
     from pathlib import Path
 
     from repro.report import bench
+    from repro.report.tables import format_table
 
     report = bench.build_report(
         length=args.length,
@@ -646,6 +660,15 @@ def cmd_bench(args) -> int:
         batch=args.batch,
     )
 
+    startup = report["startup"]
+    print(format_table(
+        ["process", "wall s", "repro modules"],
+        [
+            (name, entry["wall_s"], entry["modules"])
+            for name, entry in startup["probes"].items()
+        ],
+        title=f"cold start (median of {startup['runs']} fresh processes)",
+    ))
     rows = [
         (
             scheme,
@@ -659,6 +682,14 @@ def cmd_bench(args) -> int:
         ["scheme", "record refs/s", "columnar refs/s", "speedup"],
         rows,
         title=f"serial throughput ({args.length} refs, best of {args.repeats})",
+    ))
+    print(format_table(
+        ["scheme", "path", "refs/s"],
+        [
+            (scheme, entry["path"], entry["refs_per_sec"])
+            for scheme, entry in report["generic"].items()
+        ],
+        title="every protocol on Simulator.run",
     ))
     finite = report.get("finite")
     if finite is not None:
@@ -853,6 +884,7 @@ def cmd_work(args) -> int:
 def cmd_dlq(args) -> int:
     """``repro dlq``: list dead-lettered cells (exit 1 when any exist)."""
     from repro.fabric.queue import DurableCellQueue
+    from repro.report.tables import format_table
 
     queue = DurableCellQueue(args.db)
     dead = queue.dead_letters()
@@ -971,6 +1003,10 @@ def cmd_status(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command-line parser."""
+    from repro.protocols.registry import available_protocols
+    from repro.store.format import DEFAULT_CHUNK_RECORDS
+    from repro.workloads.registry import DEFAULT_LENGTH
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

@@ -1,36 +1,28 @@
 """Core evaluation framework: simulator, results, experiments, taxonomy."""
 
-from repro.core.frequencies import EventFrequencies
-from repro.core.result import SimulationResult, merge_results
-from repro.core.simulator import SimulationContext, Simulator, simulate
-from repro.core.classification import DirClass, classify, scheme_label
-from repro.core.experiment import (
-    CellFailure,
-    Experiment,
-    ExperimentResult,
-    run_experiment,
-)
-from repro.core.invariants import InvariantChecker
-from repro.core.oracle import CoherentOracle, StaleReadError
-from repro.core.statespace import ExplorationReport, explore_block_states
+from repro import lazy_exports
 
-__all__ = [
-    "EventFrequencies",
-    "SimulationResult",
-    "merge_results",
-    "Simulator",
-    "SimulationContext",
-    "simulate",
-    "DirClass",
-    "classify",
-    "scheme_label",
-    "CellFailure",
-    "Experiment",
-    "ExperimentResult",
-    "run_experiment",
-    "InvariantChecker",
-    "CoherentOracle",
-    "StaleReadError",
-    "ExplorationReport",
-    "explore_block_states",
-]
+_EXPORTS = {
+    "EventFrequencies": "repro.core.frequencies",
+    "SimulationResult": "repro.core.result",
+    "merge_results": "repro.core.result",
+    "Simulator": "repro.core.simulator",
+    "SimulationContext": "repro.core.simulator",
+    "simulate": "repro.core.simulator",
+    "DirClass": "repro.core.classification",
+    "classify": "repro.core.classification",
+    "scheme_label": "repro.core.classification",
+    "CellFailure": "repro.core.experiment",
+    "Experiment": "repro.core.experiment",
+    "ExperimentResult": "repro.core.experiment",
+    "run_experiment": "repro.core.experiment",
+    "InvariantChecker": "repro.core.invariants",
+    "CoherentOracle": "repro.core.oracle",
+    "StaleReadError": "repro.core.oracle",
+    "ExplorationReport": "repro.core.statespace",
+    "explore_block_states": "repro.core.statespace",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -1,25 +1,21 @@
 """Bus-cycle cost models (paper Tables 1 and 2)."""
 
-from repro.cost.timing import BusTiming
-from repro.cost.bus import BusModel, pipelined_bus, non_pipelined_bus
-from repro.cost.accounting import CostCategory, CycleBreakdown, charge_ops
-from repro.cost.network import (
-    NetworkModel,
-    Topology,
-    average_distance,
-    network_cycles_per_reference,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BusTiming",
-    "BusModel",
-    "pipelined_bus",
-    "non_pipelined_bus",
-    "CostCategory",
-    "CycleBreakdown",
-    "charge_ops",
-    "NetworkModel",
-    "Topology",
-    "average_distance",
-    "network_cycles_per_reference",
-]
+_EXPORTS = {
+    "BusTiming": "repro.cost.timing",
+    "BusModel": "repro.cost.bus",
+    "pipelined_bus": "repro.cost.bus",
+    "non_pipelined_bus": "repro.cost.bus",
+    "CostCategory": "repro.cost.accounting",
+    "CycleBreakdown": "repro.cost.accounting",
+    "charge_ops": "repro.cost.accounting",
+    "NetworkModel": "repro.cost.network",
+    "Topology": "repro.cost.network",
+    "average_distance": "repro.cost.network",
+    "network_cycles_per_reference": "repro.cost.network",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -11,68 +11,39 @@ through the same instrumentation.  ``runner.resilient``, the ``repro``
 CLI, and the simulation service are all thin shells over this engine.
 """
 
-from repro.engine.backends import (
-    Cell,
-    InlineBackend,
-    ProcessPoolBackend,
-    backend_for,
-    execute_batch,
-    run_cell,
-    shutdown_pools,
-)
-from repro.engine.core import Engine, rehydrate_failure
-from repro.engine.shm import TraceArena, attach_arena
-from repro.engine.observer import (
-    NULL_OBSERVER,
-    EngineMetrics,
-    EngineObserver,
-    ObserverGroup,
-    ProgressObserver,
-)
-from repro.engine.plan import (
-    CellOutcome,
-    CellTask,
-    ExecutionPlan,
-    SchemeSpec,
-    auto_batch_size,
-    build_protocol_for_cell,
-    num_caches_for,
-    spec_key,
-)
-from repro.engine.policies import (
-    DEFAULT_CHECKPOINT_EVERY,
-    ManifestRecorder,
-    RetryPolicy,
-    run_with_retry,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Cell",
-    "CellOutcome",
-    "CellTask",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "Engine",
-    "EngineMetrics",
-    "EngineObserver",
-    "ExecutionPlan",
-    "InlineBackend",
-    "ManifestRecorder",
-    "NULL_OBSERVER",
-    "ObserverGroup",
-    "ProcessPoolBackend",
-    "ProgressObserver",
-    "RetryPolicy",
-    "SchemeSpec",
-    "TraceArena",
-    "attach_arena",
-    "auto_batch_size",
-    "backend_for",
-    "build_protocol_for_cell",
-    "execute_batch",
-    "num_caches_for",
-    "rehydrate_failure",
-    "run_cell",
-    "run_with_retry",
-    "shutdown_pools",
-    "spec_key",
-]
+_EXPORTS = {
+    "Cell": "repro.engine.backends",
+    "CellOutcome": "repro.engine.plan",
+    "CellTask": "repro.engine.plan",
+    "DEFAULT_CHECKPOINT_EVERY": "repro.engine.policies",
+    "Engine": "repro.engine.core",
+    "EngineMetrics": "repro.engine.observer",
+    "EngineObserver": "repro.engine.observer",
+    "ExecutionPlan": "repro.engine.plan",
+    "InlineBackend": "repro.engine.backends",
+    "ManifestRecorder": "repro.engine.policies",
+    "NULL_OBSERVER": "repro.engine.observer",
+    "ObserverGroup": "repro.engine.observer",
+    "ProcessPoolBackend": "repro.engine.backends",
+    "ProgressObserver": "repro.engine.observer",
+    "RetryPolicy": "repro.engine.policies",
+    "SchemeSpec": "repro.engine.plan",
+    "TraceArena": "repro.engine.shm",
+    "attach_arena": "repro.engine.shm",
+    "auto_batch_size": "repro.engine.plan",
+    "backend_for": "repro.engine.backends",
+    "build_protocol_for_cell": "repro.engine.plan",
+    "execute_batch": "repro.engine.backends",
+    "num_caches_for": "repro.engine.plan",
+    "rehydrate_failure": "repro.engine.core",
+    "run_cell": "repro.engine.backends",
+    "run_with_retry": "repro.engine.policies",
+    "shutdown_pools": "repro.engine.backends",
+    "spec_key": "repro.engine.plan",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -22,30 +22,22 @@ See ``docs/SERVICE.md`` ("Durable fleet") for the schema, the lease
 semantics, and the failure matrix.
 """
 
-from repro.fabric.bridge import DurableJobQueue
-from repro.fabric.queue import (
-    CELL_STATES,
-    DEAD,
-    DONE,
-    FAILED,
-    LEASED,
-    PENDING,
-    DurableCellQueue,
-    LeasedCell,
-)
-from repro.fabric.reaper import Reaper
-from repro.fabric.worker import FabricWorker
+from repro import lazy_exports
 
-__all__ = [
-    "CELL_STATES",
-    "DEAD",
-    "DONE",
-    "FAILED",
-    "LEASED",
-    "PENDING",
-    "DurableCellQueue",
-    "DurableJobQueue",
-    "FabricWorker",
-    "LeasedCell",
-    "Reaper",
-]
+_EXPORTS = {
+    "CELL_STATES": "repro.fabric.queue",
+    "DEAD": "repro.fabric.queue",
+    "DONE": "repro.fabric.queue",
+    "FAILED": "repro.fabric.queue",
+    "LEASED": "repro.fabric.queue",
+    "PENDING": "repro.fabric.queue",
+    "DurableCellQueue": "repro.fabric.queue",
+    "DurableJobQueue": "repro.fabric.bridge",
+    "FabricWorker": "repro.fabric.worker",
+    "LeasedCell": "repro.fabric.queue",
+    "Reaper": "repro.fabric.reaper",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

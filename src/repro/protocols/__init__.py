@@ -8,44 +8,29 @@ decoupled from bus-cycle costs, exactly as in the paper's methodology
 (Section 4.1).
 """
 
-from repro.protocols.events import (
-    EventType,
-    OpKind,
-    BusOp,
-    ProtocolResult,
-    mem_access,
-    cache_access,
-    write_back,
-    write_word,
-    dir_check,
-    dir_check_overlapped,
-    invalidate,
-    broadcast_invalidate,
-)
-from repro.protocols.base import CoherenceProtocol, SnoopyProtocol, DirectoryProtocol
-from repro.protocols.registry import (
-    available_protocols,
-    make_protocol,
-    protocol_class,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "EventType",
-    "OpKind",
-    "BusOp",
-    "ProtocolResult",
-    "mem_access",
-    "cache_access",
-    "write_back",
-    "write_word",
-    "dir_check",
-    "dir_check_overlapped",
-    "invalidate",
-    "broadcast_invalidate",
-    "CoherenceProtocol",
-    "SnoopyProtocol",
-    "DirectoryProtocol",
-    "available_protocols",
-    "make_protocol",
-    "protocol_class",
-]
+_EXPORTS = {
+    "EventType": "repro.protocols.events",
+    "OpKind": "repro.protocols.events",
+    "BusOp": "repro.protocols.events",
+    "ProtocolResult": "repro.protocols.events",
+    "mem_access": "repro.protocols.events",
+    "cache_access": "repro.protocols.events",
+    "write_back": "repro.protocols.events",
+    "write_word": "repro.protocols.events",
+    "dir_check": "repro.protocols.events",
+    "dir_check_overlapped": "repro.protocols.events",
+    "invalidate": "repro.protocols.events",
+    "broadcast_invalidate": "repro.protocols.events",
+    "CoherenceProtocol": "repro.protocols.base",
+    "SnoopyProtocol": "repro.protocols.base",
+    "DirectoryProtocol": "repro.protocols.base",
+    "available_protocols": "repro.protocols.registry",
+    "make_protocol": "repro.protocols.registry",
+    "protocol_class": "repro.protocols.registry",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

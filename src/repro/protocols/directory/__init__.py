@@ -1,20 +1,18 @@
 """Directory-based coherence protocols (the paper's Dir_iX family)."""
 
-from repro.protocols.directory.dir1nb import Dir1NBProtocol
-from repro.protocols.directory.multicopy import MultiCopyDirectoryProtocol
-from repro.protocols.directory.dir0b import Dir0BProtocol
-from repro.protocols.directory.dirnnb import DirNNBProtocol
-from repro.protocols.directory.diri import DirIBProtocol, DirINBProtocol
-from repro.protocols.directory.coarse import CoarseVectorProtocol
-from repro.protocols.directory.yenfu import YenFuProtocol
+from repro import lazy_exports
 
-__all__ = [
-    "Dir1NBProtocol",
-    "MultiCopyDirectoryProtocol",
-    "Dir0BProtocol",
-    "DirNNBProtocol",
-    "DirIBProtocol",
-    "DirINBProtocol",
-    "CoarseVectorProtocol",
-    "YenFuProtocol",
-]
+_EXPORTS = {
+    "Dir1NBProtocol": "repro.protocols.directory.dir1nb",
+    "MultiCopyDirectoryProtocol": "repro.protocols.directory.multicopy",
+    "Dir0BProtocol": "repro.protocols.directory.dir0b",
+    "DirNNBProtocol": "repro.protocols.directory.dirnnb",
+    "DirIBProtocol": "repro.protocols.directory.diri",
+    "DirINBProtocol": "repro.protocols.directory.diri",
+    "CoarseVectorProtocol": "repro.protocols.directory.coarse",
+    "YenFuProtocol": "repro.protocols.directory.yenfu",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -40,16 +40,22 @@ class YenFuProtocol(DirNNBProtocol):
         super().__init__(
             num_caches, cache_factory=cache_factory, dir_capacity=dir_capacity
         )
-        # (cache, block) pairs whose single bit is currently set.
-        self._single_bits: set[tuple[int, int]] = set()
+        # block -> the one cache whose single bit for it is set; a block
+        # has at most one set bit, so this is every set bit.
+        self._single_of: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Single-bit bookkeeping
     # ------------------------------------------------------------------
 
+    @property
+    def _single_bits(self) -> set[tuple[int, int]]:
+        """The (cache, block) pairs whose single bit is set."""
+        return {(cache, block) for block, cache in self._single_of.items()}
+
     def single_bit(self, cache: int, block: int) -> bool:
         """True if *cache*'s copy of *block* carries a set single bit."""
-        return (cache, block) in self._single_bits
+        return self._single_of.get(block) == cache
 
     def _refresh_bits(self, block: int) -> None:
         """Reconcile single bits with the holder set after a transaction.
@@ -58,22 +64,15 @@ class YenFuProtocol(DirNNBProtocol):
         participate in the transaction costs one bus message; every
         other adjustment rides on the transaction itself.
         """
-        holders = {
+        holders = [
             index
             for index in range(self._num_caches)
             if self._caches[index].get(block) is not None
-        }
+        ]
         if len(holders) == 1:
-            only = next(iter(holders))
-            self._single_bits.add((only, block))
-            stale = [
-                key for key in self._single_bits
-                if key[1] == block and key[0] != only
-            ]
+            self._single_of[block] = holders[0]
         else:
-            stale = [key for key in self._single_bits if key[1] == block]
-        for key in stale:
-            self._single_bits.discard(key)
+            self._single_of.pop(block, None)
 
     def _charge_bit_clear_if_needed(
         self, block: int, previously_single: int | None, result: ProtocolResult

@@ -1,19 +1,18 @@
 """Snoopy (bus-based) coherence protocols used as comparison points."""
 
-from repro.protocols.snoopy.wti import WTIProtocol
-from repro.protocols.snoopy.dragon import DragonProtocol
-from repro.protocols.snoopy.berkeley import BerkeleyProtocol
-from repro.protocols.snoopy.writeonce import WriteOnceProtocol, WriteOnceState
-from repro.protocols.snoopy.illinois import IllinoisProtocol, MESIState
-from repro.protocols.snoopy.adaptive import AdaptiveProtocol
+from repro import lazy_exports
 
-__all__ = [
-    "WTIProtocol",
-    "DragonProtocol",
-    "BerkeleyProtocol",
-    "WriteOnceProtocol",
-    "WriteOnceState",
-    "IllinoisProtocol",
-    "MESIState",
-    "AdaptiveProtocol",
-]
+_EXPORTS = {
+    "WTIProtocol": "repro.protocols.snoopy.wti",
+    "DragonProtocol": "repro.protocols.snoopy.dragon",
+    "BerkeleyProtocol": "repro.protocols.snoopy.berkeley",
+    "WriteOnceProtocol": "repro.protocols.snoopy.writeonce",
+    "WriteOnceState": "repro.protocols.snoopy.writeonce",
+    "IllinoisProtocol": "repro.protocols.snoopy.illinois",
+    "MESIState": "repro.protocols.snoopy.illinois",
+    "AdaptiveProtocol": "repro.protocols.snoopy.adaptive",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

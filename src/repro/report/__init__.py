@@ -1,13 +1,15 @@
 """Report rendering: ASCII tables and figures, one function per artifact."""
 
-from repro.report.tables import format_table
-from repro.report.figures import bar_chart, histogram_chart, range_chart
-from repro.report import experiments
+from repro import lazy_exports
 
-__all__ = [
-    "format_table",
-    "bar_chart",
-    "histogram_chart",
-    "range_chart",
-    "experiments",
-]
+_EXPORTS = {
+    "format_table": "repro.report.tables",
+    "bar_chart": "repro.report.figures",
+    "histogram_chart": "repro.report.figures",
+    "range_chart": "repro.report.figures",
+    "experiments": "repro.report.experiments",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -16,6 +16,9 @@ observed — across commits:
   rolling baseline (the median of the last few history records); any
   metric more than ``threshold`` below its baseline fails the run,
   which is what CI hooks into;
+* **cold start** — median wall time of fresh ``python -c "import
+  repro"`` and ``python -m repro --help`` processes, and how many
+  ``repro`` modules each loads;
 * **scaling gate** — optionally require pooled ``--jobs 4`` throughput
   to meet ``--jobs 1``, guarding the parallel dispatch path against
   regressions that serial numbers cannot see.  The gate is core-aware:
@@ -28,6 +31,8 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +47,28 @@ DEFAULT_WARMUP = 1
 DEFAULT_THRESHOLD = 0.10
 DEFAULT_WINDOW = 5
 DEFAULT_GEOMETRY = "1024x4"
+DEFAULT_STARTUP_RUNS = 10
+
+#: Cold-start probes: the program of each measured process
+#: (``cli_help`` is ``python -m repro --help``).
+STARTUP_PROBES = {
+    "python": "pass",
+    "import_repro": "import repro",
+    "cli_help": (
+        "import runpy\nsys.argv = ['repro', '--help']\n"
+        "runpy.run_module('repro', run_name='__main__', alter_sys=True)"
+    ),
+}
+
+#: Prefix of every probe: print the loaded ``repro`` module count at exit.
+_COUNT_AT_EXIT = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(sum(name.split('.')[0] == 'repro'"
+    " for name in sys.modules), file=sys.stderr))\n"
+)
+
+#: Headline metrics where lower is better (all others are rates).
+LOWER_IS_BETTER = ("_s", ".modules")
 
 #: Ceiling on a kernel's finite-cache slowdown vs its infinite-cache
 #: run — the LRU layer does strictly more work (LRU maintenance,
@@ -260,6 +287,68 @@ def measure_generation(
     return {"length": length, "workloads": entries}
 
 
+def measure_generic(
+    trace: Any,
+    repeats: int = DEFAULT_REPEATS,
+    warmup: int = DEFAULT_WARMUP,
+) -> dict[str, dict[str, Any]]:
+    """Serial ``Simulator.run`` throughput for every registered protocol.
+
+    ``path`` says whether a state-table kernel or the generic columnar
+    loop ran it, so a protocol far below its peers stands out.
+    """
+    from repro.core.simulator import Simulator
+    from repro.protocols.kernels import has_kernel
+    from repro.protocols.registry import available_protocols, make_protocol
+    from repro.trace.columnar import ColumnarTrace
+
+    simulator = Simulator()
+    columnar = ColumnarTrace.from_trace(trace)
+    columnar.data_view(simulator.sharer_key)
+    entries: dict[str, dict[str, Any]] = {}
+    for scheme in available_protocols():
+        seconds = _best_seconds(
+            lambda s=scheme: simulator.run(columnar, s), repeats, warmup
+        )
+        entries[scheme] = {
+            "refs_per_sec": round(len(columnar) / seconds),
+            "path": "kernel" if has_kernel(make_protocol(scheme, 1)) else "generic",
+        }
+    return entries
+
+
+def measure_startup(runs: int = DEFAULT_STARTUP_RUNS) -> dict[str, Any]:
+    """Cold start: median wall time of fresh interpreter processes.
+
+    Each probe in :data:`STARTUP_PROBES` runs *runs* times, interleaved
+    so drift hits every probe alike, and reports how many ``repro``
+    modules it loaded; ``python`` is the bare interpreter start the
+    others include.
+    """
+    src = str(Path(__file__).resolve().parents[2])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, path] if path else [src]))
+    seconds: dict[str, list[float]] = {name: [] for name in STARTUP_PROBES}
+    modules: dict[str, int] = {}
+    for _ in range(max(1, runs)):
+        for name, code in STARTUP_PROBES.items():
+            start = time.perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-c", _COUNT_AT_EXIT + code],
+                env=env, check=True, stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE, text=True,
+            )
+            seconds[name].append(time.perf_counter() - start)
+            modules[name] = int(done.stderr.split()[-1])
+    return {
+        "runs": max(1, runs),
+        "probes": {
+            name: {"wall_s": round(median(seconds[name]), 4), "modules": modules[name]}
+            for name in STARTUP_PROBES
+        },
+    }
+
+
 def measure_parallel(
     traces: Sequence[Any],
     schemes: Sequence[str],
@@ -348,7 +437,9 @@ def build_report(
         "trace": {"workload": "pops", "length": length},
         "seed_record_refs_per_sec": dict(SEED_RECORD_REFS_PER_SEC),
         "seed_pooled_refs_per_sec": SEED_POOLED_REFS_PER_SEC,
+        "startup": measure_startup(),
         "schemes": measure_schemes(pops, schemes, repeats, warmup),
+        "generic": measure_generic(pops, repeats, warmup),
         "finite": measure_finite(pops, schemes, repeats=repeats, warmup=warmup),
         "streaming": measure_streaming(pops, schemes, repeats, warmup),
         "generation": measure_generation(length, repeats, warmup),
@@ -372,8 +463,16 @@ def build_report(
 
 
 def headline_metrics(report: dict[str, Any]) -> dict[str, float]:
-    """The flat metric map tracked across runs (higher is better)."""
+    """The flat metric map tracked across runs.
+
+    Higher is better except for names ending in :data:`LOWER_IS_BETTER`.
+    """
     metrics: dict[str, float] = {}
+    for name, entry in report.get("startup", {}).get("probes", {}).items():
+        metrics[f"startup.{name}.wall_s"] = entry["wall_s"]
+        metrics[f"startup.{name}.modules"] = entry["modules"]
+    for scheme, entry in report.get("generic", {}).items():
+        metrics[f"generic.{scheme}.refs_per_sec"] = entry["refs_per_sec"]
     for scheme, entry in report.get("schemes", {}).items():
         metrics[f"columnar.{scheme}.refs_per_sec"] = entry["columnar_refs_per_sec"]
     for scheme, entry in report.get("finite", {}).get("schemes", {}).items():
@@ -443,11 +542,12 @@ def find_regressions(
     threshold: float = DEFAULT_THRESHOLD,
     window: int = DEFAULT_WINDOW,
 ) -> list[str]:
-    """Metrics more than *threshold* below their rolling baseline.
+    """Metrics more than *threshold* worse than their rolling baseline.
 
     Comparable records only: history entries measured on a different
     trace length are skipped (refs/s scales with cell size, so mixing
-    smoke and full runs would poison the baseline).
+    smoke and full runs would poison the baseline).  A metric with no
+    history yet has no baseline and cannot regress.
     """
     trace = report.get("trace")
     comparable = [record for record in history if record.get("trace") == trace]
@@ -456,7 +556,14 @@ def find_regressions(
         baseline = rolling_baseline(comparable, metric, window)
         if baseline is None or baseline <= 0:
             continue
-        if value < baseline * (1.0 - threshold):
+        if metric.endswith(LOWER_IS_BETTER):
+            if value > baseline * (1.0 + threshold):
+                regressions.append(
+                    f"{metric}: {value:,.4g} is "
+                    f"{(value / baseline - 1.0) * 100.0:.1f}% above the rolling "
+                    f"baseline {baseline:,.4g}"
+                )
+        elif value < baseline * (1.0 - threshold):
             regressions.append(
                 f"{metric}: {value:,.0f} refs/s is "
                 f"{(1.0 - value / baseline) * 100.0:.1f}% below the rolling "

@@ -19,20 +19,13 @@ here are the runner's durable artifacts and test instruments:
   simulation results keyed by (trace fingerprint, scheme + options,
   simulator config).
 
-Names are resolved lazily so that engine modules can import runner
-submodules (cache, checkpoint) without forcing the whole runner.
-
 See ``docs/ARCHITECTURE.md`` for the engine layering,
 ``docs/ROBUSTNESS.md`` for the fault model and guarantees, and
 ``docs/PERFORMANCE.md`` for the parallel/caching design.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from importlib import import_module
-from typing import Any
-
-#: Public name -> providing module (resolved on first attribute access).
 _EXPORTS = {
     "ResultCache": "repro.runner.cache",
     "cache_key": "repro.runner.cache",
@@ -55,37 +48,6 @@ _EXPORTS = {
     "spec_key": "repro.runner.resilient",
 }
 
-__all__ = [
-    "CheckpointManager",
-    "ResultCache",
-    "cache_key",
-    "trace_fingerprint",
-    "result_to_json",
-    "result_from_json",
-    "build_protocol_for_cell",
-    "num_caches_for",
-    "FaultInjector",
-    "FlakyReader",
-    "FlakyTrace",
-    "KillPoint",
-    "SaboteurProtocol",
-    "inject_illegal_dirty_copies",
-    "ResilientExperiment",
-    "RetryPolicy",
-    "run_resilient_sweep",
-    "spec_key",
-    "DEFAULT_CHECKPOINT_EVERY",
-]
+__all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+lazy_exports(__name__, _EXPORTS)

@@ -25,40 +25,29 @@ See ``docs/SERVICE.md`` for the API reference and deployment notes,
 and ``examples/service_client.py`` for an end-to-end walkthrough.
 """
 
-from repro.service.api import ServiceServer, serve
-from repro.service.client import ServiceClient
-from repro.service.coalesce import InFlightCell, InFlightTable
-from repro.service.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    Job,
-    JobStore,
-)
-from repro.service.queue import JobQueue
-from repro.service.scheduler import Scheduler
-from repro.service.spec import JobSpec, TraceSpec, parse_job_spec
+from repro import lazy_exports
 
-__all__ = [
-    "CANCELLED",
-    "DONE",
-    "FAILED",
-    "QUEUED",
-    "RUNNING",
-    "TERMINAL_STATES",
-    "InFlightCell",
-    "InFlightTable",
-    "Job",
-    "JobQueue",
-    "JobSpec",
-    "JobStore",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceServer",
-    "TraceSpec",
-    "parse_job_spec",
-    "serve",
-]
+_EXPORTS = {
+    "CANCELLED": "repro.service.jobs",
+    "DONE": "repro.service.jobs",
+    "FAILED": "repro.service.jobs",
+    "QUEUED": "repro.service.jobs",
+    "RUNNING": "repro.service.jobs",
+    "TERMINAL_STATES": "repro.service.jobs",
+    "InFlightCell": "repro.service.coalesce",
+    "InFlightTable": "repro.service.coalesce",
+    "Job": "repro.service.jobs",
+    "JobQueue": "repro.service.queue",
+    "JobSpec": "repro.service.spec",
+    "JobStore": "repro.service.jobs",
+    "Scheduler": "repro.service.scheduler",
+    "ServiceClient": "repro.service.client",
+    "ServiceServer": "repro.service.api",
+    "TraceSpec": "repro.service.spec",
+    "parse_job_spec": "repro.service.spec",
+    "serve": "repro.service.api",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -26,25 +26,21 @@ See ``docs/TRACESTORE.md`` for the format specification and
 chunk-size guidance.
 """
 
-from repro.store.chunked import ChunkedTrace, open_chunked_trace
-from repro.store.format import (
-    CHUNK_CODECS,
-    DEFAULT_CHUNK_RECORDS,
-    STORE_VERSION,
-    ChunkInfo,
-    is_chunked_trace,
-)
-from repro.store.writer import StreamingTraceWriter, pack_trace, write_stream
+from repro import lazy_exports
 
-__all__ = [
-    "CHUNK_CODECS",
-    "DEFAULT_CHUNK_RECORDS",
-    "STORE_VERSION",
-    "ChunkInfo",
-    "ChunkedTrace",
-    "StreamingTraceWriter",
-    "is_chunked_trace",
-    "open_chunked_trace",
-    "pack_trace",
-    "write_stream",
-]
+_EXPORTS = {
+    "CHUNK_CODECS": "repro.store.format",
+    "DEFAULT_CHUNK_RECORDS": "repro.store.format",
+    "STORE_VERSION": "repro.store.format",
+    "ChunkInfo": "repro.store.format",
+    "ChunkedTrace": "repro.store.chunked",
+    "StreamingTraceWriter": "repro.store.writer",
+    "is_chunked_trace": "repro.store.format",
+    "open_chunked_trace": "repro.store.chunked",
+    "pack_trace": "repro.store.writer",
+    "write_stream": "repro.store.writer",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

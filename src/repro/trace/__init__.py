@@ -7,65 +7,42 @@ serialization, statistics (paper Table 3), and the reference filters
 used by the paper's Section 5.2 spin-lock study.
 """
 
-from repro.trace.record import RefType, TraceRecord, data_refs, is_data
-from repro.trace.columnar import ColumnarTrace, columnar_trace
-from repro.trace.stream import (
-    Trace,
-    count_records,
-    merge_streams,
-    take,
-)
-from repro.trace.io import (
-    DecodeReport,
-    LazyTraceFile,
-    is_binary_trace,
-    load_trace,
-    read_any_trace_file,
-    read_trace_file,
-    write_trace_file,
-    read_trace_binary,
-    read_trace_binary_columns,
-    write_trace_binary,
-)
-from repro.trace.stats import TraceStatistics, compute_statistics
-from repro.trace.windows import WindowCost, sparkline, window_costs, window_statistics, windows
-from repro.trace.filters import (
-    exclude_lock_spins,
-    relabel_sharers_by_process,
-    relabel_sharers_by_cpu,
-    split_user_system,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "RefType",
-    "TraceRecord",
-    "Trace",
-    "ColumnarTrace",
-    "columnar_trace",
-    "read_trace_binary_columns",
-    "data_refs",
-    "is_data",
-    "count_records",
-    "merge_streams",
-    "take",
-    "DecodeReport",
-    "LazyTraceFile",
-    "is_binary_trace",
-    "load_trace",
-    "read_any_trace_file",
-    "read_trace_file",
-    "write_trace_file",
-    "read_trace_binary",
-    "write_trace_binary",
-    "TraceStatistics",
-    "compute_statistics",
-    "exclude_lock_spins",
-    "relabel_sharers_by_process",
-    "relabel_sharers_by_cpu",
-    "split_user_system",
-    "windows",
-    "window_statistics",
-    "window_costs",
-    "WindowCost",
-    "sparkline",
-]
+_EXPORTS = {
+    "RefType": "repro.trace.record",
+    "TraceRecord": "repro.trace.record",
+    "Trace": "repro.trace.stream",
+    "ColumnarTrace": "repro.trace.columnar",
+    "columnar_trace": "repro.trace.columnar",
+    "read_trace_binary_columns": "repro.trace.io",
+    "data_refs": "repro.trace.record",
+    "is_data": "repro.trace.record",
+    "count_records": "repro.trace.stream",
+    "merge_streams": "repro.trace.stream",
+    "take": "repro.trace.stream",
+    "DecodeReport": "repro.trace.io",
+    "LazyTraceFile": "repro.trace.io",
+    "is_binary_trace": "repro.trace.io",
+    "load_trace": "repro.trace.io",
+    "read_any_trace_file": "repro.trace.io",
+    "read_trace_file": "repro.trace.io",
+    "write_trace_file": "repro.trace.io",
+    "read_trace_binary": "repro.trace.io",
+    "write_trace_binary": "repro.trace.io",
+    "TraceStatistics": "repro.trace.stats",
+    "compute_statistics": "repro.trace.stats",
+    "exclude_lock_spins": "repro.trace.filters",
+    "relabel_sharers_by_process": "repro.trace.filters",
+    "relabel_sharers_by_cpu": "repro.trace.filters",
+    "split_user_system": "repro.trace.filters",
+    "windows": "repro.trace.windows",
+    "window_statistics": "repro.trace.windows",
+    "window_costs": "repro.trace.windows",
+    "WindowCost": "repro.trace.windows",
+    "sparkline": "repro.trace.windows",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

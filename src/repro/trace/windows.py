@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 from repro.core.simulator import Simulator
 from repro.cost.bus import BusModel
 from repro.errors import ConfigurationError
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.stats import TraceStatistics, compute_statistics
 from repro.trace.stream import Trace
 
@@ -26,12 +27,12 @@ def windows(trace: Trace, window_size: int) -> Iterator[Trace]:
     """
     if window_size < 1:
         raise ConfigurationError("window_size must be >= 1")
-    for start in range(0, len(trace), window_size):
-        yield Trace(
-            name=f"{trace.name}[{start}:{start + window_size}]",
-            records=list(trace.records[start : start + window_size]),
-            description=trace.description,
-        )
+    columns = ColumnarTrace.from_trace(trace)
+    for start in range(0, len(columns), window_size):
+        window = columns[start : start + window_size]
+        window.name = f"{trace.name}[{start}:{start + window_size}]"
+        window.description = trace.description
+        yield Trace.from_columns(window)
 
 
 def window_statistics(
@@ -39,7 +40,7 @@ def window_statistics(
 ) -> list[TraceStatistics]:
     """Table-3 style statistics for every window."""
     return [
-        compute_statistics(window.records, window.name)
+        compute_statistics(window, window.name)
         for window in windows(trace, window_size)
     ]
 
@@ -86,7 +87,7 @@ def window_costs(
         result = simulator.run(
             window, protocol, trace_name=window.name, context=context
         )
-        stats = compute_statistics(window.records, window.name)
+        stats = compute_statistics(window, window.name)
         costs.append(
             WindowCost(
                 start=offset,

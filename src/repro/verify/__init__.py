@@ -18,50 +18,31 @@ The ``repro verify`` CLI verb fronts all of it; see
 ``docs/VERIFICATION.md`` for the operational guide.
 """
 
-from repro.verify.checker import (
-    DIFFERENTIAL_GROUPS,
-    ConformanceChecker,
-    ConformanceReport,
-    ConformanceSpec,
-    Finding,
-    summarize_events,
-)
-from repro.verify.corpus import Corpus, CorpusEntry
-from repro.verify.fuzzer import PATTERNS, TraceFuzzer
-from repro.verify.mutation import (
-    DEFAULT_EVICTION_GEOMETRY,
-    EVICTION_MODES,
-    Mutant,
-    MutationReport,
-    mutation_trace,
-    run_eviction_mutation_testing,
-    run_mutation_testing,
-)
-from repro.verify.shrink import (
-    failure_predicate,
-    shrink_records,
-    shrink_trace,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_EVICTION_GEOMETRY",
-    "DIFFERENTIAL_GROUPS",
-    "EVICTION_MODES",
-    "PATTERNS",
-    "ConformanceChecker",
-    "ConformanceReport",
-    "ConformanceSpec",
-    "Corpus",
-    "CorpusEntry",
-    "Finding",
-    "Mutant",
-    "MutationReport",
-    "TraceFuzzer",
-    "failure_predicate",
-    "mutation_trace",
-    "run_eviction_mutation_testing",
-    "run_mutation_testing",
-    "shrink_records",
-    "shrink_trace",
-    "summarize_events",
-]
+_EXPORTS = {
+    "DEFAULT_EVICTION_GEOMETRY": "repro.verify.mutation",
+    "DIFFERENTIAL_GROUPS": "repro.verify.checker",
+    "EVICTION_MODES": "repro.verify.mutation",
+    "PATTERNS": "repro.verify.fuzzer",
+    "ConformanceChecker": "repro.verify.checker",
+    "ConformanceReport": "repro.verify.checker",
+    "ConformanceSpec": "repro.verify.checker",
+    "Corpus": "repro.verify.corpus",
+    "CorpusEntry": "repro.verify.corpus",
+    "Finding": "repro.verify.checker",
+    "Mutant": "repro.verify.mutation",
+    "MutationReport": "repro.verify.mutation",
+    "TraceFuzzer": "repro.verify.fuzzer",
+    "failure_predicate": "repro.verify.shrink",
+    "mutation_trace": "repro.verify.mutation",
+    "run_eviction_mutation_testing": "repro.verify.mutation",
+    "run_mutation_testing": "repro.verify.mutation",
+    "shrink_records": "repro.verify.shrink",
+    "shrink_trace": "repro.verify.shrink",
+    "summarize_events": "repro.verify.checker",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

@@ -10,36 +10,27 @@ and (rare) process migration.  See DESIGN.md for the substitution
 rationale and EXPERIMENTS.md for the calibration record.
 """
 
-from repro.workloads.layout import AddressSpaceLayout
-from repro.workloads.locks import Lock, LockTable
-from repro.workloads.base import SyntheticWorkload, WorkloadConfig
-from repro.workloads.pops import pops_config
-from repro.workloads.thor import thor_config
-from repro.workloads.pero import pero_config
-from repro.workloads.micro import MICRO_GENERATORS, micro_traces
-from repro.workloads.modern import MODERN_GENERATORS, modern_traces
-from repro.workloads.registry import (
-    available_workloads,
-    make_trace,
-    standard_traces,
-    workload_config,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AddressSpaceLayout",
-    "Lock",
-    "LockTable",
-    "SyntheticWorkload",
-    "WorkloadConfig",
-    "pops_config",
-    "thor_config",
-    "pero_config",
-    "available_workloads",
-    "make_trace",
-    "standard_traces",
-    "workload_config",
-    "MICRO_GENERATORS",
-    "micro_traces",
-    "MODERN_GENERATORS",
-    "modern_traces",
-]
+_EXPORTS = {
+    "AddressSpaceLayout": "repro.workloads.layout",
+    "Lock": "repro.workloads.locks",
+    "LockTable": "repro.workloads.locks",
+    "SyntheticWorkload": "repro.workloads.base",
+    "WorkloadConfig": "repro.workloads.base",
+    "pops_config": "repro.workloads.pops",
+    "thor_config": "repro.workloads.thor",
+    "pero_config": "repro.workloads.pero",
+    "available_workloads": "repro.workloads.registry",
+    "make_trace": "repro.workloads.registry",
+    "standard_traces": "repro.workloads.registry",
+    "workload_config": "repro.workloads.registry",
+    "MICRO_GENERATORS": "repro.workloads.micro",
+    "micro_traces": "repro.workloads.micro",
+    "MODERN_GENERATORS": "repro.workloads.modern",
+    "modern_traces": "repro.workloads.modern",
+}
+
+__all__ = list(_EXPORTS)
+
+lazy_exports(__name__, _EXPORTS)

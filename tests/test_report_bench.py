@@ -38,3 +38,39 @@ def test_generation_metrics_are_headlines_and_history_records_cores(tmp_path):
         "generation.pops.refs_per_sec: 5 refs/s is 50.0% below the rolling "
         "baseline 10"
     ]
+
+
+def test_startup_section_counts_modules_of_fresh_processes():
+    section = bench.measure_startup(runs=1)
+    probes = section["probes"]
+    assert sorted(probes) == ["cli_help", "import_repro", "python"]
+    assert probes["python"]["modules"] == 0
+    assert probes["import_repro"]["modules"] == 1
+    assert probes["cli_help"]["modules"] > 1
+    assert all(entry["wall_s"] > 0 for entry in probes.values())
+
+
+def test_generic_section_covers_every_protocol():
+    from repro.protocols.registry import available_protocols
+    from repro.workloads.registry import make_trace
+
+    section = bench.measure_generic(make_trace("pops", length=500), repeats=1, warmup=0)
+    assert sorted(section) == available_protocols()
+    kernels = sorted(s for s, entry in section.items() if entry["path"] == "kernel")
+    assert kernels == ["dir0b", "dir1nb", "dragon", "wti"]
+    assert all(entry["refs_per_sec"] > 0 for entry in section.values())
+
+
+def test_gate_tolerates_new_metrics_and_flags_slower_startup(tmp_path):
+    trace = {"workload": "pops", "length": 500}
+    history = tmp_path / "history.jsonl"
+    bench.append_history({"trace": trace, "generic": {"wti": {"refs_per_sec": 9}}}, history)
+    startup = {"probes": {"cli_help": {"wall_s": 0.2, "modules": 40}}}
+    report = {"trace": trace, "startup": startup, "generic": {"wti": {"refs_per_sec": 9}}}
+    # No history for the startup metrics yet: nothing to regress from.
+    assert bench.find_regressions(report, bench.load_history(history)) == []
+    bench.append_history(report, history)
+    slower = {**report, "startup": {"probes": {"cli_help": {"wall_s": 0.3, "modules": 40}}}}
+    assert bench.find_regressions(slower, bench.load_history(history)) == [
+        "startup.cli_help.wall_s: 0.3 is 50.0% above the rolling baseline 0.2"
+    ]
