@@ -40,7 +40,9 @@ chaos:
 # What CI runs (.github/workflows/ci.yml): the tier-1 suite, the
 # end-to-end benchmark's smoke tests, a streamed .ctrc generation
 # re-hashed against its stored fingerprint (4096-record chunks split
-# scheduling rounds), exhaustive protocol verification, and the
+# scheduling rounds), the streaming example end to end (its windowed
+# checkpoint run must match the streamed run), exhaustive protocol
+# verification, and the
 # conformance fuzz with mutation testing on infinite caches and on the
 # finite-parity job's evicting 4x2 geometry (fuzz cells re-run on the
 # fast path, so the state-table kernels see adversarial traces in both
@@ -51,6 +53,7 @@ ci:
 	mkdir -p build
 	PYTHONPATH=src python -m repro trace gen thor build/ci-thor.ctrc --length 50000 --chunk-records 4096
 	PYTHONPATH=src python -m repro trace info build/ci-thor.ctrc --verify
+	PYTHONPATH=src python examples/stream_billion.py 20000
 	PYTHONPATH=src python -m repro verify
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation

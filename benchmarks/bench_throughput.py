@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.simulator import Simulator
-from repro.runner.resilient import ResilientExperiment
+from repro.engine import Engine, ExecutionPlan
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.registry import workload_config
@@ -159,9 +159,10 @@ def test_parallel_sweep_throughput(bench_report, small_trace):
     timings = {}
     outcomes = {}
     for jobs in (1, 2, 4):
-        experiment = ResilientExperiment(traces=traces, schemes=schemes, jobs=jobs)
+        engine = Engine(jobs=jobs)
+        plan = ExecutionPlan(traces=traces, schemes=schemes)
         start = time.perf_counter()
-        outcomes[jobs] = experiment.run()
+        outcomes[jobs] = engine.run(plan)
         timings[str(jobs)] = round(time.perf_counter() - start, 4)
         assert not outcomes[jobs].all_failures()
     assert outcomes[2].results == outcomes[1].results == outcomes[4].results

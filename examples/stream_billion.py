@@ -25,7 +25,8 @@ import time
 from pathlib import Path
 
 from repro.core.simulator import Simulator
-from repro.runner.resilient import run_resilient_sweep
+from repro.engine import Engine, ExecutionPlan
+from repro.runner.checkpoint import CheckpointManager
 from repro.store import ChunkedTrace, write_stream
 from repro.workloads.registry import stream_trace
 
@@ -90,11 +91,11 @@ def main() -> None:
             # 4. Checkpoint/resume works mid-chunk: the snapshot
             # records (chunk index, intra-chunk offset), and a resumed
             # run picks up from that exact reference.
-            ckpt = Path(tmp) / "ckpt"
-            outcome = run_resilient_sweep(
-                [trace], SCHEMES[:1],
-                checkpoint_dir=str(ckpt), checkpoint_every=100_000,
+            engine = Engine(
+                checkpoint=CheckpointManager(Path(tmp) / "ckpt"),
+                checkpoint_every=100_000,
             )
+            outcome = engine.run(ExecutionPlan(traces=[trace], schemes=SCHEMES[:1]))
             checkpointed = outcome.result(SCHEMES[0], trace.name)
             assert checkpointed == results[SCHEMES[0]]
             print("  windowed checkpoint run matches the streamed run exactly")

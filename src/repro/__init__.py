@@ -104,9 +104,7 @@ _EXPORTS = {
     "SimulationResult": "repro.core.result",
     "merge_results": "repro.core.result",
     "EventFrequencies": "repro.core.frequencies",
-    "Experiment": "repro.core.experiment",
     "ExperimentResult": "repro.core.experiment",
-    "run_experiment": "repro.core.experiment",
     "CellFailure": "repro.core.experiment",
     "DirClass": "repro.core.classification",
     "classify": "repro.core.classification",
@@ -115,9 +113,7 @@ _EXPORTS = {
     "ExecutionPlan": "repro.engine.plan",
     "EngineObserver": "repro.engine.observer",
     "EngineMetrics": "repro.engine.observer",
-    "ResilientExperiment": "repro.runner",
-    "RetryPolicy": "repro.runner",
-    "run_resilient_sweep": "repro.runner",
+    "RetryPolicy": "repro.engine.policies",
     "CheckpointManager": "repro.runner",
     "FaultInjector": "repro.runner",
     "WorkloadConfig": "repro.workloads.base",

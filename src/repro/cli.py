@@ -490,14 +490,33 @@ def cmd_verify(args) -> int:
     return 0
 
 
-class _ProgressLines:
-    """``--progress`` observer: per-cell engine events as stderr lines."""
+class _RunningLines:
+    """``repro run`` observer: one "running X on Y ..." stderr line per cell."""
 
     def plan_started(self, plan) -> None:
         pass
 
     def cell_started(self, task) -> None:
+        print(f"running {task.scheme_key} on {task.trace_name} ...", file=sys.stderr)
+
+    def cell_retry(self, task, failed_attempts, error, delay) -> None:
         pass
+
+    def cell_finished(self, task, outcome) -> None:
+        pass
+
+    def cache_hit(self, task) -> None:
+        pass
+
+    def cache_miss(self, task) -> None:
+        pass
+
+    def plan_finished(self, plan, result) -> None:
+        pass
+
+
+class _ProgressLines(_RunningLines):
+    """``--progress`` observer: every engine event as a stderr line."""
 
     def cell_retry(self, task, failed_attempts, error, delay) -> None:
         print(
@@ -527,19 +546,15 @@ class _ProgressLines:
             f"cache hit: {task.scheme_key} on {task.trace_name}", file=sys.stderr
         )
 
-    def cache_miss(self, task) -> None:
-        pass
-
-    def plan_finished(self, plan, result) -> None:
-        pass
-
 
 def cmd_run(args) -> int:
     """``repro run``: fault-tolerant sweep with checkpoint/resume.
 
-    A thin shell over :class:`repro.engine.core.Engine` — the same
-    instrumented executor behind :class:`ResilientExperiment` and the
-    simulation service.
+    Builds an :class:`~repro.engine.plan.ExecutionPlan` from the
+    arguments and runs it on a configured
+    :class:`~repro.engine.core.Engine` — the same executor behind the
+    paper artifacts and the simulation service.  Progress lines come
+    from an observer, like every other engine event.
     """
     from repro.core.simulator import Simulator
     from repro.cost.bus import non_pipelined_bus, pipelined_bus
@@ -570,9 +585,7 @@ def cmd_run(args) -> int:
         simulator=Simulator(sharer_key=args.sharer_key),
     )
     metrics = EngineMetrics()
-    observers = [metrics]
-    if args.progress:
-        observers.append(_ProgressLines())
+    observers = [metrics, _ProgressLines() if args.progress else _RunningLines()]
     engine = Engine(
         retry=RetryPolicy(max_attempts=args.retries, backoff_base=args.backoff),
         strict=args.strict,
@@ -584,11 +597,7 @@ def cmd_run(args) -> int:
         result_cache=ResultCache(args.result_cache) if args.result_cache else None,
         observer=ObserverGroup(observers),
     )
-
-    def progress(scheme: str, trace_name: str) -> None:
-        print(f"running {scheme} on {trace_name} ...", file=sys.stderr)
-
-    outcome = engine.run(plan, progress=progress)
+    outcome = engine.run(plan)
 
     if args.progress:
         counters = metrics.snapshot()

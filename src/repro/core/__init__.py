@@ -13,9 +13,7 @@ _EXPORTS = {
     "classify": "repro.core.classification",
     "scheme_label": "repro.core.classification",
     "CellFailure": "repro.core.experiment",
-    "Experiment": "repro.core.experiment",
     "ExperimentResult": "repro.core.experiment",
-    "run_experiment": "repro.core.experiment",
     "InvariantChecker": "repro.core.invariants",
     "CoherentOracle": "repro.core.oracle",
     "StaleReadError": "repro.core.oracle",

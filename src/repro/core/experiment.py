@@ -1,29 +1,28 @@
-"""Experiment runner: protocols × traces, the paper's evaluation loop.
+"""Sweep results: protocols × traces, the paper's evaluation grid.
 
 The paper's evaluation simulates four schemes over three traces and
 reports both per-trace numbers (Figure 3) and reference-weighted
-averages (Table 4, Table 5, Figures 1/2/4/5).  :class:`Experiment`
-packages that loop; since event frequencies are cost-independent, the
-result object can be priced under any bus model afterwards.
+averages (Table 4, Table 5, Figures 1/2/4/5).  Every sweep runs as
+``Engine(...).run(ExecutionPlan(...))`` (see :mod:`repro.engine`) and
+returns an :class:`ExperimentResult`; since event frequencies are
+cost-independent, the result can be priced under any bus model
+afterwards.  :func:`parse_scheme` and :func:`scheme_key` turn scheme
+specs into registry names, options and result keys.
 
 :class:`ExperimentResult` also carries per-cell :class:`CellFailure`
-records so a fault-tolerant sweep (see :mod:`repro.runner.resilient`)
-can return a partial-but-usable result instead of aborting: healthy
-(scheme, trace) cells keep their :class:`SimulationResult`, failed
-cells are documented, and the combined views work over whatever
-completed.
+records so a fault-tolerant sweep can return a partial-but-usable
+result instead of aborting: healthy (scheme, trace) cells keep their
+:class:`SimulationResult`, failed cells are documented, and the
+combined views work over whatever completed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.result import SimulationResult, merge_results
-from repro.core.simulator import Simulator
 from repro.cost.bus import BusModel
 from repro.errors import ConfigurationError
-from repro.trace.stream import Trace
 
 
 @dataclass(frozen=True)
@@ -130,52 +129,6 @@ class ExperimentResult:
         }
 
 
-@dataclass
-class Experiment:
-    """A set of schemes evaluated over a set of traces.
-
-    Args:
-        traces: the input traces (e.g. the three workload analogues).
-        schemes: registry names, or ``(name, options)`` pairs for
-            parameterized schemes such as ``("dirib", {"num_pointers": 2})``.
-        simulator: a configured :class:`~repro.core.simulator.Simulator`;
-            a paper-default one is built when omitted.
-    """
-
-    traces: Sequence[Trace]
-    schemes: Sequence[str | tuple[str, dict]]
-    simulator: Simulator | None = None
-
-    def run(self, progress: Callable[[str, str], None] | None = None) -> ExperimentResult:
-        """Simulate every scheme over every trace.
-
-        Any cell failure propagates immediately; use
-        :class:`repro.runner.resilient.ResilientExperiment` for the
-        error-isolated variant.
-
-        Args:
-            progress: optional callback invoked with (scheme, trace name)
-                before each run.
-        """
-        if not self.traces:
-            raise ConfigurationError("experiment needs at least one trace")
-        if not self.schemes:
-            raise ConfigurationError("experiment needs at least one scheme")
-        simulator = self.simulator or Simulator()
-        outcome = ExperimentResult()
-        for scheme_spec in self.schemes:
-            name, options = parse_scheme(scheme_spec)
-            key = scheme_key(name, options)
-            per_trace = outcome.results.setdefault(key, {})
-            for trace in self.traces:
-                if progress is not None:
-                    progress(key, trace.name)
-                result = simulator.run(trace, name, **options)
-                result.scheme = key
-                per_trace[trace.name] = result
-        return outcome
-
-
 def parse_scheme(spec: str | tuple[str, dict]) -> tuple[str, dict]:
     """Split a scheme spec into (registry name, option dict).
 
@@ -220,21 +173,3 @@ def scheme_key(name: str, options: dict) -> str:
 
         key = f"{key}@{parse_geometry(geometry).canonical()}"
     return key
-
-
-# Backwards-compatible aliases (pre-runner internal names).
-_parse_scheme = parse_scheme
-_scheme_key = scheme_key
-
-
-def run_experiment(
-    traces: Sequence[Trace],
-    schemes: Iterable[str | tuple[str, dict]] = ("dir1nb", "wti", "dir0b", "dragon"),
-    **simulator_options: Any,
-) -> ExperimentResult:
-    """Run the paper's default four-scheme evaluation (or any variant)."""
-    simulator = Simulator(**simulator_options) if simulator_options else None
-    experiment = Experiment(
-        traces=list(traces), schemes=list(schemes), simulator=simulator
-    )
-    return experiment.run()

@@ -235,7 +235,8 @@ class Simulator:
         Instruction fetches never reach the protocol and are counted in
         bulk.  ``context.records_done`` is updated once per call, so on
         an exception mid-run the context must be discarded (callers that
-        retry — the resilient runner — always restart from a snapshot).
+        retry — the engine's checkpointed cells — always restart from a
+        snapshot).
         """
         instr_count, type_codes, sharer_col, addresses = (
             trace.data_view(self.sharer_key)

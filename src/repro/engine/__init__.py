@@ -7,14 +7,14 @@ sweep, :class:`Engine` executes it under a composable policy stack
 (retry, checkpoint, result cache), backends decide *where* cells run
 (:class:`InlineBackend` in-process, :class:`ProcessPoolBackend` across
 workers), and :class:`EngineObserver` events make every layer report
-through the same instrumentation.  ``runner.resilient``, the ``repro``
-CLI, and the simulation service are all thin shells over this engine.
+through the same instrumentation.  Every grid — ``repro run``, the
+paper artifacts, the bench harness, the simulation service — runs as
+``Engine(...).run(ExecutionPlan(...))``; there is no other sweep API.
 """
 
 from repro import lazy_exports
 
 _EXPORTS = {
-    "Cell": "repro.engine.backends",
     "CellOutcome": "repro.engine.plan",
     "CellTask": "repro.engine.plan",
     "DEFAULT_CHECKPOINT_EVERY": "repro.engine.policies",
@@ -27,7 +27,6 @@ _EXPORTS = {
     "NULL_OBSERVER": "repro.engine.observer",
     "ObserverGroup": "repro.engine.observer",
     "ProcessPoolBackend": "repro.engine.backends",
-    "ProgressObserver": "repro.engine.observer",
     "RetryPolicy": "repro.engine.policies",
     "SchemeSpec": "repro.engine.plan",
     "TraceArena": "repro.engine.shm",

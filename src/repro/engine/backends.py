@@ -4,10 +4,11 @@ Every backend executes the same per-cell unit — build the protocol,
 simulate, retry transient failures under the plan's
 :class:`~repro.engine.policies.RetryPolicy` — and reports outcomes in
 the same JSON transport payload the checkpoint manifest uses.  The
-engine picks a backend from configuration (``jobs == 1`` →
-:class:`InlineBackend`, ``jobs > 1`` → :class:`ProcessPoolBackend`);
-nothing above this layer knows whether a cell ran in-process or in a
-pool worker.
+engine runs ``jobs == 1`` cells in-process through :func:`run_cell`
+and ``jobs > 1`` cells through :class:`ProcessPoolBackend`;
+:func:`backend_for` makes the same choice for callers that fan a
+prepared cell list out themselves (the verifier).  Nothing above this
+layer knows whether a cell ran in-process or in a pool worker.
 
 The pooled backend's dispatch path is built for throughput:
 
@@ -71,20 +72,6 @@ from repro.engine.plan import (
 )
 from repro.engine.policies import RetryPolicy, run_with_retry
 from repro.engine.shm import TraceArena, attach_arena
-
-#: One sweep cell in transport form: (scheme spec, result key, trace).
-Cell = tuple
-
-
-def _as_task(cell: Any, index: int) -> CellTask:
-    """Normalize a cell — a :class:`CellTask` or legacy triple — to a task."""
-    if isinstance(cell, CellTask):
-        return cell
-    spec, key, trace = cell
-    return CellTask(
-        spec=spec, scheme_key=key, trace=trace, trace_name=trace.name, index=index
-    )
-
 
 def _run_one_attempt(
     simulator: Simulator, spec: Any, key: str, trace: Trace
@@ -270,15 +257,14 @@ class InlineBackend:
     def run(
         self,
         simulator: Simulator,
-        cells: Sequence[Any],
+        cells: Sequence[CellTask],
         on_complete: Callable[[int, dict[str, Any]], None] | None = None,
         *,
         observer: EngineObserver | None = None,
     ) -> dict[int, dict[str, Any]]:
         """Execute every cell in order; returns ``{cell index: payload}``."""
         outcomes: dict[int, dict[str, Any]] = {}
-        for index, cell in enumerate(cells):
-            task = _as_task(cell, index)
+        for index, task in enumerate(cells):
             outcome = run_cell(simulator, task, retry=self.retry, observer=observer)
             payload = outcome.to_payload()
             outcomes[index] = payload
@@ -314,7 +300,7 @@ class ProcessPoolBackend:
     def run(
         self,
         simulator: Simulator,
-        cells: Sequence[Any],
+        cells: Sequence[CellTask],
         on_complete: Callable[[int, dict[str, Any]], None] | None = None,
         *,
         observer: EngineObserver | None = None,
@@ -324,8 +310,7 @@ class ProcessPoolBackend:
         Args:
             simulator: the configured simulator (shipped to workers
                 once per batch).
-            cells: :class:`CellTask`\\ s (or legacy ``(spec, key,
-                trace)`` triples) in sweep order.
+            cells: :class:`CellTask`\\ s in sweep order.
             on_complete: called with ``(cell index, outcome payload)``
                 as each cell finishes, in completion order — used for
                 incremental checkpoint-manifest writes.
@@ -337,18 +322,17 @@ class ProcessPoolBackend:
         retry = _picklable_retry(self.retry)
         if observer is None:
             observer = NULL_OBSERVER
-        tasks = [_as_task(cell, index) for index, cell in enumerate(cells)]
 
         def finish(index: int, payload: dict[str, Any]) -> None:
             outcomes[index] = payload
             observer.cell_finished(
-                tasks[index], CellOutcome.from_payload(tasks[index], payload)
+                cells[index], CellOutcome.from_payload(cells[index], payload)
             )
             if on_complete is not None:
                 on_complete(index, payload)
 
         def run_local(index: int) -> None:
-            task = tasks[index]
+            task = cells[index]
             finish(
                 index,
                 _terminal_payload(
@@ -361,7 +345,7 @@ class ProcessPoolBackend:
         try:
             pickle.dumps((simulator, retry))
         except Exception:
-            for index in range(len(tasks)):
+            for index in range(len(cells)):
                 run_local(index)
             return outcomes
 
@@ -384,7 +368,7 @@ class ProcessPoolBackend:
         # lazy file's decode errors stay inside its cells.
         arena_index: dict[int, int] = {}
         unique_columnar: list[ColumnarTrace] = []
-        for task in tasks:
+        for task in cells:
             trace = task.trace
             if (
                 isinstance(trace, ColumnarTrace)
@@ -399,7 +383,7 @@ class ProcessPoolBackend:
         local: list[int] = []
         remote: list[tuple[int, dict[str, Any]]] = []
         trace_picklable: dict[int, bool] = {}
-        for index, task in enumerate(tasks):
+        for index, task in enumerate(cells):
             blob = spec_blob(task.spec)
             if blob is None:
                 local.append(index)

@@ -4,11 +4,14 @@
 :class:`~repro.core.experiment.ExperimentResult`, composing the policy
 middleware (retry, checkpoint, result cache) around the single
 :func:`~repro.engine.backends.run_cell` unit and fanning cells out
-through a configured backend.  ``runner.resilient``, the ``repro run``
-CLI, and the simulation service all delegate here — there is exactly
-one retry loop, one checkpoint-manifest write site, and one cache
-lookup path in the execution stack, and they all emit the same
-:class:`~repro.engine.observer.EngineObserver` events.
+through a configured backend.  Every (scheme × trace) grid runs as
+``Engine(...).run(ExecutionPlan(...))`` — ``repro run``, the paper
+artifacts, the bench harness and the simulation service alike — so
+there is exactly one retry loop, one checkpoint-manifest write site,
+and one cache lookup path in the execution stack, and they all emit the
+same :class:`~repro.engine.observer.EngineObserver` events.  A
+fail-fast sweep with no retries is
+``Engine(strict=True, retry=RetryPolicy(max_attempts=1))``.
 
 Behavioral contract (inherited bit-for-bit from the pre-engine stacks):
 
@@ -29,7 +32,7 @@ Behavioral contract (inherited bit-for-bit from the pre-engine stacks):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.experiment import CellFailure, ExperimentResult
 from repro.core.result import SimulationResult, merge_results
@@ -45,12 +48,7 @@ from repro.trace.columnar import ColumnarTrace
 from repro.trace.stream import Trace
 
 from repro.engine.backends import ProcessPoolBackend, run_cell
-from repro.engine.observer import (
-    NULL_OBSERVER,
-    EngineObserver,
-    ObserverGroup,
-    ProgressObserver,
-)
+from repro.engine.observer import NULL_OBSERVER, EngineObserver
 from repro.engine.plan import (
     CellTask,
     ExecutionPlan,
@@ -102,15 +100,14 @@ class Engine:
         jobs: worker processes; ``1`` runs cells serially in-process,
             ``> 1`` fans independent cells across a
             :class:`~repro.engine.backends.ProcessPoolBackend`.
-        batch: cells per pool dispatch (pooled execution only); None
-            auto-sizes from cells-per-worker.
+        batch: cells per pool dispatch (pooled execution only; must be
+            >= 1 whatever ``jobs`` is); None auto-sizes from
+            cells-per-worker.
         result_cache: on-disk content-addressed cache; cells whose
             (trace fingerprint, scheme, options, simulator config) key
             is already cached are skipped entirely.
         observer: engine event hook; compose several with
             :class:`~repro.engine.observer.ObserverGroup`.
-        backend: explicit backend override for pooled execution (must
-            expose ``run(simulator, cells, on_complete, observer=...)``).
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -122,7 +119,6 @@ class Engine:
     batch: int | None = None
     result_cache: ResultCache | None = None
     observer: EngineObserver = field(default_factory=lambda: NULL_OBSERVER)
-    backend: Any = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
@@ -133,25 +129,15 @@ class Engine:
             raise ConfigurationError("resume requires a checkpoint directory")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.batch is not None and self.batch < 1:
+            raise ConfigurationError(f"batch size must be >= 1, got {self.batch}")
 
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        plan: ExecutionPlan,
-        progress: Callable[[str, str], None] | None = None,
-    ) -> ExperimentResult:
-        """Run every cell of *plan*, containing failures; partial results.
-
-        Args:
-            plan: the normalized sweep to execute.
-            progress: optional legacy callback invoked with (scheme key,
-                trace name) before each cell — adapted onto the observer
-                protocol via
-                :class:`~repro.engine.observer.ProgressObserver`.
-        """
+    def run(self, plan: ExecutionPlan) -> ExperimentResult:
+        """Run every cell of *plan*, containing failures; partial results."""
         plan.validate()
-        observer = self._observer_with(progress)
+        observer = self.observer
 
         outcome = ExperimentResult()
         recorder = self._prepare_checkpoint(plan, outcome)
@@ -164,7 +150,7 @@ class Engine:
             if task.trace_name not in outcome.results.get(task.scheme_key, {})
         ]
 
-        if self.jobs > 1 or self.backend is not None:
+        if self.jobs > 1:
             self._run_pooled(plan, cells, outcome, recorder, observer)
         else:
             for task in cells:
@@ -173,15 +159,6 @@ class Engine:
 
         observer.plan_finished(plan, outcome)
         return outcome
-
-    def _observer_with(
-        self, progress: Callable[[str, str], None] | None
-    ) -> EngineObserver:
-        if progress is None:
-            return self.observer
-        if self.observer is NULL_OBSERVER:
-            return ProgressObserver(progress)
-        return ObserverGroup([self.observer, ProgressObserver(progress)])
 
     # ------------------------------------------------------------------
     # Result cache middleware
@@ -402,16 +379,14 @@ class Engine:
         recorder: ManifestRecorder | None,
         observer: EngineObserver,
     ) -> None:
-        """Fan the pending cells across the configured backend.
+        """Fan the pending cells across a process pool.
 
         Cache hits are resolved in the parent before dispatch; computed
         results stream back as JSON payloads and are checkpointed as
         they complete, but ``outcome`` is assembled in sweep order so a
         pooled run is indistinguishable from a serial one.
         """
-        backend = self.backend or ProcessPoolBackend(
-            jobs=self.jobs, retry=self.retry, batch=self.batch
-        )
+        backend = ProcessPoolBackend(jobs=self.jobs, retry=self.retry, batch=self.batch)
         if recorder is not None:
             # Mid-cell snapshots are serial-only; a stale one (e.g. from
             # an interrupted serial run) cannot seed a pool worker.

@@ -1,25 +1,20 @@
 """Engine instrumentation: one observer protocol for every layer.
 
-Before the engine existed, each execution stack kept its own ad-hoc
-progress/metrics plumbing — the serial runner had a ``progress``
-callback, the scheduler a hand-rolled counter dict behind a lock, the
-CLI printed its own lines.  :class:`EngineObserver` replaces all of
-them: the engine (and its backends) emit a small set of well-defined
-events — cell start / retry / finish, cache hit / miss — and every
-consumer (the service ``/stats`` endpoint, ``repro run --progress``,
-tests) reads the same instrumentation.
+The engine (and its backends) emit a small set of well-defined events
+— cell start / retry / finish, cache hit / miss — and every consumer
+(the service ``/stats`` endpoint, ``repro run``'s progress lines, tests)
+reads the same instrumentation.
 
 Observers must be cheap and must not raise: an event hook fires on the
 hot path of a sweep.  :class:`EngineMetrics` is the standard thread-safe
 counter implementation; :class:`ObserverGroup` fans events out to
-several observers; :class:`ProgressObserver` adapts the legacy
-``progress(scheme_key, trace_name)`` callback onto ``cell_started``.
+several observers.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 
 class EngineObserver:
@@ -36,7 +31,13 @@ class EngineObserver:
         """A plan is about to execute (after checkpoint restore)."""
 
     def cell_started(self, task: Any) -> None:
-        """A pending cell is about to run (or be dispatched)."""
+        """A pending cell is about to run (or be dispatched).
+
+        Serial sweeps announce each pending cell, cache hits included,
+        just before it runs; pooled sweeps announce the cells they will
+        compute before dispatch.  Cells restored from a checkpoint are
+        never announced.
+        """
 
     def cell_retry(
         self, task: Any, failed_attempts: int, error: BaseException, delay: float
@@ -154,18 +155,3 @@ class EngineMetrics(EngineObserver):
     def cache_miss(self, task):
         self.bump("cache_misses")
 
-
-class ProgressObserver(EngineObserver):
-    """Adapts the legacy ``progress(scheme_key, trace_name)`` callback.
-
-    The serial engine announces every pending cell (including ones that
-    will be served by the result cache) just before processing it; the
-    pooled engine announces the batch of to-be-computed cells before
-    dispatch — exactly the contract the pre-engine runners had.
-    """
-
-    def __init__(self, progress: Callable[[str, str], None]) -> None:
-        self.progress = progress
-
-    def cell_started(self, task):
-        self.progress(task.scheme_key, task.trace_name)

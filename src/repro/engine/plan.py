@@ -4,9 +4,10 @@ The paper's methodology is a single loop — simulate every
 (scheme × trace) cell, then weight event frequencies with cost models.
 :class:`ExecutionPlan` is that loop's noun: the traces, the scheme
 specs, and the simulator configuration, normalized into an ordered grid
-of :class:`CellTask`\\ s.  Every entry point (``ResilientExperiment``,
-``repro run``, the simulation service) builds a plan and hands it to
-one engine; none of them re-derive the grid themselves.
+of :class:`CellTask`\\ s.  Every entry point (``repro run``, the paper
+artifacts, the bench harness, the simulation service) builds a plan and
+hands it to one :class:`~repro.engine.core.Engine`; none of them
+re-derive the grid themselves.
 
 The plan also owns the **content-fingerprint memo**: each trace's
 fingerprint (the expensive half of a result-cache key) is computed at

@@ -112,7 +112,7 @@ class ConformanceError(ReproError):
 class TransientError(ReproError):
     """A transient, retryable failure (flaky I/O, injected fault).
 
-    The resilient runner's retry layer treats this category — plus
+    The engine's retry layer treats this category — plus
     :class:`OSError` — as worth retrying with backoff; every other
     failure is permanent and is recorded as a cell failure immediately.
     """

@@ -358,7 +358,8 @@ def measure_parallel(
     batch: int | None = None,
 ) -> dict[str, Any]:
     """Whole-sweep throughput by worker count (warm pools, shm dispatch)."""
-    from repro.runner.resilient import ResilientExperiment
+    from repro.engine.core import Engine
+    from repro.engine.plan import ExecutionPlan
     from repro.trace.columnar import ColumnarTrace
 
     columnar = [ColumnarTrace.from_trace(trace) for trace in traces]
@@ -368,10 +369,9 @@ def measure_parallel(
     reference: dict[int, Any] = {}
 
     def sweep(jobs: int) -> None:
-        experiment = ResilientExperiment(
-            traces=columnar, schemes=list(schemes), jobs=jobs, batch=batch
+        outcome = Engine(jobs=jobs, batch=batch).run(
+            ExecutionPlan(traces=columnar, schemes=list(schemes))
         )
-        outcome = experiment.run()
         if outcome.all_failures():
             raise RuntimeError(f"bench sweep failed at jobs={jobs}")
         reference[jobs] = outcome.results

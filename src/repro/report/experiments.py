@@ -27,11 +27,14 @@ from repro.analysis.sensitivity import overhead_model
 from repro.analysis.spinlocks import spin_lock_impact
 from repro.analysis.system import effective_processor_bound
 from repro.analysis.transactions import transaction_costs
-from repro.core.experiment import Experiment, ExperimentResult
+from repro.core.experiment import ExperimentResult
 from repro.core.result import SimulationResult, merge_results
 from repro.core.simulator import Simulator
 from repro.cost.bus import non_pipelined_bus, pipelined_bus
 from repro.cost.timing import PAPER_TIMING
+from repro.engine.core import Engine
+from repro.engine.plan import ExecutionPlan
+from repro.engine.policies import RetryPolicy
 from repro.protocols.events import EventType
 from repro.report.figures import (
     bar_chart,
@@ -126,13 +129,16 @@ class PaperExperiments:
 
     @property
     def experiment(self) -> ExperimentResult:
-        """The four-scheme x three-trace simulation sweep."""
+        """The four-scheme x three-trace simulation sweep (fail-fast)."""
         if self._experiment is None:
-            self._experiment = Experiment(
-                traces=self.traces,
-                schemes=list(PAPER_SCHEMES),
-                simulator=self.simulator,
-            ).run()
+            engine = Engine(strict=True, retry=RetryPolicy(max_attempts=1))
+            self._experiment = engine.run(
+                ExecutionPlan(
+                    traces=self.traces,
+                    schemes=list(PAPER_SCHEMES),
+                    simulator=self.simulator,
+                )
+            )
         return self._experiment
 
     def combined(self, scheme: str) -> SimulationResult:

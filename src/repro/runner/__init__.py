@@ -1,14 +1,10 @@
-"""Resilient experiment runner: the fault-tolerance layer.
+"""The runner's durable artifacts and fault-injection instruments.
 
-This subpackage sits between the simulator core and the CLI/analysis
-layers.  Execution itself lives in :mod:`repro.engine`; what remains
-here are the runner's durable artifacts and test instruments:
+Sweeps themselves run through :mod:`repro.engine`
+(``Engine(...).run(ExecutionPlan(...))``), which owns retry, failure
+containment, checkpointing and the result cache.  This subpackage holds
+what that engine persists and what the tests use to attack it:
 
-* :mod:`repro.runner.resilient` — :class:`ResilientExperiment`, the
-  sweep-level entry point (a thin configuration shell over the engine):
-  error-isolated cells with retry + exponential backoff; failures
-  become :class:`~repro.core.experiment.CellFailure` records instead of
-  aborting the sweep.
 * :mod:`repro.runner.checkpoint` — versioned checkpoint/resume:
   completed cells in a JSON manifest, the in-progress cell as a binary
   mid-trace snapshot.
@@ -39,13 +35,6 @@ _EXPORTS = {
     "KillPoint": "repro.runner.faults",
     "SaboteurProtocol": "repro.runner.faults",
     "inject_illegal_dirty_copies": "repro.runner.faults",
-    "DEFAULT_CHECKPOINT_EVERY": "repro.runner.resilient",
-    "ResilientExperiment": "repro.runner.resilient",
-    "RetryPolicy": "repro.runner.resilient",
-    "build_protocol_for_cell": "repro.runner.resilient",
-    "num_caches_for": "repro.runner.resilient",
-    "run_resilient_sweep": "repro.runner.resilient",
-    "spec_key": "repro.runner.resilient",
 }
 
 __all__ = list(_EXPORTS)

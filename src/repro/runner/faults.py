@@ -2,7 +2,7 @@
 
 Robustness claims are only as good as the faults they were tested
 against.  :class:`FaultInjector` manufactures every fault class the
-resilient runner promises to contain:
+engine promises to contain:
 
 * **corrupt trace records** — bit-flipped addresses, bogus flag
   letters, garbage lines in text traces; overwritten type codes and

@@ -30,7 +30,7 @@ from repro.verify.checker import ConformanceChecker, ConformanceSpec
 
 #: Saboteur modes exercised by default.  ``"kill"`` is excluded: it
 #: simulates process death for checkpoint/resume tests, which is the
-#: resilient runner's containment problem, not a conformance property.
+#: engine's containment problem, not a conformance property.
 DEFAULT_MODES = ("illegal-state", "transient")
 
 #: Eviction-logic saboteur modes (finite-capacity bug classes).

@@ -262,6 +262,17 @@ def test_configuration_error_exits_5(capsys):
     assert "error [configuration]:" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_zero_batch_exits_5_for_any_job_count(capsys, jobs):
+    code, out, err = run_cli(
+        capsys, "run", "--workloads", "pops", "--length", "500",
+        "--schemes", "dir0b", "--jobs", jobs, "--batch", "0",
+    )
+    assert code == 5
+    assert "error [configuration]: batch size must be >= 1" in err
+    assert out == ""
+
+
 # ----------------------------------------------------------------------
 # repro run: the fault-tolerant sweep
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import record_loop
 from repro.core.simulator import SimulationContext, Simulator
+from repro.engine import Engine, ExecutionPlan
 from repro.protocols.registry import available_protocols, make_protocol
-from repro.runner.resilient import ResilientExperiment
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads.registry import make_trace
 
@@ -77,9 +77,7 @@ def test_parallel_sweep_matches_record_path(trace, columnar):
         scheme: record_loop(simulator, trace, scheme)
         for scheme in schemes
     }
-    parallel = ResilientExperiment(
-        traces=[columnar], schemes=schemes, jobs=2
-    ).run()
+    parallel = Engine(jobs=2).run(ExecutionPlan(traces=[columnar], schemes=schemes))
     assert not parallel.all_failures()
     for scheme in schemes:
         assert parallel.results[scheme][trace.name] == serial[scheme]

@@ -1,9 +1,15 @@
-"""Experiment runner (schemes x traces)."""
+"""Sweep results (schemes x traces) from an engine run."""
 
 import pytest
 
-from repro.core.experiment import Experiment, run_experiment
 from repro.cost.bus import PAPER_PIPELINED
+from repro.engine import (
+    NULL_OBSERVER,
+    Engine,
+    EngineObserver,
+    ExecutionPlan,
+    RetryPolicy,
+)
 from repro.errors import ConfigurationError
 
 from conftest import tiny_trace
@@ -13,28 +19,34 @@ def two_traces():
     return [tiny_trace("alpha"), tiny_trace("beta")]
 
 
+def sweep(traces, schemes, observer=NULL_OBSERVER):
+    """A fail-fast sweep with no retries, as the paper artifacts run it."""
+    engine = Engine(strict=True, retry=RetryPolicy(max_attempts=1), observer=observer)
+    return engine.run(ExecutionPlan(traces=traces, schemes=schemes))
+
+
 def test_runs_all_scheme_trace_pairs():
-    outcome = Experiment(traces=two_traces(), schemes=["dir0b", "dragon"]).run()
+    outcome = sweep(two_traces(), ["dir0b", "dragon"])
     assert set(outcome.schemes) == {"dir0b", "dragon"}
     assert outcome.trace_names == ["alpha", "beta"]
     assert outcome.result("dir0b", "alpha").total_refs == len(tiny_trace())
 
 
 def test_combined_pools_traces():
-    outcome = Experiment(traces=two_traces(), schemes=["dir0b"]).run()
+    outcome = sweep(two_traces(), ["dir0b"])
     combined = outcome.combined("dir0b")
     assert combined.total_refs == 2 * len(tiny_trace())
 
 
 def test_bus_cycles_table():
-    outcome = Experiment(traces=two_traces(), schemes=["dir0b", "dragon"]).run()
+    outcome = sweep(two_traces(), ["dir0b", "dragon"])
     table = outcome.bus_cycles_table(PAPER_PIPELINED)
     assert set(table) == {"dir0b", "dragon"}
     assert all(value >= 0 for value in table.values())
 
 
 def test_per_trace_bus_cycles():
-    outcome = Experiment(traces=two_traces(), schemes=["dir0b"]).run()
+    outcome = sweep(two_traces(), ["dir0b"])
     per_trace = outcome.per_trace_bus_cycles(PAPER_PIPELINED)
     assert set(per_trace["dir0b"]) == {"alpha", "beta"}
     # Identical traces => identical costs.
@@ -42,15 +54,15 @@ def test_per_trace_bus_cycles():
 
 
 def test_parameterized_schemes_get_distinct_keys():
-    outcome = Experiment(
-        traces=two_traces(),
-        schemes=[("dirib", {"num_pointers": 1}), ("dirib", {"num_pointers": 2})],
-    ).run()
+    outcome = sweep(
+        two_traces(),
+        [("dirib", {"num_pointers": 1}), ("dirib", {"num_pointers": 2})],
+    )
     assert set(outcome.schemes) == {"dir1b", "dir2b"}
 
 
 def test_missing_result_raises():
-    outcome = Experiment(traces=two_traces(), schemes=["dir0b"]).run()
+    outcome = sweep(two_traces(), ["dir0b"])
     with pytest.raises(ConfigurationError):
         outcome.result("dragon", "alpha")
     with pytest.raises(ConfigurationError):
@@ -59,24 +71,19 @@ def test_missing_result_raises():
 
 def test_empty_configuration_rejected():
     with pytest.raises(ConfigurationError):
-        Experiment(traces=[], schemes=["dir0b"]).run()
+        sweep([], ["dir0b"])
     with pytest.raises(ConfigurationError):
-        Experiment(traces=two_traces(), schemes=[]).run()
+        sweep(two_traces(), [])
 
 
 def test_progress_callback_invoked():
-    calls = []
-    Experiment(traces=two_traces(), schemes=["dir0b"]).run(
-        progress=lambda scheme, trace: calls.append((scheme, trace))
-    )
-    assert calls == [("dir0b", "alpha"), ("dir0b", "beta")]
+    class StartedCells(EngineObserver):
+        def __init__(self):
+            self.calls = []
 
+        def cell_started(self, task):
+            self.calls.append((task.scheme_key, task.trace_name))
 
-def test_run_experiment_defaults_to_paper_schemes():
-    outcome = run_experiment(two_traces())
-    assert set(outcome.schemes) == {"dir1nb", "wti", "dir0b", "dragon"}
-
-
-def test_run_experiment_forwards_simulator_options():
-    outcome = run_experiment(two_traces(), schemes=["dir0b"], sharer_key="cpu")
-    assert outcome.combined("dir0b").total_refs > 0
+    observer = StartedCells()
+    sweep(two_traces(), ["dir0b"], observer=observer)
+    assert observer.calls == [("dir0b", "alpha"), ("dir0b", "beta")]

@@ -229,6 +229,8 @@ def test_engine_configuration_validation():
         Engine(resume=True)
     with pytest.raises(ConfigurationError):
         Engine(jobs=0)
+    with pytest.raises(ConfigurationError, match="batch size"):
+        Engine(batch=0)  # rejected even for serial sweeps, which never batch
     with pytest.raises(ConfigurationError):
         ProcessPoolBackend(jobs=0)
     with pytest.raises(ConfigurationError):
@@ -355,11 +357,23 @@ def test_pool_ships_column_backed_traces_through_the_arena(monkeypatch, traces):
 
 
 def test_removed_parallel_shim_names_are_gone():
-    import repro.runner
+    import importlib
 
-    with pytest.raises(AttributeError):
-        repro.runner.ParallelExecutor
-    with pytest.raises(AttributeError):
-        repro.runner.no_such_export
-    with pytest.raises(ImportError):
-        __import__("repro.runner.parallel")
+    # Sweep entry points and shims that were deleted, not aliased.
+    removed = [
+        ("repro.runner", "ParallelExecutor"),
+        ("repro.runner", "no_such_export"),
+        ("repro", "Experiment"),
+        ("repro", "run_experiment"),
+        ("repro", "ResilientExperiment"),
+        ("repro", "run_resilient_sweep"),
+        ("repro.runner", "ResilientExperiment"),
+        ("repro.core", "Experiment"),
+        ("repro.engine", "ProgressObserver"),
+    ]
+    for package, name in removed:
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(package), name)
+    for module in ("repro.runner.parallel", "repro.runner.resilient"):
+        with pytest.raises(ImportError):
+            __import__(module)

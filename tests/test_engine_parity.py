@@ -21,7 +21,6 @@ from repro.runner.checkpoint import (
     CheckpointManager,
     result_to_json,
 )
-from repro.runner.resilient import ResilientExperiment
 from repro.service.scheduler import Scheduler
 from repro.service.spec import parse_job_spec
 from repro.trace.columnar import ColumnarTrace
@@ -147,11 +146,11 @@ def test_pre_refactor_manifest_resumes_post_refactor(tmp_path, trace):
 
 
 def test_manifest_from_runner_resumes_through_engine(tmp_path, trace):
-    """A checkpoint cut by ResilientExperiment restores via Engine directly."""
+    """A checkpoint cut by one engine restores through a fresh one."""
     checkpoint_dir = tmp_path / "ckpt"
-    first = ResilientExperiment(
-        traces=[trace], schemes=SCHEMES, checkpoint=CheckpointManager(checkpoint_dir)
-    ).run()
+    first = Engine(checkpoint=CheckpointManager(checkpoint_dir)).run(
+        ExecutionPlan(traces=[trace], schemes=SCHEMES)
+    )
     assert first.ok
 
     metrics = EngineMetrics()
@@ -164,18 +163,11 @@ def test_manifest_from_runner_resumes_through_engine(tmp_path, trace):
 
 def test_resume_rejects_foreign_fingerprint(tmp_path, trace):
     checkpoint_dir = tmp_path / "ckpt"
-    ResilientExperiment(
-        traces=[trace], schemes=SCHEMES, checkpoint=CheckpointManager(checkpoint_dir)
-    ).run()
+    Engine(checkpoint=CheckpointManager(checkpoint_dir)).run(
+        ExecutionPlan(traces=[trace], schemes=SCHEMES)
+    )
     with pytest.raises(CheckpointError):
         Engine(checkpoint=CheckpointManager(checkpoint_dir), resume=True).run(
             ExecutionPlan(traces=[trace], schemes=["dir0b"])
         )
 
-
-def test_runner_facade_and_engine_share_results(trace):
-    """ResilientExperiment is a pure delegate: same results, same order."""
-    facade = ResilientExperiment(traces=[trace], schemes=SCHEMES).run()
-    direct = Engine().run(ExecutionPlan(traces=[trace], schemes=SCHEMES))
-    assert canonical(facade.results) == canonical(direct.results)
-    assert list(facade.results) == list(direct.results)  # sweep order

@@ -91,11 +91,11 @@ def test_ample_capacity_identical_on_streaming_backend(
 
 def test_ample_capacity_identical_on_pooled_backend(trace, ample):
     """The multiprocess sweep round-trips finite cells bit-identically."""
-    from repro.runner.resilient import ResilientExperiment
+    from repro.engine import Engine, ExecutionPlan
 
     suffix = f"@{ample.canonical()}"
     schemes = list(ALL_SCHEMES) + [f"{name}{suffix}" for name in ALL_SCHEMES]
-    outcome = ResilientExperiment(traces=[trace], schemes=schemes, jobs=2).run()
+    outcome = Engine(jobs=2).run(ExecutionPlan(traces=[trace], schemes=schemes))
     assert not outcome.all_failures()
     for name in ALL_SCHEMES:
         infinite = outcome.results[name][trace.name]

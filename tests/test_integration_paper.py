@@ -8,10 +8,10 @@ paper-vs-measured values at full length.
 
 import pytest
 
-from repro.core.experiment import Experiment
 from repro.core.result import merge_results
 from repro.core.simulator import Simulator
 from repro.cost.bus import PAPER_NON_PIPELINED, PAPER_PIPELINED
+from repro.engine import Engine, ExecutionPlan, RetryPolicy
 from repro.protocols.events import EventType
 
 LENGTH_SCHEMES = ("dir1nb", "wti", "dir0b", "dragon")
@@ -19,7 +19,10 @@ LENGTH_SCHEMES = ("dir1nb", "wti", "dir0b", "dragon")
 
 @pytest.fixture(scope="module")
 def outcome(standard_small):
-    return Experiment(traces=standard_small, schemes=list(LENGTH_SCHEMES)).run()
+    engine = Engine(strict=True, retry=RetryPolicy(max_attempts=1))
+    return engine.run(
+        ExecutionPlan(traces=standard_small, schemes=list(LENGTH_SCHEMES))
+    )
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,9 @@ import threading
 import pytest
 
 from repro.core.simulator import Simulator
+from repro.engine import Engine, ExecutionPlan
 from repro.runner.cache import CACHE_VERSION, ResultCache, cache_key, trace_fingerprint
 from repro.runner.checkpoint import result_to_json
-from repro.runner.resilient import ResilientExperiment
 from repro.workloads.registry import make_trace
 
 
@@ -75,19 +75,14 @@ def test_quarantined_entries_not_counted_as_cache_entries(tmp_path, simulator, t
 def test_sweep_resimulates_through_garbage_cache_entry(tmp_path, trace):
     """End to end: a sweep hitting a corrupt entry re-simulates silently."""
     cache_dir = tmp_path / "cache"
-    first = ResilientExperiment(
-        traces=[trace], schemes=["dir0b"], result_cache=ResultCache(cache_dir)
-    )
-    outcome_first = first.run()
+    plan = ExecutionPlan(traces=[trace], schemes=["dir0b"])
+    outcome_first = Engine(result_cache=ResultCache(cache_dir)).run(plan)
     entries = list(cache_dir.glob("*.json"))
     assert len(entries) == 1
     entries[0].write_text("garbage, not a cached result", "utf-8")
 
     second_cache = ResultCache(cache_dir)
-    second = ResilientExperiment(
-        traces=[trace], schemes=["dir0b"], result_cache=second_cache
-    )
-    outcome_second = second.run()
+    outcome_second = Engine(result_cache=second_cache).run(plan)
     assert outcome_second.ok
     assert second_cache.quarantined == 1
     assert result_to_json(outcome_second.results["dir0b"][trace.name]) == (

@@ -5,8 +5,8 @@ import pickle
 
 import pytest
 
-from repro.core.experiment import Experiment
 from repro.core.simulator import simulate
+from repro.engine import Engine, EngineObserver, ExecutionPlan
 from repro.errors import CheckpointError
 from repro.protocols.registry import make_protocol
 from repro.runner.checkpoint import (
@@ -17,7 +17,6 @@ from repro.runner.checkpoint import (
     result_to_json,
 )
 from repro.runner.faults import KillPoint, SaboteurProtocol
-from repro.runner.resilient import run_resilient_sweep
 from repro.workloads.registry import make_trace
 
 
@@ -87,10 +86,14 @@ def test_manifest_fingerprint_mismatch_raises(tmp_path):
 
 
 def test_resume_from_foreign_checkpoint_is_refused(tmp_path, trace):
-    ckpt = str(tmp_path / "ckpt")
-    run_resilient_sweep([trace], ["dir1nb"], checkpoint_dir=ckpt)
+    ckpt = tmp_path / "ckpt"
+    Engine(checkpoint=CheckpointManager(ckpt)).run(
+        ExecutionPlan(traces=[trace], schemes=["dir1nb"])
+    )
     with pytest.raises(CheckpointError, match="different experiment"):
-        run_resilient_sweep([trace], ["dir0b"], checkpoint_dir=ckpt, resume=True)
+        Engine(checkpoint=CheckpointManager(ckpt), resume=True).run(
+            ExecutionPlan(traces=[trace], schemes=["dir0b"])
+        )
 
 
 # ----------------------------------------------------------------------
@@ -135,27 +138,36 @@ def test_cell_state_magic_version_and_payload_are_enforced(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_checkpointed_run_matches_plain_run(tmp_path, trace):
-    outcome = run_resilient_sweep(
-        [trace], ["dir1nb", "dragon"],
-        checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=123,
+    schemes = ["dir1nb", "dragon"]
+    engine = Engine(
+        checkpoint=CheckpointManager(tmp_path / "ckpt"), checkpoint_every=123
     )
-    plain = Experiment(traces=[trace], schemes=["dir1nb", "dragon"]).run()
+    outcome = engine.run(ExecutionPlan(traces=[trace], schemes=schemes))
+    plain = Engine().run(ExecutionPlan(traces=[trace], schemes=schemes))
     assert outcome.ok
     for scheme in ("dir1nb", "dragon"):
         assert outcome.result(scheme, trace.name) == plain.result(scheme, trace.name)
 
 
+class StartedCells(EngineObserver):
+    """Records the (scheme, trace) of every cell the engine announces."""
+
+    def __init__(self):
+        self.started = []
+
+    def cell_started(self, task):
+        self.started.append((task.scheme_key, task.trace_name))
+
+
 def test_resume_of_finished_sweep_recomputes_nothing(tmp_path, trace):
-    ckpt = str(tmp_path / "ckpt")
-    first = run_resilient_sweep(
-        [trace], ["dir1nb", "dir0b"], checkpoint_dir=ckpt, checkpoint_every=500
-    )
-    ran = []
-    resumed = run_resilient_sweep(
-        [trace], ["dir1nb", "dir0b"], checkpoint_dir=ckpt, resume=True,
-        progress=lambda scheme, name: ran.append((scheme, name)),
-    )
-    assert ran == []  # every cell restored from the manifest
+    ckpt = tmp_path / "ckpt"
+    plan = ExecutionPlan(traces=[trace], schemes=["dir1nb", "dir0b"])
+    first = Engine(checkpoint=CheckpointManager(ckpt), checkpoint_every=500).run(plan)
+    recorder = StartedCells()
+    resumed = Engine(
+        checkpoint=CheckpointManager(ckpt), resume=True, observer=recorder
+    ).run(plan)
+    assert recorder.started == []  # every cell restored from the manifest
     for scheme in ("dir1nb", "dir0b"):
         assert resumed.result(scheme, trace.name) == first.result(scheme, trace.name)
 
@@ -172,13 +184,12 @@ def test_kill_and_resume_reproduces_uninterrupted_result(tmp_path, trace):
         )
     killer.scheme_key = "dir1nb"
 
-    ckpt = str(tmp_path / "ckpt")
+    ckpt = tmp_path / "ckpt"
+    plan = ExecutionPlan(traces=[trace], schemes=[killer])
     KillPoint.arm()
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_resilient_sweep(
-                [trace], [killer], checkpoint_dir=ckpt, checkpoint_every=250
-            )
+            Engine(checkpoint=CheckpointManager(ckpt), checkpoint_every=250).run(plan)
     finally:
         KillPoint.disarm()
 
@@ -187,10 +198,10 @@ def test_kill_and_resume_reproduces_uninterrupted_result(tmp_path, trace):
     assert state is not None
     assert 0 < state["records_done"] < len(trace)
 
-    resumed = run_resilient_sweep(
-        [trace], [killer], checkpoint_dir=ckpt, checkpoint_every=250, resume=True
-    )
-    plain = Experiment(traces=[trace], schemes=["dir1nb"]).run()
+    resumed = Engine(
+        checkpoint=CheckpointManager(ckpt), checkpoint_every=250, resume=True
+    ).run(plan)
+    plain = Engine().run(ExecutionPlan(traces=[trace], schemes=["dir1nb"]))
     assert resumed.ok
     assert resumed.result("dir1nb", trace.name) == plain.result("dir1nb", trace.name)
 
@@ -201,24 +212,25 @@ def test_midsweep_kill_resumes_only_unfinished_cells(tmp_path, trace):
             make_protocol("dir0b", num_caches), trigger_after=300, mode="kill"
         )
     killer.scheme_key = "dir0b"
-    schemes = ["dir1nb", killer]
+    plan = ExecutionPlan(traces=[trace], schemes=["dir1nb", killer])
 
-    ckpt = str(tmp_path / "ckpt")
+    ckpt = tmp_path / "ckpt"
     KillPoint.arm()
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_resilient_sweep(
-                [trace], schemes, checkpoint_dir=ckpt, checkpoint_every=200
-            )
+            Engine(checkpoint=CheckpointManager(ckpt), checkpoint_every=200).run(plan)
     finally:
         KillPoint.disarm()
 
-    ran = []
-    resumed = run_resilient_sweep(
-        [trace], schemes, checkpoint_dir=ckpt, checkpoint_every=200, resume=True,
-        progress=lambda scheme, name: ran.append(scheme),
-    )
-    assert ran == ["dir0b"]  # dir1nb came straight from the manifest
-    plain = Experiment(traces=[trace], schemes=["dir1nb", "dir0b"]).run()
+    recorder = StartedCells()
+    resumed = Engine(
+        checkpoint=CheckpointManager(ckpt),
+        checkpoint_every=200,
+        resume=True,
+        observer=recorder,
+    ).run(plan)
+    # dir1nb came straight from the manifest
+    assert recorder.started == [("dir0b", trace.name)]
+    plain = Engine().run(ExecutionPlan(traces=[trace], schemes=["dir1nb", "dir0b"]))
     for scheme in ("dir1nb", "dir0b"):
         assert resumed.result(scheme, trace.name) == plain.result(scheme, trace.name)

@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.core.simulator import Simulator
+from repro.engine import Engine, ExecutionPlan, RetryPolicy
 from repro.errors import ConfigurationError, ProtocolError, TransientError
 from repro.protocols.registry import make_protocol
 from repro.runner.cache import ResultCache, cache_key, trace_fingerprint
 from repro.runner.checkpoint import CheckpointManager
 from repro.engine.backends import ProcessPoolBackend
-from repro.runner.resilient import ResilientExperiment, RetryPolicy
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads.registry import make_trace
 
@@ -35,13 +35,13 @@ def traces():
 # ----------------------------------------------------------------------
 
 def test_parallel_sweep_matches_serial(traces):
-    serial = ResilientExperiment(traces=traces, schemes=SCHEMES).run()
-    parallel = ResilientExperiment(traces=traces, schemes=SCHEMES, jobs=2).run()
+    serial = Engine().run(ExecutionPlan(traces=traces, schemes=SCHEMES))
+    parallel = Engine(jobs=2).run(ExecutionPlan(traces=traces, schemes=SCHEMES))
     assert parallel.results == serial.results
 
 
 def test_parallel_result_ordering_is_sweep_order(traces):
-    outcome = ResilientExperiment(traces=traces, schemes=SCHEMES, jobs=2).run()
+    outcome = Engine(jobs=2).run(ExecutionPlan(traces=traces, schemes=SCHEMES))
     assert list(outcome.results) == SCHEMES  # scheme-major
     for per_trace in outcome.results.values():
         assert list(per_trace) == [trace.name for trace in traces]
@@ -49,7 +49,7 @@ def test_parallel_result_ordering_is_sweep_order(traces):
 
 def test_jobs_must_be_positive(traces):
     with pytest.raises(ConfigurationError, match="jobs"):
-        ResilientExperiment(traces=traces, schemes=SCHEMES, jobs=0)
+        Engine(jobs=0)
     with pytest.raises(ConfigurationError, match="jobs"):
         ProcessPoolBackend(jobs=0)
 
@@ -59,12 +59,9 @@ def test_parallel_containment_of_permanent_failures(traces):
         raise ProtocolError("sabotaged build")
 
     saboteur.scheme_key = "boom"
-    outcome = ResilientExperiment(
-        traces=traces,
-        schemes=["dir0b", saboteur, "dragon"],
-        jobs=2,
-        retry=no_sleep_policy(max_attempts=2),
-    ).run()
+    outcome = Engine(jobs=2, retry=no_sleep_policy(max_attempts=2)).run(
+        ExecutionPlan(traces=traces, schemes=["dir0b", saboteur, "dragon"])
+    )
     failures = outcome.all_failures()
     assert {f.scheme for f in failures} == {"boom"}
     assert all(f.category == "ProtocolError" for f in failures)
@@ -76,12 +73,9 @@ def test_unpicklable_cells_fall_back_to_in_process(traces):
     # run (in the parent) and still be contained on failure.
     bad = lambda num_caches: (_ for _ in ()).throw(ProtocolError("boom"))  # noqa: E731
     bad.scheme_key = "unpicklable"
-    outcome = ResilientExperiment(
-        traces=traces,
-        schemes=["dir0b", bad],
-        jobs=2,
-        retry=no_sleep_policy(max_attempts=1),
-    ).run()
+    outcome = Engine(jobs=2, retry=no_sleep_policy(max_attempts=1)).run(
+        ExecutionPlan(traces=traces, schemes=["dir0b", bad])
+    )
     assert {f.scheme for f in outcome.all_failures()} == {"unpicklable"}
     assert "dir0b" in outcome.results
 
@@ -92,10 +86,9 @@ def test_parallel_strict_raises_rehydrated_exception(traces):
 
     saboteur.scheme_key = "boom"
     with pytest.raises(ProtocolError, match="sabotaged build"):
-        ResilientExperiment(
-            traces=traces, schemes=[saboteur, "dir0b"], jobs=2, strict=True,
-            retry=no_sleep_policy(max_attempts=1),
-        ).run()
+        Engine(jobs=2, strict=True, retry=no_sleep_policy(max_attempts=1)).run(
+            ExecutionPlan(traces=traces, schemes=[saboteur, "dir0b"])
+        )
 
 
 def test_worker_side_retry_recovers_transients(traces):
@@ -111,52 +104,49 @@ def test_worker_side_retry_recovers_transients(traces):
                 raise TransientError("warming up")
             return make_protocol("dir0b", num_caches)
 
-    outcome = ResilientExperiment(
-        traces=traces[:1],
-        schemes=[FlakyFactory()],
-        jobs=2,
-        retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-    ).run()
+    outcome = Engine(jobs=2, retry=RetryPolicy(max_attempts=3, backoff_base=0.0)).run(
+        ExecutionPlan(traces=traces[:1], schemes=[FlakyFactory()])
+    )
     assert not outcome.all_failures()
     assert "flaky" in outcome.results
 
 
 def test_parallel_checkpoint_manifest_and_resume(tmp_path, traces):
     checkpoint = CheckpointManager(tmp_path / "ckpt")
-    first = ResilientExperiment(
-        traces=traces, schemes=SCHEMES, jobs=2, checkpoint=checkpoint
-    ).run()
+    first = Engine(jobs=2, checkpoint=checkpoint).run(
+        ExecutionPlan(traces=traces, schemes=SCHEMES)
+    )
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
     assert set(manifest["completed"]) == set(SCHEMES)
     assert all(len(cells) == len(traces) for cells in manifest["completed"].values())
 
-    resumed = ResilientExperiment(
-        traces=traces, schemes=SCHEMES, jobs=2, checkpoint=checkpoint, resume=True
-    ).run()
+    resumed = Engine(jobs=2, checkpoint=checkpoint, resume=True).run(
+        ExecutionPlan(traces=traces, schemes=SCHEMES)
+    )
     assert resumed.results == first.results
 
 
 def test_parallel_resume_from_serial_checkpoint(tmp_path, traces):
     checkpoint = CheckpointManager(tmp_path / "ckpt")
-    serial = ResilientExperiment(
-        traces=traces, schemes=SCHEMES, checkpoint=checkpoint
-    ).run()
-    parallel = ResilientExperiment(
-        traces=traces, schemes=SCHEMES, jobs=3, checkpoint=checkpoint, resume=True
-    ).run()
+    serial = Engine(checkpoint=checkpoint).run(
+        ExecutionPlan(traces=traces, schemes=SCHEMES)
+    )
+    parallel = Engine(jobs=3, checkpoint=checkpoint, resume=True).run(
+        ExecutionPlan(traces=traces, schemes=SCHEMES)
+    )
     assert parallel.results == serial.results
 
 
 def test_executor_runs_columnar_traces(traces):
     columnar = [ColumnarTrace.from_trace(trace) for trace in traces]
-    serial = ResilientExperiment(traces=traces, schemes=SCHEMES).run()
-    parallel = ResilientExperiment(traces=columnar, schemes=SCHEMES, jobs=2).run()
+    serial = Engine().run(ExecutionPlan(traces=traces, schemes=SCHEMES))
+    parallel = Engine(jobs=2).run(ExecutionPlan(traces=columnar, schemes=SCHEMES))
     assert parallel.results == serial.results
 
 
 def test_executor_reports_attempt_counts(traces):
     executor = ProcessPoolBackend(jobs=2, retry=no_sleep_policy(max_attempts=1))
-    cells = [("dir0b", "dir0b", traces[0]), ("dragon", "dragon", traces[1])]
+    cells = ExecutionPlan(traces=traces[:1], schemes=["dir0b", "dragon"]).cells()
     outcomes = executor.run(Simulator(), cells)
     assert set(outcomes) == {0, 1}
     assert all(payload["status"] == "ok" for payload in outcomes.values())
@@ -207,16 +197,16 @@ def test_cache_key_is_none_for_factories(traces):
 
 def test_result_cache_hits_skip_simulation(tmp_path, traces):
     cache = ResultCache(tmp_path / "cache")
-    first = ResilientExperiment(
-        traces=traces, schemes=SCHEMES, result_cache=cache
-    ).run()
+    first = Engine(result_cache=cache).run(
+        ExecutionPlan(traces=traces, schemes=SCHEMES)
+    )
     assert cache.hits == 0
     assert cache.misses == len(SCHEMES) * len(traces)
 
     cache2 = ResultCache(tmp_path / "cache")
-    second = ResilientExperiment(
-        traces=traces, schemes=SCHEMES, result_cache=cache2
-    ).run()
+    second = Engine(result_cache=cache2).run(
+        ExecutionPlan(traces=traces, schemes=SCHEMES)
+    )
     assert cache2.hits == len(SCHEMES) * len(traces)
     assert cache2.misses == 0
     assert second.results == first.results
@@ -224,27 +214,27 @@ def test_result_cache_hits_skip_simulation(tmp_path, traces):
 
 def test_result_cache_crosses_representations_and_jobs(tmp_path, traces):
     cache = ResultCache(tmp_path / "cache")
-    serial = ResilientExperiment(
-        traces=traces, schemes=SCHEMES, result_cache=cache
-    ).run()
+    serial = Engine(result_cache=cache).run(
+        ExecutionPlan(traces=traces, schemes=SCHEMES)
+    )
     columnar = [ColumnarTrace.from_trace(trace) for trace in traces]
     cache2 = ResultCache(tmp_path / "cache")
-    parallel = ResilientExperiment(
-        traces=columnar, schemes=SCHEMES, jobs=2, result_cache=cache2
-    ).run()
+    parallel = Engine(jobs=2, result_cache=cache2).run(
+        ExecutionPlan(traces=columnar, schemes=SCHEMES)
+    )
     assert cache2.hits == len(SCHEMES) * len(traces)
     assert parallel.results == serial.results
 
 
 def test_result_cache_ignores_corrupt_entries(tmp_path, traces):
     cache = ResultCache(tmp_path / "cache")
-    ResilientExperiment(traces=traces, schemes=["dir0b"], result_cache=cache).run()
+    Engine(result_cache=cache).run(ExecutionPlan(traces=traces, schemes=["dir0b"]))
     for entry in (tmp_path / "cache").glob("*.json"):
         entry.write_text("{ not json")
     cache2 = ResultCache(tmp_path / "cache")
-    outcome = ResilientExperiment(
-        traces=traces, schemes=["dir0b"], result_cache=cache2
-    ).run()
+    outcome = Engine(result_cache=cache2).run(
+        ExecutionPlan(traces=traces, schemes=["dir0b"])
+    )
     assert cache2.hits == 0
     assert not outcome.all_failures()
 
@@ -252,15 +242,13 @@ def test_result_cache_ignores_corrupt_entries(tmp_path, traces):
 def test_result_cache_reports_under_current_labels(tmp_path, traces):
     """A hit from a differently-named identical trace keeps this sweep's names."""
     cache = ResultCache(tmp_path / "cache")
-    ResilientExperiment(
-        traces=traces[:1], schemes=["dir0b"], result_cache=cache
-    ).run()
+    Engine(result_cache=cache).run(ExecutionPlan(traces=traces[:1], schemes=["dir0b"]))
     renamed = ColumnarTrace.from_trace(traces[0])
     renamed.name = "alias"
     cache2 = ResultCache(tmp_path / "cache")
-    outcome = ResilientExperiment(
-        traces=[renamed], schemes=["dir0b"], result_cache=cache2
-    ).run()
+    outcome = Engine(result_cache=cache2).run(
+        ExecutionPlan(traces=[renamed], schemes=["dir0b"])
+    )
     assert cache2.hits == 1
     result = outcome.results["dir0b"]["alias"]
     assert result.trace_name == "alias"

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.experiment import CellFailure, Experiment
+from repro.core.experiment import CellFailure
 from repro.core.simulator import Simulator
+from repro.engine import Engine, ExecutionPlan, RetryPolicy, spec_key
 from repro.errors import (
     ConfigurationError,
     InvariantViolation,
@@ -12,12 +13,6 @@ from repro.errors import (
 )
 from repro.protocols.registry import make_protocol
 from repro.runner.faults import FaultInjector, FlakyTrace, SaboteurProtocol
-from repro.runner.resilient import (
-    ResilientExperiment,
-    RetryPolicy,
-    run_resilient_sweep,
-    spec_key,
-)
 from repro.trace.io import LazyTraceFile, write_trace_file
 from repro.workloads.registry import make_trace
 
@@ -82,12 +77,16 @@ def test_spec_key_forms():
 # ----------------------------------------------------------------------
 
 def test_healthy_sweep_matches_strict_experiment(traces):
-    resilient = run_resilient_sweep(traces, ["dir1nb", "wti", "dir0b"])
-    strict = Experiment(traces=traces, schemes=["dir1nb", "wti", "dir0b"]).run()
+    plan = ExecutionPlan(traces=traces, schemes=["dir1nb", "wti", "dir0b"])
+    resilient = Engine().run(plan)
+    strict = Engine(strict=True, retry=RetryPolicy(max_attempts=1)).run(plan)
     assert resilient.ok
-    for scheme in strict.schemes:
-        for name in strict.trace_names:
-            assert resilient.result(scheme, name) == strict.result(scheme, name)
+    assert strict.results == resilient.results
+    for scheme in plan.schemes:
+        for trace in traces:
+            plain = Simulator().run(trace, scheme)
+            plain.scheme = scheme
+            assert resilient.result(scheme, trace.name) == plain
 
 
 def test_corrupt_trace_is_contained_per_cell(tmp_path, traces):
@@ -102,7 +101,7 @@ def test_corrupt_trace_is_contained_per_cell(tmp_path, traces):
     corrupt = LazyTraceFile(bad_path, name="bad")
 
     schemes = ["dir1nb", "wti", "dir0b"]
-    outcome = run_resilient_sweep([traces[0], corrupt], schemes)
+    outcome = Engine().run(ExecutionPlan(traces=[traces[0], corrupt], schemes=schemes))
 
     assert not outcome.ok
     for scheme in schemes:
@@ -114,24 +113,23 @@ def test_corrupt_trace_is_contained_per_cell(tmp_path, traces):
 
 
 def test_failed_cell_lookup_mentions_the_failure(traces):
-    outcome = run_resilient_sweep(
-        [FlakyTrace(traces[0], fail_after=5, fail_times=99)],
-        ["dir0b"],
-        retry=no_sleep_policy(max_attempts=2),
+    outcome = Engine(retry=no_sleep_policy(max_attempts=2)).run(
+        ExecutionPlan(
+            traces=[FlakyTrace(traces[0], fail_after=5, fail_times=99)],
+            schemes=["dir0b"],
+        )
     )
     with pytest.raises(ConfigurationError, match="TransientError"):
         outcome.result("dir0b", "pops")
 
 
 def test_strict_mode_reraises(traces):
-    experiment = ResilientExperiment(
+    plan = ExecutionPlan(
         traces=[FlakyTrace(traces[0], fail_after=5, fail_times=99)],
         schemes=["dir0b"],
-        retry=no_sleep_policy(max_attempts=2),
-        strict=True,
     )
     with pytest.raises(TransientError):
-        experiment.run()
+        Engine(retry=no_sleep_policy(max_attempts=2), strict=True).run(plan)
 
 
 def test_illegal_protocol_state_contained_as_invariant_failure(traces):
@@ -142,10 +140,12 @@ def test_illegal_protocol_state_contained_as_invariant_failure(traces):
         )
     saboteur.scheme_key = "sabotaged"
 
-    outcome = run_resilient_sweep(
-        [traces[0]],
-        [saboteur, "dir0b"],
-        simulator=Simulator(check_invariants=True),
+    outcome = Engine().run(
+        ExecutionPlan(
+            traces=[traces[0]],
+            schemes=[saboteur, "dir0b"],
+            simulator=Simulator(check_invariants=True),
+        )
     )
     failure = outcome.failures["sabotaged"]["pops"]
     assert failure.category == "InvariantViolation"
@@ -158,12 +158,12 @@ def test_illegal_protocol_state_contained_as_invariant_failure(traces):
 
 def test_flaky_trace_retried_to_success(traces):
     delays = []
-    outcome = run_resilient_sweep(
-        [FlakyTrace(traces[0], fail_after=100, fail_times=2)],
-        ["dir0b"],
-        retry=no_sleep_policy(
-            max_attempts=3, backoff_base=0.05, sleep=delays.append
-        ),
+    retry = no_sleep_policy(max_attempts=3, backoff_base=0.05, sleep=delays.append)
+    outcome = Engine(retry=retry).run(
+        ExecutionPlan(
+            traces=[FlakyTrace(traces[0], fail_after=100, fail_times=2)],
+            schemes=["dir0b"],
+        )
     )
     assert outcome.ok
     assert outcome.result("dir0b", "pops").total_refs == len(traces[0])
@@ -172,10 +172,11 @@ def test_flaky_trace_retried_to_success(traces):
 
 
 def test_retries_exhausted_reports_attempt_count(traces):
-    outcome = run_resilient_sweep(
-        [FlakyTrace(traces[0], fail_after=10, fail_times=99)],
-        ["dir0b"],
-        retry=no_sleep_policy(max_attempts=3),
+    outcome = Engine(retry=no_sleep_policy(max_attempts=3)).run(
+        ExecutionPlan(
+            traces=[FlakyTrace(traces[0], fail_after=10, fail_times=99)],
+            schemes=["dir0b"],
+        )
     )
     failure = outcome.failures["dir0b"]["pops"]
     assert failure.attempts == 3
@@ -188,10 +189,9 @@ def test_permanent_errors_are_not_retried(tmp_path, traces):
     FaultInjector(seed=1).corrupt_text_trace(bad_path, mode="garbage")
 
     attempts_seen = []
-    outcome = run_resilient_sweep(
-        [LazyTraceFile(bad_path, name="bad")],
-        ["dir0b"],
-        retry=no_sleep_policy(max_attempts=5, sleep=attempts_seen.append),
+    retry = no_sleep_policy(max_attempts=5, sleep=attempts_seen.append)
+    outcome = Engine(retry=retry).run(
+        ExecutionPlan(traces=[LazyTraceFile(bad_path, name="bad")], schemes=["dir0b"])
     )
     assert attempts_seen == []  # no backoff: the fault is permanent
     assert outcome.failures["dir0b"]["bad"].attempts == 1
@@ -214,10 +214,10 @@ def test_retry_after_transient_uses_fresh_protocol_state(traces):
     # The transient failure happens mid-trace; the successful attempt
     # must produce exactly what an unfaulted run produces.
     factories = [flaky_protocol]
-    outcome = run_resilient_sweep(
-        [traces[0]], factories, retry=no_sleep_policy(max_attempts=2)
+    outcome = Engine(retry=no_sleep_policy(max_attempts=2)).run(
+        ExecutionPlan(traces=[traces[0]], schemes=factories)
     )
-    plain = Experiment(traces=[traces[0]], schemes=["dir1nb"]).run()
+    plain = Engine().run(ExecutionPlan(traces=[traces[0]], schemes=["dir1nb"]))
     assert outcome.result("dir1nb", "pops") == plain.result("dir1nb", "pops")
 
 
@@ -237,8 +237,8 @@ def test_cell_failure_str_reads_well():
 
 def test_experiment_validates_inputs(traces):
     with pytest.raises(ConfigurationError):
-        ResilientExperiment(traces=[], schemes=["dir0b"]).run()
+        Engine().run(ExecutionPlan(traces=[], schemes=["dir0b"]))
     with pytest.raises(ConfigurationError):
-        ResilientExperiment(traces=traces, schemes=[]).run()
+        Engine().run(ExecutionPlan(traces=traces, schemes=[]))
     with pytest.raises(ConfigurationError):
-        ResilientExperiment(traces=traces, schemes=["dir0b"], resume=True)
+        Engine(resume=True)

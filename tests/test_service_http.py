@@ -10,6 +10,7 @@ from repro.core.simulator import Simulator
 from repro.errors import JobNotFoundError, JobSpecError, ServiceUnavailableError
 from repro.runner.checkpoint import result_to_json
 from repro.engine.backends import ProcessPoolBackend
+from repro.engine.plan import ExecutionPlan
 from repro.service import Scheduler, ServiceClient, ServiceServer
 from repro.workloads.registry import make_trace
 
@@ -149,7 +150,7 @@ def test_acceptance_concurrent_identical_jobs_zero_duplicate_simulation(server):
 
     # Bit-identical to a direct ProcessPoolBackend run of the same cells.
     trace = make_trace("thor", length=2000, seed=7)
-    cells = [(scheme, scheme, trace) for scheme in spec["schemes"]]
+    cells = ExecutionPlan(traces=[trace], schemes=spec["schemes"]).cells()
     outcomes = ProcessPoolBackend(jobs=2).run(Simulator(), cells)
     expected = {
         spec["schemes"][index]: {trace.name: outcome["result"]}

@@ -21,6 +21,7 @@ from repro.engine.backends import (
     execute_batch,
     shutdown_pools,
 )
+from repro.engine.plan import ExecutionPlan
 from repro.engine.shm import TraceArena, attach_arena, detach_all
 from repro.protocols.registry import available_protocols
 from repro.trace.columnar import ColumnarTrace
@@ -169,7 +170,7 @@ def test_execute_batch_reads_traces_from_arena(columnar):
 
 
 def _cells(*traces):
-    return [(scheme, scheme, trace) for scheme in available_protocols() for trace in traces]
+    return ExecutionPlan(traces=traces, schemes=available_protocols()).cells()
 
 
 def test_pooled_sweep_leaves_no_shm_segments(columnar, columnar_thor):
@@ -208,7 +209,9 @@ def test_worker_crash_is_contained_and_leaks_nothing(columnar):
     before = _shm_segments()
     shutdown_pools()
     backend = ProcessPoolBackend(jobs=2)
-    cells = [(_KillWorkerSpec(), "killer", columnar), ("dir0b", "dir0b", columnar)]
+    cells = ExecutionPlan(
+        traces=[columnar], schemes=[_KillWorkerSpec(), "dir0b"]
+    ).cells()
     outcomes = backend.run(Simulator(), cells)
     assert outcomes[0]["status"] == "ok"  # re-ran in the parent
     assert outcomes[1]["status"] == "ok"
@@ -216,7 +219,9 @@ def test_worker_crash_is_contained_and_leaks_nothing(columnar):
     assert 2 not in _POOLS  # the broken pool was retired
 
     # The next sweep transparently warms a fresh pool.
-    again = backend.run(Simulator(), [("wti", "wti", columnar)])
+    again = backend.run(
+        Simulator(), ExecutionPlan(traces=[columnar], schemes=["wti"]).cells()
+    )
     assert again[0]["status"] == "ok"
     assert _shm_segments() <= before
 

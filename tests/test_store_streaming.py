@@ -17,11 +17,11 @@ The claims under test (docs/TRACESTORE.md):
 import pytest
 
 from repro.core.simulator import Simulator
+from repro.engine import Engine, ExecutionPlan
 from repro.errors import CheckpointError
 from repro.protocols.registry import available_protocols
 from repro.runner.checkpoint import CheckpointManager, result_to_json
 from repro.runner.faults import KillPoint, SaboteurProtocol
-from repro.runner.resilient import run_resilient_sweep
 from repro.store import ChunkedTrace, pack_trace
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import load_trace
@@ -78,8 +78,8 @@ def test_resolve_protocol_sizes_from_index(chunked):
 # ----------------------------------------------------------------------
 
 def test_pooled_sweep_parity(trace, chunked):
-    outcome = run_resilient_sweep(
-        [chunked], ["dir0b", "dragon"], jobs=2
+    outcome = Engine(jobs=2).run(
+        ExecutionPlan(traces=[chunked], schemes=["dir0b", "dragon"])
     )
     assert outcome.ok
     simulator = Simulator()
@@ -110,17 +110,16 @@ def _killer(scheme: str, trigger_after: int):
 
 
 def test_midchunk_kill_and_resume_parity(trace, chunked, tmp_path):
-    ckpt = str(tmp_path / "ckpt")
+    ckpt = tmp_path / "ckpt"
     checkpoint_every = 600  # never a multiple of the 997-record chunks
-    factory = _killer("dir1nb", 900)
+    plan = ExecutionPlan(traces=[chunked], schemes=[_killer("dir1nb", 900)])
 
     KillPoint.arm()
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_resilient_sweep(
-                [chunked], [factory],
-                checkpoint_dir=ckpt, checkpoint_every=checkpoint_every,
-            )
+            Engine(
+                checkpoint=CheckpointManager(ckpt), checkpoint_every=checkpoint_every
+            ).run(plan)
     finally:
         KillPoint.disarm()
 
@@ -130,10 +129,11 @@ def test_midchunk_kill_and_resume_parity(trace, chunked, tmp_path):
     assert offset != 0, "snapshot must land mid-chunk"
     assert state["records_done"] == chunk_index * CHUNK_RECORDS + offset
 
-    resumed = run_resilient_sweep(
-        [chunked], [factory],
-        checkpoint_dir=ckpt, checkpoint_every=checkpoint_every, resume=True,
-    )
+    resumed = Engine(
+        checkpoint=CheckpointManager(ckpt),
+        checkpoint_every=checkpoint_every,
+        resume=True,
+    ).run(plan)
     assert resumed.ok
     plain = Simulator().run(ColumnarTrace.from_trace(trace), "dir1nb")
     plain.scheme = "dir1nb"
@@ -143,13 +143,13 @@ def test_midchunk_kill_and_resume_parity(trace, chunked, tmp_path):
 
 def test_resume_rejects_rechunked_file(trace, chunked, tmp_path):
     """A snapshot must not resume against a re-chunked store."""
-    ckpt = str(tmp_path / "ckpt")
+    ckpt = tmp_path / "ckpt"
     factory = _killer("dir0b", 900)
     KillPoint.arm()
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_resilient_sweep(
-                [chunked], [factory], checkpoint_dir=ckpt, checkpoint_every=600
+            Engine(checkpoint=CheckpointManager(ckpt), checkpoint_every=600).run(
+                ExecutionPlan(traces=[chunked], schemes=[factory])
             )
     finally:
         KillPoint.disarm()
@@ -159,11 +159,12 @@ def test_resume_rejects_rechunked_file(trace, chunked, tmp_path):
     repacked_path = tmp_path / "repacked.ctrc"
     pack_trace(trace, repacked_path, chunk_records=CHUNK_RECORDS - 100)
     with ChunkedTrace(repacked_path) as repacked:
-        outcome = run_resilient_sweep(
-            [repacked], [factory],
-            checkpoint_dir=ckpt, checkpoint_every=600, resume=True,
+        outcome = Engine(
+            checkpoint=CheckpointManager(ckpt),
+            checkpoint_every=600,
+            resume=True,
             strict=False,
-        )
+        ).run(ExecutionPlan(traces=[repacked], schemes=[factory]))
     failures = outcome.all_failures()
     assert failures and any(
         "chunk position" in failure.message or "snapshot" in failure.message

@@ -8,7 +8,7 @@ an unbounded allocation fails loudly instead of quietly paging:
 
 1. **serial** — the chunk-streamed kernel path (``Simulator.run`` over
    ``iter_chunks``);
-2. **pooled** — the resilient sweep fanning the same cell across a
+2. **pooled** — an ``Engine(jobs=N)`` sweep fanning the same cell across a
    process pool (chunk *handles* cross the pickle boundary);
 3. **interrupt + resume** — a deterministic mid-cell kill between
    chunk boundaries, then a resume from the mid-chunk snapshot.
@@ -121,12 +121,14 @@ def phase_serial(args) -> int:
 
 
 def phase_pooled(args) -> int:
-    from repro.runner.resilient import run_resilient_sweep
+    from repro.engine import Engine, ExecutionPlan
     from repro.store import ChunkedTrace
 
     start = time.perf_counter()
     with ChunkedTrace(args.path) as trace:
-        outcome = run_resilient_sweep([trace], [args.scheme], jobs=args.jobs)
+        outcome = Engine(jobs=args.jobs).run(
+            ExecutionPlan(traces=[trace], schemes=[args.scheme])
+        )
         if not outcome.ok:
             print(f"pooled sweep failed: {outcome.all_failures()}", file=sys.stderr)
             return 1
@@ -165,20 +167,19 @@ def _saboteur_factory(scheme: str, trigger_after: int):
 
 def phase_interrupt(args) -> int:
     """Kill the cell deterministically mid-chunk; leave the snapshot."""
+    from repro.engine import Engine, ExecutionPlan
     from repro.runner.checkpoint import CheckpointManager
     from repro.runner.faults import KillPoint
-    from repro.runner.resilient import run_resilient_sweep
     from repro.store import ChunkedTrace
 
     factory = _saboteur_factory(args.scheme, _kill_trigger(args.records))
     with ChunkedTrace(args.path) as trace:
         KillPoint.arm()
         try:
-            run_resilient_sweep(
-                [trace], [factory],
-                checkpoint_dir=args.checkpoint,
+            Engine(
+                checkpoint=CheckpointManager(args.checkpoint),
                 checkpoint_every=CHECKPOINT_EVERY,
-            )
+            ).run(ExecutionPlan(traces=[trace], schemes=[factory]))
         except KeyboardInterrupt:
             pass
         else:
@@ -212,18 +213,18 @@ def phase_interrupt(args) -> int:
 
 
 def phase_resume(args) -> int:
-    from repro.runner.resilient import run_resilient_sweep
+    from repro.engine import Engine, ExecutionPlan
+    from repro.runner.checkpoint import CheckpointManager
     from repro.store import ChunkedTrace
 
     factory = _saboteur_factory(args.scheme, _kill_trigger(args.records))
     start = time.perf_counter()
     with ChunkedTrace(args.path) as trace:
-        outcome = run_resilient_sweep(
-            [trace], [factory],
-            checkpoint_dir=args.checkpoint,
+        outcome = Engine(
+            checkpoint=CheckpointManager(args.checkpoint),
             checkpoint_every=CHECKPOINT_EVERY,
             resume=True,
-        )
+        ).run(ExecutionPlan(traces=[trace], schemes=[factory]))
         if not outcome.ok:
             print(f"resumed sweep failed: {outcome.all_failures()}", file=sys.stderr)
             return 1
