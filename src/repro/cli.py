@@ -72,31 +72,6 @@ if TYPE_CHECKING:
 # verb's modules (``repro serve`` never loads the report stack).
 
 
-def workload_choices() -> list[str]:
-    """Full workloads plus ``micro-`` and ``modern-`` generator names."""
-    from repro.workloads.micro import MICRO_GENERATORS
-    from repro.workloads.modern import MODERN_GENERATORS
-    from repro.workloads.registry import available_workloads
-
-    return (
-        available_workloads()
-        + [f"micro-{name}" for name in MICRO_GENERATORS]
-        + [f"modern-{name}" for name in MODERN_GENERATORS]
-    )
-
-
-def _make_any_trace(name: str, length: int, seed: int | None = None) -> Trace:
-    from repro.workloads.micro import MICRO_GENERATORS
-    from repro.workloads.modern import MODERN_GENERATORS
-    from repro.workloads.registry import make_trace
-
-    kwargs = {} if seed is None else {"seed": seed}
-    if name.startswith("micro-"):
-        return MICRO_GENERATORS[name[len("micro-"):]](length=length, **kwargs)
-    if name.startswith("modern-"):
-        return MODERN_GENERATORS[name[len("modern-"):]](length=length, **kwargs)
-    return make_trace(name, length=length, **kwargs)
-
 _ARTIFACT_IDS = (
     "table1", "table2", "table3", "table4", "table5",
     "figure1", "figure2", "figure3", "figure4", "figure5",
@@ -121,9 +96,11 @@ def _load_trace(path: str, lenient: bool = False, lazy: bool = False) -> Trace:
 
 def _resolve_trace(args) -> Trace:
     """A trace from ``--trace-file`` or generated from ``--workload``."""
+    from repro.workloads.registry import make_any_trace
+
     if getattr(args, "trace_file", None):
         return _load_trace(args.trace_file)
-    return _make_any_trace(args.workload, length=args.length)
+    return make_any_trace(args.workload, length=args.length)
 
 
 def cmd_list(args) -> int:
@@ -133,13 +110,14 @@ def cmd_list(args) -> int:
     uses to validate job specs without importing this package.
     """
     from repro.protocols.registry import available_protocols
+    from repro.workloads.registry import known_workloads
 
     if getattr(args, "json", False):
         print(
             json.dumps(
                 {
                     "protocols": list(available_protocols()),
-                    "workloads": workload_choices(),
+                    "workloads": known_workloads(),
                     "sharer_keys": ["pid", "cpu"],
                 },
                 indent=2,
@@ -151,7 +129,7 @@ def cmd_list(args) -> int:
     for name in available_protocols():
         print(f"  {name}")
     print("workloads:")
-    for name in workload_choices():
+    for name in known_workloads():
         print(f"  {name}")
     return 0
 
@@ -159,8 +137,9 @@ def cmd_list(args) -> int:
 def cmd_generate(args) -> int:
     """``repro generate``: write a synthetic trace file."""
     from repro.trace.io import write_trace_binary, write_trace_file
+    from repro.workloads.registry import make_any_trace
 
-    trace = _make_any_trace(args.workload, length=args.length, seed=args.seed)
+    trace = make_any_trace(args.workload, length=args.length, seed=args.seed)
     if args.format == "binary":
         count = write_trace_binary(trace.records, args.output)
     else:
@@ -240,7 +219,7 @@ def cmd_trace_gen(args) -> int:
     they are materialized, then packed from their columns.
     """
     from repro.store import pack_trace, write_stream
-    from repro.workloads.registry import stream_trace
+    from repro.workloads.registry import make_any_trace, stream_trace
 
     options = {
         "codec": args.codec,
@@ -248,7 +227,7 @@ def cmd_trace_gen(args) -> int:
         "level": args.level,
     }
     if args.workload.startswith(("micro-", "modern-")):
-        trace = _make_any_trace(args.workload, length=args.length, seed=args.seed)
+        trace = make_any_trace(args.workload, length=args.length, seed=args.seed)
         meta = pack_trace(trace, args.output, name=args.workload, **options)
     else:
         kwargs = {} if args.seed is None else {"seed": args.seed}
@@ -568,6 +547,7 @@ def cmd_run(args) -> int:
     from repro.report.tables import format_table
     from repro.runner.cache import ResultCache
     from repro.runner.checkpoint import CheckpointManager
+    from repro.workloads.registry import make_any_trace
 
     # Trace files are read lazily so a corrupt file is contained inside
     # its own cells instead of aborting the whole sweep at load time.
@@ -575,9 +555,9 @@ def cmd_run(args) -> int:
     for path in args.trace_files or []:
         traces.append(_load_trace(path, lenient=args.lenient, lazy=True))
     for workload in args.workloads or []:
-        traces.append(_make_any_trace(workload, length=args.length))
+        traces.append(make_any_trace(workload, length=args.length))
     if not traces:
-        traces = [_make_any_trace("pops", length=args.length)]
+        traces = [make_any_trace("pops", length=args.length)]
 
     plan = ExecutionPlan(
         traces=traces,
@@ -1014,8 +994,9 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command-line parser."""
     from repro.protocols.registry import available_protocols
     from repro.store.format import DEFAULT_CHUNK_RECORDS
-    from repro.workloads.registry import DEFAULT_LENGTH
+    from repro.workloads.registry import DEFAULT_LENGTH, known_workloads
 
+    workloads = known_workloads()
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -1033,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_cmd.set_defaults(func=cmd_list)
 
     generate = sub.add_parser("generate", help="write a synthetic trace to a file")
-    generate.add_argument("workload", choices=workload_choices())
+    generate.add_argument("workload", choices=workloads)
     generate.add_argument("output")
     generate.add_argument("--length", type=int, default=DEFAULT_LENGTH)
     generate.add_argument("--seed", type=int, default=None)
@@ -1081,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = trace_sub.add_parser(
         "gen", help="stream a workload straight to .ctrc at bounded memory"
     )
-    gen.add_argument("workload", choices=workload_choices())
+    gen.add_argument("workload", choices=workloads)
     gen.add_argument("output")
     gen.add_argument("--length", type=int, default=DEFAULT_LENGTH)
     gen.add_argument("--seed", type=int, default=None)
@@ -1091,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_trace_source(command):
         """Attach the --workload/--trace-file option group."""
         source = command.add_mutually_exclusive_group()
-        source.add_argument("--workload", choices=workload_choices(), default="pops")
+        source.add_argument("--workload", choices=workloads, default="pops")
         source.add_argument("--trace-file")
         command.add_argument("--length", type=int, default=DEFAULT_LENGTH)
 
@@ -1183,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="fault-tolerant sweep with retries and checkpoint/resume"
     )
     run.add_argument(
-        "--workloads", nargs="+", choices=workload_choices(), metavar="WORKLOAD",
+        "--workloads", nargs="+", choices=workloads, metavar="WORKLOAD",
         help="synthetic workloads to include as traces",
     )
     run.add_argument(

@@ -9,14 +9,15 @@ expanded (scheme × trace) cells:
   ``pending → leased → done/failed/dead`` under time-bounded leases;
 * :class:`~repro.fabric.worker.FabricWorker` — a worker (process via
   ``repro work --db``, or in-process thread) leases cells, heartbeats
-  while simulating, and settles results idempotently;
-* :class:`~repro.fabric.reaper.Reaper` — reassigns expired leases so a
-  SIGKILL'd worker's cells are re-run by survivors;
+  while simulating, settles results idempotently, and reaps expired
+  leases on every poll so a SIGKILL'd worker's cells are re-run by
+  survivors;
 * :mod:`~repro.fabric.chaos` — the deterministic kill-a-worker harness
-  proving sweeps finish bit-identical to a serial engine run;
-* :class:`~repro.fabric.bridge.DurableJobQueue` — the scheduler's
-  drop-in durable job queue (same interface as
-  :class:`~repro.service.queue.JobQueue`).
+  proving sweeps finish bit-identical to a serial engine run.
+
+The service's scheduler (``Scheduler(fabric_db=...)``) mirrors each
+accepted job into the same database and recovers unfinished ones from
+it at startup.
 
 See ``docs/SERVICE.md`` ("Durable fleet") for the schema, the lease
 semantics, and the failure matrix.
@@ -32,10 +33,8 @@ _EXPORTS = {
     "LEASED": "repro.fabric.queue",
     "PENDING": "repro.fabric.queue",
     "DurableCellQueue": "repro.fabric.queue",
-    "DurableJobQueue": "repro.fabric.bridge",
     "FabricWorker": "repro.fabric.worker",
     "LeasedCell": "repro.fabric.queue",
-    "Reaper": "repro.fabric.reaper",
 }
 
 __all__ = list(_EXPORTS)

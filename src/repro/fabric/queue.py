@@ -11,7 +11,8 @@ through::
 * **pending** — waiting for a worker (``not_before`` gates retry
   backoff so a restarted fleet does not thundering-herd the queue);
 * **leased** — owned by one worker until ``lease_deadline``; heartbeats
-  renew the deadline, the reaper requeues expired leases;
+  renew the deadline, and :meth:`DurableCellQueue.reap` requeues expired
+  leases;
 * **done** — an ok outcome payload is settled in ``results``;
 * **failed** — a *permanent* error outcome is settled (the fabric
   analogue of the engine's contained :class:`CellFailure`);
@@ -359,7 +360,7 @@ class DurableCellQueue:
         budget allows another lease (gated ``backoff_s`` into the
         future), ``dead`` once ``max_attempts`` leases are burned, or
         the current state unchanged when this worker no longer holds
-        the lease (the reaper got there first).
+        the lease (a reap got there first).
         """
         now = time.time() if now is None else now
         with self._pool.transaction() as connection:
@@ -397,9 +398,11 @@ class DurableCellQueue:
     def reap(self, *, now: float | None = None) -> list[tuple[int, str]]:
         """Requeue (or dead-letter) every cell whose lease has expired.
 
-        Any process may call this — dedicated :class:`Reaper` threads,
-        workers between leases, the scheduler's wait loop — transitions
-        are guarded by cell state, so concurrent reapers double-count
+        The expiry lives in the cell row, so any caller can act on it:
+        every worker reaps before each lease, and the scheduler's wait
+        loop reaps while a job's cells are outstanding (which is what
+        dead-letters a cell when no worker is alive).  Transitions are
+        guarded by cell state, so concurrent callers double-count
         nothing.
 
         Returns ``[(cell_id, new_state), ...]`` for the reaped cells.

@@ -1,9 +1,12 @@
 """The fabric worker: lease, simulate, heartbeat, settle, repeat.
 
 One :class:`FabricWorker` is the fleet's unit of compute — a process
-(``repro work --db``) or an in-process thread (tests).  Its loop:
+(``repro work --db``) or an in-process thread (the service's fleet,
+tests).  Its loop:
 
-1. **lease** the next ready cell (which charges one attempt);
+1. **reap** expired leases, then **lease** the next ready cell (which
+   charges one attempt).  Every member reaps, so a SIGKILL'd member's
+   cells go back to the survivors with no dedicated reaper anywhere;
 2. **dedup** — if the shared content-addressed
    :class:`~repro.runner.cache.ResultCache` already holds the cell's
    outcome, settle it as a ``cache`` result without simulating.  The
@@ -108,8 +111,6 @@ class FabricWorker:
         drain: exit once every cell in the queue is terminal (the
             fleet-of-processes mode); False polls forever (the
             long-lived service mode).
-        reap: also sweep expired leases between polls, so a fleet needs
-            no dedicated reaper process to make progress.
         protocol_hook: chaos seam; wraps each cell's protocol.
         stop: external stop event (e.g. the service's shutdown signal).
     """
@@ -124,7 +125,6 @@ class FabricWorker:
         lease_s: float = 30.0,
         poll_s: float = 0.1,
         drain: bool = True,
-        reap: bool = True,
         protocol_hook: ProtocolHook | None = None,
         stop: threading.Event | None = None,
     ) -> None:
@@ -146,7 +146,6 @@ class FabricWorker:
         self.lease_s = lease_s
         self.poll_s = poll_s
         self.drain = drain
-        self.reap = reap
         self.protocol_hook = protocol_hook
         self._stop = stop if stop is not None else threading.Event()
 
@@ -172,11 +171,10 @@ class FabricWorker:
         self.queue.register_worker(self.worker_id)
         processed = 0
         while not self._stop.is_set():
-            if self.reap:
-                try:
-                    self.queue.reap()
-                except Exception:
-                    pass  # another sweeper will catch what we missed
+            try:
+                self.queue.reap()
+            except Exception:
+                pass  # another member's or the scheduler's sweep catches it
             cell = self.queue.lease(self.worker_id, lease_s=self.lease_s)
             if cell is None:
                 self._job_traces = (None, {})

@@ -10,8 +10,7 @@ observed — across commits:
   of N repeats, the standard defense against scheduler noise;
 * **history** — each run appends one timestamped record to
   ``BENCH_history.jsonl`` (append-only JSON Lines, one run per line)
-  and refreshes ``BENCH_throughput.json`` with the same shape the
-  benchmark suite writes;
+  and refreshes ``BENCH_throughput.json``, which nothing else writes;
 * **regression gate** — headline metrics are compared against a
   rolling baseline (the median of the last few history records); any
   metric more than ``threshold`` below its baseline fails the run,
@@ -76,8 +75,7 @@ LOWER_IS_BETTER = ("_s", ".modules")
 FINITE_SLOWDOWN_LIMIT = 2.0
 
 #: Record-path throughput of the seed revision (pre-fast-path) on the
-#: reference container — the long-term "how far have we come" anchor
-#: (mirrors benchmarks/bench_throughput.py).
+#: reference container — the long-term "how far have we come" anchor.
 SEED_RECORD_REFS_PER_SEC = {"dir0b": 443_121, "dragon": 347_795}
 
 #: Pooled jobs=4 throughput before the shared-memory/batched dispatch

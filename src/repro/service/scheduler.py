@@ -29,6 +29,13 @@ observer — the same instrumentation the CLI's ``--progress`` reads —
 and per-job checkpoint manifests are written through the engine's
 single :class:`~repro.engine.policies.ManifestRecorder` site.
 
+In fabric mode the scheduler keeps the same :class:`JobQueue` and
+mirrors each accepted job's row into the fabric db, marks it terminal
+when the job finishes, and at startup recovers the db's unfinished jobs
+in the same pass that reads ``state_dir``.  Expired leases are reaped
+by every fleet member's poll loop and by the wait loop of a job whose
+cells are on the fleet; no thread exists only to reap.
+
 Graceful shutdown has two modes.  ``drain`` finishes every queued and
 running job, then stops.  ``checkpoint`` stops running jobs at the next
 cell boundary, persists their partial manifests and the queued jobs'
@@ -129,23 +136,17 @@ class Scheduler:
         self.fingerprints = FingerprintMemo()
         self.retry = retry or RetryPolicy()
 
-        # Fabric imports are deferred: repro.fabric's modules import
-        # service.{jobs,queue,spec}, so a module-level import here would
-        # be circular through repro.service.__init__.
+        # Fabric imports are deferred, so a service without a fabric db
+        # never loads sqlite3 or the fleet.
         self.fabric: Any = None
         self.fabric_workers = max(0, fabric_workers)
         self.lease_s = lease_s
         self._fabric_threads: list[threading.Thread] = []
-        self._fabric_members: list[Any] = []
-        self._reaper: Any = None
         if fabric_db is not None:
-            from repro.fabric.bridge import DurableJobQueue
             from repro.fabric.queue import DurableCellQueue
 
             self.fabric = DurableCellQueue(fabric_db)
-            self.queue: JobQueue = DurableJobQueue(self.fabric)
-        else:
-            self.queue = JobQueue()
+        self.queue = JobQueue()
         self.jobs = JobStore()
         self.inflight = InFlightTable()
 
@@ -168,10 +169,8 @@ class Scheduler:
 
     def start(self) -> None:
         """Recover persisted jobs, then launch the worker threads."""
-        if self.state_dir is not None:
-            self._recover()
+        self._recover()
         if self.fabric is not None:
-            self._recover_fabric()
             self._start_fleet()
         for number in range(self.workers):
             thread = threading.Thread(
@@ -182,16 +181,11 @@ class Scheduler:
             self._threads.append(thread)
 
     def _start_fleet(self) -> None:
-        """Launch the in-process fabric fleet and its lease reaper."""
+        """Launch the in-process fabric fleet; each member reaps as it polls."""
         from dataclasses import replace as dc_replace
 
-        from repro.fabric.reaper import Reaper
         from repro.fabric.worker import FabricWorker
 
-        self._reaper = Reaper(
-            self.fabric, interval_s=max(0.2, self.lease_s / 4.0)
-        )
-        self._reaper.start()
         for number in range(self.fabric_workers):
             member = FabricWorker(
                 self.fabric,
@@ -201,7 +195,6 @@ class Scheduler:
                 lease_s=self.lease_s,
                 poll_s=0.2,
                 drain=False,  # long-lived: poll until shutdown
-                reap=False,  # the dedicated reaper sweeps for the fleet
                 stop=self._quit,
             )
             thread = threading.Thread(
@@ -210,7 +203,6 @@ class Scheduler:
                 daemon=True,
             )
             thread.start()
-            self._fabric_members.append(member)
             self._fabric_threads.append(thread)
 
     def shutdown(self, mode: str = "drain", timeout: float | None = None) -> None:
@@ -248,8 +240,6 @@ class Scheduler:
             self._persist_job(job)
         for thread in self._threads:
             thread.join(timeout=10.0)
-        if self._reaper is not None:
-            self._reaper.stop()
         for thread in self._fabric_threads:
             thread.join(timeout=10.0)
         if self.fabric is not None:
@@ -278,6 +268,9 @@ class Scheduler:
         if deduplicated:
             self.metrics.bump("jobs_deduplicated")
         else:
+            if self.fabric is not None:
+                # Job row only: owned cells are added at execution time.
+                self.fabric.submit(accepted.spec, accepted.id, expand=False)
             self.jobs.add(accepted)
             with self._idle:
                 self._outstanding += 1
@@ -360,23 +353,38 @@ class Scheduler:
         os.replace(tmp, path)
 
     def _recover(self) -> None:
-        """Re-create persisted jobs; unfinished ones go back on the queue."""
+        """Re-create persisted jobs; unfinished ones go back on the queue.
+
+        The ``state_dir`` job files come first: they are richer, since a
+        finished job's results come back from its manifest.  The fabric
+        db then adds the unfinished jobs it outlived, e.g. ones submitted
+        to a service with no ``state_dir`` and orphaned by a crash.
+        """
         from repro.service.jobs import TERMINAL_STATES
         from repro.service.spec import parse_job_spec
 
-        jobs_root = self.state_dir / "jobs"
-        if not jobs_root.is_dir():
-            return
-        for directory in sorted(jobs_root.iterdir()):
-            job_file = directory / JOB_FILE
-            if not job_file.is_file():
-                continue
+        records: list[dict[str, Any]] = []
+        jobs_root = self.state_dir / "jobs" if self.state_dir is not None else None
+        if jobs_root is not None and jobs_root.is_dir():
+            for directory in sorted(jobs_root.iterdir()):
+                try:
+                    persisted = json.loads((directory / JOB_FILE).read_text("utf-8"))
+                except Exception:
+                    continue  # a corrupt job record never blocks startup
+                persisted["id"] = persisted.get("id") or directory.name
+                records.append(persisted)
+        if self.fabric is not None:
+            records += self.fabric.pending_jobs()
+        recovered: set[str] = set()
+        for persisted in records:
+            if persisted["id"] in recovered:
+                continue  # the state_dir record already restored this job
             try:
-                persisted = json.loads(job_file.read_text("utf-8"))
                 spec = parse_job_spec(persisted["spec"])
             except Exception:
-                continue  # a corrupt job record never blocks startup
-            job = Job(spec, job_id=persisted.get("id") or directory.name)
+                continue  # nor does a corrupt spec, from either source
+            recovered.add(persisted["id"])
+            job = Job(spec, job_id=persisted["id"])
             self.jobs.add(job)
             if persisted.get("state") in TERMINAL_STATES:
                 self._restore_terminal(job, persisted)
@@ -386,37 +394,6 @@ class Scheduler:
                 # Two persisted copies of one dedup'd spec: keep one.
                 job.set_state(CANCELLED, error="deduplicated on recovery")
                 self._persist_job(job)
-            else:
-                with self._idle:
-                    self._outstanding += 1
-
-    def _recover_fabric(self) -> None:
-        """Re-queue unfinished jobs persisted only in the fabric db.
-
-        The ``state_dir`` recovery (when configured) runs first and is
-        richer — it restores manifests.  This pass catches jobs the
-        fabric outlived: submitted to a service with no ``state_dir``,
-        then orphaned by a crash.  Ids already recovered are skipped.
-        """
-        from repro.service.spec import parse_job_spec
-
-        for entry in self.queue.recover_specs():
-            job_id = entry["id"]
-            try:
-                self.jobs.get(job_id)
-            except Exception:
-                pass
-            else:
-                continue  # state_dir recovery already owns this job
-            try:
-                spec = parse_job_spec(entry["spec"])
-            except Exception:
-                continue  # a corrupt fabric row never blocks startup
-            job = Job(spec, job_id=job_id)
-            self.jobs.add(job)
-            _, deduplicated = self.queue.submit(job)
-            if deduplicated:
-                job.set_state(CANCELLED, error="deduplicated on recovery")
             else:
                 with self._idle:
                     self._outstanding += 1
@@ -484,6 +461,15 @@ class Scheduler:
         finally:
             if job.finished:
                 self.queue.job_finished(job)
+                if self.fabric is not None:
+                    # Settled cells already flip the fabric job terminal;
+                    # this covers jobs that sent no cell to the fleet and
+                    # records cancellations.
+                    state = FAILED if job.state in (FAILED, CANCELLED) else DONE
+                    try:
+                        self.fabric.finish_job(job.id, state)
+                    except Exception:
+                        pass  # accounting only; never fail the settle path
             self._persist_job(job)
 
     # ------------------------------------------------------------------
@@ -740,9 +726,8 @@ class Scheduler:
                 self._finish(job, cell, payload, SOURCE_FABRIC, checkpoint_cell, entry)
             if pending:
                 try:
-                    # The wait loop doubles as a reaper, so a fleet of
-                    # external processes makes progress even if every
-                    # dedicated reaper thread is dead.
+                    # Reap here too: with no live worker, this is what
+                    # requeues or dead-letters an abandoned lease.
                     self.fabric.reap()
                 except Exception:
                     pass

@@ -43,20 +43,9 @@ from repro.protocols.registry import available_protocols
 from repro.runner.cache import trace_fingerprint
 from repro.store.format import is_chunked_trace
 from repro.trace.stream import Trace
-from repro.workloads.micro import MICRO_GENERATORS
-from repro.workloads.modern import MODERN_GENERATORS
-from repro.workloads.registry import DEFAULT_LENGTH, available_workloads, make_trace
+from repro.workloads.registry import DEFAULT_LENGTH, known_workloads, make_any_trace
 
 _SHARER_KEYS = ("pid", "cpu")
-
-
-def known_workloads() -> list[str]:
-    """Full workloads plus ``micro-`` and ``modern-`` generator names."""
-    return (
-        available_workloads()
-        + [f"micro-{name}" for name in MICRO_GENERATORS]
-        + [f"modern-{name}" for name in MODERN_GENERATORS]
-    )
 
 
 @dataclass(frozen=True)
@@ -80,14 +69,7 @@ class TraceSpec:
             from repro.trace.io import load_trace
 
             return load_trace(self.path, lazy=True)
-        kwargs: dict[str, Any] = {} if self.seed is None else {"seed": self.seed}
-        if self.workload.startswith("micro-"):
-            generator = MICRO_GENERATORS[self.workload[len("micro-"):]]
-            return generator(length=self.length, **kwargs)
-        if self.workload.startswith("modern-"):
-            generator = MODERN_GENERATORS[self.workload[len("modern-"):]]
-            return generator(length=self.length, **kwargs)
-        return make_trace(self.workload, length=self.length, **kwargs)
+        return make_any_trace(self.workload, length=self.length, seed=self.seed)
 
 
 class FingerprintMemo:

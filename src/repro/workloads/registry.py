@@ -44,6 +44,33 @@ def make_trace(name: str, length: int = DEFAULT_LENGTH, **kwargs) -> Trace:
     return SyntheticWorkload(workload_config(name, length=length, **kwargs)).build()
 
 
+def known_workloads() -> list[str]:
+    """Full workloads plus ``micro-`` and ``modern-`` generator names."""
+    from repro.workloads.micro import MICRO_GENERATORS
+    from repro.workloads.modern import MODERN_GENERATORS
+
+    return (
+        available_workloads()
+        + [f"micro-{name}" for name in MICRO_GENERATORS]
+        + [f"modern-{name}" for name in MODERN_GENERATORS]
+    )
+
+
+def make_any_trace(
+    name: str, length: int = DEFAULT_LENGTH, seed: int | None = None
+) -> Trace:
+    """Generate the trace of any :func:`known_workloads` name."""
+    from repro.workloads.micro import MICRO_GENERATORS
+    from repro.workloads.modern import MODERN_GENERATORS
+
+    kwargs = {} if seed is None else {"seed": seed}
+    if name.startswith("micro-"):
+        return MICRO_GENERATORS[name[len("micro-"):]](length=length, **kwargs)
+    if name.startswith("modern-"):
+        return MODERN_GENERATORS[name[len("modern-"):]](length=length, **kwargs)
+    return make_trace(name, length=length, **kwargs)
+
+
 def stream_trace(name: str, length: int = DEFAULT_LENGTH, **kwargs) -> WorkloadStream:
     """Stream a named workload without materializing the trace.
 

@@ -428,7 +428,7 @@ def test_submit_wait_prints_final_status(capsys):
 def test_trace_gen_writes_the_in_memory_trace(tmp_path, capsys, workload):
     """Every workload family ``trace gen`` offers packs the trace the
     in-memory generator builds (a round never divides 1,000 records)."""
-    from repro.cli import _make_any_trace
+    from repro.workloads.registry import make_any_trace
     from repro.runner.cache import trace_fingerprint
     from repro.store import ChunkedTrace
 
@@ -438,7 +438,7 @@ def test_trace_gen_writes_the_in_memory_trace(tmp_path, capsys, workload):
         "--seed", "3", "--chunk-records", "1000",
     )
     assert code == 0 and "2,500 records" in stdout
-    expected = trace_fingerprint(_make_any_trace(workload, length=2500, seed=3))
+    expected = trace_fingerprint(make_any_trace(workload, length=2500, seed=3))
     with ChunkedTrace(out) as stored:
         assert len(stored.chunks) == 3
         assert trace_fingerprint(stored) == expected

@@ -359,7 +359,8 @@ def test_pool_ships_column_backed_traces_through_the_arena(monkeypatch, traces):
 def test_removed_parallel_shim_names_are_gone():
     import importlib
 
-    # Sweep entry points and shims that were deleted, not aliased.
+    # Sweep entry points, shims and fabric duplicates that were deleted,
+    # not aliased.
     removed = [
         ("repro.runner", "ParallelExecutor"),
         ("repro.runner", "no_such_export"),
@@ -370,10 +371,17 @@ def test_removed_parallel_shim_names_are_gone():
         ("repro.runner", "ResilientExperiment"),
         ("repro.core", "Experiment"),
         ("repro.engine", "ProgressObserver"),
+        ("repro.fabric", "Reaper"),
+        ("repro.fabric", "DurableJobQueue"),
     ]
     for package, name in removed:
         with pytest.raises(AttributeError):
             getattr(importlib.import_module(package), name)
-    for module in ("repro.runner.parallel", "repro.runner.resilient"):
+    for module in (
+        "repro.runner.parallel",
+        "repro.runner.resilient",
+        "repro.fabric.reaper",
+        "repro.fabric.bridge",
+    ):
         with pytest.raises(ImportError):
             __import__(module)

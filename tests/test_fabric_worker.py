@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import threading
+import time
 import weakref
 
 import pytest
@@ -88,6 +89,37 @@ class TestFleetParity:
         assert queue2.stats()["dedup_hits"] == spec.cell_count()
         assert canonical_digest(queue2.assemble("job-2")["results"]) == (
             canonical_digest(first["results"])
+        )
+
+    def test_own_reap_pass_recovers_an_abandoned_lease(self, tmp_path):
+        spec = parse_job_spec(
+            {
+                "schemes": ["dir0b"],
+                "traces": [{"workload": "pops", "length": 400, "seed": 1}],
+            }
+        )
+        queue = DurableCellQueue(tmp_path / "fabric.db")
+        queue.submit(spec, "job-1")
+        # A "crashed" worker takes the only cell and never settles it.
+        assert queue.lease("crashed", lease_s=0.05) is not None
+        time.sleep(0.2)
+
+        # No reaper runs anywhere: the worker's own pass must requeue it.
+        # (In a thread, so a worker that never reaps fails instead of
+        # polling the stuck lease forever.)
+        worker = FabricWorker(queue, drain=True, poll_s=0.02)
+        thread = threading.Thread(target=worker.run)
+        thread.start()
+        thread.join(timeout=60.0)
+        worker.stop()
+        assert not thread.is_alive()
+        assert worker.settled["simulated"] == 1
+        assert queue.job_state("job-1") == "done"
+        assert queue.stats()["reassignments"] == 1
+        assembled = queue.assemble("job-1")
+        assert assembled["failures"] == []
+        assert canonical_digest(assembled["results"]) == canonical_digest(
+            serial_results(spec)
         )
 
     def test_unbuildable_trace_settles_contained_failure(self, tmp_path):

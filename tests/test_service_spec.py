@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import JobSpecError
-from repro.service.spec import JobSpec, TraceSpec, known_workloads, parse_job_spec
+from repro.service.spec import JobSpec, TraceSpec, parse_job_spec
+from repro.workloads.registry import known_workloads
 
 pytestmark = pytest.mark.service
 
