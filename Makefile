@@ -37,7 +37,9 @@ fuzz:
 chaos:
 	PYTHONPATH=src python -m repro chaos --workers 3 --seed 0
 
-# What CI runs (.github/workflows/ci.yml): the tier-1 suite, the
+# What CI runs (.github/workflows/ci.yml): the tier-1 suite (failing on
+# a leaked shared-memory segment: the resource tracker's warning, which
+# pytest's default fd capture would swallow, or a new /dev/shm name), the
 # end-to-end benchmark's smoke tests, a streamed .ctrc generation
 # re-hashed against its stored fingerprint (4096-record chunks split
 # scheduling rounds), the streaming example end to end (its windowed
@@ -48,7 +50,7 @@ chaos:
 # fast path, so the state-table kernels see adversarial traces in both
 # cache models), without needing an install.
 ci:
-	PYTHONPATH=src python -m pytest -x -q
+	PYTHONPATH=src python tools/check_shm_leaks.py python -m pytest -x -q --capture=sys
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
 	mkdir -p build
 	PYTHONPATH=src python -m repro trace gen thor build/ci-thor.ctrc --length 50000 --chunk-records 4096

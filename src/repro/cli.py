@@ -712,9 +712,17 @@ def cmd_bench(args) -> int:
     generation = report.get("generation")
     if generation is not None:
         print(format_table(
-            ["workload", "make_trace refs/s", "stream_trace refs/s"],
             [
-                (name, entry["refs_per_sec"], entry["stream_refs_per_sec"])
+                "workload", "make_trace refs/s", "stream_trace refs/s",
+                "fingerprint refs/s",
+            ],
+            [
+                (
+                    name,
+                    entry["refs_per_sec"],
+                    entry["stream_refs_per_sec"],
+                    entry["fingerprint_refs_per_sec"],
+                )
                 for name, entry in generation["workloads"].items()
             ],
             title=f"trace generation ({generation['length']} refs)",

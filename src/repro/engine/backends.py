@@ -17,9 +17,10 @@ The pooled backend's dispatch path is built for throughput:
   reuse live worker processes instead of re-forking per sweep;
 * **shared-memory traces** — every :class:`ColumnarTrace` (or
   column-backed :class:`~repro.trace.stream.Trace`) in the sweep is
-  packed once into a :class:`~repro.engine.shm.TraceArena`; cell
-  descriptors then carry a small arena index instead of a pickled
-  trace (see ``repro/engine/shm.py``);
+  named in a :class:`~repro.engine.shm.TraceArena`, which moves a trace
+  into shared memory the first time any sweep ships it and keeps it
+  there for the trace's lifetime; cell descriptors then carry a small
+  arena index instead of a pickled trace (see ``repro/engine/shm.py``);
 * **batched cells** — one pool round-trip carries a batch of cell
   descriptors (``batch`` cells, auto-sized from cells-per-worker when
   unset), amortizing IPC and letting workers reuse the per-process
@@ -361,11 +362,11 @@ class ProcessPoolBackend:
                     spec_memo[memo_key] = None
             return spec_memo[memo_key]
 
-        # Pack every columnar or column-backed trace referenced by a
-        # shippable cell into one shared-memory arena for the whole
-        # sweep; cells then name their trace by index instead of
-        # shipping its bytes per batch.  Other traces ship pickled, so a
-        # lazy file's decode errors stay inside its cells.
+        # Name every columnar or column-backed trace referenced by a
+        # shippable cell in shared memory (moving in, once, those no
+        # live segment holds yet); cells then name their trace by index
+        # instead of shipping its bytes per batch.  Other traces ship
+        # pickled, so a lazy file's decode errors stay inside its cells.
         arena_index: dict[int, int] = {}
         unique_columnar: list[ColumnarTrace] = []
         for task in cells:
@@ -407,14 +408,10 @@ class ProcessPoolBackend:
                 cell["trace"] = task.trace
             remote.append((index, cell))
 
-        try:
-            if remote:
-                self._run_remote(simulator, retry, arena, remote, run_local, finish)
-            for index in local:
-                run_local(index)
-        finally:
-            if arena is not None:
-                arena.dispose()
+        if remote:
+            self._run_remote(simulator, retry, arena, remote, run_local, finish)
+        for index in local:
+            run_local(index)
         return outcomes
 
     def _run_remote(
@@ -436,8 +433,9 @@ class ProcessPoolBackend:
                 "retry": retry,
                 "cells": [cell for _, cell in batch],
             }
-            if arena is not None and any("trace_index" in cell for _, cell in batch):
-                payload["arena"] = arena.descriptor
+            shared = {cell["trace_index"] for _, cell in batch if "trace_index" in cell}
+            if shared:
+                payload["arena"] = arena.descriptor_for(shared)
             return payload
 
         futures: dict[Any, list[tuple[int, dict[str, Any]]]] = {}

@@ -262,10 +262,13 @@ def measure_generation(
 
     ``refs_per_sec`` times ``make_trace``, which emits packed columns
     and builds no records; ``stream_refs_per_sec`` drains
-    ``stream_trace``, which builds every record as it streams.
+    ``stream_trace``, which builds every record as it streams;
+    ``fingerprint_refs_per_sec`` times ``trace_fingerprint`` (the
+    result-cache key's content hash) of the ``make_trace`` output.
     """
     from collections import deque
 
+    from repro.runner.cache import trace_fingerprint
     from repro.workloads.registry import make_trace, stream_trace
 
     entries: dict[str, dict[str, Any]] = {}
@@ -278,9 +281,14 @@ def measure_generation(
             repeats,
             warmup,
         )
+        trace = make_trace(name, length=length)
+        fingerprint_s = _best_seconds(
+            lambda t=trace: trace_fingerprint(t), repeats, warmup
+        )
         entries[name] = {
             "refs_per_sec": round(length / build_s),
             "stream_refs_per_sec": round(length / stream_s),
+            "fingerprint_refs_per_sec": round(len(trace) / fingerprint_s),
         }
     return {"length": length, "workloads": entries}
 
@@ -480,6 +488,10 @@ def headline_metrics(report: dict[str, Any]) -> dict[str, float]:
     for name, entry in report.get("generation", {}).get("workloads", {}).items():
         metrics[f"generation.{name}.refs_per_sec"] = entry["refs_per_sec"]
         metrics[f"generation.{name}.stream_refs_per_sec"] = entry["stream_refs_per_sec"]
+        if "fingerprint_refs_per_sec" in entry:  # absent from older reports
+            metrics[f"generation.{name}.fingerprint_refs_per_sec"] = entry[
+                "fingerprint_refs_per_sec"
+            ]
     for jobs, value in (
         report.get("parallel_sweep", {}).get("refs_per_sec_by_jobs", {}).items()
     ):

@@ -93,6 +93,10 @@ class ColumnarTrace:
             :data:`TYPE_INSTR`/:data:`TYPE_READ`/:data:`TYPE_WRITE`).
         address: per-record byte addresses (``array('Q')``).
         flags: per-record system/lock/spin bitmasks (``bytes``).
+
+    Any column may instead be a ``memoryview`` of the same format: a
+    pooled sweep moves a trace's columns into shared memory as
+    read-only views (:mod:`repro.engine.shm`).
     """
 
     __slots__ = (

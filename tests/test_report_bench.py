@@ -11,6 +11,9 @@ def test_generation_section_covers_the_paper_traces():
     assert sorted(section["workloads"]) == ["pero", "pops", "thor"]
     for entry in section["workloads"].values():
         assert entry["refs_per_sec"] > 0 and entry["stream_refs_per_sec"] > 0
+        assert entry["fingerprint_refs_per_sec"] > 0
+    metrics = bench.headline_metrics({"generation": section})
+    assert metrics["generation.pops.fingerprint_refs_per_sec"] > 0
 
 
 def test_generation_metrics_are_headlines_and_history_records_cores(tmp_path):

@@ -2,17 +2,22 @@
 
 The :class:`~repro.engine.shm.TraceArena` is the pooled backend's
 pickle-free trace transport; these tests hold its lifecycle guarantees
-(create/attach/dispose, no leaked ``/dev/shm`` segments, crash
-containment) and that batched dispatch over the arena produces exactly
-the outcomes of serial in-process execution.
+(create/attach/dispose, each trace copied in once, no ``/dev/shm``
+segment outliving the traces it holds, crash containment) and that
+batched dispatch over the arena produces exactly the outcomes of serial
+in-process execution.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.simulator import Simulator
 from repro.engine.backends import (
     InlineBackend,
@@ -92,7 +97,7 @@ def test_arena_descriptor_is_small_and_picklable(columnar, columnar_thor):
 def test_dispose_unlinks_segment(columnar):
     before = _shm_segments()
     arena = TraceArena.create([columnar])
-    name = arena.descriptor["segment"]
+    name = arena.descriptor["traces"][0]["segment"]
     assert name in _shm_segments()
     arena.dispose()
     assert name not in _shm_segments()
@@ -173,12 +178,104 @@ def _cells(*traces):
     return ExecutionPlan(traces=traces, schemes=available_protocols()).cells()
 
 
-def test_pooled_sweep_leaves_no_shm_segments(columnar, columnar_thor):
+def _local_traces():
+    """Fresh traces no segment holds yet (the module fixtures may be)."""
+    return [
+        ColumnarTrace.from_trace(make_trace(name, length=TRACE_LENGTH, seed=seed))
+        for name, seed in (("pops", 3), ("thor", 5))
+    ]
+
+
+def test_pooled_sweep_leaves_no_shm_segments():
+    """A segment outlives no trace it holds."""
     before = _shm_segments()
+    traces = _local_traces()
     backend = ProcessPoolBackend(jobs=2)
-    outcomes = backend.run(Simulator(), _cells(columnar, columnar_thor))
+    outcomes = backend.run(Simulator(), _cells(*traces))
     assert all(payload["status"] == "ok" for payload in outcomes.values())
+    del traces
+    gc.collect()
     assert _shm_segments() <= before
+
+
+def test_second_sweep_over_the_same_traces_creates_no_segment():
+    traces = _local_traces()
+    backend = ProcessPoolBackend(jobs=2)
+    first = backend.run(Simulator(), _cells(*traces))
+    after_first = _shm_segments()
+    second = backend.run(Simulator(), _cells(*traces))
+    assert second == first
+    assert _shm_segments() <= after_first
+
+
+def test_moved_trace_columns_are_read_only():
+    (trace, _) = _local_traces()
+    trace.cpu[0] = 1  # an array column, still writable before the move
+    ProcessPoolBackend(jobs=2).run(Simulator(), _cells(trace))
+    for column in ("cpu", "pid", "type_code", "address", "flags"):
+        with pytest.raises(TypeError):
+            getattr(trace, column)[0] = 0
+
+
+def test_moved_trace_simulates_as_before_in_the_parent():
+    import pickle
+
+    (trace, _) = _local_traces()
+    # An unmoved copy with no derived data views of its own.
+    unmoved = pickle.loads(pickle.dumps(trace))
+    before = {
+        scheme: Simulator().run(unmoved, scheme) for scheme in available_protocols()
+    }
+    assert TraceArena.create([trace]) is not None
+    assert isinstance(trace.address, memoryview)
+    for scheme, result in before.items():
+        assert Simulator().run(trace, scheme) == result, scheme
+
+
+def test_column_of_another_item_size_ships_pickled():
+    """A 4-byte column cannot be named as 8-byte words: the sweep falls
+    back to pickling instead of shipping misread values."""
+    from array import array
+
+    (base, _) = _local_traces()
+    trace = ColumnarTrace(
+        base.name, base.cpu, array("I", base.pid), base.type_code, base.address,
+        base.flags,
+    )
+    cells = _cells(trace)
+    assert ProcessPoolBackend(jobs=2).run(Simulator(), cells) == InlineBackend().run(
+        Simulator(), cells
+    )
+    assert isinstance(trace.pid, array)
+
+
+def test_names_still_held_at_exit_are_unlinked_quietly():
+    """A moved trace alive at interpreter exit leaks no segment and
+    leaves the resource tracker nothing to warn about."""
+    script = (
+        "from repro.core.simulator import Simulator\n"
+        "from repro.engine.shm import TraceArena\n"
+        "from repro.trace.columnar import ColumnarTrace\n"
+        "from repro.workloads.registry import make_trace\n"
+        "TRACE = ColumnarTrace.from_trace(make_trace('pops', length=500, seed=1))\n"
+        # Only the trace's views keep the segment mapped at exit, and a
+        # module-level function keeps the globals (the trace) alive past
+        # the clearing of repro's own modules.
+        "print(TraceArena.create([TRACE]).descriptor['traces'][0]['segment'])\n"
+        "def simulate():\n"
+        "    Simulator().run(TRACE, 'dir0b')\n"
+        "simulate()\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().startswith("psm_")
+    assert done.stdout.strip() not in _shm_segments()
+    assert done.stderr == ""
 
 
 @pytest.mark.parametrize("batch", [None, 1, 5])
@@ -203,26 +300,28 @@ class _KillWorkerSpec:
         return make_protocol("wti", num_caches)
 
 
-def test_worker_crash_is_contained_and_leaks_nothing(columnar):
-    """A worker dying mid-batch falls back to the parent, cleans up shm,
+def test_worker_crash_is_contained_and_leaks_nothing():
+    """A worker dying mid-batch falls back to the parent, leaks no shm,
     and retires the broken pool so the next sweep gets a fresh one."""
     before = _shm_segments()
     shutdown_pools()
+    (trace, _) = _local_traces()
     backend = ProcessPoolBackend(jobs=2)
     cells = ExecutionPlan(
-        traces=[columnar], schemes=[_KillWorkerSpec(), "dir0b"]
+        traces=[trace], schemes=[_KillWorkerSpec(), "dir0b"]
     ).cells()
     outcomes = backend.run(Simulator(), cells)
     assert outcomes[0]["status"] == "ok"  # re-ran in the parent
     assert outcomes[1]["status"] == "ok"
-    assert _shm_segments() <= before
     assert 2 not in _POOLS  # the broken pool was retired
 
     # The next sweep transparently warms a fresh pool.
     again = backend.run(
-        Simulator(), ExecutionPlan(traces=[columnar], schemes=["wti"]).cells()
+        Simulator(), ExecutionPlan(traces=[trace], schemes=["wti"]).cells()
     )
     assert again[0]["status"] == "ok"
+    del cells, trace
+    gc.collect()
     assert _shm_segments() <= before
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.store import ChunkedTrace, pack_trace, write_stream
 from repro.store.writer import StreamingTraceWriter
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.fingerprint import TraceHasher, fingerprint_trace
+from repro.trace.fingerprint import _BATCH, TraceHasher, fingerprint_trace
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
 
@@ -108,6 +108,32 @@ def test_incremental_hasher_differential():
     split.update_records(records[:311])
     split.update_records(records[311:])
     assert by_records.hexdigest() == by_columns.hexdigest() == split.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "length", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 3]
+)
+def test_column_hash_matches_records_at_batch_boundaries(length):
+    """update_columns == update_records on either side of a batch edge,
+    for array/bytes columns and for read-only memoryview columns."""
+    records = [
+        TraceRecord(cpu=i % 4, pid=i % 6, ref_type=list(RefType)[i % 3],
+                    address=(i * 7919) << 20, system=bool(i % 2),
+                    lock=bool(i % 5 == 0), spin=bool(i % 10 == 0))
+        for i in range(length)
+    ]
+    expected = TraceHasher()
+    expected.update_records(records)
+    columnar = ColumnarTrace.from_records(records)
+    columns = (
+        columnar.cpu, columnar.pid, columnar.type_code,
+        columnar.address, columnar.flags,
+    )
+    assert isinstance(columnar.type_code, bytes)
+    for feed in (columns, [memoryview(column).toreadonly() for column in columns]):
+        hasher = TraceHasher()
+        hasher.update_columns(*feed)
+        assert hasher.hexdigest() == expected.hexdigest()
 
 
 def test_empty_trace_roundtrip(tmp_path):
