@@ -506,6 +506,8 @@ class _ProgressLines(_RunningLines):
         )
 
     def cell_finished(self, task, outcome) -> None:
+        if outcome.source != "simulated":
+            return  # cache hits have their own line; restored cells none
         if outcome.ok:
             print(
                 f"finished {task.scheme_key} on {task.trace_name} "

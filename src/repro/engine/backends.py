@@ -3,12 +3,12 @@
 Every backend executes the same per-cell unit — build the protocol,
 simulate, retry transient failures under the plan's
 :class:`~repro.engine.policies.RetryPolicy` — and reports outcomes in
-the same JSON transport payload the checkpoint manifest uses.  The
-engine runs ``jobs == 1`` cells in-process through :func:`run_cell`
-and ``jobs > 1`` cells through :class:`ProcessPoolBackend`;
-:func:`backend_for` makes the same choice for callers that fan a
-prepared cell list out themselves (the verifier).  Nothing above this
-layer knows whether a cell ran in-process or in a pool worker.
+the same JSON transport payload the checkpoint manifest uses, firing
+``cell_started`` and ``cell_finished`` for each cell it computes.
+:class:`InlineBackend` runs cells here, :class:`ProcessPoolBackend`
+across worker processes, :class:`~repro.fabric.queue.FleetBackend` on
+the worker fleet; :func:`backend_for` picks inline or pool from a
+worker count.  Nothing above this layer knows where a cell ran.
 
 The pooled backend's dispatch path is built for throughput:
 
@@ -249,8 +249,8 @@ class InlineBackend:
     """Runs sweep cells sequentially in the current process.
 
     The degenerate backend: same interface as
-    :class:`ProcessPoolBackend`, same outcome payloads, no pool.  Used
-    when ``jobs == 1`` and by tests that want pool-free determinism.
+    :class:`ProcessPoolBackend`, same outcome payloads, no pool, and no
+    mid-cell snapshots.  :func:`backend_for` picks it for one worker.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -263,9 +263,16 @@ class InlineBackend:
         *,
         observer: EngineObserver | None = None,
     ) -> dict[int, dict[str, Any]]:
-        """Execute every cell in order; returns ``{cell index: payload}``."""
+        """Execute every cell in order; returns ``{cell index: payload}``.
+
+        Each cell is announced just before it runs, so an observer that
+        raises from ``cell_started`` stops the sweep at a cell boundary.
+        """
+        if observer is None:
+            observer = NULL_OBSERVER
         outcomes: dict[int, dict[str, Any]] = {}
         for index, task in enumerate(cells):
+            observer.cell_started(task)
             outcome = run_cell(simulator, task, retry=self.retry, observer=observer)
             payload = outcome.to_payload()
             outcomes[index] = payload
@@ -315,14 +322,17 @@ class ProcessPoolBackend:
             on_complete: called with ``(cell index, outcome payload)``
                 as each cell finishes, in completion order — used for
                 incremental checkpoint-manifest writes.
-            observer: receives ``cell_finished`` parent-side per cell.
+            observer: receives ``cell_started`` for every cell before
+                dispatch and ``cell_finished`` parent-side per cell.
         """
         outcomes: dict[int, dict[str, Any]] = {}
         if not cells:
             return outcomes
-        retry = _picklable_retry(self.retry)
         if observer is None:
             observer = NULL_OBSERVER
+        for task in cells:
+            observer.cell_started(task)
+        retry = _picklable_retry(self.retry)
 
         def finish(index: int, payload: dict[str, Any]) -> None:
             outcomes[index] = payload

@@ -2,16 +2,22 @@
 
 :class:`Engine` runs an :class:`~repro.engine.plan.ExecutionPlan` to an
 :class:`~repro.core.experiment.ExperimentResult`, composing the policy
-middleware (retry, checkpoint, result cache) around the single
-:func:`~repro.engine.backends.run_cell` unit and fanning cells out
-through a configured backend.  Every (scheme × trace) grid runs as
-``Engine(...).run(ExecutionPlan(...))`` — ``repro run``, the paper
-artifacts, the bench harness and the simulation service alike — so
+middleware (retry, checkpoint, result cache, in-flight coalescing)
+around the single :func:`~repro.engine.backends.run_cell` unit and
+fanning cells out through a backend.  Every (scheme × trace) grid runs
+as ``Engine(...).run(ExecutionPlan(...))`` — ``repro run``, the paper
+artifacts, the bench harness and each simulation-service job alike — so
 there is exactly one retry loop, one checkpoint-manifest write site,
-and one cache lookup path in the execution stack, and they all emit the
-same :class:`~repro.engine.observer.EngineObserver` events.  A
-fail-fast sweep with no retries is
-``Engine(strict=True, retry=RetryPolicy(max_attempts=1))``.
+and one cache lookup path in the execution stack, and every resolved
+cell reaches the observer's ``cell_finished`` with its
+:attr:`~repro.engine.plan.CellOutcome.source`.  A fail-fast sweep with
+no retries is ``Engine(strict=True, retry=RetryPolicy(max_attempts=1))``.
+
+With no backend and ``jobs == 1`` the engine runs each cell itself,
+snapshotting it mid-cell when checkpointing; otherwise the cells go to
+a backend (inline, a process pool, or the fabric fleet).  Either way a
+sweep waits on cells another sweep sharing the cache is computing only
+after computing its own, so two sweeps never wait on each other.
 
 Behavioral contract (inherited bit-for-bit from the pre-engine stacks):
 
@@ -24,14 +30,19 @@ Behavioral contract (inherited bit-for-bit from the pre-engine stacks):
   pooled runs rehydrate the first failure in sweep order;
 * checkpoint manifests written before the engine existed resume
   cleanly (same fingerprint, same JSON shapes), and mid-cell windowed
-  snapshots remain a serial-only refinement;
-* ``KeyboardInterrupt``/``SystemExit`` always propagate so an
-  interrupted checkpointed run can resume later.
+  snapshots remain a refinement of the engine's own serial execution
+  (backends are cell-granular);
+* ``KeyboardInterrupt``/``SystemExit`` — and whatever an observer
+  raises from ``cell_started`` — always propagate, so an interrupted
+  checkpointed run can resume later; claims the run still holds are
+  abandoned on the way out.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.core.experiment import CellFailure, ExperimentResult
@@ -39,19 +50,17 @@ from repro.core.result import SimulationResult, merge_results
 from repro.core.simulator import SimulationContext
 from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import (
-    CheckpointManager,
-    result_from_json,
-    result_to_json,
-)
+from repro.runner.checkpoint import CheckpointManager, result_from_json
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.stream import Trace
 
 from repro.engine.backends import ProcessPoolBackend, run_cell
 from repro.engine.observer import NULL_OBSERVER, EngineObserver
 from repro.engine.plan import (
+    CellOutcome,
     CellTask,
     ExecutionPlan,
+    UnbuiltTrace,
     build_protocol_for_cell,
 )
 from repro.engine.policies import (
@@ -83,6 +92,39 @@ def rehydrate_failure(payload: dict[str, Any]) -> Exception:
         return ReproError(f"{category}: {payload.get('message', '')}")
 
 
+def _failure(task: CellTask, cell: CellOutcome) -> CellFailure:
+    """The contained-failure record of one failed cell."""
+    return CellFailure(
+        scheme=task.scheme_key,
+        trace_name=task.trace_name,
+        category=cell.category,
+        message=cell.message,
+        attempts=cell.attempts,
+    )
+
+
+def _labelled(result: SimulationResult, task: CellTask) -> SimulationResult:
+    """A cached or coalesced result, filed under this sweep's labels."""
+    result.scheme = task.scheme_key
+    result.trace_name = task.trace_name
+    return result
+
+
+def _build_trace(task: CellTask) -> CellOutcome | None:
+    """Give *task* its built trace; an error outcome if it cannot be built."""
+    try:
+        task.trace = task.trace.load()
+    except Exception as exc:
+        return CellOutcome(
+            task=task,
+            status="error",
+            category=type(exc).__name__,
+            message=str(exc),
+            error=exc,
+        )
+    return None
+
+
 @dataclass
 class Engine:
     """Executes plans under a composable policy stack.
@@ -93,21 +135,27 @@ class Engine:
         strict: re-raise the first permanent cell failure instead of
             recording it and continuing.
         checkpoint: attach a checkpoint directory to snapshot progress.
-        checkpoint_every: records between mid-cell snapshots (serial
-            execution only; pooled resume is cell-granular).
+        checkpoint_every: records between mid-cell snapshots (the
+            engine's own serial execution only; backends are
+            cell-granular).
         resume: continue from the checkpoint directory's manifest
             instead of starting over (requires ``checkpoint``).
-        jobs: worker processes; ``1`` runs cells serially in-process,
-            ``> 1`` fans independent cells across a
-            :class:`~repro.engine.backends.ProcessPoolBackend`.
+        jobs: worker processes when no ``backend`` is given; ``1`` runs
+            cells serially in-process, ``> 1`` fans independent cells
+            across a :class:`~repro.engine.backends.ProcessPoolBackend`.
         batch: cells per pool dispatch (pooled execution only; must be
             >= 1 whatever ``jobs`` is); None auto-sizes from
             cells-per-worker.
         result_cache: on-disk content-addressed cache; cells whose
             (trace fingerprint, scheme, options, simulator config) key
-            is already cached are skipped entirely.
+            is already cached, or being computed by another sweep
+            sharing the cache, are not simulated again.
         observer: engine event hook; compose several with
             :class:`~repro.engine.observer.ObserverGroup`.
+        backend: an :class:`~repro.engine.backends.InlineBackend`,
+            :class:`~repro.engine.backends.ProcessPoolBackend` or
+            :class:`~repro.fabric.queue.FleetBackend`; None lets ``jobs``
+            choose.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -119,6 +167,7 @@ class Engine:
     batch: int | None = None
     result_cache: ResultCache | None = None
     observer: EngineObserver = field(default_factory=lambda: NULL_OBSERVER)
+    backend: Any = None
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
@@ -138,59 +187,63 @@ class Engine:
         """Run every cell of *plan*, containing failures; partial results."""
         plan.validate()
         observer = self.observer
+        plan = self._resolve_traces(plan)
 
         outcome = ExperimentResult()
         recorder = self._prepare_checkpoint(plan, outcome)
         observer.plan_started(plan)
 
         # Cells already restored from the checkpoint manifest are done.
-        cells = [
-            task
-            for task in plan.cells()
-            if task.trace_name not in outcome.results.get(task.scheme_key, {})
-        ]
+        cells: list[CellTask] = []
+        for task in plan.cells():
+            restored = outcome.results.get(task.scheme_key, {}).get(task.trace_name)
+            if restored is None:
+                cells.append(task)
+            else:
+                observer.cell_finished(
+                    task,
+                    CellOutcome(
+                        task=task, status="ok", result=restored, source="checkpoint"
+                    ),
+                )
 
-        if self.jobs > 1:
-            self._run_pooled(plan, cells, outcome, recorder, observer)
-        else:
-            for task in cells:
-                observer.cell_started(task)
-                self._run_cell_guarded(plan, task, outcome, recorder, observer)
+        backend = self.backend
+        if backend is None and self.jobs > 1:
+            backend = ProcessPoolBackend(
+                jobs=self.jobs, retry=self.retry, batch=self.batch
+            )
+        self._execute(plan, cells, outcome, recorder, observer, backend)
 
         observer.plan_finished(plan, outcome)
         return outcome
 
-    # ------------------------------------------------------------------
-    # Result cache middleware
-    # ------------------------------------------------------------------
+    def _resolve_traces(self, plan: ExecutionPlan) -> ExecutionPlan:
+        """*plan* with each trace spec (a trace with ``build()``) resolved.
 
-    def _cache_lookup(
-        self, plan: ExecutionPlan, task: CellTask, observer: EngineObserver
-    ) -> SimulationResult | None:
-        if self.result_cache is None:
-            return None
-        cache_id = plan.cache_id(task.spec, task.trace)
-        if cache_id is None:
-            return None
-        result = self.result_cache.get(cache_id)
-        if result is None:
-            observer.cache_miss(task)
-            return None
-        observer.cache_hit(task)
-        # Entries are content-addressed; report under this sweep's
-        # labels regardless of how the storing sweep named things.
-        result.scheme = task.scheme_key
-        result.trace_name = task.trace_name
-        return result
-
-    def _cache_store(
-        self, plan: ExecutionPlan, task: CellTask, result: SimulationResult
-    ) -> None:
-        if self.result_cache is None:
-            return
-        cache_id = plan.cache_id(task.spec, task.trace)
-        if cache_id is not None:
-            self.result_cache.put(cache_id, result)
+        Specs resolve through the cache's fingerprint memo or, with no
+        cache, are built for their names; one that cannot be resolved
+        fails only its own cells.  The caller's plan keeps its specs.
+        """
+        if not any(hasattr(trace, "build") for trace in plan.traces):
+            return plan
+        traces = []
+        for trace in plan.traces:
+            if hasattr(trace, "build"):
+                try:
+                    if self.result_cache is None:
+                        built = trace.build()
+                        trace = UnbuiltTrace(trace, built.name, trace=built)
+                    else:
+                        name, fingerprint, built = (
+                            self.result_cache.fingerprints.lookup(trace)
+                        )
+                        trace = UnbuiltTrace(trace, name, fingerprint, built)
+                except Exception as exc:
+                    trace = UnbuiltTrace(trace, trace.label, error=exc)
+            traces.append(trace)
+        resolved = copy.copy(plan)
+        resolved.traces = traces
+        return resolved
 
     # ------------------------------------------------------------------
     # Checkpoint middleware
@@ -221,64 +274,6 @@ class Engine:
         recorder = ManifestRecorder(self.checkpoint, manifest)
         recorder.save()
         return recorder
-
-    # ------------------------------------------------------------------
-    # Serial execution
-    # ------------------------------------------------------------------
-
-    def _run_cell_guarded(
-        self,
-        plan: ExecutionPlan,
-        task: CellTask,
-        outcome: ExperimentResult,
-        recorder: ManifestRecorder | None,
-        observer: EngineObserver,
-    ) -> None:
-        cached = self._cache_lookup(plan, task, observer)
-        if cached is not None:
-            outcome.results.setdefault(task.scheme_key, {})[task.trace_name] = cached
-            if recorder is not None:
-                recorder.record_completed(
-                    task.scheme_key,
-                    task.trace_name,
-                    result_to_json(cached),
-                    clear_cell_state=True,
-                )
-            return
-
-        attempt = None
-        if self.checkpoint is not None:
-            attempt = lambda: self._run_cell_checkpointed(plan, task)  # noqa: E731
-        cell = run_cell(
-            plan.simulator, task, retry=self.retry, observer=observer, attempt=attempt
-        )
-
-        if cell.ok:
-            outcome.results.setdefault(task.scheme_key, {})[task.trace_name] = (
-                cell.result
-            )
-            self._cache_store(plan, task, cell.result)
-            if recorder is not None:
-                recorder.record_completed(
-                    task.scheme_key,
-                    task.trace_name,
-                    cell.json_result(),
-                    clear_cell_state=True,
-                )
-            return
-
-        if self.strict:
-            raise cell.error
-        failure = CellFailure(
-            scheme=task.scheme_key,
-            trace_name=task.trace_name,
-            category=cell.category,
-            message=cell.message,
-            attempts=cell.attempts,
-        )
-        outcome.record_failure(failure)
-        if recorder is not None:
-            recorder.record_failure(failure, clear_cell_state=True)
 
     def _run_cell_checkpointed(
         self, plan: ExecutionPlan, task: CellTask
@@ -368,95 +363,167 @@ class Engine:
         return accumulated
 
     # ------------------------------------------------------------------
-    # Pooled execution
+    # Execution
     # ------------------------------------------------------------------
 
-    def _run_pooled(
+    def _execute(
         self,
         plan: ExecutionPlan,
         cells: list[CellTask],
         outcome: ExperimentResult,
         recorder: ManifestRecorder | None,
         observer: EngineObserver,
+        backend: Any,
     ) -> None:
-        """Fan the pending cells across a process pool.
+        """Resolve, compute and collect every pending cell, in that order.
 
-        Cache hits are resolved in the parent before dispatch; computed
-        results stream back as JSON payloads and are checkpointed as
-        they complete, but ``outcome`` is assembled in sweep order so a
-        pooled run is indistinguishable from a serial one.
+        A cell resolves from the result cache, or is claimed in the
+        cache's in-flight table: the owner computes it and every other
+        claimant waits for the owner's outcome.  With no backend each
+        cell is announced, resolved and computed in turn; a backend gets
+        the owned cells once all are resolved.  Each cell is cached and
+        checkpointed as it resolves, and a claim is released only after
+        its outcome is cached, so a late claimant finds the cache.
+        ``outcome`` is assembled in sweep order, so every way of running
+        a plan gives the same result.
         """
-        backend = ProcessPoolBackend(jobs=self.jobs, retry=self.retry, batch=self.batch)
-        if recorder is not None:
-            # Mid-cell snapshots are serial-only; a stale one (e.g. from
-            # an interrupted serial run) cannot seed a pool worker.
-            self.checkpoint.clear_cell_state()
+        cache = self.result_cache
+        done: dict[int, CellOutcome] = {}
+        claims: dict[int, Any] = {}
+        owned: list[int] = []
 
-        completed: dict[int, SimulationResult] = {}
-        failures: dict[int, dict[str, Any]] = {}
-        cache_hits: set[int] = set()
-        pending: list[int] = []
-        for position, task in enumerate(cells):
-            cached = self._cache_lookup(plan, task, observer)
-            if cached is not None:
-                completed[position] = cached
-                cache_hits.add(position)
-            else:
-                pending.append(position)
-
-        if pending:
-            for position in pending:
-                observer.cell_started(cells[position])
-
-            def on_complete(slot: int, payload: dict[str, Any]) -> None:
-                if recorder is None or payload["status"] != "ok":
-                    return
-                task = cells[pending[slot]]
-                recorder.record_completed(
-                    task.scheme_key, task.trace_name, payload["result"]
-                )
-
-            outcomes = backend.run(
-                plan.simulator,
-                [cells[position] for position in pending],
-                on_complete=on_complete,
-                observer=observer,
-            )
-            for slot, payload in outcomes.items():
-                position = pending[slot]
-                if payload["status"] == "ok":
-                    completed[position] = result_from_json(payload["result"])
-                else:
-                    failures[position] = payload
-
-        for position, task in enumerate(cells):
-            if position in completed:
-                result = completed[position]
-                outcome.results.setdefault(task.scheme_key, {})[task.trace_name] = (
-                    result
-                )
-                if position not in cache_hits:
-                    self._cache_store(plan, task, result)
+        def finish(position: int, cell: CellOutcome, computed: bool = False) -> None:
+            task = cells[position]
+            done[position] = cell
+            if cell.ok:
+                if computed and task.cache_id is not None:
+                    cache.put_json(task.cache_id, cell.json_result())
                 if recorder is not None:
                     recorder.record_completed(
-                        task.scheme_key,
-                        task.trace_name,
-                        result_to_json(result),
-                        flush=False,
+                        task.scheme_key, task.trace_name, cell.json_result()
                     )
-                continue
-            payload = failures[position]
-            if self.strict:
-                raise rehydrate_failure(payload)
-            failure = CellFailure(
-                scheme=task.scheme_key,
-                trace_name=task.trace_name,
-                category=payload["category"],
-                message=payload["message"],
-                attempts=payload["attempts"],
-            )
-            outcome.record_failure(failure)
-            if recorder is not None:
-                recorder.record_failure(failure, flush=False)
-        if recorder is not None:
-            recorder.save()
+            elif recorder is not None:
+                recorder.record_failure(_failure(task, cell))
+            if position in claims:
+                cache.inflight.resolve_and_release(
+                    claims.pop(position), cell.to_payload()
+                )
+
+        def resolve(position: int) -> Any:
+            """Settle *position* from the cache or claim it into ``owned``;
+            returns the entry to wait on when another sweep computes it."""
+            task = cells[position]
+            if cache is not None:
+                task.cache_id = plan.cache_id(task.spec, task.trace)
+            if task.cache_id is not None:
+                result = cache.get(task.cache_id)
+                if result is not None:
+                    observer.cache_hit(task)
+                    cell = CellOutcome(
+                        task=task,
+                        status="ok",
+                        result=_labelled(result, task),
+                        source="cache",
+                    )
+                    observer.cell_finished(task, cell)
+                    finish(position, cell)
+                    return None
+                observer.cache_miss(task)
+                entry, is_owner = cache.inflight.claim(task.cache_id)
+                if not is_owner:
+                    return entry
+                claims[position] = entry
+            owned.append(position)
+            return None
+
+        def compute() -> None:
+            """Compute the owned cells, here one by one or on the backend."""
+            ready = []
+            for position in owned:
+                trace, failed = cells[position].trace, None
+                if isinstance(trace, UnbuiltTrace) and (
+                    trace.error or not getattr(backend, "builds_traces", False)
+                ):
+                    failed = _build_trace(cells[position])
+                if failed is None:
+                    ready.append(position)
+                else:
+                    observer.cell_finished(cells[position], failed)
+                    finish(position, failed)
+            owned.clear()
+            if backend is not None:
+                backend.run(
+                    plan.simulator,
+                    [cells[position] for position in ready],
+                    lambda slot, payload: finish(
+                        ready[slot],
+                        CellOutcome.from_payload(cells[ready[slot]], payload),
+                        computed=True,
+                    ),
+                    observer=observer,
+                )
+                return
+            for position in ready:
+                task = cells[position]
+                attempt = None
+                if self.checkpoint is not None:
+                    attempt = partial(self._run_cell_checkpointed, plan, task)
+                cell = run_cell(
+                    plan.simulator,
+                    task,
+                    retry=self.retry,
+                    observer=observer,
+                    attempt=attempt,
+                )
+                if self.strict and not cell.ok:
+                    raise cell.error
+                finish(position, cell, computed=True)
+
+        waiting = []
+        try:
+            for position in range(len(cells)):
+                if backend is None:
+                    observer.cell_started(cells[position])
+                entry = resolve(position)
+                if entry is not None:
+                    waiting.append((position, entry))
+                elif backend is None:
+                    compute()
+            compute()
+            for position, entry in waiting:
+                task = cells[position]
+                while position not in done:
+                    entry.wait()
+                    if entry.abandoned:
+                        # Its owner stopped before computing it.
+                        entry = resolve(position)
+                        compute()
+                        continue
+                    payload = entry.outcome
+                    if payload["status"] == "ok":
+                        result = _labelled(result_from_json(payload["result"]), task)
+                        cell = CellOutcome(
+                            task=task,
+                            status="ok",
+                            result=result,
+                            attempts=payload.get("attempts", 1),
+                            source="coalesced",
+                        )
+                    else:
+                        cell = CellOutcome.from_payload(task, payload, "coalesced")
+                    observer.cell_finished(task, cell)
+                    finish(position, cell)
+        finally:
+            for entry in claims.values():
+                cache.inflight.abandon_and_release(entry)
+
+        for position, task in enumerate(cells):
+            cell = done[position]
+            if cell.ok:
+                outcome.results.setdefault(task.scheme_key, {})[task.trace_name] = (
+                    cell.live_result()
+                )
+            elif self.strict:
+                raise cell.error or rehydrate_failure(cell.to_payload())
+            else:
+                outcome.record_failure(_failure(task, cell))

@@ -33,10 +33,11 @@ class EngineObserver:
     def cell_started(self, task: Any) -> None:
         """A pending cell is about to run (or be dispatched).
 
-        Serial sweeps announce each pending cell, cache hits included,
-        just before it runs; pooled sweeps announce the cells they will
-        compute before dispatch.  Cells restored from a checkpoint are
-        never announced.
+        The engine's serial execution announces each pending cell, cache
+        hits included, just before it runs; a backend announces each
+        cell it computes (the pool and the fleet before dispatch).
+        Restored cells are never announced.  Raising here stops the
+        sweep: the exception propagates out of ``Engine.run``.
         """
 
     def cell_retry(
@@ -45,7 +46,11 @@ class EngineObserver:
         """A transient failure is being retried after *delay* seconds."""
 
     def cell_finished(self, task: Any, outcome: Any) -> None:
-        """A cell reached a terminal outcome (ok or contained error)."""
+        """A cell reached a terminal outcome (ok or contained error).
+
+        Fires once for every resolved cell, however it was resolved;
+        ``outcome.source`` says how.
+        """
 
     def cache_hit(self, task: Any) -> None:
         """A cell was served from the content-addressed result cache."""
@@ -102,17 +107,20 @@ class EngineMetrics(EngineObserver):
     The canonical counter names (all default to 0 in snapshots):
 
     * ``cells_started`` — cells handed to an execution unit;
-    * ``cells_ok`` / ``cells_failed`` — terminal outcomes;
+    * ``cells_ok`` / ``cells_failed`` — simulated cells that succeeded,
+      and cells of any source that failed;
+    * ``cells_<source>`` — successful cells of every other
+      :attr:`~repro.engine.plan.CellOutcome.source`: ``cells_cache``,
+      ``cells_checkpoint``, ``cells_coalesced``, ``cells_fabric``;
     * ``cell_retries`` — in-process transient-failure retries;
     * ``cache_hits`` / ``cache_misses`` — engine-level result-cache
       lookups;
     * ``sim_seconds`` — accumulated wall-clock time of finished cells
       (float; in-process execution only).
 
-    Layers may also :meth:`bump` their own counters (the scheduler adds
-    ``cells_cache``, ``cells_coalesced``, ``cells_checkpoint`` for cells
-    that never reach the engine's compute path); they share the same
-    lock and appear in the same :meth:`snapshot`.
+    Layers may also :meth:`bump` their own counters (the scheduler
+    counts submitted and deduplicated jobs); they share the same lock
+    and appear in the same :meth:`snapshot`.
     """
 
     def __init__(self) -> None:
@@ -143,8 +151,11 @@ class EngineMetrics(EngineObserver):
         self.bump("cell_retries")
 
     def cell_finished(self, task, outcome):
-        status = getattr(outcome, "status", None)
-        self.bump("cells_ok" if status == "ok" else "cells_failed")
+        source = getattr(outcome, "source", "simulated")
+        if getattr(outcome, "status", None) != "ok":
+            self.bump("cells_failed")
+        else:
+            self.bump("cells_ok" if source == "simulated" else f"cells_{source}")
         duration = getattr(outcome, "duration_s", 0.0) or 0.0
         if duration:
             self.bump("sim_seconds", duration)

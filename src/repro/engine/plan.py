@@ -7,7 +7,8 @@ specs, and the simulator configuration, normalized into an ordered grid
 of :class:`CellTask`\\ s.  Every entry point (``repro run``, the paper
 artifacts, the bench harness, the simulation service) builds a plan and
 hands it to one :class:`~repro.engine.core.Engine`; none of them
-re-derive the grid themselves.
+re-derive the grid themselves.  A plan may hold trace *specs*, which
+the engine resolves to :class:`UnbuiltTrace`\\ s and builds on need.
 
 The plan also owns the **content-fingerprint memo**: each trace's
 fingerprint (the expensive half of a result-cache key) is computed at
@@ -155,6 +156,33 @@ class CellTask:
 
 
 @dataclass
+class UnbuiltTrace:
+    """A plan trace spec, resolved to its name and fingerprint unbuilt.
+
+    Attributes:
+        spec: the trace spec (a :class:`~repro.service.spec.TraceSpec`).
+        name: the built trace's name, which its cells are filed under.
+        fingerprint: its content fingerprint (None when not looked up).
+        trace: the built trace — the memo's, if the lookup built one.
+        error: why the spec could not be resolved; its cells fail with it.
+    """
+
+    spec: Any
+    name: str
+    fingerprint: str | None = None
+    trace: Any = None
+    error: Exception | None = None
+
+    def load(self) -> Any:
+        """The built trace, building it at most once."""
+        if self.error is not None:
+            raise self.error
+        if self.trace is None:
+            self.trace = self.spec.build()
+        return self.trace
+
+
+@dataclass
 class CellOutcome:
     """The terminal record of one cell: a result or a contained error.
 
@@ -169,8 +197,10 @@ class CellOutcome:
         error: the original exception object — only available when the
             cell ran in this process; never crosses a pool boundary.
         duration_s: wall-clock execution time (in-process runs).
-        source: how the outcome was obtained (``simulated``, ``cache``,
-            ``checkpoint``, ``coalesced``).
+        source: how the outcome was obtained: ``simulated`` (here or in
+            a pool worker), ``cache``, ``checkpoint`` (restored from the
+            manifest), ``coalesced`` (computed by another sweep sharing
+            the result cache) or ``fabric`` (by the worker fleet).
     """
 
     task: CellTask
@@ -310,6 +340,10 @@ class ExecutionPlan:
         lifetime, so every (scheme × trace) cell sharing the trace
         reuses one fingerprint instead of re-hashing the records.
         """
+        if isinstance(trace, UnbuiltTrace):
+            if trace.fingerprint is None:
+                trace.fingerprint = trace_fingerprint(trace.load())
+            return trace.fingerprint
         fingerprint = self._fingerprints.get(id(trace))
         if fingerprint is None:
             fingerprint = trace_fingerprint(trace)

@@ -4,8 +4,8 @@ The engine's failure-handling and persistence behaviors are expressed
 as small, single-purpose pieces that wrap the one ``run_cell`` unit:
 
 * :class:`RetryPolicy` + :func:`run_with_retry` — **the** retry loop.
-  Every execution path (serial runner, pool workers, service scheduler)
-  goes through this one implementation.
+  Every execution path (the engine's serial loop, inline and pool
+  backends) goes through this one implementation.
 * :class:`ManifestRecorder` — **the** checkpoint-manifest write site.
   Completed cells and contained failures are recorded here and only
   here, so the manifest format has exactly one producer.
@@ -145,8 +145,8 @@ def run_with_retry(
 class ManifestRecorder:
     """The single site that records progress into a checkpoint manifest.
 
-    Every completed cell and every contained failure — whether produced
-    by the serial engine, a process-pool backend, or a service job —
+    Every completed cell and every contained failure — however the
+    engine resolved it, for ``repro run`` and service jobs alike —
     funnels through this class, which mutates the manifest dict and
     persists it via :meth:`save` (the one
     :meth:`~repro.runner.checkpoint.CheckpointManager.save_manifest`
@@ -158,40 +158,19 @@ class ManifestRecorder:
         self.manifest = manifest
 
     def record_completed(
-        self,
-        scheme: str,
-        trace_name: str,
-        result_json: dict[str, Any],
-        *,
-        clear_cell_state: bool = False,
-        flush: bool = True,
+        self, scheme: str, trace_name: str, result_json: dict[str, Any]
     ) -> None:
-        """Record one completed cell's JSON result payload.
+        """Record one completed cell's JSON result payload and persist.
 
-        Args:
-            scheme: the cell's scheme result key.
-            trace_name: the cell's trace name.
-            result_json: the cell's serialized
-                :class:`~repro.core.result.SimulationResult`.
-            clear_cell_state: also drop the mid-cell binary snapshot
-                (the cell is no longer in progress).
-            flush: persist the manifest now; pass False when batching
-                several records before one :meth:`save`.
+        The cell is no longer in progress, so its mid-cell binary
+        snapshot, if any, is dropped too.
         """
         self.manifest["completed"].setdefault(scheme, {})[trace_name] = result_json
-        if clear_cell_state:
-            self.manager.clear_cell_state()
-        if flush:
-            self.save()
+        self.manager.clear_cell_state()
+        self.save()
 
-    def record_failure(
-        self,
-        failure: CellFailure,
-        *,
-        clear_cell_state: bool = False,
-        flush: bool = True,
-    ) -> None:
-        """Record one contained cell failure."""
+    def record_failure(self, failure: CellFailure) -> None:
+        """Record one contained cell failure and persist."""
         self.manifest["failures"].append(
             {
                 "scheme": failure.scheme,
@@ -201,10 +180,8 @@ class ManifestRecorder:
                 "attempts": failure.attempts,
             }
         )
-        if clear_cell_state:
-            self.manager.clear_cell_state()
-        if flush:
-            self.save()
+        self.manager.clear_cell_state()
+        self.save()
 
     def save(self) -> None:
         """Atomically persist the manifest."""

@@ -7,6 +7,8 @@ expanded (scheme × trace) cells:
 
 * :class:`~repro.fabric.queue.DurableCellQueue` — cells move through
   ``pending → leased → done/failed/dead`` under time-bounded leases;
+* :class:`~repro.fabric.queue.FleetBackend` — the engine backend that
+  offers a job's cells to the queue and collects what the fleet settles;
 * :class:`~repro.fabric.worker.FabricWorker` — a worker (process via
   ``repro work --db``, or in-process thread) leases cells, heartbeats
   while simulating, settles results idempotently, and reaps expired
@@ -16,8 +18,8 @@ expanded (scheme × trace) cells:
   proving sweeps finish bit-identical to a serial engine run.
 
 The service's scheduler (``Scheduler(fabric_db=...)``) mirrors each
-accepted job into the same database and recovers unfinished ones from
-it at startup.
+accepted job into the same database, runs its cells through a
+``FleetBackend``, and recovers unfinished jobs from it at startup.
 
 See ``docs/SERVICE.md`` ("Durable fleet") for the schema, the lease
 semantics, and the failure matrix.
@@ -34,6 +36,7 @@ _EXPORTS = {
     "PENDING": "repro.fabric.queue",
     "DurableCellQueue": "repro.fabric.queue",
     "FabricWorker": "repro.fabric.worker",
+    "FleetBackend": "repro.fabric.queue",
     "LeasedCell": "repro.fabric.queue",
 }
 

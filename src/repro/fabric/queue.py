@@ -88,7 +88,8 @@ def expand_spec(spec: Any, *, max_attempts: int | None = None) -> list[dict[str,
 
     Descriptors are the JSON-safe rows :meth:`DurableCellQueue.add_cells`
     inserts — sweep order (scheme-major), matching
-    :meth:`~repro.engine.plan.ExecutionPlan.cells`.
+    :meth:`~repro.engine.plan.ExecutionPlan.cells`, so a row's ``idx`` is
+    its cell's :attr:`~repro.engine.plan.CellTask.index`.
     """
     cells: list[dict[str, Any]] = []
     index = 0
@@ -101,8 +102,7 @@ def expand_spec(spec: Any, *, max_attempts: int | None = None) -> list[dict[str,
                     "scheme": {"name": name, "options": dict(options)},
                     "scheme_key": key,
                     "trace_spec": tspec.canonical(),
-                    "trace_label": tspec.workload
-                    or os.path.basename(tspec.path or "?"),
+                    "trace_label": tspec.label,
                     "sharer_key": spec.sharer_key,
                     "priority": spec.priority,
                     **(
@@ -114,6 +114,92 @@ def expand_spec(spec: Any, *, max_attempts: int | None = None) -> list[dict[str,
             )
             index += 1
     return cells
+
+
+#: Seconds between a dispatching job's polls for settled cells.
+_POLL_S = 0.1
+
+
+@dataclass
+class FleetBackend:
+    """Runs one job's cells on the lease-based worker fleet.
+
+    The engine's third backend, beside inline and the process pool.
+    Each dispatched cell becomes its :func:`expand_spec` row, filed
+    under the cell's trace name, for fleet members to lease, simulate
+    and settle.  Rows are inserted idempotently, so a resumed job
+    re-offers them and collects whatever the fleet settled meanwhile.
+
+    Args:
+        queue: the fleet's durable queue.
+        job: the service :class:`~repro.service.jobs.Job` owning the
+            cells: its id files the rows, its spec expands them, and a
+            stop requested on it ends the wait (leased cells keep
+            running and settle in the db).
+    """
+
+    queue: DurableCellQueue
+    job: Any
+
+    #: Fleet members build each cell's trace from its spec themselves.
+    builds_traces = True
+
+    def run(
+        self, simulator: Any, cells: list[Any], on_complete: Any, *, observer: Any
+    ) -> dict[int, dict[str, Any]]:
+        """Offer *cells* to the fleet; returns ``{cell index: payload}``."""
+        from repro.engine.plan import CellOutcome
+
+        outcomes: dict[int, dict[str, Any]] = {}
+        if not cells:
+            return outcomes
+        for task in cells:
+            observer.cell_started(task)
+        job = self.job
+        # The job row is missing when the job was recovered from a state
+        # directory the fabric never saw; (re)insert it idempotently.
+        self.queue.submit(job.spec, job.id, expand=False)
+        slots = {task.index: slot for slot, task in enumerate(cells)}
+        self.queue.add_cells(
+            job.id,
+            [
+                {**row, "trace_label": cells[slots[row["idx"]]].trace_name}
+                for row in expand_spec(job.spec)
+                if row["idx"] in slots
+            ],
+        )
+        while len(outcomes) < len(cells):
+            job.check_stop()
+            for row in self.queue.cell_outcomes(job.id):
+                slot = slots.get(row["index"])
+                if slot is None or slot in outcomes:
+                    continue
+                if row["state"] in (DONE, FAILED):
+                    payload = row["payload"]
+                elif row["state"] == DEAD:
+                    payload = {
+                        "status": "error",
+                        "category": row["last_category"] or "ReproError",
+                        "message": row["last_error"] or "dead-lettered by the fabric",
+                        "attempts": row["attempts"],
+                    }
+                else:
+                    continue  # still pending or leased
+                outcomes[slot] = payload
+                observer.cell_finished(
+                    cells[slot],
+                    CellOutcome.from_payload(cells[slot], payload, source="fabric"),
+                )
+                on_complete(slot, payload)
+            if len(outcomes) < len(cells):
+                try:
+                    # With no live member, this is what requeues or
+                    # dead-letters an abandoned lease.
+                    self.queue.reap()
+                except Exception:
+                    pass
+                time.sleep(_POLL_S)
+        return outcomes
 
 
 class DurableCellQueue:
@@ -157,9 +243,9 @@ class DurableCellQueue:
             spec: the validated :class:`~repro.service.spec.JobSpec`.
             job_id: the service job id this fabric job mirrors.
             expand: also insert every (scheme × trace) cell now.  The
-                scheduler's fabric mode passes False and enqueues only
-                the cells it could not resolve from cache/checkpoint
-                (via :meth:`add_cells`).
+                service passes False: its :class:`FleetBackend` enqueues
+                only the cells the engine dispatches (via
+                :meth:`add_cells`).
         """
         now = time.time() if now is None else now
         with self._pool.transaction() as connection:
@@ -399,8 +485,8 @@ class DurableCellQueue:
         """Requeue (or dead-letter) every cell whose lease has expired.
 
         The expiry lives in the cell row, so any caller can act on it:
-        every worker reaps before each lease, and the scheduler's wait
-        loop reaps while a job's cells are outstanding (which is what
+        every worker reaps before each lease, and a :class:`FleetBackend`
+        reaps while a job's cells are outstanding (which is what
         dead-letters a cell when no worker is alive).  Transitions are
         guarded by cell state, so concurrent callers double-count
         nothing.

@@ -44,9 +44,9 @@ from typing import Any, Callable
 from repro.core.simulator import Simulator
 from repro.engine.plan import build_protocol_for_cell
 from repro.engine.policies import RetryPolicy
-from repro.runner.cache import ResultCache, cache_key
+from repro.runner.cache import FingerprintMemo, ResultCache, cache_key
 from repro.runner.checkpoint import result_to_json
-from repro.service.spec import FingerprintMemo, TraceSpec
+from repro.service.spec import TraceSpec
 
 from repro.fabric.queue import DurableCellQueue, LeasedCell
 
@@ -174,7 +174,7 @@ class FabricWorker:
             try:
                 self.queue.reap()
             except Exception:
-                pass  # another member's or the scheduler's sweep catches it
+                pass  # another member's or a waiting job's sweep catches it
             cell = self.queue.lease(self.worker_id, lease_s=self.lease_s)
             if cell is None:
                 self._job_traces = (None, {})

@@ -13,7 +13,8 @@ what that engine persists and what the tests use to attack it:
   readers, illegal protocol states.
 * :mod:`repro.runner.cache` — :class:`ResultCache`, an on-disk cache of
   simulation results keyed by (trace fingerprint, scheme + options,
-  simulator config).
+  simulator config), with the in-flight claims and trace-fingerprint
+  memo shared by the sweeps that use one cache.
 
 See ``docs/ARCHITECTURE.md`` for the engine layering,
 ``docs/ROBUSTNESS.md`` for the fault model and guarantees, and
@@ -23,6 +24,9 @@ See ``docs/ARCHITECTURE.md`` for the engine layering,
 from repro import lazy_exports
 
 _EXPORTS = {
+    "FingerprintMemo": "repro.runner.cache",
+    "InFlightCell": "repro.runner.cache",
+    "InFlightTable": "repro.runner.cache",
     "ResultCache": "repro.runner.cache",
     "cache_key": "repro.runner.cache",
     "trace_fingerprint": "repro.runner.cache",

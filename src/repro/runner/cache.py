@@ -25,6 +25,11 @@ A corrupt or truncated entry is treated as a miss, never an error — the
 cell re-simulates and the bad file is *quarantined* (moved into a
 ``quarantine/`` subdirectory, preserved for inspection rather than
 silently deleted).  The cache can only skip work, not break a sweep.
+
+Engines that share a cache in one process also share its
+:class:`InFlightTable` (the first claimant of a key computes the cell,
+later claimants wait for its outcome) and its :class:`FingerprintMemo`
+(a repeated trace spec finds its cached cells without being built).
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.core.result import SimulationResult
 from repro.core.simulator import Simulator
 from repro.errors import CheckpointError
 from repro.runner.checkpoint import result_from_json, result_to_json
+from repro.store.format import is_chunked_trace
 from repro.trace.fingerprint import FP_HEADER as _FP_HEADER  # noqa: F401
 from repro.trace.fingerprint import fingerprint_trace
 
@@ -92,12 +98,145 @@ def cache_key(
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+class InFlightCell:
+    """One cell being computed; waiters block until resolve/abandon."""
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+        self.outcome: dict[str, Any] | None = None
+        self.abandoned = False
+        self._event = threading.Event()
+
+    def resolve(self, outcome: dict[str, Any]) -> None:
+        """Publish the owner's outcome payload and wake waiters."""
+        self.outcome = outcome
+        self._event.set()
+
+    def abandon(self) -> None:
+        """The owner gave up without an outcome; wake waiters empty-handed."""
+        self.abandoned = True
+        self._event.set()
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """True once resolved or abandoned."""
+        return self._event.wait(timeout)
+
+
+class InFlightTable:
+    """The shared key → :class:`InFlightCell` registry.
+
+    Ownership can be *abandoned* (the owner was stopped before computing
+    the cell).  Waiters then wake empty-handed and resolve the cell
+    again, typically becoming its owner, so a stopped sweep never
+    strands another sweep's cells.
+    """
+
+    def __init__(self) -> None:
+        self._cells: dict[str, InFlightCell] = {}
+        self._lock = threading.Lock()
+
+    def claim(self, key: str) -> tuple[InFlightCell, bool]:
+        """Claim *key*; returns ``(entry, is_owner)``.
+
+        The first claimant becomes the owner (and must later
+        ``resolve_and_release`` or ``abandon_and_release`` the entry);
+        later claimants get the same entry with ``is_owner=False`` and
+        should :meth:`InFlightCell.wait` on it.
+        """
+        with self._lock:
+            entry = self._cells.get(key)
+            if entry is not None and not entry.abandoned:
+                return entry, False
+            entry = InFlightCell(key)
+            self._cells[key] = entry
+            return entry, True
+
+    def _release(self, entry: InFlightCell) -> None:
+        with self._lock:
+            if self._cells.get(entry.key) is entry:
+                del self._cells[entry.key]
+
+    def resolve_and_release(self, entry: InFlightCell, outcome: dict[str, Any]) -> None:
+        """Publish *outcome* and retire the entry from the table."""
+        entry.resolve(outcome)
+        self._release(entry)
+
+    def abandon_and_release(self, entry: InFlightCell) -> None:
+        """Retire the entry without an outcome (owner was stopped)."""
+        entry.abandon()
+        self._release(entry)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._cells)
+
+
+class FingerprintMemo:
+    """A bounded memo from trace spec to ``(trace name, fingerprint)``.
+
+    The only trace state a long-lived cache user keeps between sweeps.
+    The engine (through its result cache) and the fabric worker both use
+    it, so they follow one rule:
+
+    * workload specs are keyed by their canonical spec (generation is
+      deterministic);
+    * chunked ``.ctrc`` stores are keyed by ``(path, mtime_ns, size)``,
+      so a rewrite is re-fingerprinted but an unchanged multi-gigabyte
+      store is not re-hashed per sweep;
+    * other trace files are never memoized: their content can change
+      between sweeps, so each lookup re-reads them.
+
+    Traces themselves are never kept: a hit returns no trace, and the
+    caller builds one only when a cell must actually simulate.
+    """
+
+    #: Entries kept; the oldest is evicted first.
+    CAPACITY = 1024
+
+    def __init__(self) -> None:
+        self._entries: dict[str, tuple[str, str]] = {}
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _key(tspec: Any) -> str | None:
+        if tspec.path is None:
+            return json.dumps(tspec.canonical(), sort_keys=True)
+        if not is_chunked_trace(tspec.path):
+            return None
+        stat = os.stat(tspec.path)
+        return json.dumps([tspec.path, stat.st_mtime_ns, stat.st_size])
+
+    def lookup(self, tspec: Any) -> tuple[str, str, Any]:
+        """``(name, fingerprint, trace)``; *trace* is None on a memo hit.
+
+        *tspec* is a :class:`~repro.service.spec.TraceSpec`.  Raises
+        whatever building or fingerprinting the trace raises.
+        """
+        key = self._key(tspec)
+        with self._lock:
+            entry = self._entries.get(key) if key is not None else None
+        if entry is not None:
+            return entry[0], entry[1], None
+        trace = tspec.build()
+        entry = (trace.name, trace_fingerprint(trace))
+        if key is not None:
+            with self._lock:
+                if len(self._entries) >= self.CAPACITY:
+                    self._entries.pop(next(iter(self._entries)))
+                self._entries[key] = entry
+        return entry[0], entry[1], trace
+
+
 class ResultCache:
     """One directory of content-addressed simulation results.
 
     Args:
         directory: cache location; created if missing.  Safe to share
             between sweeps — keys collide only for identical cells.
+
+    Attributes:
+        inflight: the cells being computed by sweeps sharing this cache.
+        fingerprints: trace spec → (name, fingerprint) for those sweeps.
     """
 
     #: Subdirectory corrupt entries are moved into (never re-read).
@@ -109,6 +248,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+        self.inflight = InFlightTable()
+        self.fingerprints = FingerprintMemo()
 
     def _path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"

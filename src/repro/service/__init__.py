@@ -6,15 +6,12 @@ sweeps, a server process keeps the content-addressed
 fingerprints, and a pool of simulation workers warm, and multiplexes
 many callers onto them:
 
-* :mod:`repro.service.spec` — the JSON job-spec format, validation,
-  and the trace-fingerprint memo shared with the fabric workers.
+* :mod:`repro.service.spec` — the JSON job-spec format and validation.
 * :mod:`repro.service.jobs` — job lifecycle + append-only event log.
 * :mod:`repro.service.queue` — priority queue with job-level dedup.
-* :mod:`repro.service.coalesce` — cell-level request coalescing: one
-  simulation per identical in-flight cell, ever.
-* :mod:`repro.service.scheduler` — worker threads fanning cells onto
-  the engine's :class:`~repro.engine.backends.ProcessPoolBackend`,
-  with checkpointed graceful shutdown and restart-resume.
+* :mod:`repro.service.scheduler` — worker threads running each job as
+  one :class:`~repro.engine.plan.ExecutionPlan` on the engine, with
+  checkpointed graceful shutdown and restart-resume.
 * :mod:`repro.service.api` — the stdlib HTTP server (``POST /jobs``,
   ``GET /jobs/<id>``, NDJSON ``GET /jobs/<id>/events``, ``/healthz``,
   ``/stats``, ``POST /shutdown``).
@@ -34,8 +31,6 @@ _EXPORTS = {
     "QUEUED": "repro.service.jobs",
     "RUNNING": "repro.service.jobs",
     "TERMINAL_STATES": "repro.service.jobs",
-    "InFlightCell": "repro.service.coalesce",
-    "InFlightTable": "repro.service.coalesce",
     "Job": "repro.service.jobs",
     "JobQueue": "repro.service.queue",
     "JobSpec": "repro.service.spec",

@@ -32,20 +32,12 @@ CANCELLED = "cancelled"
 #: States a job can never leave.
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
-#: How a cell outcome was obtained.
-SOURCE_SIMULATED = "simulated"
-SOURCE_CACHE = "cache"
-SOURCE_COALESCED = "coalesced"
-SOURCE_CHECKPOINT = "checkpoint"
-SOURCE_FABRIC = "fabric"
+#: How a cell outcome was obtained (the engine's ``CellOutcome.source``).
+CELL_SOURCES = ("simulated", "cache", "coalesced", "checkpoint", "fabric")
 
-CELL_SOURCES = (
-    SOURCE_SIMULATED,
-    SOURCE_CACHE,
-    SOURCE_COALESCED,
-    SOURCE_CHECKPOINT,
-    SOURCE_FABRIC,
-)
+
+class JobStopped(Exception):
+    """A job's sweep stopped at a cell boundary; the job stays resumable."""
 
 
 def new_job_id() -> str:
@@ -104,6 +96,11 @@ class Job:
         with self._cond:
             self.stop_requested = True
             self._cond.notify_all()
+
+    def check_stop(self) -> None:
+        """Raise :class:`JobStopped` once a stop has been requested."""
+        if self.stop_requested:
+            raise JobStopped(self.id)
 
     @property
     def finished(self) -> bool:

@@ -1,47 +1,32 @@
 """The scheduler: worker threads that turn queued jobs into results.
 
 Each worker thread pops one job at a time from the
-:class:`~repro.service.queue.JobQueue` and drives it through three
-phases:
+:class:`~repro.service.queue.JobQueue` and runs it as one
+:class:`~repro.engine.plan.ExecutionPlan` (the job's schemes × its
+trace specs) through a single ``Engine(...).run(plan)`` call, like
+every other sweep in the repo.  The engine restores cells from the
+job's checkpoint manifest, serves them from the shared
+:class:`~repro.runner.cache.ResultCache`, waits for cells another job is
+computing, and dispatches the rest to the job's backend: inline or a
+process pool (``sim_jobs``), or the fabric fleet.  Every resolved cell
+reaches one observer, which appends the job's NDJSON event and feeds
+the ``/stats`` counters.
 
-1. **Resolution** — every cell in sweep order is classified: already in
-   this job's checkpoint manifest (``checkpoint``), present in the
-   shared :class:`~repro.runner.cache.ResultCache` (``cache``), being
-   computed right now by any job (``coalesced`` — the cell attaches to
-   the in-flight entry), or owned by this job (``simulated``).
-2. **Owned execution** — owned cells run in stop-checked batches through
-   the engine: serially via :func:`repro.engine.backends.run_cell` or
-   fanned across a :class:`~repro.engine.backends.ProcessPoolBackend`
-   process pool when ``sim_jobs > 1`` — or by the fabric fleet in
-   fabric mode.  Outcomes are cached *before* the in-flight entry
-   resolves, so late claimants always find the cache.
-3. **Waiting** — coalesced cells block on their in-flight entries; an
-   abandoned entry (its owner was stopped mid-shutdown) sends the
-   waiter back through resolution so no cell is ever stranded.
-
-Between jobs the scheduler keeps only the ``ResultCache`` and a
-:class:`~repro.service.spec.FingerprintMemo` from trace spec to (trace
-name, content fingerprint) — all a cell's cache key needs.  A trace is
-built only when its spec is new or one of its cells must simulate
-in-process, and nothing holds it once its job ends.  Cell metrics come
-from the engine's :class:`~repro.engine.observer.EngineMetrics`
-observer — the same instrumentation the CLI's ``--progress`` reads —
-and per-job checkpoint manifests are written through the engine's
-single :class:`~repro.engine.policies.ManifestRecorder` site.
-
-In fabric mode the scheduler keeps the same :class:`JobQueue` and
-mirrors each accepted job's row into the fabric db, marks it terminal
-when the job finishes, and at startup recovers the db's unfinished jobs
-in the same pass that reads ``state_dir``.  Expired leases are reaped
-by every fleet member's poll loop and by the wait loop of a job whose
-cells are on the fleet; no thread exists only to reap.
+Between jobs the scheduler keeps only the ``ResultCache``; its
+fingerprint memo maps trace specs to (trace name, fingerprint), all a
+cell's cache key needs.  A trace is built only when its spec is new or
+one of its cells must simulate in this process, and nothing holds it
+once its job ends.  In fabric mode each accepted job is mirrored into
+the fabric db, marked terminal there when it finishes, and recovered
+from it at startup in the same pass that reads ``state_dir``.
 
 Graceful shutdown has two modes.  ``drain`` finishes every queued and
 running job, then stops.  ``checkpoint`` stops running jobs at the next
-cell boundary, persists their partial manifests and the queued jobs'
-specs under ``state_dir``, and a scheduler restarted on the same
-``state_dir`` resumes them — completed cells restored bit-for-bit from
-the manifest, the remainder recomputed deterministically.
+cell boundary (the job's observer raises from ``cell_started``),
+persists their partial manifests and the queued jobs' specs under
+``state_dir``, and a scheduler restarted on the same ``state_dir``
+resumes them: completed cells restored bit-for-bit from the manifest,
+the remainder recomputed deterministically.
 """
 
 from __future__ import annotations
@@ -52,46 +37,69 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.simulator import Simulator
-from repro.engine.backends import ProcessPoolBackend, run_cell
-from repro.engine.observer import EngineMetrics
-from repro.engine.plan import CellTask
-from repro.engine.policies import ManifestRecorder, RetryPolicy
-from repro.errors import ServiceUnavailableError
-from repro.runner.cache import ResultCache, cache_key
-from repro.runner.checkpoint import CheckpointManager
-from repro.service.coalesce import InFlightCell, InFlightTable
-from repro.service.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    SOURCE_CACHE,
-    SOURCE_CHECKPOINT,
-    SOURCE_COALESCED,
-    SOURCE_FABRIC,
-    SOURCE_SIMULATED,
-    Job,
-    JobStore,
+from repro.engine import (
+    Engine,
+    EngineMetrics,
+    EngineObserver,
+    ExecutionPlan,
+    ObserverGroup,
+    RetryPolicy,
+    backend_for,
 )
+from repro.errors import ServiceUnavailableError
+from repro.runner.cache import ResultCache
+from repro.runner.checkpoint import CheckpointManager
+from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job
+from repro.service.jobs import JobStopped, JobStore
 from repro.service.queue import JobQueue
-from repro.service.spec import FingerprintMemo, JobSpec
-
-#: How long waiters sleep between stop-flag checks on an in-flight cell.
-_WAIT_POLL = 0.1
+from repro.service.spec import JobSpec
 
 JOB_FILE = "job.json"
 
 
+class _JobPlan(ExecutionPlan):
+    """One job's sweep; its checkpoint is identified by the spec hash."""
+
+    def __init__(self, spec: JobSpec) -> None:
+        super().__init__(
+            traces=list(spec.traces),
+            schemes=spec.scheme_specs(),
+            simulator=Simulator(sharer_key=spec.sharer_key),
+        )
+        self.spec_hash = spec.spec_hash()
+
+    def fingerprint(self) -> dict[str, Any]:
+        return {"job_spec": self.spec_hash}
+
+
+class _JobEvents(EngineObserver):
+    """Turns one job's engine events into its event log; stops it on request."""
+
+    def __init__(self, job: Job) -> None:
+        self.job = job
+
+    def cell_started(self, task: Any) -> None:
+        self.job.check_stop()
+
+    def cell_finished(self, task: Any, outcome: Any) -> None:
+        self.job.record_cell(
+            scheme=task.scheme_key,
+            trace_name=task.trace_name,
+            index=task.index,
+            source=outcome.source,
+            payload=outcome.to_payload(),
+        )
+
+
 class Scheduler:
-    """Owns the queue, the workers, and every shared dedup structure.
+    """Owns the queue, the workers, and the shared result cache.
 
     Args:
         workers: concurrent jobs (one worker thread each).
-        sim_jobs: processes per job's owned-cell batches (1 = in-thread).
+        sim_jobs: worker processes per job (1 = inline, in-thread).
         result_cache: shared content-addressed cache.  Defaults to
             ``state_dir/cache`` when a state dir is given, else to a
             private temporary directory removed at shutdown.
@@ -99,10 +107,10 @@ class Scheduler:
         retry: per-cell transient-failure policy (engine semantics).
         fabric_db: path to a durable fabric database.  When set, jobs
             are mirrored into it (surviving a service crash even with no
-            ``state_dir``) and each job's *owned* cells are executed by
-            the lease-based worker fleet instead of the in-process
-            engine backends — in-process fabric workers started here
-            plus any external ``repro work --db`` processes.
+            ``state_dir``) and the cells each job must compute run on
+            the lease-based worker fleet instead of in-process —
+            in-process fabric workers started here plus any external
+            ``repro work --db`` processes.
         fabric_workers: in-process fleet members to start (fabric mode).
             0 relies entirely on external worker processes.
         lease_s: lease duration for the in-process fleet's cells.
@@ -133,7 +141,6 @@ class Scheduler:
                 )
                 result_cache = ResultCache(self._private_cache.name)
         self.result_cache = result_cache
-        self.fingerprints = FingerprintMemo()
         self.retry = retry or RetryPolicy()
 
         # Fabric imports are deferred, so a service without a fabric db
@@ -148,7 +155,6 @@ class Scheduler:
             self.fabric = DurableCellQueue(fabric_db)
         self.queue = JobQueue()
         self.jobs = JobStore()
-        self.inflight = InFlightTable()
 
         self._threads: list[threading.Thread] = []
         self._quit = threading.Event()
@@ -158,9 +164,8 @@ class Scheduler:
         self._idle = threading.Condition()
         self._started_at = time.monotonic()
 
-        #: Engine instrumentation: owned-cell outcomes arrive through
-        #: the observer protocol; scheduler-only counters (cache,
-        #: coalesced, checkpoint, job dedup) share the same store.
+        #: Engine instrumentation for every job's cells, plus the job
+        #: submission counters.
         self.metrics = EngineMetrics()
 
     # ------------------------------------------------------------------
@@ -225,15 +230,8 @@ class Scheduler:
                 if not job.finished:
                     job.request_stop()
         else:
-            deadline = None if timeout is None else time.monotonic() + timeout
             with self._idle:
-                while self._outstanding:
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                    self._idle.wait(remaining if remaining is not None else 0.5)
+                self._idle.wait_for(lambda: not self._outstanding, timeout)
         self._quit.set()
         for job in self.queue.drain():
             # Still queued at quit: stays persisted for the next start.
@@ -269,7 +267,7 @@ class Scheduler:
             self.metrics.bump("jobs_deduplicated")
         else:
             if self.fabric is not None:
-                # Job row only: owned cells are added at execution time.
+                # Job row only: the FleetBackend adds the cells it runs.
                 self.fabric.submit(accepted.spec, accepted.id, expand=False)
             self.jobs.add(accepted)
             with self._idle:
@@ -280,12 +278,10 @@ class Scheduler:
     def stats(self) -> dict[str, Any]:
         """The ``GET /stats`` payload: queue, job, cell, cache metrics.
 
-        Cell counters are read from the shared engine instrumentation:
-        ``simulated``/``errors`` are the engine's terminal-outcome
-        counters (``cells_ok``/``cells_failed``); ``cache``,
-        ``coalesced``, and ``checkpoint`` are scheduler resolutions that
-        never reach the engine's compute path.  The raw counter
-        snapshot is exposed under ``engine``.
+        Cell counters come from the engine instrumentation, which counts
+        each resolved cell by its outcome's source; ``errors`` counts
+        failed cells of any source.  The raw counter snapshot is exposed
+        under ``engine``.
         """
         counters = self.metrics.snapshot()
         return {
@@ -293,7 +289,7 @@ class Scheduler:
             "workers": self.workers,
             "sim_jobs": self.sim_jobs,
             "queue_depth": len(self.queue),
-            "inflight_cells": len(self.inflight),
+            "inflight_cells": len(self.result_cache.inflight),
             "stopping": self.stopping,
             "jobs": {
                 **self.jobs.state_counts(),
@@ -411,7 +407,7 @@ class Scheduler:
                     scheme=scheme,
                     trace_name=trace_name,
                     index=-1,
-                    source=SOURCE_CHECKPOINT,
+                    source="checkpoint",
                     payload={"status": "ok", "result": result_json, "attempts": 1},
                 )
         job.set_state(persisted.get("state", DONE), error=persisted.get("error"))
@@ -425,341 +421,58 @@ class Scheduler:
             job = self.queue.pop(timeout=0.2)
             if job is None:
                 continue
-            if self._checkpoint_mode:
-                # Popped during a checkpoint shutdown: leave it queued.
-                self._persist_job(job)
-                self._settle(job)
-                continue
             try:
-                self._run_job(job)
+                if self._checkpoint_mode:
+                    # Popped during a checkpoint shutdown: leave it queued.
+                    self._persist_job(job)
+                else:
+                    self._run_job(job)
             finally:
-                self._settle(job)
-
-    def _settle(self, job: Job) -> None:
-        """One submitted job reached terminal/parked; unblock drainers."""
-        with self._idle:
-            self._outstanding -= 1
-            self._idle.notify_all()
+                # One submitted job is terminal or parked: unblock drainers.
+                with self._idle:
+                    self._outstanding -= 1
+                    self._idle.notify_all()
 
     def _run_job(self, job: Job) -> None:
         job.set_state(RUNNING)
         self._persist_job(job)
+        job_dir = self._job_dir(job.id)
+        if self.fabric is not None:
+            from repro.fabric.queue import FleetBackend
+
+            backend = FleetBackend(self.fabric, job)
+        else:
+            backend = backend_for(self.sim_jobs, self.retry)
+        engine = Engine(
+            retry=self.retry,
+            checkpoint=CheckpointManager(job_dir) if job_dir is not None else None,
+            resume=job_dir is not None,
+            result_cache=self.result_cache,
+            # First, so a stop raised at cell_started counts no cell.
+            observer=ObserverGroup([_JobEvents(job), self.metrics]),
+            backend=backend,
+        )
         try:
-            completed = self._execute_job(job)
+            engine.run(_JobPlan(job.spec))
+        except JobStopped:
+            # Stopped at a cell boundary: back to queued, resumable.
+            job.state = QUEUED
+            job.append_event(
+                {"type": "job", "job": job.id, "state": QUEUED,
+                 "reason": "checkpointed"}
+            )
         except Exception as exc:  # infrastructure failure, not a cell failure
             job.set_state(FAILED, error=f"{type(exc).__name__}: {exc}")
         else:
-            if completed:
-                job.set_state(DONE)
-            else:
-                # Stopped at a cell boundary: back to queued, resumable.
-                job.state = QUEUED
-                job.append_event(
-                    {"type": "job", "job": job.id, "state": QUEUED,
-                     "reason": "checkpointed"}
-                )
+            job.set_state(DONE)
         finally:
             if job.finished:
                 self.queue.job_finished(job)
                 if self.fabric is not None:
                     # Settled cells already flip the fabric job terminal;
-                    # this covers jobs that sent no cell to the fleet and
-                    # records cancellations.
-                    state = FAILED if job.state in (FAILED, CANCELLED) else DONE
+                    # this covers jobs that sent no cell to the fleet.
                     try:
-                        self.fabric.finish_job(job.id, state)
+                        self.fabric.finish_job(job.id, job.state)
                     except Exception:
                         pass  # accounting only; never fail the settle path
             self._persist_job(job)
-
-    # ------------------------------------------------------------------
-    # Job execution
-    # ------------------------------------------------------------------
-
-    def _execute_job(self, job: Job) -> bool:
-        """Run one job's sweep; returns True when every cell finished."""
-        spec = job.spec
-        simulator = Simulator(sharer_key=spec.sharer_key)
-        recorder: ManifestRecorder | None = None
-        job_dir = self._job_dir(job.id)
-        if job_dir is not None:
-            manager = CheckpointManager(job_dir)
-            fingerprint = {"job_spec": spec.spec_hash()}
-            if manager.exists():
-                recorder = ManifestRecorder(manager, manager.load_manifest(fingerprint))
-            else:
-                recorder = ManifestRecorder(manager, manager.new_manifest(fingerprint))
-                recorder.save()
-        restored = recorder.manifest["completed"] if recorder is not None else {}
-
-        def checkpoint_cell(scheme: str, trace_name: str, result_json) -> None:
-            if recorder is not None:
-                recorder.record_completed(scheme, trace_name, result_json)
-
-        # Each trace's name and fingerprint; a failed lookup poisons only
-        # its own cells.  ``traces`` holds what this job built, and is
-        # the only reference to any of them.
-        traces: list[Any] = [None] * len(spec.traces)
-        names: list[str] = []
-        fingerprints: list[str | Exception] = []
-        for t_index, tspec in enumerate(spec.traces):
-            try:
-                name, fingerprint, traces[t_index] = self.fingerprints.lookup(tspec)
-            except Exception as exc:
-                name = tspec.workload or os.path.basename(tspec.path or "?")
-                fingerprint = exc
-            names.append(name)
-            fingerprints.append(fingerprint)
-
-        owned: list[tuple[CellTask, InFlightCell]] = []
-        waiting: list[tuple[CellTask, InFlightCell]] = []
-        index = 0
-        for scheme_spec, skey in zip(spec.scheme_specs(), spec.scheme_keys()):
-            for name, fingerprint in zip(names, fingerprints):
-                cell = CellTask(
-                    spec=scheme_spec, scheme_key=skey, trace=None,
-                    trace_name=name, index=index,
-                )
-                index += 1
-                if isinstance(fingerprint, Exception):
-                    self._fail(job, cell, fingerprint, checkpoint_cell)
-                    continue
-                if name in restored.get(skey, {}):
-                    job.record_cell(
-                        scheme=skey, trace_name=name, index=cell.index,
-                        source=SOURCE_CHECKPOINT,
-                        payload={
-                            "status": "ok",
-                            "result": restored[skey][name],
-                            "attempts": 1,
-                        },
-                    )
-                    self.metrics.bump("cells_checkpoint")
-                    continue
-                cell.cache_id = cache_key(scheme_spec, simulator, fingerprint)
-                if self._try_cache(job, cell, checkpoint_cell):
-                    continue
-                entry, is_owner = self.inflight.claim(cell.cache_id, job.id)
-                (owned if is_owner else waiting).append((cell, entry))
-
-        if self.fabric is not None:
-            finished = self._run_owned_fabric(job, owned, checkpoint_cell)
-        else:
-            finished = self._run_owned(job, simulator, owned, traces, checkpoint_cell)
-        return self._await_coalesced(
-            job, simulator, waiting, traces, checkpoint_cell
-        ) and finished
-
-    def _finish(
-        self, job: Job, cell: CellTask, payload: dict[str, Any], source: str,
-        checkpoint_cell: Callable[[str, str, Any], None],
-        entry: InFlightCell | None = None,
-    ) -> None:
-        """Record one resolved cell: cache, manifest, counters, in-flight, event.
-
-        Results computed in-process or by the fleet are cached before
-        *entry* resolves, so late claimants hit the cache.  The engine
-        observer already counted the outcome of in-process simulations.
-        """
-        ok = payload["status"] == "ok"
-        if ok:
-            if source in (SOURCE_SIMULATED, SOURCE_FABRIC):
-                self.result_cache.put_json(cell.cache_id, payload["result"])
-            checkpoint_cell(cell.scheme_key, cell.trace_name, payload["result"])
-        if source != SOURCE_SIMULATED:
-            self.metrics.bump(f"cells_{source}" if ok else "cells_failed")
-        if entry is not None:
-            self.inflight.resolve_and_release(entry, payload)
-        job.record_cell(
-            scheme=cell.scheme_key, trace_name=cell.trace_name, index=cell.index,
-            source=source, payload=payload,
-        )
-
-    def _fail(
-        self, job: Job, cell: CellTask, exc: Exception,
-        checkpoint_cell: Callable[[str, str, Any], None],
-        entry: InFlightCell | None = None,
-    ) -> None:
-        """Settle a cell whose trace could not be resolved or built."""
-        self.metrics.bump("cells_failed")
-        payload = {
-            "status": "error",
-            "category": type(exc).__name__,
-            "message": str(exc),
-            "attempts": 1,
-        }
-        self._finish(job, cell, payload, SOURCE_SIMULATED, checkpoint_cell, entry)
-
-    def _try_cache(self, job: Job, cell: CellTask, checkpoint_cell) -> bool:
-        """Serve *cell* from the result cache; False on a miss."""
-        cached = self.result_cache.get_json(cell.cache_id)
-        if cached is None:
-            return False
-        # Content-addressed: relabel under this job's names.
-        result_json = {
-            **cached, "scheme": cell.scheme_key, "trace_name": cell.trace_name
-        }
-        payload = {"status": "ok", "result": result_json, "attempts": 1}
-        self._finish(job, cell, payload, SOURCE_CACHE, checkpoint_cell)
-        return True
-
-    def _load_trace(
-        self, job: Job, cell: CellTask, entry: InFlightCell,
-        traces: list[Any], checkpoint_cell: Callable[[str, str, Any], None],
-    ) -> bool:
-        """Give an owned cell its trace, built on the job's first need."""
-        t_index = cell.index % len(traces)
-        try:
-            if traces[t_index] is None:
-                traces[t_index] = job.spec.traces[t_index].build()
-        except Exception as exc:
-            self._fail(job, cell, exc, checkpoint_cell, entry)
-            return False
-        cell.trace = traces[t_index]
-        return True
-
-    def _run_owned(
-        self, job: Job, simulator: Simulator,
-        owned: list[tuple[CellTask, InFlightCell]], traces: list[Any],
-        checkpoint_cell: Callable[[str, str, Any], None],
-    ) -> bool:
-        """Execute this job's owned cells in stop-checked batches."""
-        position = 0
-        while position < len(owned):
-            if job.stop_requested:
-                for _, entry in owned[position:]:
-                    self.inflight.abandon_and_release(entry)
-                return False
-            batch = [
-                (cell, entry)
-                for cell, entry in owned[position : position + self.sim_jobs]
-                if self._load_trace(job, cell, entry, traces, checkpoint_cell)
-            ]
-            position += self.sim_jobs
-            for cell, _ in batch:
-                self.metrics.cell_started(cell)
-
-            def on_complete(i: int, payload: dict[str, Any]) -> None:
-                cell, entry = batch[i]
-                self._finish(
-                    job, cell, payload, SOURCE_SIMULATED, checkpoint_cell, entry
-                )
-
-            if len(batch) > 1:
-                ProcessPoolBackend(jobs=self.sim_jobs, retry=self.retry).run(
-                    simulator,
-                    [cell for cell, _ in batch],
-                    on_complete=on_complete,
-                    observer=self.metrics,
-                )
-            elif batch:
-                outcome = run_cell(
-                    simulator, batch[0][0], retry=self.retry, observer=self.metrics
-                )
-                on_complete(0, outcome.to_payload())
-        return True
-
-    def _run_owned_fabric(
-        self, job: Job,
-        owned: list[tuple[CellTask, InFlightCell]],
-        checkpoint_cell: Callable[[str, str, Any], None],
-    ) -> bool:
-        """Hand this job's owned cells to the fleet and collect outcomes.
-
-        Cells are inserted idempotently (``ON CONFLICT (job_id, idx)``),
-        so resuming a checkpointed job re-offers the same rows and
-        immediately collects whatever the fleet settled in the
-        meantime.  Only *owned* cells reach the queue — everything the
-        scheduler resolved from cache/checkpoint/coalescing stays out,
-        which is what keeps the fleet from re-simulating known results.
-        """
-        from repro.fabric.queue import (
-            DEAD as CELL_DEAD,
-            DONE as CELL_DONE,
-            FAILED as CELL_FAILED,
-            expand_spec,
-        )
-
-        if not owned:
-            return True
-        # The job row may be missing when this job was recovered from
-        # state_dir before the fabric existed; (re)insert idempotently.
-        self.fabric.submit(job.spec, job.id, expand=False)
-        by_index = {cell.index: (cell, entry) for cell, entry in owned}
-        self.fabric.add_cells(
-            job.id,
-            [
-                # Filed under the built trace's name, as in-process cells are.
-                {**cell, "trace_label": by_index[cell["idx"]][0].trace_name}
-                for cell in expand_spec(job.spec)
-                if cell["idx"] in by_index
-            ],
-        )
-
-        pending = set(by_index)
-        while pending:
-            if job.stop_requested:
-                # Leased cells keep running; their results settle in the
-                # db and are collected on resume (or served from cache).
-                for index in pending:
-                    self.inflight.abandon_and_release(by_index[index][1])
-                return False
-            for outcome in self.fabric.cell_outcomes(job.id):
-                index = outcome["index"]
-                if index not in pending:
-                    continue
-                state = outcome["state"]
-                if state in (CELL_DONE, CELL_FAILED):
-                    payload = outcome["payload"]
-                elif state == CELL_DEAD:
-                    payload = {
-                        "status": "error",
-                        "category": outcome["last_category"] or "ReproError",
-                        "message": outcome["last_error"]
-                        or "dead-lettered by the fabric",
-                        "attempts": outcome["attempts"],
-                    }
-                else:
-                    continue  # still pending/leased
-                pending.discard(index)
-                cell, entry = by_index[index]
-                self._finish(job, cell, payload, SOURCE_FABRIC, checkpoint_cell, entry)
-            if pending:
-                try:
-                    # Reap here too: with no live worker, this is what
-                    # requeues or dead-letters an abandoned lease.
-                    self.fabric.reap()
-                except Exception:
-                    pass
-                time.sleep(_WAIT_POLL)
-        return True
-
-    def _await_coalesced(
-        self, job: Job, simulator: Simulator,
-        waiting: list[tuple[CellTask, InFlightCell]], traces: list[Any],
-        checkpoint_cell: Callable[[str, str, Any], None],
-    ) -> bool:
-        """Collect outcomes for cells another job is computing."""
-        finished = True
-        for cell, entry in waiting:
-            while True:
-                if job.stop_requested:
-                    finished = False
-                    break
-                if not entry.wait(_WAIT_POLL):
-                    continue
-                if not entry.abandoned:
-                    self._finish(
-                        job, cell, entry.outcome, SOURCE_COALESCED, checkpoint_cell
-                    )
-                    break
-                # Abandoned by a stopped owner: re-resolve ourselves.
-                if self._try_cache(job, cell, checkpoint_cell):
-                    break
-                entry, is_owner = self.inflight.claim(cell.cache_id, job.id)
-                if is_owner:
-                    finished = self._run_owned(
-                        job, simulator, [(cell, entry)], traces, checkpoint_cell
-                    ) and finished
-                    break
-        return finished

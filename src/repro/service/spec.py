@@ -21,7 +21,8 @@ SHA-256 (:meth:`JobSpec.spec_hash`) is the identity the queue uses for
 job-level dedup.  Trace *content* identity (used for cell-level
 coalescing and the result cache) is separate and computed from the
 built trace, so two specs naming the same file differently still
-coalesce per cell; :class:`FingerprintMemo` remembers it between jobs.
+coalesce per cell; the result cache's
+:class:`~repro.runner.cache.FingerprintMemo` remembers it between jobs.
 
 Validation uses the same registries the CLI exposes via
 ``repro list --json``, so a remote client can pre-validate names from
@@ -33,15 +34,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.experiment import scheme_key
 from repro.errors import JobSpecError
 from repro.protocols.registry import available_protocols
-from repro.runner.cache import trace_fingerprint
-from repro.store.format import is_chunked_trace
 from repro.trace.stream import Trace
 from repro.workloads.registry import DEFAULT_LENGTH, known_workloads, make_any_trace
 
@@ -63,6 +61,11 @@ class TraceSpec:
             return {"path": self.path}
         return {"workload": self.workload, "length": self.length, "seed": self.seed}
 
+    @property
+    def label(self) -> str:
+        """The name cells are filed under before the trace is built."""
+        return self.workload or os.path.basename(self.path or "?")
+
     def build(self) -> Trace:
         """Materialize the trace (generate the workload or load the file)."""
         if self.path is not None:
@@ -70,60 +73,6 @@ class TraceSpec:
 
             return load_trace(self.path, lazy=True)
         return make_any_trace(self.workload, length=self.length, seed=self.seed)
-
-
-class FingerprintMemo:
-    """A bounded memo from trace spec to ``(trace name, fingerprint)``.
-
-    The only trace state the service keeps between jobs.  The scheduler
-    and the fabric worker both use it, so they follow one rule:
-
-    * workload specs are keyed by their canonical spec (generation is
-      deterministic);
-    * chunked ``.ctrc`` stores are keyed by ``(path, mtime_ns, size)``,
-      so a rewrite is re-fingerprinted but an unchanged multi-gigabyte
-      store is not re-hashed per job;
-    * other trace files are never memoized: their content can change
-      between jobs, so each lookup re-reads them.
-
-    Traces themselves are never kept: a hit returns no trace, and the
-    caller builds one only when a cell must actually simulate.
-    """
-
-    #: Entries kept; the oldest is evicted first.
-    CAPACITY = 1024
-
-    def __init__(self) -> None:
-        self._entries: dict[str, tuple[str, str]] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(tspec: TraceSpec) -> str | None:
-        if tspec.path is None:
-            return json.dumps(tspec.canonical(), sort_keys=True)
-        if not is_chunked_trace(tspec.path):
-            return None
-        stat = os.stat(tspec.path)
-        return json.dumps([tspec.path, stat.st_mtime_ns, stat.st_size])
-
-    def lookup(self, tspec: TraceSpec) -> tuple[str, str, Trace | None]:
-        """``(name, fingerprint, trace)``; *trace* is None on a memo hit.
-
-        Raises whatever building or fingerprinting the trace raises.
-        """
-        key = self._key(tspec)
-        with self._lock:
-            entry = self._entries.get(key) if key is not None else None
-        if entry is not None:
-            return entry[0], entry[1], None
-        trace = tspec.build()
-        entry = (trace.name, trace_fingerprint(trace))
-        if key is not None:
-            with self._lock:
-                if len(self._entries) >= self.CAPACITY:
-                    self._entries.pop(next(iter(self._entries)))
-                self._entries[key] = entry
-        return entry[0], entry[1], trace
 
 
 @dataclass(frozen=True)

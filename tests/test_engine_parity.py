@@ -48,8 +48,24 @@ def canonical(results) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def test_all_execution_stacks_are_byte_identical(trace):
-    """Record loop == engine == columnar input == pooled sweep == service job."""
+def service_job_results(**scheduler_options):
+    """One service job's results, from a scheduler built with the options."""
+    scheduler = Scheduler(workers=1, **scheduler_options)
+    scheduler.start()
+    try:
+        job, _ = scheduler.submit(
+            parse_job_spec({"schemes": SCHEMES, "traces": [WORKLOAD]})
+        )
+        finished = _wait(lambda: job.finished)
+    finally:
+        scheduler.shutdown(mode="drain", timeout=30.0)
+    assert finished and job.cell_errors == 0
+    return job.results
+
+
+def test_all_execution_stacks_are_byte_identical(trace, tmp_path):
+    """Record loop == engine == columnar input == pooled sweep == service
+    jobs (inline, pooled, and on the fabric fleet)."""
     simulator = Simulator()
     record = {}
     for scheme in SCHEMES:
@@ -64,22 +80,18 @@ def test_all_execution_stacks_are_byte_identical(trace):
     )
     pooled = Engine(jobs=2).run(ExecutionPlan(traces=[trace], schemes=SCHEMES))
 
-    scheduler = Scheduler(workers=1, sim_jobs=1)
-    scheduler.start()
-    try:
-        job, _ = scheduler.submit(
-            parse_job_spec({"schemes": SCHEMES, "traces": [WORKLOAD]})
-        )
-        deadline_ok = _wait(lambda: job.finished)
-    finally:
-        scheduler.shutdown(mode="drain", timeout=30.0)
-    assert deadline_ok and job.cell_errors == 0
+    service = [
+        service_job_results(sim_jobs=1),
+        service_job_results(sim_jobs=2),
+        service_job_results(fabric_db=tmp_path / "fabric.db", fabric_workers=1),
+    ]
 
     baseline = canonical(record)
     assert canonical(serial.results) == baseline
     assert canonical(columnar.results) == baseline
     assert canonical(pooled.results) == baseline
-    assert canonical(job.results) == baseline
+    for results in service:
+        assert canonical(results) == baseline
 
 
 def _wait(predicate, timeout=60.0):
@@ -143,6 +155,40 @@ def test_pre_refactor_manifest_resumes_post_refactor(tmp_path, trace):
     assert set(final) == {"magic", "version", "fingerprint", "completed", "failures"}
     assert final["fingerprint"] == manifest["fingerprint"]
     assert sorted(final["completed"]) == sorted(SCHEMES)
+
+
+def test_pre_refactor_job_directory_resumes_post_refactor(tmp_path, trace):
+    """A service job parked by the pre-engine scheduler resumes cleanly."""
+    spec = parse_job_spec({"schemes": SCHEMES, "traces": [WORKLOAD]})
+    job_dir = tmp_path / "state" / "jobs" / "parkedjob"
+    job_dir.mkdir(parents=True)
+    (job_dir / "job.json").write_text(
+        json.dumps(
+            {"id": "parkedjob", "state": "queued", "error": None,
+             "spec": spec.canonical()},
+            indent=1, sort_keys=True,
+        ),
+        "utf-8",
+    )
+    manifest = _pre_refactor_manifest(trace, completed_schemes=SCHEMES[:2])
+    manifest["fingerprint"] = {"job_spec": spec.spec_hash()}
+    (job_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=1, sort_keys=True), "utf-8"
+    )
+
+    scheduler = Scheduler(workers=1, state_dir=tmp_path / "state")
+    scheduler.start()
+    try:
+        job = scheduler.jobs.get("parkedjob")
+        assert _wait(lambda: job.finished)
+    finally:
+        scheduler.shutdown(mode="drain", timeout=30.0)
+    assert job.state == "done"
+    assert job.cell_sources["checkpoint"] == 2
+    assert job.cell_sources["simulated"] == 2
+    fresh = Engine().run(ExecutionPlan(traces=[trace], schemes=SCHEMES))
+    assert canonical(job.results) == canonical(fresh.results)
+    assert not list((tmp_path / "state" / "jobs").rglob("cell.pkl"))
 
 
 def test_manifest_from_runner_resumes_through_engine(tmp_path, trace):

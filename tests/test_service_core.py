@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.errors import ServiceUnavailableError
-from repro.service.coalesce import InFlightTable
+from repro.runner.cache import InFlightTable
 from repro.service.jobs import DONE, Job, JobStore, QUEUED, RUNNING
 from repro.service.queue import JobQueue
 from repro.service.spec import parse_job_spec
@@ -96,11 +96,10 @@ def test_drain_empties_queue_in_priority_order():
 
 def test_inflight_first_claim_owns_then_waiters_coalesce():
     table = InFlightTable()
-    entry, owner = table.claim("cell-1", "job-a")
+    entry, owner = table.claim("cell-1")
     assert owner
-    same, owner2 = table.claim("cell-1", "job-b")
+    same, owner2 = table.claim("cell-1")
     assert not owner2 and same is entry
-    assert table.coalesced_total == 1
     table.resolve_and_release(entry, {"status": "ok", "result": {"x": 1}})
     assert entry.wait(0.1)
     assert entry.outcome == {"status": "ok", "result": {"x": 1}}
@@ -109,7 +108,7 @@ def test_inflight_first_claim_owns_then_waiters_coalesce():
 
 def test_inflight_abandon_wakes_waiters_empty_handed():
     table = InFlightTable()
-    entry, _ = table.claim("cell-2", "job-a")
+    entry, _ = table.claim("cell-2")
     woke = []
     thread = threading.Thread(
         target=lambda: woke.append(entry.wait(2.0) and entry.abandoned)
@@ -119,7 +118,7 @@ def test_inflight_abandon_wakes_waiters_empty_handed():
     thread.join(timeout=5.0)
     assert woke == [True]
     # The key is claimable again after abandonment.
-    _, owner = table.claim("cell-2", "job-c")
+    _, owner = table.claim("cell-2")
     assert owner
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import threading
 import time
 import weakref
 
@@ -310,3 +311,68 @@ def test_private_cache_directory_removed_at_shutdown():
     finally:
         scheduler.shutdown(mode="drain", timeout=30.0)
     assert not directory.exists()
+
+
+def hold_claim(scheduler, scheme, trace):
+    """Claim *scheme* on *trace*'s cell in the scheduler's in-flight table."""
+    key = cache_module.cache_key(
+        scheme, Simulator(), cache_module.trace_fingerprint(trace)
+    )
+    entry, owner = scheduler.result_cache.inflight.claim(key)
+    assert owner
+    return key, entry
+
+
+def submit_behind_claim(scheduler, spec, monkeypatch):
+    """Submit *spec* and return once its one cell waits on a held claim."""
+    waiting = threading.Event()
+    wait = cache_module.InFlightCell.wait
+
+    def spy_wait(entry, timeout=None):
+        waiting.set()
+        return wait(entry, timeout)
+
+    monkeypatch.setattr(cache_module.InFlightCell, "wait", spy_wait)
+    job, _ = scheduler.submit(spec)
+    assert waiting.wait(30.0)
+    assert not job.finished
+    return job
+
+
+def test_coalesced_cell_is_filed_under_its_own_labels(scheduler, tmp_path, monkeypatch):
+    trace = make_trace("pops", length=1500, seed=3)
+    path = tmp_path / "renamed.trace"
+    write_trace_file(trace, path)
+    own_name = load_trace(path).name
+    assert own_name != trace.name
+    key, entry = hold_claim(scheduler, "dir0b", trace)
+
+    traces = [{"path": str(path)}]
+    spec = make_spec(schemes=["dir0b"], traces=traces)
+    job = submit_behind_claim(scheduler, spec, monkeypatch)
+    # The owner filed the cell under its own trace name, "pops".
+    owner_result = direct_results(["dir0b"])["dir0b"][trace.name]
+    scheduler.result_cache.put_json(key, owner_result)
+    scheduler.result_cache.inflight.resolve_and_release(
+        entry, {"status": "ok", "result": owner_result, "attempts": 1}
+    )
+    assert wait_for(lambda: job.finished)
+    assert job.cell_sources["coalesced"] == 1
+    assert job.results["dir0b"][own_name]["trace_name"] == own_name
+
+    repeat = make_spec(schemes=["dir0b"], traces=traces, tags={"n": 2})
+    cached = run_job(scheduler, repeat)
+    assert cached.cell_sources["cache"] == 1
+    assert job.results == cached.results
+
+
+def test_abandoned_claim_is_simulated_by_its_waiter(scheduler, monkeypatch):
+    trace = make_trace("pops", length=1500, seed=3)
+    key, entry = hold_claim(scheduler, "dir0b", trace)
+    job = submit_behind_claim(scheduler, make_spec(schemes=["dir0b"]), monkeypatch)
+    scheduler.result_cache.inflight.abandon_and_release(entry)
+    assert wait_for(lambda: job.finished)
+    assert job.state == DONE
+    assert job.cell_sources["simulated"] == 1
+    assert job.results == direct_results(["dir0b"])
+    assert scheduler.result_cache.get_json(key) is not None
