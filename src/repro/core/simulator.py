@@ -320,16 +320,20 @@ class Simulator:
         otherwise each chunk runs through the generic columnar loop with
         the shared context and result, which — because accumulation is
         purely additive and the context carries all cross-chunk state —
-        is exactly one continuous run.  Either way at most one chunk is
-        live at a time.
+        is exactly one continuous run.  Either way each chunk is dropped
+        before the next is asked for, so what is live at once is one
+        chunk's columns, the data-only columns the loop derives from
+        them (:meth:`ColumnarTrace.data_view`) and the protocol's state.
         """
         session = open_kernel_session(self, built, result, context)
         if session is not None:
             for chunk in chunks:
                 session.run_chunk(chunk)
+                del chunk  # drop it before the next one decodes
             return session.finish()
         for chunk in chunks:
             self._run_columnar(chunk, built, result, context)
+            del chunk  # drop it before the next one decodes
         return result
 
     def _resolve_protocol(

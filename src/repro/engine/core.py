@@ -340,6 +340,9 @@ class Engine:
                 else merge_results([accumulated, segment_result], name=task.trace_name)
             )
             position += len(segment)
+            # Drop the window before the next one is sliced: a chunked
+            # trace's window holds its decoded chunk.
+            del segment
             snapshot = {
                 "scheme": key,
                 "trace_name": task.trace_name,

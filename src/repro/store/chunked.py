@@ -7,7 +7,11 @@ yields one :class:`~repro.trace.columnar.ColumnarTrace` per chunk for
 bounded-memory simulation, while :meth:`ChunkedTrace.__getitem__` and
 record iteration make the reader a drop-in for code written against
 ``trace.records``.  Raw-codec chunks decode zero-copy as ``mmap``
-memoryviews; zlib chunks decompress one at a time onto the heap.
+memoryviews; a zlib chunk inflates into one heap buffer of exactly its
+raw size.  Every chunk loop in the package drops the chunk it has
+consumed before it asks for the next, so a sequential pass holds one
+decoded chunk (and whatever the consumer derives from it, such as the
+simulator's data-only columns) at a time.
 
 Corruption anywhere — truncation, bad magic, index damage, a chunk
 whose crc32 or payload length disagrees with the index — raises
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import mmap
 import zlib
+from array import array
 from bisect import bisect_right
 from pathlib import Path
 from typing import Any, Iterator
@@ -282,10 +287,14 @@ class ChunkedTrace:
     def iter_chunks(self, start: int = 0) -> Iterator[ColumnarTrace]:
         """Yield each chunk in order as a :class:`ColumnarTrace`.
 
-        At most one decoded chunk is live at a time on the consumer's
-        side of the loop — this is the bounded-memory simulation feed.
-        Once the consumer advances past a chunk its mapped pages are
-        released from resident memory (see :meth:`_release_chunk_pages`).
+        The generator keeps no reference to a chunk it has yielded, so
+        at most one decoded chunk is live if the consumer drops each
+        chunk before asking for the next (``del chunk`` at the end of
+        the loop body; a bare ``for`` loop keeps the previous chunk
+        bound while the next one decodes, which doubles the heap).
+        This is the bounded-memory simulation feed.  Once the consumer
+        advances past a chunk its mapped pages are released from
+        resident memory (see :meth:`_release_chunk_pages`).
         In lenient mode corrupt chunks are quarantined and skipped
         within the error budget; strict mode raises on the first.
         """
@@ -384,6 +393,7 @@ class ChunkedTrace:
     def __iter__(self) -> Iterator[TraceRecord]:
         for chunk in self.iter_chunks():
             yield from chunk
+            del chunk  # drop it before the next one decodes
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -399,35 +409,35 @@ class ChunkedTrace:
         return self.chunk(chunk_index)[offset]
 
     def _slice_columnar(self, start: int, stop: int) -> ColumnarTrace:
-        """Materialize ``[start:stop)`` from the covering chunks only."""
+        """Materialize ``[start:stop)`` from the covering chunks only.
+
+        A slice inside one chunk is a view of that chunk.  A slice that
+        spans chunks is copied out of them one at a time, each chunk
+        dropped before the next one decodes.
+        """
         if stop <= start:
             return ColumnarTrace(self.name, (), (), (), (), (), self.description)
         first, offset = self.position_of(start)
-        pieces: list[ColumnarTrace] = []
         remaining = stop - start
-        for index in range(first, len(self.chunks)):
-            chunk = self.chunk(index)
-            piece = chunk[offset : offset + remaining]
-            pieces.append(piece)
-            remaining -= len(piece)
-            offset = 0
-            if remaining == 0:
-                break
-        if len(pieces) == 1:
-            return pieces[0]
-        from array import array
-
+        if offset + remaining <= self.chunks[first].records:
+            return self.chunk(first)[offset : offset + remaining]
         cpu = array("Q")
         pid = array("Q")
         address = array("Q")
         type_code = bytearray()
         flags = bytearray()
-        for piece in pieces:
+        for index in range(first, len(self.chunks)):
+            piece = self.chunk(index)[offset : offset + remaining]
             cpu.extend(piece.cpu)
             pid.extend(piece.pid)
             address.extend(piece.address)
             type_code.extend(piece.type_code)
             flags.extend(piece.flags)
+            remaining -= len(piece)
+            offset = 0
+            del piece  # drop the chunk before the next one decodes
+            if remaining == 0:
+                break
         return ColumnarTrace(
             self.name, cpu, pid, bytes(type_code), address, bytes(flags),
             self.description,
@@ -447,6 +457,7 @@ class ChunkedTrace:
             hasher.update_columns(
                 chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
             )
+            del chunk  # drop it before the next one decodes
 
     def fingerprint(self) -> str:
         """The canonical content fingerprint (computed once, memoized)."""

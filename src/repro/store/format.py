@@ -81,6 +81,8 @@ DEFAULT_CHUNK_RECORDS = 262_144
 _WORD = 8
 #: Stored bytes per record across the five columns (3*8 + 1 + 1).
 RECORD_BYTES = 3 * _WORD + 2
+#: The most a deflate stream can expand (zlib's documented 1032:1).
+_MAX_DEFLATE_RATIO = 1032
 
 
 def chunk_raw_size(records: int) -> int:
@@ -143,61 +145,36 @@ def chunk_error(
     )
 
 
-def encode_chunk_payload(
-    cpu: Any, pid: Any, address: Any, type_code: Any, flags: Any
-) -> bytes:
-    """Pack five parallel columns into one raw chunk payload."""
-
-    def word_bytes(column: Any) -> bytes:
-        if isinstance(column, array):
-            if sys.byteorder != "little":  # pragma: no cover - big-endian host
-                column = array("Q", column)
-                column.byteswap()
-            return column.tobytes()
-        if isinstance(column, memoryview):
-            return bytes(column.cast("B") if column.format != "B" else column)
-        packed = array("Q", column)
-        if sys.byteorder != "little":  # pragma: no cover - big-endian host
-            packed.byteswap()
-        return packed.tobytes()
-
-    return b"".join(
-        (
-            word_bytes(cpu),
-            word_bytes(pid),
-            word_bytes(address),
-            bytes(type_code),
-            bytes(flags),
-        )
-    )
-
-
-def store_chunk(payload: bytes, codec: str, level: int = 6) -> bytes:
-    """The on-disk bytes for one raw chunk payload under *codec*."""
-    if codec == "raw":
-        return payload
-    if codec == "zlib":
-        return zlib.compress(payload, level)
-    raise ValueError(f"unknown chunk codec {codec!r}; supported: {CHUNK_CODECS}")
-
-
 def decode_chunk_columns(
     stored: Any, chunk: ChunkInfo, path: str | Path
 ) -> tuple[Any, Any, Any, Any, Any]:
     """Decode one chunk's stored bytes into the five trace columns.
 
-    Returns ``(cpu, pid, type_code, address, flags)``.  For raw chunks
-    backed by a ``memoryview`` (the mmap path) the word columns come
-    back as zero-copy ``cast("Q")`` views and the byte columns as
-    plain slices; zlib chunks decompress onto the heap.  Corruption —
-    wrong length, undecodable zlib stream, out-of-range type codes —
-    raises :class:`~repro.errors.TraceFormatError` via
-    :func:`chunk_error`.
+    Returns ``(cpu, pid, type_code, address, flags)``, all five as
+    views into one buffer.  A raw chunk backed by a ``memoryview``
+    (the mmap path) is that buffer, so nothing is allocated.  A zlib
+    chunk inflates straight from *stored* into a single heap buffer
+    sized to the exact raw payload (``chunk_raw_size``), so the chunk's
+    heap cost is its raw size plus zlib's small inflate state; the
+    stored bytes are never copied.  Corruption — wrong length,
+    undecodable zlib stream, out-of-range type codes — raises
+    :class:`~repro.errors.TraceFormatError` via :func:`chunk_error`.
     """
     n = chunk.records
+    raw_size = chunk_raw_size(n)
     if chunk.codec == "zlib":
+        if raw_size > _MAX_DEFLATE_RATIO * len(stored):
+            # Checked before the exact-size buffer is allocated, so an
+            # index claiming absurdly many records fails as a format
+            # error, not as a MemoryError.
+            raise chunk_error(
+                f"{len(stored)} stored bytes cannot inflate to the "
+                f"{raw_size} bytes of {n} records",
+                path=path,
+                chunk=chunk,
+            )
         try:
-            data: Any = zlib.decompress(bytes(stored))
+            data: Any = zlib.decompress(stored, bufsize=raw_size)
         except zlib.error as exc:
             raise chunk_error(
                 f"undecodable zlib payload ({exc})", path=path, chunk=chunk
@@ -208,10 +185,10 @@ def decode_chunk_columns(
         raise chunk_error(
             f"unknown chunk codec {chunk.codec!r}", path=path, chunk=chunk
         )
-    if len(data) != chunk_raw_size(n):
+    if len(data) != raw_size:
         raise chunk_error(
             f"payload decodes to {len(data)} bytes, expected "
-            f"{chunk_raw_size(n)} for {n} records",
+            f"{raw_size} for {n} records",
             path=path,
             chunk=chunk,
         )

@@ -3,7 +3,10 @@
 :class:`StreamingTraceWriter` accepts records (or bulk column slices)
 and flushes a chunk to disk every ``chunk_records`` references, so a
 workload generator can emit a trace of any length while the writer
-holds at most one chunk's columns.  Alongside the chunks it maintains:
+holds one chunk's column buffers (26 bytes a record) and, for zlib, one
+compressor's state.  A flush streams the columns through the codec into
+the file; no joined payload or compressed copy of the chunk is built.
+Alongside the chunks it maintains:
 
 * the sharer-id sets (distinct cpus and pids) — stored in the index so
   readers can size machines without scanning the file;
@@ -21,10 +24,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import zlib
 from array import array
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.errors import TraceFormatError
 from repro.trace.columnar import ColumnarTrace, check_flags
@@ -41,8 +45,6 @@ from repro.store.format import (
     STORE_MAGIC,
     STORE_VERSION,
     align8,
-    encode_chunk_payload,
-    store_chunk,
 )
 
 _TYPE_TO_CODE = {RefType.INSTR: 0, RefType.READ: 1, RefType.WRITE: 2}
@@ -169,41 +171,40 @@ class StreamingTraceWriter:
         count = len(self._type)
         if count == 0:
             return
-        type_bytes = bytes(self._type)
-        if type_bytes and max(type_bytes) > 2:
-            bad = next(i for i, code in enumerate(type_bytes) if code > 2)
+        if max(self._type) > 2:
+            bad = next(i for i, code in enumerate(self._type) if code > 2)
             raise TraceFormatError(
-                f"invalid reference-type code {type_bytes[bad]} at record "
+                f"invalid reference-type code {self._type[bad]} at record "
                 f"{self._records + bad}",
                 path=str(self.path),
                 record=self._records + bad,
             )
-        flag_bytes = bytes(self._flags)
         self._hasher.update_columns(
-            self._cpu, self._pid, type_bytes, self._address, flag_bytes
+            self._cpu, self._pid, self._type, self._address, self._flags
         )
         self._cpus.update(self._cpu)
         self._pids.update(self._pid)
 
-        payload = encode_chunk_payload(
-            self._cpu, self._pid, self._address, type_bytes, flag_bytes
-        )
-        stored = store_chunk(payload, self.codec, self.level)
         aligned = align8(self._offset)
         if aligned != self._offset:
             self._handle.write(b"\x00" * (aligned - self._offset))
             self._offset = aligned
-        self._handle.write(stored)
+        length = 0
+        crc = 0
+        for piece in self._stored_pieces():
+            self._handle.write(piece)
+            crc = zlib.crc32(piece, crc)
+            length += len(piece)
         self._chunks.append(
             {
                 "offset": self._offset,
-                "length": len(stored),
+                "length": length,
                 "records": count,
-                "crc32": zlib.crc32(stored) & 0xFFFFFFFF,
+                "crc32": crc & 0xFFFFFFFF,
                 "codec": self.codec,
             }
         )
-        self._offset += len(stored)
+        self._offset += length
         self._records += count
 
         self._cpu = array("Q")
@@ -211,6 +212,29 @@ class StreamingTraceWriter:
         self._address = array("Q")
         self._type = bytearray()
         self._flags = bytearray()
+
+    def _stored_pieces(self) -> Iterator[Any]:
+        """The buffered chunk's stored bytes, piece by piece.
+
+        Each column buffer goes through the codec as a byte view, so no
+        joined payload is built; the pieces concatenate to exactly one
+        ``zlib.compress`` of cpu‖pid‖addr‖type‖flags (the format's
+        reference, pinned by ``tests/test_store_format.py``).
+        """
+        if sys.byteorder != "little":  # pragma: no cover - big-endian host
+            for column in (self._cpu, self._pid, self._address):
+                column.byteswap()
+        views = [
+            memoryview(column).cast("B")
+            for column in (self._cpu, self._pid, self._address, self._type, self._flags)
+        ]
+        if self.codec == "raw":
+            yield from views
+            return
+        compressor = zlib.compressobj(self.level)
+        for view in views:
+            yield compressor.compress(view)
+        yield compressor.flush()
 
     def close(self) -> dict[str, Any]:
         """Flush, write the index and footer, and rename into place.
@@ -321,6 +345,7 @@ def pack_trace(trace: Any, path: str | Path, **options: Any) -> dict[str, Any]:
                 writer.append_columns(
                     chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
                 )
+                del chunk  # drop it before the next one decodes
         elif isinstance(trace, ColumnarTrace) or (
             isinstance(trace, Trace) and trace.in_memory
         ):

@@ -387,6 +387,7 @@ def pack_chunks(
         if not len(chunk):
             return
         yield chunk
+        del chunk  # drop it before the next one is packed
 
 
 def columnar_trace(trace: "Trace | ColumnarTrace | Iterable[TraceRecord]") -> ColumnarTrace:

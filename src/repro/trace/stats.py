@@ -121,6 +121,7 @@ def compute_statistics(
         flag_counts.update(bytes(chunk.flags))
         per_cpu.update(chunk.cpu)
         per_pid.update(chunk.pid)
+        del chunk  # drop it before the next one decodes
 
     def flagged(flag: int) -> int:
         return sum(count for flags, count in flag_counts.items() if flags & flag)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _SCHEME_NAMES, build_parser, main
+from repro.protocols.registry import available_protocols
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,10 @@ def test_artifact_section(capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_parser_scheme_names_are_the_registry():
+    assert list(_SCHEME_NAMES) == available_protocols()
 
 
 def test_parser_rejects_unknown_artifact():

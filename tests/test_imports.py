@@ -64,6 +64,12 @@ def test_cli_import_leaves_verb_dependencies_unloaded():
     assert not [name for name in loaded if name.startswith(heavy)]
 
 
+def test_cli_parser_loads_no_protocol():
+    # ``repro --help`` builds the parser and nothing else.
+    loaded = loaded_after("from repro.cli import build_parser\nbuild_parser()")
+    assert not [name for name in loaded if name.startswith("repro.protocols")]
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_export_resolves_and_is_listed(package):
     module = importlib.import_module(package)

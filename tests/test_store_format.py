@@ -18,8 +18,15 @@ from pathlib import Path
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.store import ChunkedTrace, is_chunked_trace, pack_trace
-from repro.store.format import FOOTER, HEADER, STORE_END_MAGIC, STORE_MAGIC
+from repro.store import ChunkedTrace, is_chunked_trace, pack_trace, write_stream
+from repro.store.format import (
+    FOOTER,
+    HEADER,
+    STORE_END_MAGIC,
+    STORE_MAGIC,
+    STORE_VERSION,
+)
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import DecodeReport
 from repro.workloads.registry import make_trace
 
@@ -55,6 +62,63 @@ def rewrite_index(path: Path, mutate) -> None:
         + FOOTER.pack(offset, len(index), zlib.crc32(index) & 0xFFFFFFFF,
                       reserved, magic)
     )
+
+
+# ----------------------------------------------------------------------
+# The stored bytes: the format's reference
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("codec", ["zlib", "raw"])
+def test_stored_chunk_bytes_are_the_format_reference(tmp_path, codec):
+    """Each chunk stores cpu‖pid‖addr‖type‖flags, the word columns as
+    little-endian u64, verbatim (raw) or as one ``zlib.compress`` of
+    that concatenation at the writer's level (zlib); chunks start
+    8-byte aligned after zero padding, and the index crc32 covers the
+    stored bytes.  One full chunk and a short last chunk."""
+    columns = ColumnarTrace.from_trace(make_trace("thor", length=1000, seed=3))
+    path = tmp_path / "reference.ctrc"
+    meta = pack_trace(columns, path, codec=codec, chunk_records=600, level=4)
+    blob = path.read_bytes()
+    assert [entry["records"] for entry in meta["chunks"]] == [600, 400]
+    offset = HEADER.size
+    start = 0
+    for entry in meta["chunks"]:
+        stop = start + entry["records"]
+        words = f"<{stop - start}Q"
+        payload = b"".join([
+            struct.pack(words, *columns.cpu[start:stop]),
+            struct.pack(words, *columns.pid[start:stop]),
+            struct.pack(words, *columns.address[start:stop]),
+            bytes(columns.type_code[start:stop]),
+            bytes(columns.flags[start:stop]),
+        ])
+        stored = payload if codec == "raw" else zlib.compress(payload, 4)
+        assert entry["codec"] == codec
+        assert entry["offset"] == offset
+        assert entry["length"] == len(stored)
+        assert entry["crc32"] == zlib.crc32(stored)
+        assert blob[offset:offset + len(stored)] == stored
+        end = offset + len(stored)
+        offset = (end + 7) // 8 * 8
+        assert blob[end:offset] == bytes(offset - end)
+        start = stop
+
+
+@pytest.mark.parametrize("codec", ["zlib", "raw"])
+def test_empty_trace_is_header_index_footer(tmp_path, codec):
+    path = tmp_path / "empty.ctrc"
+    meta = write_stream(iter(()), path, name="empty", codec=codec)
+    assert meta["records"] == 0
+    assert meta["chunks"] == []
+    index = json.dumps(meta, sort_keys=True).encode("utf-8")
+    assert path.read_bytes() == (
+        HEADER.pack(STORE_MAGIC, STORE_VERSION, 0, 0)
+        + index
+        + FOOTER.pack(HEADER.size, len(index), zlib.crc32(index), 0, STORE_END_MAGIC)
+    )
+    with ChunkedTrace(path) as trace:
+        assert len(trace) == 0
+        assert list(trace.iter_chunks()) == []
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +257,20 @@ def test_zlib_garbage_is_wrapped_not_raised_bare(store):
     trace = ChunkedTrace(store)
     with pytest.raises(TraceFormatError, match="chunk 1"):
         trace.chunk(1)
+
+
+def test_record_count_beyond_what_zlib_can_inflate(store):
+    """The exact-size inflate buffer is never sized from an absurd index."""
+    claimed = 10**12
+
+    def inflate(meta):
+        meta["chunks"][0]["records"] = claimed
+        meta["records"] += claimed - CHUNK_RECORDS
+
+    rewrite_index(store, inflate)
+    trace = ChunkedTrace(store)
+    with pytest.raises(TraceFormatError, match="chunk 0 .*cannot inflate"):
+        trace.chunk(0)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,15 @@ The claims under test (docs/TRACESTORE.md):
   boundary) and a checkpoint/resume cycle whose snapshot lands
   mid-chunk;
 * streaming workload generation emits exactly the records the
-  in-memory builder produces.
+  in-memory builder produces;
+* writing and simulating a ``.ctrc`` hold one chunk: the heap peak
+  stays within a small multiple of one chunk's raw size, whatever the
+  trace length.
 """
+
+import gc
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -22,7 +29,8 @@ from repro.errors import CheckpointError
 from repro.protocols.registry import available_protocols
 from repro.runner.checkpoint import CheckpointManager, result_to_json
 from repro.runner.faults import KillPoint, SaboteurProtocol
-from repro.store import ChunkedTrace, pack_trace
+from repro.store import ChunkedTrace, pack_trace, write_stream
+from repro.store.format import chunk_raw_size
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import load_trace
 from repro.workloads.registry import make_trace, stream_trace
@@ -191,3 +199,92 @@ def test_load_trace_sniffs_ctrc(trace, tmp_path):
     assert len(loaded) == len(trace)
     assert list(loaded[:10]) == trace.records[:10]
     loaded.close()
+
+
+# ----------------------------------------------------------------------
+# Bounded heap: one chunk at a time
+# ----------------------------------------------------------------------
+
+HEAP_CHUNK_RECORDS = 32_768
+#: Heap peak allowed, in raw chunk sizes.  One chunk's columns are 1x;
+#: the writer adds the zlib stream state, the simulator the data-only
+#: columns and the protocol's state.  A second live chunk breaks it.
+HEAP_BOUND = 2.5
+
+
+def heap_peak(action) -> float:
+    """Peak traced heap while *action* runs, in raw chunk sizes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1] / chunk_raw_size(HEAP_CHUNK_RECORDS)
+    finally:
+        tracemalloc.stop()
+
+
+class SmallIntStream:
+    """A trace served in 4,096-record column rounds, as a workload
+    stream serves it.
+
+    Two in three references are data references, on 16 blocks from 4
+    processes.  The protocol's state therefore stays tiny, which
+    leaves the chunk buffers as the only heap that can scale, and the
+    columns build in a fraction of the time the generator takes.
+    """
+
+    ROUND = 4096
+
+    def __init__(self, records: int) -> None:
+        self.cpu = array("Q", (i % 4 for i in range(records)))
+        self.type_code = bytes(i % 3 for i in range(records))
+        self.address = array("Q", ((i * 48) & 0xF0 for i in range(records)))
+        self.flags = bytes(records)
+
+    def iter_columns(self):
+        for start in range(0, len(self.cpu), self.ROUND):
+            stop = start + self.ROUND
+            cpu = self.cpu[start:stop]
+            yield (
+                cpu, cpu, self.type_code[start:stop], self.address[start:stop],
+                self.flags[start:stop],
+            )
+
+
+@pytest.fixture(scope="module")
+def heap_peaks(tmp_path_factory):
+    """``{chunks: (write peak, simulate peak)}`` for 4- and 12-chunk zlib traces."""
+    workdir = tmp_path_factory.mktemp("heap")
+    # Warm every import and lazy table outside the measured calls.
+    write_stream(SmallIntStream(100), workdir / "warm.ctrc")
+    with ChunkedTrace(workdir / "warm.ctrc") as warm:
+        Simulator().run(warm, "dir0b")
+    peaks = {}
+    for chunks in (4, 12):
+        path = workdir / f"{chunks}.ctrc"
+        stream = SmallIntStream(chunks * HEAP_CHUNK_RECORDS)
+        write = heap_peak(
+            lambda: write_stream(stream, path, chunk_records=HEAP_CHUNK_RECORDS)
+        )
+        with ChunkedTrace(path) as trace:
+            assert trace.num_chunks == chunks
+            simulate = heap_peak(lambda: Simulator().run(trace, "dir0b"))
+        peaks[chunks] = (write, simulate)
+    return peaks
+
+
+def test_write_stream_holds_one_chunk(heap_peaks):
+    for chunks, (write, _) in heap_peaks.items():
+        assert write < HEAP_BOUND, f"{chunks} chunks: write peak {write:.2f}x"
+
+
+def test_chunked_simulation_holds_one_chunk(heap_peaks):
+    for chunks, (_, simulate) in heap_peaks.items():
+        assert simulate < HEAP_BOUND, f"{chunks} chunks: simulate peak {simulate:.2f}x"
+
+
+def test_heap_peak_does_not_grow_with_trace_length(heap_peaks):
+    # Anything kept per chunk would add a whole chunk per chunk.
+    (write4, simulate4), (write12, simulate12) = heap_peaks[4], heap_peaks[12]
+    assert write12 - write4 < 0.25
+    assert simulate12 - simulate4 < 0.25
