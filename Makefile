@@ -56,6 +56,11 @@ ci:
 	PYTHONPATH=src python -m repro trace gen thor build/ci-thor.ctrc --length 50000 --chunk-records 4096
 	PYTHONPATH=src python -m repro trace info build/ci-thor.ctrc --verify
 	PYTHONPATH=src python examples/stream_billion.py 20000
+	PYTHONPATH=src python -m repro generate pops build/ci-pops.bin --length 50000 --format binary
+	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes dir1nb wti dir0b dragon > build/ci-plain.txt
+	rm -rf build/ci-ckpt
+	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes dir1nb wti dir0b dragon --checkpoint build/ci-ckpt --checkpoint-every 7000 > build/ci-ckpt.txt
+	cmp build/ci-plain.txt build/ci-ckpt.txt
 	PYTHONPATH=src python -m repro verify
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation

@@ -29,8 +29,7 @@ from repro.memory.address import BlockMapper
 from repro.protocols.base import CoherenceProtocol
 from repro.protocols.kernels import kernel_run, open_kernel_session
 from repro.protocols.registry import make_protocol
-from repro.store.format import DEFAULT_CHUNK_RECORDS
-from repro.trace.columnar import TYPE_READ, ColumnarTrace, pack_chunks
+from repro.trace.columnar import TYPE_READ, ColumnarTrace, columnar_chunks
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
 
@@ -108,7 +107,8 @@ class Simulator:
         columnar path (a state-table kernel where one applies).  A
         column-backed :class:`~repro.trace.stream.Trace` hands over its
         columns, a record-backed one is packed, and a lazily read file
-        or a chunked store streams a chunk at a time.  Bare record
+        or a chunked store streams a chunk at a time
+        (:func:`~repro.trace.columnar.columnar_chunks`).  Bare record
         iterables and invariant checking take the record loop, the
         reference implementation (see ``docs/PERFORMANCE.md``).
 
@@ -131,28 +131,22 @@ class Simulator:
         built = self._resolve_protocol(protocol, trace, num_caches, protocol_options)
         result = SimulationResult(scheme=built.name, trace_name=name)
         context = context or SimulationContext()
-        if self.check_interval:
+        if self.check_interval or not named:
             # Invariant checking needs the record loop's per-data-ref
-            # cadence.
+            # cadence; a bare record iterable has no columns to read.
             records = trace.records if named else trace
             return self._run_records(records, built, result, context)
-        if hasattr(trace, "iter_chunks"):
-            return self._run_chunked(trace.iter_chunks(), built, result, context)
-        if isinstance(trace, Trace):
-            if not trace.in_memory:
-                chunks = pack_chunks(trace.records, DEFAULT_CHUNK_RECORDS)
-                return self._run_chunked(chunks, built, result, context)
-            trace = ColumnarTrace.from_trace(trace)
-        if isinstance(trace, ColumnarTrace):
+        if isinstance(trace, ColumnarTrace) or getattr(trace, "in_memory", False):
+            columns = ColumnarTrace.from_trace(trace)
             # State-table kernels for the exact stock protocols; they
             # bail (return None) on wrappers, mixed or subclassed
             # caches, bounded directories, or any state outside their
             # verified encoding.
-            ran = kernel_run(self, trace, built, result, context)
+            ran = kernel_run(self, columns, built, result, context)
             if ran is not None:
                 return ran
-            return self._run_columnar(trace, built, result, context)
-        return self._run_records(trace, built, result, context)
+            return self._run_columnar(columns, built, result, context)
+        return self._run_chunked(columnar_chunks(trace), built, result, context)
 
     def _run_records(
         self,

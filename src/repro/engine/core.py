@@ -41,9 +41,10 @@ Behavioral contract (inherited bit-for-bit from the pre-engine stacks):
 from __future__ import annotations
 
 import copy
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.core.experiment import CellFailure, ExperimentResult
 from repro.core.result import SimulationResult, merge_results
@@ -51,8 +52,7 @@ from repro.core.simulator import SimulationContext
 from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import CheckpointManager, result_from_json
-from repro.trace.columnar import ColumnarTrace
-from repro.trace.stream import Trace
+from repro.trace.columnar import COLUMN_FORMATS, ColumnarTrace, columnar_chunks
 
 from repro.engine.backends import ProcessPoolBackend, run_cell
 from repro.engine.observer import NULL_OBSERVER, EngineObserver
@@ -108,6 +108,36 @@ def _labelled(result: SimulationResult, task: CellTask) -> SimulationResult:
     result.scheme = task.scheme_key
     result.trace_name = task.trace_name
     return result
+
+
+def _windows(chunks: Iterable[ColumnarTrace], size: int) -> Iterator[ColumnarTrace]:
+    """Cut a chunk stream into consecutive windows of *size* records.
+
+    A window inside one chunk is a slice of it.  A window that spans
+    chunks is copied out of them as they stream past, so each chunk is
+    dropped before the next one decodes.
+    """
+    carried: list[array] = []  # the columns of a window begun earlier
+    for chunk in chunks:
+        offset = 0
+        while offset < len(chunk):
+            held = len(carried[0]) if carried else 0
+            take = min(size - held, len(chunk) - offset)
+            if take == size:
+                yield chunk[offset : offset + size]
+            else:
+                carried = carried or [array(fmt) for _, fmt in COLUMN_FORMATS]
+                piece = chunk[offset : offset + take]
+                for buffer, (column, _) in zip(carried, COLUMN_FORMATS):
+                    buffer.frombytes(memoryview(getattr(piece, column)).cast("B"))
+                del piece  # a view of the chunk
+                if held + take == size:
+                    yield ColumnarTrace("window", *carried)
+                    carried = []
+            offset += take
+        del chunk  # drop it before the next one decodes
+    if carried:
+        yield ColumnarTrace("window", *carried)
 
 
 def _build_trace(task: CellTask) -> CellOutcome | None:
@@ -321,28 +351,21 @@ class Engine:
             accumulated = None
             position = 0
 
-        # Windows of an in-memory trace are column slices, so each runs
-        # on the columnar path; chunked stores and lazily read files
-        # slice their own records.
-        if isinstance(trace, Trace) and trace.in_memory:
-            records = ColumnarTrace.from_trace(trace)
-        else:
-            records = trace.records
-        total = len(trace)
-        while position < total:
-            segment = records[position : position + self.checkpoint_every]
+        # One pass over the trace's chunks from the snapshot position:
+        # each chunk decodes (or a lazily read file is read) once per
+        # attempt, and every window runs on the columnar path.
+        windows = _windows(columnar_chunks(trace, position), self.checkpoint_every)
+        for window in windows:
             segment_result = simulator.run(
-                segment, protocol, trace_name=task.trace_name, context=context
+                window, protocol, trace_name=task.trace_name, context=context
             )
             accumulated = (
                 segment_result
                 if accumulated is None
                 else merge_results([accumulated, segment_result], name=task.trace_name)
             )
-            position += len(segment)
-            # Drop the window before the next one is sliced: a chunked
-            # trace's window holds its decoded chunk.
-            del segment
+            position += len(window)
+            del window  # drop it before the next one is cut
             snapshot = {
                 "scheme": key,
                 "trace_name": task.trace_name,
@@ -354,11 +377,6 @@ class Engine:
             if hasattr(trace, "position_of"):
                 snapshot["chunk_position"] = trace.position_of(position)
             self.checkpoint.save_cell_state(snapshot)
-            release = getattr(trace, "release_consumed", None)
-            if release is not None:
-                # Chunked traces drop consumed pages from RSS so the
-                # windowed path stays bounded like the streaming one.
-                release(position)
 
         if accumulated is None:  # empty trace: still a valid (zero) result
             accumulated = SimulationResult(scheme=key, trace_name=task.trace_name)

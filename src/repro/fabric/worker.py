@@ -44,7 +44,7 @@ from typing import Any, Callable
 from repro.core.simulator import Simulator
 from repro.engine.plan import build_protocol_for_cell
 from repro.engine.policies import RetryPolicy
-from repro.runner.cache import FingerprintMemo, ResultCache, cache_key
+from repro.runner.cache import ResultCache, cache_key
 from repro.runner.checkpoint import result_to_json
 from repro.service.spec import TraceSpec
 
@@ -154,7 +154,6 @@ class FabricWorker:
         #: Leases taken so far (the chaos harness indexes kills by this).
         self.leases = 0
 
-        self.fingerprints = FingerprintMemo()
         self._simulators: dict[str, Simulator] = {}
         #: Workload traces of the job being leased from, dropped on a job
         #: switch or an empty queue: built once per job, never kept after.
@@ -225,17 +224,21 @@ class FabricWorker:
     def run_cell(self, cell: LeasedCell) -> None:
         """Run one leased cell to settlement (never raises for cell errors)."""
         simulator = self._simulator(cell.sharer_key)
+        scheme_spec = self._scheme_spec(cell.scheme)
+        trace = cache_id = None
         try:
             tspec = TraceSpec(**cell.trace_spec)
-            _, trace_fp, trace = self.fingerprints.lookup(tspec)
+            if self.result_cache is not None:
+                # Only a cache lookup needs the fingerprint; the cache's
+                # memo also holds the ones its other users computed.
+                _, trace_fp, trace = self.result_cache.fingerprints.lookup(tspec)
+                cache_id = cache_key(scheme_spec, simulator, trace_fp)
         except Exception as exc:
             # The trace cannot be built: permanent, contained failure.
             self._settle_error(cell, exc)
             return
-        scheme_spec = self._scheme_spec(cell.scheme)
-        cache_id = cache_key(scheme_spec, simulator, trace_fp)
 
-        if self.result_cache is not None:
+        if cache_id is not None:
             cached = self.result_cache.get_json(cache_id)
             if cached is not None:
                 result_json = {
@@ -287,7 +290,7 @@ class FabricWorker:
             return
         heartbeat.stop()
 
-        if self.result_cache is not None:
+        if cache_id is not None:
             try:
                 # Cache before settling, so any reassigned twin of this
                 # cell finds the result instead of re-simulating it.

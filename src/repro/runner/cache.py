@@ -175,8 +175,9 @@ class FingerprintMemo:
     """A bounded memo from trace spec to ``(trace name, fingerprint)``.
 
     The only trace state a long-lived cache user keeps between sweeps.
-    The engine (through its result cache) and the fabric worker both use
-    it, so they follow one rule:
+    The engine and the fabric worker both reach it through their result
+    cache (``cache.fingerprints``), so they follow one rule and share
+    what either computed:
 
     * workload specs are keyed by their canonical spec (generation is
       deterministic);

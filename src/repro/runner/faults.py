@@ -67,9 +67,8 @@ class FlakyReader:
 
     The first ``fail_times`` iteration passes raise
     :class:`~repro.errors.TransientError` after ``fail_after`` records;
-    subsequent passes yield the stream cleanly.  Sequence access
-    (len/indexing/slicing) always works — only *streaming* is flaky,
-    like an NFS hiccup mid-read.
+    subsequent passes yield the stream cleanly.  ``len`` always works —
+    only *streaming* is flaky, like an NFS hiccup mid-read.
     """
 
     def __init__(
@@ -87,9 +86,6 @@ class FlakyReader:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __getitem__(self, index):
-        return self._records[index]
 
     def __iter__(self) -> Iterator[TraceRecord]:
         self.passes += 1

@@ -6,8 +6,9 @@ optionally dedups: when the spec asks for it (``"dedup": true``) and an
 identical spec (same :meth:`~repro.service.spec.JobSpec.spec_hash`) is
 already queued or running, the existing job is returned instead of a
 copy being enqueued.  Dedup is job-level sugar; even without it,
-duplicate *work* is eliminated cell-by-cell by the scheduler's
-coalescing layer (:mod:`repro.service.coalesce`).
+duplicate *work* is eliminated cell-by-cell by the engine's in-flight
+table (:class:`~repro.runner.cache.InFlightTable`): a cell another job
+is already computing is waited on, not simulated again.
 
 ``pop`` blocks with a timeout so scheduler workers can notice shutdown;
 ``close`` wakes every blocked worker and makes further submissions

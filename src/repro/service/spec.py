@@ -71,6 +71,9 @@ class TraceSpec:
         if self.path is not None:
             from repro.trace.io import load_trace
 
+            # A missing file cannot be built: say so here, as a build
+            # error, not as an I/O error mid-simulation.
+            os.stat(self.path)
             return load_trace(self.path, lazy=True)
         return make_any_trace(self.workload, length=self.length, seed=self.seed)
 

@@ -17,7 +17,7 @@ The pieces:
   trace never exists in memory.
 * :class:`~repro.store.chunked.ChunkedTrace` — the reader: sequential
   chunk iteration for bounded-memory simulation, record iteration and
-  slicing for everything written against ``trace.records``, and a
+  indexing for everything written against ``trace.records``, and a
   streaming content fingerprint identical to the in-memory one.
 * :func:`~repro.store.writer.pack_trace` / CLI ``repro trace
   pack|info|gen`` — conversion and inspection tooling.

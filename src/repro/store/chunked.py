@@ -3,15 +3,16 @@
 Opening a file validates the header, footer, and crc32-protected index
 — never the chunks themselves — so open cost is O(index) regardless of
 trace size.  Chunks decode on demand: :meth:`ChunkedTrace.iter_chunks`
-yields one :class:`~repro.trace.columnar.ColumnarTrace` per chunk for
-bounded-memory simulation, while :meth:`ChunkedTrace.__getitem__` and
-record iteration make the reader a drop-in for code written against
-``trace.records``.  Raw-codec chunks decode zero-copy as ``mmap``
-memoryviews; a zlib chunk inflates into one heap buffer of exactly its
-raw size.  Every chunk loop in the package drops the chunk it has
-consumed before it asks for the next, so a sequential pass holds one
-decoded chunk (and whatever the consumer derives from it, such as the
-simulator's data-only columns) at a time.
+yields one :class:`~repro.trace.columnar.ColumnarTrace` per chunk (to
+:func:`~repro.trace.columnar.columnar_chunks`, which every
+bounded-memory path reads), while indexing and record iteration make
+the reader a drop-in for code written against ``trace.records``.
+Raw-codec chunks decode zero-copy as ``mmap`` memoryviews; a zlib chunk
+inflates into one heap buffer of exactly its raw size.  Every chunk
+loop in the package drops the chunk it has consumed before it asks for
+the next, so a sequential pass holds one decoded chunk (and whatever
+the consumer derives from it, such as the simulator's data-only
+columns) at a time.
 
 Corruption anywhere — truncation, bad magic, index damage, a chunk
 whose crc32 or payload length disagrees with the index — raises
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 import mmap
 import zlib
-from array import array
 from bisect import bisect_right
 from pathlib import Path
 from typing import Any, Iterator
@@ -66,11 +66,10 @@ class ChunkedTrace:
 
     Duck-compatible with the in-memory trace types: ``name``,
     ``description``, ``cpus``/``pids``, ``len()``, record iteration,
-    indexing, and a ``records`` property returning the trace itself
-    (slices materialize as :class:`ColumnarTrace` covering only the
-    touched chunks).  The chunk-level API —
-    :meth:`iter_chunks`, :meth:`chunk`, :meth:`position_of` — is what
-    the bounded-memory simulation paths use.
+    indexing, and a ``records`` property returning the trace itself.
+    The chunk-level API — :meth:`iter_chunks`, :meth:`chunk`,
+    :meth:`position_of` — is what
+    :func:`~repro.trace.columnar.columnar_chunks` reads.
 
     Args:
         path: the ``.ctrc`` file.
@@ -101,7 +100,6 @@ class ChunkedTrace:
         self._mm: mmap.mmap | None = None
         self._view: memoryview | None = None
         self._fingerprint: str | None = None
-        self._released_upto = 0
         self._ensure_open()
 
     # ------------------------------------------------------------------
@@ -331,21 +329,6 @@ class ChunkedTrace:
             # already recorded in the report.
             pass
 
-    def release_consumed(self, record_index: int) -> None:
-        """Release pages of every chunk fully consumed before *record_index*.
-
-        The windowed (checkpointed) simulation path reads via slices
-        rather than :meth:`iter_chunks`; it calls this after each
-        window so its resident set stays bounded the same way.  Cheap
-        to call repeatedly — already-released chunks are skipped.
-        """
-        chunk_index, _ = self.position_of(min(record_index, self._records))
-        if record_index >= self._records:
-            chunk_index = len(self.chunks)
-        for index in range(self._released_upto, chunk_index):
-            self._release_chunk_pages(self.chunks[index])
-        self._released_upto = max(self._released_upto, chunk_index)
-
     def position_of(self, record_index: int) -> tuple[int, int]:
         """Map a global record index to ``(chunk index, offset in chunk)``.
 
@@ -364,7 +347,7 @@ class ChunkedTrace:
         return chunk_index, record_index - self._chunk_starts[chunk_index]
 
     # ------------------------------------------------------------------
-    # Trace duck-typing (records, iteration, slicing)
+    # Trace duck-typing (records, iteration, indexing)
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -375,8 +358,7 @@ class ChunkedTrace:
         """Sequence view of the records — the trace itself.
 
         Mirrors :attr:`ColumnarTrace.records` so code written against
-        ``trace.records`` (length, slicing, iteration) works unchanged;
-        slices decode only the chunks they touch.
+        ``trace.records`` (length, iteration, indexing) works unchanged.
         """
         return self
 
@@ -395,69 +377,13 @@ class ChunkedTrace:
             yield from chunk
             del chunk  # drop it before the next one decodes
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._records)
-            if step != 1:
-                raise TypeError("chunked traces support only forward slices")
-            return self._slice_columnar(start, stop)
+    def __getitem__(self, index: int) -> TraceRecord:
         if index < 0:
             index += self._records
         if not 0 <= index < self._records:
             raise IndexError(index)
         chunk_index, offset = self.position_of(index)
         return self.chunk(chunk_index)[offset]
-
-    def _slice_columnar(self, start: int, stop: int) -> ColumnarTrace:
-        """Materialize ``[start:stop)`` from the covering chunks only.
-
-        A slice inside one chunk is a view of that chunk.  A slice that
-        spans chunks is copied out of them one at a time, each chunk
-        dropped before the next one decodes.
-        """
-        if stop <= start:
-            return ColumnarTrace(self.name, (), (), (), (), (), self.description)
-        first, offset = self.position_of(start)
-        remaining = stop - start
-        if offset + remaining <= self.chunks[first].records:
-            return self.chunk(first)[offset : offset + remaining]
-        cpu = array("Q")
-        pid = array("Q")
-        address = array("Q")
-        type_code = bytearray()
-        flags = bytearray()
-        for index in range(first, len(self.chunks)):
-            piece = self.chunk(index)[offset : offset + remaining]
-            cpu.extend(piece.cpu)
-            pid.extend(piece.pid)
-            address.extend(piece.address)
-            type_code.extend(piece.type_code)
-            flags.extend(piece.flags)
-            remaining -= len(piece)
-            offset = 0
-            del piece  # drop the chunk before the next one decodes
-            if remaining == 0:
-                break
-        return ColumnarTrace(
-            self.name, cpu, pid, bytes(type_code), address, bytes(flags),
-            self.description,
-        )
-
-    # ------------------------------------------------------------------
-    # Fingerprinting
-    # ------------------------------------------------------------------
-
-    def fingerprint_into(self, hasher: Any) -> None:
-        """Stream the trace content through a fingerprint hasher.
-
-        Decodes (and crc-verifies) one chunk at a time, so the digest is
-        over the actual content, not the index's advisory copy.
-        """
-        for chunk in self.iter_chunks():
-            hasher.update_columns(
-                chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
-            )
-            del chunk  # drop it before the next one decodes
 
     def fingerprint(self) -> str:
         """The canonical content fingerprint (computed once, memoized)."""

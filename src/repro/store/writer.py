@@ -31,10 +31,9 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.errors import TraceFormatError
-from repro.trace.columnar import ColumnarTrace, check_flags
+from repro.trace.columnar import check_flags, columnar_chunks
 from repro.trace.fingerprint import TraceHasher
 from repro.trace.record import RefType, TraceRecord
-from repro.trace.stream import Trace
 
 from repro.store.format import (
     CHUNK_CODECS,
@@ -332,28 +331,17 @@ def write_stream(
 def pack_trace(trace: Any, path: str | Path, **options: Any) -> dict[str, Any]:
     """Pack any trace representation into a ``.ctrc`` file.
 
-    Columnar and in-memory traces (and chunked traces, chunk by chunk)
-    take the bulk column path; lazy traces stream record by record.
-    Returns the written index metadata.
+    The columns come a chunk at a time from
+    :func:`~repro.trace.columnar.columnar_chunks`, so any trace — in
+    memory, chunked, lazily read or a bare record stream — is written in
+    bounded memory.  Returns the written index metadata.
     """
     options.setdefault("name", getattr(trace, "name", None))
     options.setdefault("description", getattr(trace, "description", ""))
     with StreamingTraceWriter(path, **options) as writer:
-        chunk_iter = getattr(trace, "iter_chunks", None)
-        if chunk_iter is not None:
-            for chunk in chunk_iter():
-                writer.append_columns(
-                    chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
-                )
-                del chunk  # drop it before the next one decodes
-        elif isinstance(trace, ColumnarTrace) or (
-            isinstance(trace, Trace) and trace.in_memory
-        ):
-            columns = ColumnarTrace.from_trace(trace)
+        for chunk in columnar_chunks(trace):
             writer.append_columns(
-                columns.cpu, columns.pid, columns.type_code, columns.address,
-                columns.flags,
+                chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
             )
-        else:
-            writer.extend(trace.records if hasattr(trace, "records") else trace)
+            del chunk  # drop it before the next one decodes
     return writer.close()

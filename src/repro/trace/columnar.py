@@ -23,8 +23,9 @@ from __future__ import annotations
 from array import array
 from itertools import compress, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
+from repro.store.format import DEFAULT_CHUNK_RECORDS
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
 
@@ -34,6 +35,12 @@ TYPE_INSTR, TYPE_READ, TYPE_WRITE = 0, 1, 2
 
 _TYPE_TO_CODE = {RefType.INSTR: TYPE_INSTR, RefType.READ: TYPE_READ, RefType.WRITE: TYPE_WRITE}
 _CODE_TO_TYPE = (RefType.INSTR, RefType.READ, RefType.WRITE)
+
+#: The columns of a :class:`ColumnarTrace` and their item formats, in
+#: constructor order.
+COLUMN_FORMATS = (
+    ("cpu", "Q"), ("pid", "Q"), ("type_code", "B"), ("address", "Q"), ("flags", "B"),
+)
 
 #: Bits of the flags column: system mode, lock access, spin test read.
 FLAG_SYSTEM, FLAG_LOCK, FLAG_SPIN = 0x1, 0x2, 0x4
@@ -388,6 +395,39 @@ def pack_chunks(
             return
         yield chunk
         del chunk  # drop it before the next one is packed
+
+
+def columnar_chunks(trace: Any, start: int = 0) -> Iterator[ColumnarTrace]:
+    """Yield any trace as :class:`ColumnarTrace` chunks from record *start*.
+
+    The one function that tells trace representations apart.  A
+    columnar or column-backed trace is one chunk, a view of its columns;
+    a ``.ctrc`` store yields its chunks through ``iter_chunks`` from the
+    one that holds *start*; anything else (a record list, a lazily read
+    file, a bare record iterable) is packed ``DEFAULT_CHUNK_RECORDS`` at
+    a time.  Each chunk is dropped before the next is produced.
+    """
+    if hasattr(trace, "iter_chunks"):
+        first, offset = trace.position_of(start)
+        for chunk in trace.iter_chunks(first):
+            yield _view(chunk, offset)
+            offset = 0
+            del chunk  # drop it before the next one decodes
+        return
+    columns = trace.columns if isinstance(trace, Trace) else trace
+    if isinstance(columns, ColumnarTrace):
+        yield _view(columns, start)
+        return
+    records = getattr(trace, "records", trace)
+    yield from pack_chunks(islice(records, start, None), DEFAULT_CHUNK_RECORDS)
+
+
+def _view(columns: ColumnarTrace, start: int) -> ColumnarTrace:
+    """*columns* from record *start* on, sharing their buffers."""
+    if not start:
+        return columns
+    views = (memoryview(getattr(columns, name))[start:] for name, _ in COLUMN_FORMATS)
+    return ColumnarTrace(columns.name, *views, description=columns.description)
 
 
 def columnar_trace(trace: "Trace | ColumnarTrace | Iterable[TraceRecord]") -> ColumnarTrace:

@@ -116,29 +116,17 @@ def fingerprint_trace(trace: Any) -> str:
     Hashes one canonical ``cpu pid type address flags`` line per record
     in order.  The trace's name and description are deliberately
     excluded: two differently-named traces with identical records are
-    the same workload.  Dispatches on representation:
-
-    * objects exposing ``fingerprint_into(hasher)`` (the chunked store)
-      stream themselves through the hasher chunk by chunk;
-    * :class:`~repro.trace.columnar.ColumnarTrace` feeds its columns in
-      one call, and so does a :class:`~repro.trace.stream.Trace` still
-      holding the columns it was built from (no records are built);
-    * anything else is treated as (or iterated for) records.
+    the same workload.  The columns come a chunk at a time from
+    :func:`~repro.trace.columnar.columnar_chunks`, so a chunked store is
+    hashed over its decoded (crc-verified) content, not the index's
+    advisory copy, and a record stream is packed before it is hashed.
     """
-    from repro.trace.columnar import ColumnarTrace
-    from repro.trace.stream import Trace
+    from repro.trace.columnar import columnar_chunks
 
     hasher = TraceHasher()
-    feed = getattr(trace, "fingerprint_into", None)
-    columns = trace.columns if isinstance(trace, Trace) else trace
-    if feed is not None:
-        feed(hasher)
-    elif isinstance(columns, ColumnarTrace):
+    for chunk in columnar_chunks(trace):
         hasher.update_columns(
-            columns.cpu, columns.pid, columns.type_code, columns.address, columns.flags
+            chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
         )
-    else:
-        hasher.update_records(
-            trace.records if hasattr(trace, "records") else trace
-        )
+        del chunk  # drop it before the next one decodes
     return hasher.hexdigest()

@@ -473,7 +473,7 @@ class _LazyRecords:
     Each iteration re-reads the file, so parse errors surface wherever
     the records are actually consumed — which lets an error-isolated
     sweep contain a corrupt trace inside the failing cell instead of
-    dying at load time.  Length and slices are computed by streaming.
+    dying at load time.  Length and indexing are computed by streaming.
     """
 
     def __init__(self, path: Path, lenient: bool, error_budget: int) -> None:
@@ -492,11 +492,7 @@ class _LazyRecords:
             self._count = sum(1 for _ in self)
         return self._count
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            if index.step not in (None, 1) or (index.start or 0) < 0:
-                raise TypeError("lazy traces support only forward slices")
-            return list(itertools.islice(iter(self), index.start or 0, index.stop))
+    def __getitem__(self, index: int) -> TraceRecord:
         if index < 0:
             raise IndexError("lazy traces do not support negative indexing")
         try:

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.store.format import DEFAULT_CHUNK_RECORDS
 from repro.trace.columnar import (
     FLAG_LOCK,
     FLAG_SPIN,
@@ -23,7 +22,7 @@ from repro.trace.columnar import (
     TYPE_READ,
     TYPE_WRITE,
     ColumnarTrace,
-    pack_chunks,
+    columnar_chunks,
 )
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
@@ -100,23 +99,15 @@ def compute_statistics(
 ) -> TraceStatistics:
     """Compute :class:`TraceStatistics` by counting over columns.
 
-    Columns are counted as they are, a chunked store a chunk at a time,
-    and anything else is packed a chunk at a time first, so memory stays
-    bounded.
+    The columns come a chunk at a time from
+    :func:`~repro.trace.columnar.columnar_chunks`, so memory stays
+    bounded whatever the trace's representation.
     """
-    columns = trace.columns if isinstance(trace, Trace) else trace
-    if isinstance(columns, ColumnarTrace):
-        chunks = (columns,)
-    elif hasattr(trace, "iter_chunks"):
-        chunks = trace.iter_chunks()
-    else:
-        chunks = pack_chunks(trace, DEFAULT_CHUNK_RECORDS)
-
     types = Counter()
     flag_counts = Counter()
     per_cpu: Counter[int] = Counter()
     per_pid: Counter[int] = Counter()
-    for chunk in chunks:
+    for chunk in columnar_chunks(trace):
         types.update(bytes(chunk.type_code))
         flag_counts.update(bytes(chunk.flags))
         per_cpu.update(chunk.cpu)

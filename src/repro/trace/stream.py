@@ -130,7 +130,7 @@ class Trace:
 
     def head(self, n: int) -> "Trace":
         """Return a trace containing the first *n* records."""
-        return Trace(self.name, list(self.records[:n]), self.description)
+        return Trace(self.name, take(self.records, n), self.description)
 
 
 def count_records(records: Iterable[TraceRecord]) -> int:

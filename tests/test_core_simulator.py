@@ -172,22 +172,22 @@ def test_record_backed_trace_matches_the_record_loop(scheme):
 @pytest.mark.parametrize("scheme", ["dir0b", "dirnnb"])
 def test_lazy_trace_file_streams_in_chunks(tmp_path, monkeypatch, scheme):
     """A lazily read file is packed and simulated a chunk at a time."""
-    import repro.core.simulator as simulator_module
+    import repro.trace.columnar as columnar_module
     from repro.trace.io import LazyTraceFile, read_trace_file, write_trace_file
     from repro.workloads.registry import make_trace
 
     path = tmp_path / "long.trace"
     write_trace_file(make_trace("pero", length=2500).records, path)
     chunks = []
-    real = simulator_module.pack_chunks
+    real = columnar_module.pack_chunks
 
     def counting(records, chunk_records):
         for chunk in real(records, chunk_records):
             chunks.append(len(chunk))
             yield chunk
 
-    monkeypatch.setattr(simulator_module, "DEFAULT_CHUNK_RECORDS", 1000)
-    monkeypatch.setattr(simulator_module, "pack_chunks", counting)
+    monkeypatch.setattr(columnar_module, "DEFAULT_CHUNK_RECORDS", 1000)
+    monkeypatch.setattr(columnar_module, "pack_chunks", counting)
     lazy = LazyTraceFile(path)
     result = Simulator().run(lazy, scheme)
     assert chunks == [1000, 1000, 500]

@@ -196,6 +196,43 @@ class TestTraceLifetime:
         assert queue.unfinished_cells() == 0
 
 
+class TestFingerprints:
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Every trace the result cache's memo fingerprints."""
+        import repro.runner.cache as cache_module
+
+        traces: list[str] = []
+        real = cache_module.trace_fingerprint
+
+        def spy(trace):
+            traces.append(trace.name)
+            return real(trace)
+
+        monkeypatch.setattr(cache_module, "trace_fingerprint", spy)
+        return traces
+
+    def test_fleet_without_a_cache_never_fingerprints(self, tmp_path, hashed):
+        spec, queue, workers = run_fleet(tmp_path / "fabric.db", None, n_workers=1)
+        assert queue.job_state("job-1") == "done"
+        assert workers[0].settled["simulated"] == spec.cell_count()
+        assert hashed == []
+
+    def test_member_reuses_the_fingerprints_its_cache_holds(self, tmp_path, hashed):
+        # As in the service's fleet mode: the scheduler's engine has
+        # already fingerprinted the job's specs in the shared cache.
+        cache = ResultCache(tmp_path / "cache")
+        for tspec in parse_job_spec(dict(SPEC)).traces:
+            cache.fingerprints.lookup(tspec)
+        assert len(hashed) == len(SPEC["traces"])
+        hashed.clear()
+
+        spec, queue, workers = run_fleet(tmp_path / "fabric.db", cache, n_workers=1)
+        assert queue.job_state("job-1") == "done"
+        assert workers[0].settled["simulated"] == spec.cell_count()
+        assert hashed == []
+
+
 class TestFullJitter:
     def test_fixed_seed_reproduces_the_schedule(self):
         first = RetryPolicy(jitter="full", jitter_seed=7)

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.core.simulator import simulate
+from repro.core.simulator import Simulator, simulate
 from repro.engine import Engine, EngineObserver, ExecutionPlan
 from repro.errors import CheckpointError
 from repro.protocols.registry import make_protocol
@@ -17,6 +17,7 @@ from repro.runner.checkpoint import (
     result_to_json,
 )
 from repro.runner.faults import KillPoint, SaboteurProtocol
+from repro.trace.io import LazyTraceFile, _LazyRecords, write_trace_binary
 from repro.workloads.registry import make_trace
 
 
@@ -234,3 +235,97 @@ def test_midsweep_kill_resumes_only_unfinished_cells(tmp_path, trace):
     plain = Engine().run(ExecutionPlan(traces=[trace], schemes=["dir1nb", "dir0b"]))
     for scheme in ("dir1nb", "dir0b"):
         assert resumed.result(scheme, trace.name) == plain.result(scheme, trace.name)
+
+
+# ----------------------------------------------------------------------
+# Windows over a lazily read file: one read per attempt, columnar path
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def lazy_path(tmp_path, trace):
+    path = tmp_path / "pops.bin"
+    write_trace_binary(trace.records, path)
+    return path
+
+
+@pytest.fixture
+def file_reads(monkeypatch):
+    """Every pass a :class:`LazyTraceFile` makes over its file."""
+    reads = []
+    real = _LazyRecords.__iter__
+
+    def counting(self):
+        reads.append(self.path)
+        return real(self)
+
+    monkeypatch.setattr(_LazyRecords, "__iter__", counting)
+    return reads
+
+
+def _refuse_record_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the record loop ran")
+
+    monkeypatch.setattr(Simulator, "_run_records", refuse)
+
+
+def test_checkpointed_lazy_file_is_read_once_on_the_columnar_path(
+    tmp_path, trace, lazy_path, file_reads, monkeypatch
+):
+    plain = Engine().run(
+        ExecutionPlan(traces=[LazyTraceFile(lazy_path, "pops")], schemes=["dir0b"])
+    )
+    plain_reads = len(file_reads)
+    file_reads.clear()
+
+    _refuse_record_loop(monkeypatch)
+    checkpointed = Engine(
+        checkpoint=CheckpointManager(tmp_path / "ckpt"), checkpoint_every=300
+    ).run(ExecutionPlan(traces=[LazyTraceFile(lazy_path, "pops")], schemes=["dir0b"]))
+    assert checkpointed.ok
+    assert len(file_reads) <= plain_reads
+    assert checkpointed.result("dir0b", "pops") == plain.result("dir0b", "pops")
+
+
+def test_resumed_lazy_file_run_restarts_from_the_snapshot(
+    tmp_path, trace, lazy_path, file_reads, monkeypatch
+):
+    def killer(num_caches):
+        return SaboteurProtocol(
+            make_protocol("dir1nb", num_caches), trigger_after=500, mode="kill"
+        )
+    killer.scheme_key = "dir1nb"
+
+    ckpt = tmp_path / "ckpt"
+    KillPoint.arm()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            Engine(checkpoint=CheckpointManager(ckpt), checkpoint_every=300).run(
+                ExecutionPlan(traces=[LazyTraceFile(lazy_path, "pops")], schemes=[killer])
+            )
+    finally:
+        KillPoint.disarm()
+    done = CheckpointManager(ckpt).load_cell_state()["records_done"]
+    assert 0 < done < len(trace)
+
+    fed = []
+    real_run = Simulator.run
+
+    def feeding(self, window, *args, **kwargs):
+        fed.append(len(window))
+        return real_run(self, window, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", feeding)
+    _refuse_record_loop(monkeypatch)
+    file_reads.clear()
+    resumed = Engine(
+        checkpoint=CheckpointManager(ckpt), checkpoint_every=300, resume=True
+    ).run(ExecutionPlan(traces=[LazyTraceFile(lazy_path, "pops")], schemes=[killer]))
+    assert resumed.ok
+    # The restored cell reads the file once and simulates only the
+    # records after the snapshot.
+    assert len(file_reads) == 1
+    assert sum(fed) == len(trace) - done
+    monkeypatch.undo()
+    plain = Engine().run(ExecutionPlan(traces=[trace], schemes=["dir1nb"]))
+    assert resumed.result("dir1nb", "pops") == plain.result("dir1nb", trace.name)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.store import ChunkedTrace, pack_trace, write_stream
 from repro.store.writer import StreamingTraceWriter
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, columnar_chunks
 from repro.trace.fingerprint import _BATCH, TraceHasher, fingerprint_trace
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
@@ -72,17 +72,21 @@ def test_roundtrip_any_codec_any_chunking(tmp_path_factory, records, codec,
 
 @settings(max_examples=15, deadline=None)
 @given(records=records_strategy(max_size=200), cut=st.integers(0, 200))
-def test_slicing_matches_columnar(tmp_path_factory, records, cut):
+def test_chunks_from_a_position_match_columnar(tmp_path_factory, records, cut):
     path = tmp_path_factory.mktemp("sl") / "t.ctrc"
     trace = Trace(name="slice", records=records)
     pack_trace(trace, path, codec="raw", chunk_records=17)
     columnar = ColumnarTrace.from_trace(trace)
     with ChunkedTrace(path) as readback:
-        stop = min(cut, len(records))
-        assert list(readback[:stop]) == list(columnar[:stop])
-        assert list(readback[stop:]) == list(columnar[stop:])
+        start = min(cut, len(records))
+        chunks = list(columnar_chunks(readback, start))
+        assert [record for chunk in chunks for record in chunk] == list(
+            columnar[start:]
+        )
+        assert all(0 < len(chunk) <= 17 for chunk in chunks)
+        del chunks
         if records:
-            index = stop % len(records)
+            index = start % len(records)
             assert readback[index] == columnar[index]
             assert readback[-1] == records[-1]
 

@@ -20,6 +20,7 @@ The claims under test (docs/TRACESTORE.md):
 import gc
 import tracemalloc
 from array import array
+from itertools import islice
 
 import pytest
 
@@ -149,6 +150,47 @@ def test_midchunk_kill_and_resume_parity(trace, chunked, tmp_path):
         result_to_json(plain)
 
 
+# Never a multiple of the 997-record chunks; 2,500-record windows span
+# three chunks.
+@pytest.mark.parametrize("checkpoint_every", [600, 2500])
+def test_checkpointed_run_decodes_each_chunk_once(
+    trace, chunked, tmp_path, monkeypatch, checkpoint_every
+):
+    decoded = []
+    real_chunk = ChunkedTrace.chunk
+
+    def counting(self, index):
+        decoded.append(index)
+        return real_chunk(self, index)
+
+    snapshots = []
+    real_save = CheckpointManager.save_cell_state
+
+    def recording(self, state):
+        snapshots.append((state["records_done"], state["chunk_position"]))
+        return real_save(self, state)
+
+    monkeypatch.setattr(ChunkedTrace, "chunk", counting)
+    monkeypatch.setattr(CheckpointManager, "save_cell_state", recording)
+    outcome = Engine(
+        checkpoint=CheckpointManager(tmp_path / "ckpt"),
+        checkpoint_every=checkpoint_every,
+    ).run(ExecutionPlan(traces=[chunked], schemes=["dir0b"]))
+    assert outcome.ok
+    assert chunked.meta["chunks"][0]["codec"] == "zlib"
+    assert decoded == list(range(chunked.num_chunks))
+    # Windows end at multiples of checkpoint_every, then at the end.
+    positions = [*range(checkpoint_every, LENGTH, checkpoint_every), LENGTH]
+    assert snapshots == [
+        (position, chunked.position_of(position)) for position in positions
+    ]
+    assert snapshots[-1][1] == (chunked.num_chunks, 0)
+
+    plain = Simulator().run(ColumnarTrace.from_trace(trace), "dir0b")
+    plain.scheme = "dir0b"
+    assert result_to_json(outcome.result("dir0b", chunked.name)) == result_to_json(plain)
+
+
 def test_resume_rejects_rechunked_file(trace, chunked, tmp_path):
     """A snapshot must not resume against a re-chunked store."""
     ckpt = tmp_path / "ckpt"
@@ -197,7 +239,7 @@ def test_load_trace_sniffs_ctrc(trace, tmp_path):
     loaded = load_trace(path)
     assert isinstance(loaded, ChunkedTrace)
     assert len(loaded) == len(trace)
-    assert list(loaded[:10]) == trace.records[:10]
+    assert list(islice(loaded, 10)) == trace.records[:10]
     loaded.close()
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TraceFormatError
+from repro.trace.columnar import columnar_chunks
 from repro.trace.io import (
     DecodeReport,
     LazyTraceFile,
@@ -203,7 +204,7 @@ def test_lazy_trace_defers_parse_errors_to_iteration(tmp_path):
         list(trace.records)
 
 
-def test_lazy_trace_is_reiterable_and_sliceable(tmp_path):
+def test_lazy_trace_is_reiterable_and_streams_from_a_position(tmp_path):
     records = _sample_records()
     path = tmp_path / "t.trace"
     write_trace_file(records, path)
@@ -212,7 +213,8 @@ def test_lazy_trace_is_reiterable_and_sliceable(tmp_path):
     assert list(trace.records) == records
     assert list(trace.records) == records  # second pass re-reads the file
     assert trace.records[1] == records[1]
-    assert trace.records[1:3] == records[1:3]
+    (tail,) = columnar_chunks(trace, 1)
+    assert list(tail) == records[1:]
     with pytest.raises(IndexError):
         trace.records[len(records)]
 

@@ -89,7 +89,7 @@ def test_workload_statistics_match_config(pops_small):
 
 def test_columns_record_streams_and_chunked_stores_agree(tmp_path, monkeypatch):
     """Every input form is counted over columns to the same statistics."""
-    import repro.trace.stats as stats_module
+    import repro.trace.columnar as columnar_module
     from repro.store import ChunkedTrace, pack_trace
     from repro.trace.columnar import ColumnarTrace
     from repro.workloads.registry import make_trace
@@ -104,7 +104,7 @@ def test_columns_record_streams_and_chunked_stores_agree(tmp_path, monkeypatch):
     assert expected.spin_reads == sum(record.spin for record in records)
     assert expected.data_writes == sum(record.is_write for record in records)
 
-    monkeypatch.setattr(stats_module, "DEFAULT_CHUNK_RECORDS", 1000)
+    monkeypatch.setattr(columnar_module, "DEFAULT_CHUNK_RECORDS", 1000)
     assert compute_statistics(iter(records), "pops") == expected
     path = tmp_path / "pops.ctrc"
     pack_trace(trace, path, chunk_records=1500)
