@@ -52,10 +52,8 @@ from __future__ import annotations
 import atexit
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -74,11 +72,17 @@ from repro.engine.plan import (
 from repro.engine.policies import RetryPolicy, run_with_retry
 from repro.engine.shm import TraceArena, attach_arena
 
+if TYPE_CHECKING:
+    # Loaded by the first pooled sweep: inline runs never need the
+    # pool machinery (``multiprocessing.connection``, ``.queues``).
+    from concurrent.futures import ProcessPoolExecutor
+
+
 def _run_one_attempt(
-    simulator: Simulator, spec: Any, key: str, trace: Trace
+    simulator: Simulator, spec: Any, key: str, trace: Trace, num_caches: int | None
 ) -> dict[str, Any]:
     """One protocol build + simulation; returns the result's JSON form."""
-    protocol = build_protocol_for_cell(simulator, spec, trace)
+    protocol = build_protocol_for_cell(simulator, spec, trace, num_caches)
     result = simulator.run(trace, protocol, trace_name=trace.name)
     result.scheme = key
     return result_to_json(result)
@@ -118,7 +122,9 @@ def run_cell(
     if attempt is None:
 
         def attempt() -> Any:
-            protocol = build_protocol_for_cell(simulator, task.spec, task.trace)
+            protocol = build_protocol_for_cell(
+                simulator, task.spec, task.trace, task.num_caches
+            )
             result = simulator.run(task.trace, protocol, trace_name=task.trace_name)
             result.scheme = task.scheme_key
             return result
@@ -149,11 +155,16 @@ def run_cell(
 
 
 def _terminal_payload(
-    simulator: Simulator, spec: Any, key: str, trace: Any, retry: RetryPolicy
+    simulator: Simulator,
+    spec: Any,
+    key: str,
+    trace: Any,
+    retry: RetryPolicy,
+    num_caches: int | None,
 ) -> dict[str, Any]:
     """Run one cell to its terminal transport payload; never raises."""
     result_json, error, attempts = run_with_retry(
-        lambda: _run_one_attempt(simulator, spec, key, trace), retry
+        lambda: _run_one_attempt(simulator, spec, key, trace, num_caches), retry
     )
     if error is None:
         return {"status": "ok", "result": result_json, "attempts": attempts}
@@ -190,7 +201,11 @@ def execute_batch(payload: dict[str, Any]) -> list[dict[str, Any]]:
             trace = arena.trace_from(cell["trace_index"])
         else:
             trace = cell["trace"]
-        results.append(_terminal_payload(simulator, spec, cell["key"], trace, retry))
+        results.append(
+            _terminal_payload(
+                simulator, spec, cell["key"], trace, retry, cell.get("num_caches")
+            )
+        )
     return results
 
 
@@ -220,6 +235,8 @@ def _warm_pool(jobs: int) -> ProcessPoolExecutor:
     """The process pool for *jobs* workers, creating it on first use."""
     pool = _POOLS.get(jobs)
     if pool is None:
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=jobs)
         _POOLS[jobs] = pool
     return pool
@@ -347,7 +364,8 @@ class ProcessPoolBackend:
             finish(
                 index,
                 _terminal_payload(
-                    simulator, task.spec, task.scheme_key, task.trace, retry
+                    simulator, task.spec, task.scheme_key, task.trace, retry,
+                    task.num_caches,
                 ),
             )
 
@@ -399,7 +417,9 @@ class ProcessPoolBackend:
             if blob is None:
                 local.append(index)
                 continue
-            cell: dict[str, Any] = {"spec": blob, "key": task.scheme_key}
+            cell: dict[str, Any] = {
+                "spec": blob, "key": task.scheme_key, "num_caches": task.num_caches
+            }
             trace_id = id(task.trace)
             if trace_id in arena_index:
                 cell["trace_index"] = arena_index[trace_id]
@@ -434,6 +454,9 @@ class ProcessPoolBackend:
         finish: Callable[[int, dict[str, Any]], None],
     ) -> None:
         """Dispatch shippable cells in batches over the warm pool."""
+        from concurrent.futures import as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         batch_size = self.batch or auto_batch_size(len(remote), self.jobs)
         batches = group_into_batches(remote, batch_size)
 

@@ -44,7 +44,7 @@ import copy
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.experiment import CellFailure, ExperimentResult
 from repro.core.result import SimulationResult, merge_results
@@ -62,6 +62,7 @@ from repro.engine.plan import (
     ExecutionPlan,
     UnbuiltTrace,
     build_protocol_for_cell,
+    num_caches_for,
 )
 from repro.engine.policies import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -306,7 +307,10 @@ class Engine:
         return recorder
 
     def _run_cell_checkpointed(
-        self, plan: ExecutionPlan, task: CellTask
+        self,
+        plan: ExecutionPlan,
+        task: CellTask,
+        machine_size: Callable[[Any], int | None],
     ) -> SimulationResult:
         """Run one cell window by window, snapshotting after each window.
 
@@ -346,7 +350,9 @@ class Engine:
                         f"snapshot claims {tuple(chunk_position)}"
                     )
         else:
-            protocol = build_protocol_for_cell(simulator, task.spec, trace)
+            protocol = build_protocol_for_cell(
+                simulator, task.spec, trace, machine_size(trace)
+            )
             context = SimulationContext()
             accumulated = None
             position = 0
@@ -412,6 +418,19 @@ class Engine:
         done: dict[int, CellOutcome] = {}
         claims: dict[int, Any] = {}
         owned: list[int] = []
+        sizes: dict[int, int | None] = {}
+
+        def machine_size(trace: Any) -> int | None:
+            """*trace*'s machine size, read off it once per run; None when
+            it is unbuilt or cannot say, so each cell sizes on its own."""
+            if isinstance(trace, UnbuiltTrace):
+                return None
+            if id(trace) not in sizes:
+                try:
+                    sizes[id(trace)] = num_caches_for(plan.simulator, trace)
+                except Exception:
+                    sizes[id(trace)] = None
+            return sizes[id(trace)]
 
         def finish(position: int, cell: CellOutcome, computed: bool = False) -> None:
             task = cells[position]
@@ -461,18 +480,20 @@ class Engine:
             """Compute the owned cells, here one by one or on the backend."""
             ready = []
             for position in owned:
-                trace, failed = cells[position].trace, None
-                if isinstance(trace, UnbuiltTrace) and (
-                    trace.error or not getattr(backend, "builds_traces", False)
+                task, failed = cells[position], None
+                if isinstance(task.trace, UnbuiltTrace) and (
+                    task.trace.error or not getattr(backend, "builds_traces", False)
                 ):
-                    failed = _build_trace(cells[position])
+                    failed = _build_trace(task)
                 if failed is None:
                     ready.append(position)
                 else:
-                    observer.cell_finished(cells[position], failed)
+                    observer.cell_finished(task, failed)
                     finish(position, failed)
             owned.clear()
             if backend is not None:
+                for position in ready:
+                    cells[position].num_caches = machine_size(cells[position].trace)
                 backend.run(
                     plan.simulator,
                     [cells[position] for position in ready],
@@ -488,7 +509,12 @@ class Engine:
                 task = cells[position]
                 attempt = None
                 if self.checkpoint is not None:
-                    attempt = partial(self._run_cell_checkpointed, plan, task)
+                    # Sized only when no snapshot holds the cell's protocol.
+                    attempt = partial(
+                        self._run_cell_checkpointed, plan, task, machine_size
+                    )
+                else:
+                    task.num_caches = machine_size(task.trace)
                 cell = run_cell(
                     plan.simulator,
                     task,

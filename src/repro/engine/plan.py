@@ -90,14 +90,19 @@ def protocol_factory(spec: SchemeSpec) -> Any:
 
 
 def build_protocol_for_cell(
-    simulator: Simulator, spec: SchemeSpec, trace: Trace
+    simulator: Simulator,
+    spec: SchemeSpec,
+    trace: Trace,
+    num_caches: int | None = None,
 ) -> CoherenceProtocol:
     """Build the protocol instance for one (spec, trace) cell.
 
     Module-level so pool workers run exactly the same cell-construction
-    code as the in-process engine.
+    code as the in-process engine.  *num_caches* is the machine size
+    when the caller already knows it; otherwise it is read off the trace.
     """
-    num_caches = num_caches_for(simulator, trace)
+    if num_caches is None:
+        num_caches = num_caches_for(simulator, trace)
     return protocol_factory(spec)(num_caches)
 
 
@@ -145,6 +150,8 @@ class CellTask:
         index: position in sweep order (-1 when unplaced).
         cache_id: content-addressed result-cache key, or None when the
             cell is uncacheable (set by the layer that owns caching).
+        num_caches: the machine size, worked out once per trace by the
+            engine; None when the cell must read it off its trace.
     """
 
     spec: SchemeSpec
@@ -153,6 +160,7 @@ class CellTask:
     trace_name: str
     index: int = -1
     cache_id: str | None = None
+    num_caches: int | None = None
 
 
 @dataclass

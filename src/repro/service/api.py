@@ -142,11 +142,12 @@ def _make_handler(server: ServiceServer) -> type[BaseHTTPRequestHandler]:
             try:
                 path = self.path.split("?", 1)[0].rstrip("/") or "/"
                 if path == "/healthz":
+                    # Liveness only: nothing here scans the cache or the db.
                     self._send_json(
                         200,
                         {
                             "status": "stopping" if scheduler.stopping else "ok",
-                            "uptime_s": scheduler.stats()["uptime_s"],
+                            "uptime_s": scheduler.uptime_s,
                         },
                     )
                 elif path == "/stats":

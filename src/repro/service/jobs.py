@@ -10,17 +10,29 @@ transport is plain HTTP.
 Thread model: every mutation goes through the job's condition variable.
 The scheduler's worker threads append events and flip states; HTTP
 handler threads only ever read (snapshot) or block waiting for the next
-event.  :class:`JobStore` is the id → job map with the same discipline.
+event.
+
+:class:`JobStore` holds only the jobs that are queued or running.  A
+finished job leaves memory: its record (the final status body and the
+event log) is written to ``<root>/<id>/record.json``, and a lookup
+rebuilds the job from that file, so a finished job answers exactly as
+it did while it was live.  The root is the service's ``STATE_DIR/jobs``
+or, without a state dir, a private temporary directory the store
+removes when it closes.  Per-state counters keep ``/stats`` whole.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 import threading
 import uuid
-from typing import Any, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterator
 
 from repro.errors import JobNotFoundError
-from repro.service.spec import JobSpec
+from repro.service.spec import JobSpec, parse_job_spec
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -34,6 +46,9 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 #: How a cell outcome was obtained (the engine's ``CellOutcome.source``).
 CELL_SOURCES = ("simulated", "cache", "coalesced", "checkpoint", "fabric")
+
+#: A finished job's record file, under its job directory.
+RECORD_FILE = "record.json"
 
 
 class JobStopped(Exception):
@@ -67,6 +82,29 @@ class Job:
         self._events: list[dict[str, Any]] = []
         self._cond = threading.Condition()
         self.stop_requested = False
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "Job":
+        """Rebuild a finished job from :meth:`record`'s output."""
+        status = record["status"]
+        job = cls(parse_job_spec(status["spec"]), job_id=status["id"])
+        job.state = status["state"]
+        job.error = status["error"]
+        job.results = status["results"]
+        cells = dict(status["cells"])
+        del cells["total"], cells["completed"]
+        job.cell_errors = cells.pop("errors")
+        job.cell_sources = cells
+        job._events = record["events"]
+        return job
+
+    def record(self) -> dict[str, Any]:
+        """The JSON-safe record :meth:`from_record` rebuilds this job from."""
+        with self._cond:
+            return {
+                "status": self.status(include_results=True),
+                "events": list(self._events),
+            }
 
     # -- state ---------------------------------------------------------
 
@@ -222,37 +260,102 @@ class Job:
 
 
 class JobStore:
-    """Thread-safe id → :class:`Job` map."""
+    """Thread-safe id → :class:`Job` map of the queued and running jobs.
 
-    def __init__(self) -> None:
+    Args:
+        root: where finished jobs' records live, one directory per job;
+            None makes a private temporary directory that :meth:`close`
+            removes.
+        restore: rebuilds a finished job that has no record file (one
+            written by an older server), or returns None.
+    """
+
+    def __init__(
+        self,
+        root: str | Path | None = None,
+        restore: Callable[[str], Job | None] | None = None,
+    ) -> None:
+        self._private: tempfile.TemporaryDirectory | None = None
+        if root is None:
+            self._private = tempfile.TemporaryDirectory(
+                prefix="repro-service-jobs-", ignore_cleanup_errors=True
+            )
+            root = self._private.name
+        self.root = Path(root)
+        self._restore = restore
         self._jobs: dict[str, Job] = {}
+        self._finished: dict[str, int] = {state: 0 for state in TERMINAL_STATES}
         self._lock = threading.Lock()
 
     def add(self, job: Job) -> None:
         with self._lock:
             self._jobs[job.id] = job
 
+    def retire(self, job: Job) -> None:
+        """Write a finished job's record, then forget the job."""
+        self._write_record(job.id, job.record())
+        with self._lock:
+            del self._jobs[job.id]
+            self._finished[job.state] += 1
+
+    def count_finished(self, state: str) -> None:
+        """Count a finished job found on disk at startup."""
+        with self._lock:
+            self._finished[state] += 1
+
     def get(self, job_id: str) -> Job:
+        """The live job, or a finished one rebuilt from its record."""
         with self._lock:
             job = self._jobs.get(job_id)
+        # Only a plain name can be a job directory under the root.
+        plain = job_id not in ("", ".", "..") and Path(job_id).name == job_id
+        if job is None and plain:
+            job = self._load(job_id)
         if job is None:
             raise JobNotFoundError(f"unknown job id {job_id!r}")
         return job
 
+    def _load(self, job_id: str) -> Job | None:
+        path = self.root / job_id / RECORD_FILE
+        try:
+            return Job.from_record(json.loads(path.read_text("utf-8")))
+        except FileNotFoundError:
+            pass
+        job = self._restore(job_id) if self._restore is not None else None
+        if job is not None:
+            self._write_record(job_id, job.record())
+        return job
+
+    def _write_record(self, job_id: str, record: dict[str, Any]) -> None:
+        directory = self.root / job_id
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / RECORD_FILE
+        tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
+        tmp.write_text(json.dumps(record, sort_keys=True), "utf-8")
+        os.replace(tmp, path)
+
     def all(self) -> list[Job]:
+        """Every queued or running job."""
         with self._lock:
             return list(self._jobs.values())
 
     def state_counts(self) -> dict[str, int]:
-        """``{state: job count}`` across every known job."""
+        """``{state: job count}`` across every job, live or finished."""
         counts: dict[str, int] = {
             state: 0 for state in (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
         }
         with self._lock:
+            for state, count in self._finished.items():
+                counts[state] += count
             for job in self._jobs.values():
                 counts[job.state] = counts.get(job.state, 0) + 1
         return counts
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._jobs)
+            return len(self._jobs) + sum(self._finished.values())
+
+    def close(self) -> None:
+        """Remove the private record directory, if this store made one."""
+        if self._private is not None:
+            self._private.cleanup()

@@ -16,7 +16,10 @@ Between jobs the scheduler keeps only the ``ResultCache``; its
 fingerprint memo maps trace specs to (trace name, fingerprint), all a
 cell's cache key needs.  A trace is built only when its spec is new or
 one of its cells must simulate in this process, and nothing holds it
-once its job ends.  In fabric mode each accepted job is mirrored into
+once its job ends.  Nor is the job itself held: once a job is terminal
+its record goes to disk (see :class:`~repro.service.jobs.JobStore`) and
+the ``Job`` is dropped, so memory follows the running jobs, not the
+server's history.  In fabric mode each accepted job is mirrored into
 the fabric db, marked terminal there when it finishes, and recovered
 from it at startup in the same pass that reads ``state_dir``.
 
@@ -53,9 +56,9 @@ from repro.errors import ServiceUnavailableError
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import CheckpointManager
 from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job
-from repro.service.jobs import JobStopped, JobStore
+from repro.service.jobs import TERMINAL_STATES, JobStopped, JobStore
 from repro.service.queue import JobQueue
-from repro.service.spec import JobSpec
+from repro.service.spec import JobSpec, parse_job_spec
 
 JOB_FILE = "job.json"
 
@@ -154,7 +157,10 @@ class Scheduler:
 
             self.fabric = DurableCellQueue(fabric_db)
         self.queue = JobQueue()
-        self.jobs = JobStore()
+        self.jobs = JobStore(
+            self.state_dir / "jobs" if self.state_dir is not None else None,
+            restore=self._restore_terminal,
+        )
 
         self._threads: list[threading.Thread] = []
         self._quit = threading.Event()
@@ -247,10 +253,15 @@ class Scheduler:
                 pass  # this thread's connection only; workers own theirs
         if self._private_cache is not None:
             self._private_cache.cleanup()
+        self.jobs.close()
 
     @property
     def stopping(self) -> bool:
         return self.queue.closed
+
+    @property
+    def uptime_s(self) -> float:
+        return round(time.monotonic() - self._started_at, 3)
 
     # ------------------------------------------------------------------
     # Submission + views
@@ -285,7 +296,7 @@ class Scheduler:
         """
         counters = self.metrics.snapshot()
         return {
-            "uptime_s": round(time.monotonic() - self._started_at, 3),
+            "uptime_s": self.uptime_s,
             "workers": self.workers,
             "sim_jobs": self.sim_jobs,
             "queue_depth": len(self.queue),
@@ -349,16 +360,13 @@ class Scheduler:
         os.replace(tmp, path)
 
     def _recover(self) -> None:
-        """Re-create persisted jobs; unfinished ones go back on the queue.
+        """Count persisted finished jobs; unfinished ones go back on the queue.
 
-        The ``state_dir`` job files come first: they are richer, since a
-        finished job's results come back from its manifest.  The fabric
-        db then adds the unfinished jobs it outlived, e.g. ones submitted
-        to a service with no ``state_dir`` and orphaned by a crash.
+        The ``state_dir`` job files come first: they name the finished
+        jobs, which stay on disk until looked up.  The fabric db then
+        adds the unfinished jobs it outlived, e.g. ones submitted to a
+        service with no ``state_dir`` and orphaned by a crash.
         """
-        from repro.service.jobs import TERMINAL_STATES
-        from repro.service.spec import parse_job_spec
-
         records: list[dict[str, Any]] = []
         jobs_root = self.state_dir / "jobs" if self.state_dir is not None else None
         if jobs_root is not None and jobs_root.is_dir():
@@ -371,10 +379,15 @@ class Scheduler:
                 records.append(persisted)
         if self.fabric is not None:
             records += self.fabric.pending_jobs()
-        recovered: set[str] = set()
+        # Jobs submitted before start() are persisted and already queued.
+        recovered = {job.id for job in self.jobs.all()}
         for persisted in records:
             if persisted["id"] in recovered:
                 continue  # the state_dir record already restored this job
+            if persisted.get("state") in TERMINAL_STATES:
+                recovered.add(persisted["id"])
+                self.jobs.count_finished(persisted["state"])
+                continue
             try:
                 spec = parse_job_spec(persisted["spec"])
             except Exception:
@@ -382,23 +395,31 @@ class Scheduler:
             recovered.add(persisted["id"])
             job = Job(spec, job_id=persisted["id"])
             self.jobs.add(job)
-            if persisted.get("state") in TERMINAL_STATES:
-                self._restore_terminal(job, persisted)
-                continue
             _, deduplicated = self.queue.submit(job)
             if deduplicated:
                 # Two persisted copies of one dedup'd spec: keep one.
                 job.set_state(CANCELLED, error="deduplicated on recovery")
                 self._persist_job(job)
+                self.jobs.retire(job)
             else:
                 with self._idle:
                     self._outstanding += 1
 
-    def _restore_terminal(self, job: Job, persisted: dict[str, Any]) -> None:
-        """Rebuild a finished job's results from its manifest."""
-        manager = CheckpointManager(self._job_dir(job.id))
+    def _restore_terminal(self, job_id: str) -> Job | None:
+        """A finished job an older server persisted with no record file,
+        its results rebuilt from its manifest."""
+        directory = self._job_dir(job_id)
+        if directory is None:
+            return None
         try:
-            manifest = manager.load_manifest()
+            persisted = json.loads((directory / JOB_FILE).read_text("utf-8"))
+            if persisted.get("state") not in TERMINAL_STATES:
+                return None
+            job = Job(parse_job_spec(persisted["spec"]), job_id=job_id)
+        except Exception:
+            return None
+        try:
+            manifest = CheckpointManager(directory).load_manifest()
         except Exception:
             manifest = {"completed": {}}
         for scheme, per_trace in manifest.get("completed", {}).items():
@@ -410,7 +431,8 @@ class Scheduler:
                     source="checkpoint",
                     payload={"status": "ok", "result": result_json, "attempts": 1},
                 )
-        job.set_state(persisted.get("state", DONE), error=persisted.get("error"))
+        job.set_state(persisted["state"], error=persisted.get("error"))
+        return job
 
     # ------------------------------------------------------------------
     # Worker loop
@@ -476,3 +498,5 @@ class Scheduler:
                     except Exception:
                         pass  # accounting only; never fail the settle path
             self._persist_job(job)
+            if job.finished:
+                self.jobs.retire(job)

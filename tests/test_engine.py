@@ -105,6 +105,38 @@ def test_trace_fingerprint_computed_once_per_plan(traces, monkeypatch):
     assert len(set(ids)) == len(ids)  # distinct schemes, distinct keys
 
 
+def test_machine_size_read_once_per_run(tmp_path, monkeypatch):
+    """A lazily read file is scanned once for its sharers, not per cell.
+
+    Four schemes over one file: one sizing pass plus one simulation pass
+    per scheme.
+    """
+    from repro.trace.io import LazyTraceFile, _LazyRecords, write_trace_file
+
+    path = tmp_path / "pops.trace"
+    write_trace_file(make_trace("pops", length=2000, seed=5), path)
+    passes = []
+    real = _LazyRecords.__iter__
+
+    def counting(records):
+        passes.append(records.path)
+        return real(records)
+
+    monkeypatch.setattr(_LazyRecords, "__iter__", counting)
+    schemes = ["dir1nb", "wti", "dir0b", "dragon"]
+    outcome = Engine().run(
+        ExecutionPlan(traces=[LazyTraceFile(path, "pops")], schemes=schemes)
+    )
+    assert outcome.ok
+    assert len(passes) == 1 + len(schemes)
+    monkeypatch.undo()
+    plain = Engine().run(
+        ExecutionPlan(traces=[make_trace("pops", length=2000, seed=5)], schemes=schemes)
+    )
+    for scheme in schemes:
+        assert outcome.result(scheme, "pops") == plain.result(scheme, "pops")
+
+
 def test_uncacheable_cell_yields_none_cache_id(traces):
     """A trace whose fingerprint blows up disables caching, quietly."""
 

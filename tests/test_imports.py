@@ -29,11 +29,12 @@ PACKAGES = sorted(
 SUBMODULE_EXPORTS = {("repro.report", "experiments")}
 
 
-def loaded_after(code: str) -> set[str]:
-    """The ``repro`` modules a fresh interpreter holds after running *code*."""
+def loaded_after(code: str, package: str = "repro") -> set[str]:
+    """The *package* modules a fresh interpreter holds after running *code*."""
     probe = (
         f"{code}\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        f" if m.split('.')[0] == {package!r})))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -136,3 +137,25 @@ backends.shutdown_pools()
 assert not late, sorted(late)
 """
     loaded_after(code)
+
+
+def test_inline_service_job_loads_no_process_pool():
+    # ``--jobs 1`` runs cells in the worker thread; the pool machinery
+    # (and ``multiprocessing``'s connection and queue modules) is
+    # loaded only by a sweep that uses a pool.
+    code = """
+import time
+from repro.service.scheduler import Scheduler
+from repro.service.spec import parse_job_spec
+
+scheduler = Scheduler(workers=1, sim_jobs=1)
+scheduler.start()
+job, _ = scheduler.submit(parse_job_spec(
+    {"schemes": ["dir0b"], "traces": [{"workload": "pops", "length": 300}]}
+))
+while not job.finished:
+    time.sleep(0.02)
+scheduler.shutdown()
+assert job.state == "done", job.state
+"""
+    assert "concurrent.futures.process" not in loaded_after(code, "concurrent")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ServiceUnavailableError
 from repro.runner.cache import InFlightTable
-from repro.service.jobs import DONE, Job, JobStore, QUEUED, RUNNING
+from repro.service.jobs import DONE, FAILED, Job, JobStore, QUEUED, RUNNING
 from repro.service.queue import JobQueue
 from repro.service.spec import parse_job_spec
 
@@ -199,3 +199,28 @@ def test_job_store_unknown_id_raises():
 
     with pytest.raises(JobNotFoundError):
         JobStore().get("nope")
+
+
+def test_job_store_retires_a_finished_job_to_its_record():
+    store = JobStore()
+    job = Job(make_spec(schemes=["dir0b", "dragon"]))
+    store.add(job)
+    job.record_cell(scheme="dir0b", trace_name="pops", index=0, source="cache",
+                    payload={"status": "ok", "result": {"refs": 1}})
+    job.record_cell(scheme="dragon", trace_name="pops", index=1, source="simulated",
+                    payload={"status": "error", "category": "ProtocolError",
+                             "message": "boom"})
+    job.set_state(FAILED, error="RuntimeError: lost")
+    store.retire(job)
+    assert store.all() == [] and len(store) == 1
+    assert store.state_counts()[FAILED] == 1
+
+    rebuilt = store.get(job.id)
+    assert rebuilt is not job
+    assert rebuilt.status() == job.status()
+    assert "results" not in rebuilt.status()  # as for any failed job
+    assert rebuilt.results == job.results
+    assert rebuilt.events_since(0) == job.events_since(0)
+    assert list(rebuilt.stream_events(poll=0.01)) == job.events_since(0)
+    store.close()
+    assert not store.root.exists()

@@ -3,6 +3,7 @@
 import json
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.errors import JobNotFoundError, JobSpecError, ServiceUnavailableError
 from repro.runner.checkpoint import result_to_json
 from repro.engine.backends import ProcessPoolBackend
 from repro.engine.plan import ExecutionPlan
-from repro.service import Scheduler, ServiceClient, ServiceServer
+from repro.service import Scheduler, ServiceClient, ServiceServer, parse_job_spec
 from repro.workloads.registry import make_trace
 
 SPEC = {
@@ -209,3 +210,54 @@ def test_http_submit_body_matches_cli_json_registry(client, capsys):
     )
     final = client.wait(job["id"])
     assert final["state"] == "done"
+
+
+def test_healthz_does_not_touch_the_cache(client, monkeypatch):
+    from repro.runner.cache import ResultCache
+
+    def refuse(self):
+        raise AssertionError("a liveness probe listed the cache")
+
+    monkeypatch.setattr(ResultCache, "__len__", refuse)
+    assert client.health()["status"] == "ok"
+
+
+def raw_get(url):
+    with urllib.request.urlopen(url, timeout=15.0) as response:
+        return response.read()
+
+
+def test_finished_job_is_served_byte_identically(tmp_path):
+    """The bytes a live job would be served equal those its record serves,
+    before and after a restart on the same state dir."""
+    state = tmp_path / "state"
+    server = ServiceServer(Scheduler(workers=1, state_dir=state), port=0)
+    server.start()
+    try:
+        job, _ = server.scheduler.submit(parse_job_spec(SPEC))
+        ServiceClient(server.url, timeout=15.0).wait(job.id)
+        live_status = json.dumps(job.status(), sort_keys=True).encode("utf-8")
+        live_events = "".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in job.events_since(0)
+        ).encode("utf-8")
+        deadline = time.monotonic() + 15.0
+        while server.scheduler.jobs.all() and time.monotonic() < deadline:
+            time.sleep(0.02)  # the terminal event precedes the record
+        assert server.scheduler.jobs.all() == []
+        served = (
+            raw_get(f"{server.url}/jobs/{job.id}"),
+            raw_get(f"{server.url}/jobs/{job.id}/events"),
+        )
+        assert served == (live_status, live_events)
+    finally:
+        server.stop(mode="drain", timeout=30.0)
+
+    restarted = ServiceServer(Scheduler(workers=1, state_dir=state), port=0)
+    restarted.start()
+    try:
+        assert (
+            raw_get(f"{restarted.url}/jobs/{job.id}"),
+            raw_get(f"{restarted.url}/jobs/{job.id}/events"),
+        ) == (live_status, live_events)
+    finally:
+        restarted.stop(mode="drain", timeout=30.0)

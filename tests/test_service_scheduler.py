@@ -9,9 +9,10 @@ import weakref
 import pytest
 
 import repro.runner.cache as cache_module
+import repro.service.scheduler as scheduler_module
 from repro.core.simulator import Simulator
 from repro.runner.checkpoint import result_to_json
-from repro.service.jobs import CANCELLED, DONE, QUEUED
+from repro.service.jobs import CANCELLED, DONE, QUEUED, RECORD_FILE
 from repro.service.scheduler import Scheduler
 from repro.service.spec import TraceSpec, parse_job_spec
 from repro.store.writer import pack_trace
@@ -196,6 +197,19 @@ def test_recovery_requeues_unstarted_jobs(tmp_path):
         second.shutdown(mode="drain", timeout=30.0)
 
 
+def test_job_submitted_before_start_runs_once(tmp_path):
+    scheduler = Scheduler(workers=1, state_dir=tmp_path / "state")
+    job, _ = scheduler.submit(make_spec())
+    scheduler.start()
+    try:
+        assert wait_for(lambda: scheduler.stats()["jobs"]["done"] == 1)
+        assert wait_for(lambda: scheduler.jobs.all() == [])
+        assert scheduler.jobs.get(job.id).cell_sources["simulated"] == 2
+        assert scheduler.stats()["cells"]["checkpoint"] == 0
+    finally:
+        scheduler.shutdown(mode="drain", timeout=30.0)
+
+
 def test_parallel_sim_jobs_produce_identical_results():
     scheduler = Scheduler(workers=1, sim_jobs=2)
     scheduler.start()
@@ -376,3 +390,148 @@ def test_abandoned_claim_is_simulated_by_its_waiter(scheduler, monkeypatch):
     assert job.cell_sources["simulated"] == 1
     assert job.results == direct_results(["dir0b"])
     assert scheduler.result_cache.get_json(key) is not None
+
+
+# ----------------------------------------------------------------------
+# Finished jobs live on disk, not in the scheduler
+# ----------------------------------------------------------------------
+
+def wire(job):
+    """A job's status body and NDJSON stream exactly as the API sends them."""
+    status = json.dumps(job.status(), sort_keys=True)
+    events = "".join(json.dumps(event, sort_keys=True) + "\n"
+                     for event in job.events_since(0))
+    return status, events
+
+
+def test_finished_jobs_leave_memory(scheduler):
+    refs, ids = [], []
+    for number in range(30):
+        job, _ = scheduler.submit(make_spec(tags={"n": number}))
+        refs.append(weakref.ref(job))
+        ids.append(job.id)
+        del job
+    assert wait_for(lambda: scheduler.stats()["jobs"]["done"] == 30)
+
+    def all_gone():
+        gc.collect()
+        return all(ref() is None for ref in refs)
+
+    # A worker thread lets go of its last job at its next queue poll.
+    assert wait_for(all_gone, timeout=5.0)
+    assert scheduler.jobs.all() == []
+    assert all(scheduler.jobs.get(job_id).state == DONE for job_id in ids)
+
+
+def test_finished_job_answers_as_it_did_live(tmp_path):
+    state = tmp_path / "state"
+    first = Scheduler(workers=1, state_dir=state)
+    first.start()
+    try:
+        job = run_job(first, make_spec())
+        live = wire(job)
+        rebuilt = first.jobs.get(job.id)
+        assert rebuilt is not job
+        assert wire(rebuilt) == live
+        assert rebuilt.results == job.results
+        assert rebuilt.cell_sources == job.cell_sources
+        assert (state / "jobs" / job.id / RECORD_FILE).is_file()
+    finally:
+        first.shutdown(mode="drain", timeout=30.0)
+
+    second = Scheduler(workers=1, state_dir=state)
+    second.start()
+    try:
+        assert wire(second.jobs.get(job.id)) == live
+    finally:
+        second.shutdown(mode="drain", timeout=30.0)
+
+
+def test_stats_job_counts_cover_finished_jobs(tmp_path, monkeypatch):
+    # The first job fails once the others are queued behind it.
+    gate = threading.Event()
+    failures = [RuntimeError("no plan")]
+    job_plan = scheduler_module._JobPlan
+
+    def failing_first(spec):
+        if failures:
+            assert gate.wait(30.0)
+            raise failures.pop()
+        return job_plan(spec)
+
+    monkeypatch.setattr(scheduler_module, "_JobPlan", failing_first)
+    state = tmp_path / "state"
+    first = Scheduler(workers=1, state_dir=state)
+    first.start()
+    try:
+        jobs = [first.submit(make_spec(tags={"n": "fails"}))[0]]
+        jobs.append(first.submit(make_spec(dedup=True))[0])
+        assert first.submit(make_spec(dedup=True)) == (jobs[-1], True)
+        jobs.append(first.submit(make_spec(tags={"n": "last"}))[0])
+        gate.set()
+        assert wait_for(lambda: all(job.finished for job in jobs))
+        assert [job.state for job in jobs] == ["failed", "done", "done"]
+        assert first.stats()["jobs"] == {
+            "queued": 0, "running": 0, "done": 2, "failed": 1, "cancelled": 0,
+            "total": 3, "submitted": 4, "deduplicated": 1,
+        }
+    finally:
+        first.shutdown(mode="drain", timeout=30.0)
+
+    second = Scheduler(workers=1, state_dir=state)
+    second.start()
+    try:
+        assert second.stats()["jobs"] == {
+            "queued": 0, "running": 0, "done": 2, "failed": 1, "cancelled": 0,
+            "total": 3, "submitted": 0, "deduplicated": 0,
+        }
+        assert second.jobs.get(jobs[0].id).error == "RuntimeError: no plan"
+    finally:
+        second.shutdown(mode="drain", timeout=30.0)
+
+
+def test_finished_job_without_a_record_answers_from_its_manifest(tmp_path):
+    # A job directory as a server that kept finished jobs in memory left
+    # it: job.json and manifest.json, no record file.
+    state = tmp_path / "state"
+    first = Scheduler(workers=1, state_dir=state)
+    first.start()
+    try:
+        job = run_job(first, make_spec())
+    finally:
+        first.shutdown(mode="drain", timeout=30.0)
+    record = state / "jobs" / job.id / RECORD_FILE
+    record.unlink()
+
+    second = Scheduler(workers=1, state_dir=state)
+    second.start()
+    try:
+        assert second.stats()["jobs"]["done"] == 1
+        restored = second.jobs.get(job.id)
+        assert restored.state == DONE
+        assert restored.results == job.results
+        assert restored.cell_sources["checkpoint"] == 2
+        assert record.is_file()  # later lookups read the record
+        assert wire(second.jobs.get(job.id)) == wire(restored)
+    finally:
+        second.shutdown(mode="drain", timeout=30.0)
+
+
+def test_private_job_records_removed_at_shutdown():
+    scheduler = Scheduler(workers=1)
+    root = scheduler.jobs.root
+    scheduler.start()
+    try:
+        job = run_job(scheduler, make_spec())
+        assert (root / job.id / RECORD_FILE).is_file()
+    finally:
+        scheduler.shutdown(mode="drain", timeout=30.0)
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("job_id", ["", ".", "..", "../jobs", "a/b"])
+def test_lookup_never_leaves_the_record_root(scheduler, job_id):
+    from repro.errors import JobNotFoundError
+
+    with pytest.raises(JobNotFoundError):
+        scheduler.jobs.get(job_id)
