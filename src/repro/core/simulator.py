@@ -89,9 +89,6 @@ class Simulator:
                 raise ConfigurationError("check_invariants interval must be >= 0")
             self.check_interval = int(check_invariants)
 
-    def _sharer_of(self, record: TraceRecord) -> int:
-        return record.pid if self.sharer_key == "pid" else record.cpu
-
     def run(
         self,
         trace: Trace | ColumnarTrace | Iterable[TraceRecord],

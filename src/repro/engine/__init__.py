@@ -26,13 +26,13 @@ _EXPORTS = {
     "ManifestRecorder": "repro.engine.policies",
     "NULL_OBSERVER": "repro.engine.observer",
     "ObserverGroup": "repro.engine.observer",
+    "OutcomeLog": "repro.engine.observer",
     "ProcessPoolBackend": "repro.engine.backends",
     "RetryPolicy": "repro.engine.policies",
     "SchemeSpec": "repro.engine.plan",
     "TraceArena": "repro.engine.shm",
     "attach_arena": "repro.engine.shm",
     "auto_batch_size": "repro.engine.plan",
-    "backend_for": "repro.engine.backends",
     "build_protocol_for_cell": "repro.engine.plan",
     "execute_batch": "repro.engine.backends",
     "num_caches_for": "repro.engine.plan",

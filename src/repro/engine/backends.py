@@ -7,8 +7,9 @@ the same JSON transport payload the checkpoint manifest uses, firing
 ``cell_started`` and ``cell_finished`` for each cell it computes.
 :class:`InlineBackend` runs cells here, :class:`ProcessPoolBackend`
 across worker processes, :class:`~repro.fabric.queue.FleetBackend` on
-the worker fleet; :func:`backend_for` picks inline or pool from a
-worker count.  Nothing above this layer knows where a cell ran.
+the worker fleet.  Each of them runs a cell through :func:`run_cell`,
+the one code that builds a cell's protocol and simulates the whole
+cell.  Nothing above this layer knows where a cell ran.
 
 The pooled backend's dispatch path is built for throughput:
 
@@ -57,7 +58,6 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.simulator import Simulator
 from repro.errors import ConfigurationError
-from repro.runner.checkpoint import result_to_json
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.stream import Trace
 
@@ -76,16 +76,6 @@ if TYPE_CHECKING:
     # Loaded by the first pooled sweep: inline runs never need the
     # pool machinery (``multiprocessing.connection``, ``.queues``).
     from concurrent.futures import ProcessPoolExecutor
-
-
-def _run_one_attempt(
-    simulator: Simulator, spec: Any, key: str, trace: Trace, num_caches: int | None
-) -> dict[str, Any]:
-    """One protocol build + simulation; returns the result's JSON form."""
-    protocol = build_protocol_for_cell(simulator, spec, trace, num_caches)
-    result = simulator.run(trace, protocol, trace_name=trace.name)
-    result.scheme = key
-    return result_to_json(result)
 
 
 def run_cell(
@@ -154,28 +144,6 @@ def run_cell(
     return outcome
 
 
-def _terminal_payload(
-    simulator: Simulator,
-    spec: Any,
-    key: str,
-    trace: Any,
-    retry: RetryPolicy,
-    num_caches: int | None,
-) -> dict[str, Any]:
-    """Run one cell to its terminal transport payload; never raises."""
-    result_json, error, attempts = run_with_retry(
-        lambda: _run_one_attempt(simulator, spec, key, trace, num_caches), retry
-    )
-    if error is None:
-        return {"status": "ok", "result": result_json, "attempts": attempts}
-    return {
-        "status": "error",
-        "category": type(error).__name__,
-        "message": str(error),
-        "attempts": attempts,
-    }
-
-
 def execute_batch(payload: dict[str, Any]) -> list[dict[str, Any]]:
     """Run a batch of cells in one pool round-trip (worker entry point).
 
@@ -196,16 +164,18 @@ def execute_batch(payload: dict[str, Any]) -> list[dict[str, Any]]:
     arena = attach_arena(descriptor) if descriptor is not None else None
     results: list[dict[str, Any]] = []
     for cell in payload["cells"]:
-        spec = pickle.loads(cell["spec"])
         if "trace_index" in cell:
             trace = arena.trace_from(cell["trace_index"])
         else:
             trace = cell["trace"]
-        results.append(
-            _terminal_payload(
-                simulator, spec, cell["key"], trace, retry, cell.get("num_caches")
-            )
+        task = CellTask(
+            spec=pickle.loads(cell["spec"]),
+            scheme_key=cell["key"],
+            trace=trace,
+            trace_name=trace.name,
+            num_caches=cell.get("num_caches"),
         )
+        results.append(run_cell(simulator, task, retry).to_payload())
     return results
 
 
@@ -267,7 +237,7 @@ class InlineBackend:
 
     The degenerate backend: same interface as
     :class:`ProcessPoolBackend`, same outcome payloads, no pool, and no
-    mid-cell snapshots.  :func:`backend_for` picks it for one worker.
+    mid-cell snapshots.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -360,14 +330,7 @@ class ProcessPoolBackend:
                 on_complete(index, payload)
 
         def run_local(index: int) -> None:
-            task = cells[index]
-            finish(
-                index,
-                _terminal_payload(
-                    simulator, task.spec, task.scheme_key, task.trace, retry,
-                    task.num_caches,
-                ),
-            )
+            finish(index, run_cell(simulator, cells[index], retry).to_payload())
 
         # The simulator and retry policy ride on every batch; if they
         # cannot cross the pool boundary, nothing can.
@@ -513,14 +476,3 @@ class ProcessPoolBackend:
                 run_local(index)
         if pool_broken:
             _retire_pool(self.jobs)
-
-
-def backend_for(
-    jobs: int, retry: RetryPolicy, batch: int | None = None
-) -> InlineBackend | ProcessPoolBackend:
-    """Select the execution backend for a worker count."""
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return InlineBackend(retry=retry)
-    return ProcessPoolBackend(jobs=jobs, retry=retry, batch=batch)

@@ -8,7 +8,7 @@ reads the same instrumentation.
 Observers must be cheap and must not raise: an event hook fires on the
 hot path of a sweep.  :class:`EngineMetrics` is the standard thread-safe
 counter implementation; :class:`ObserverGroup` fans events out to
-several observers.
+several observers; :class:`OutcomeLog` keeps each cell's outcome.
 """
 
 from __future__ import annotations
@@ -99,6 +99,20 @@ class ObserverGroup(EngineObserver):
     def plan_finished(self, plan, result):
         for observer in self.observers:
             observer.plan_finished(plan, result)
+
+
+class OutcomeLog(EngineObserver):
+    """Keeps every cell's terminal outcome, keyed by its sweep index.
+
+    For callers that need more of a cell than the plan's result holds:
+    the original exception, the trace it ran on, or how it resolved.
+    """
+
+    def __init__(self) -> None:
+        self.outcomes: dict[int, Any] = {}
+
+    def cell_finished(self, task, outcome):
+        self.outcomes[task.index] = outcome
 
 
 class EngineMetrics(EngineObserver):

@@ -20,7 +20,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from contextlib import contextmanager
 
@@ -179,14 +179,3 @@ class ConnectionPool:
         if connection is not None:
             connection.close()
             self._local.connection = None
-
-
-def retry_locked(operation: Callable[[], Any], attempts: int = LOCK_RETRIES) -> Any:
-    """Run *operation*, retrying sqlite lock errors with a short backoff."""
-    for attempt in range(attempts):
-        try:
-            return operation()
-        except sqlite3.OperationalError as exc:
-            if not _is_lock_error(exc) or attempt == attempts - 1:
-                raise
-            time.sleep(min(0.05 * (attempt + 1), 0.5))

@@ -7,33 +7,42 @@ tests).  Its loop:
 1. **reap** expired leases, then **lease** the next ready cell (which
    charges one attempt).  Every member reaps, so a SIGKILL'd member's
    cells go back to the survivors with no dedicated reaper anywhere;
-2. **dedup** — if the shared content-addressed
-   :class:`~repro.runner.cache.ResultCache` already holds the cell's
-   outcome, settle it as a ``cache`` result without simulating.  The
-   cache is what makes the never-simulate-twice claim hold *across*
-   jobs and fleets, not just within one queue;
-3. **simulate** with a heartbeat thread renewing the lease in the
-   background, so a slow cell is not mistaken for a dead worker;
-4. **settle** idempotently.  If this worker was presumed dead and the
-   cell reassigned, the settle simply loses the race and is counted as
-   a duplicate *completion* — the reassigned copy found the result in
-   the cache at step 2, so no cell is ever *simulated* twice.
+2. **run** the cell as a one-cell :class:`~repro.engine.plan
+   .ExecutionPlan` on the :class:`~repro.engine.core.Engine`, with the
+   member's result cache and a single attempt, while a heartbeat thread
+   renews the lease so a slow cell is not mistaken for a dead worker.
+   The engine's cache lookup is the fleet's dedup: a cell whose outcome
+   the shared content-addressed :class:`~repro.runner.cache.ResultCache`
+   already holds settles as a ``cache`` result without simulating, and
+   a simulated one is cached before it settles.  That is what makes the
+   never-simulate-twice claim hold *across* jobs and fleets, not just
+   within one queue.  A member shares its cache's directory and
+   fingerprint memo but keeps its own in-flight table: the job engine
+   that offered the cell holds the cell's claim in the shared one;
+3. **settle** idempotently, under the row's scheme key and trace label
+   and with the lease count as the attempts.  If this worker was
+   presumed dead and the cell reassigned, the settle simply loses the
+   race and is counted as a duplicate *completion* — the reassigned
+   copy found the result in the cache at step 2, so no cell is ever
+   *simulated* twice.
 
 Failure routing uses the engine's :class:`~repro.engine.policies
 .RetryPolicy` semantics: retryable errors requeue the cell with a
 jittered backoff gate (dead-lettering once the attempt budget is
-spent); permanent errors settle as a contained ``failed`` outcome, the
-fabric analogue of :class:`~repro.core.experiment.CellFailure`.
+spent); permanent errors, and a trace that cannot be built, settle as a
+contained ``failed`` outcome, the fabric analogue of
+:class:`~repro.core.experiment.CellFailure`.
 
 The ``protocol_hook`` seam exists for the chaos harness
 (:mod:`repro.fabric.chaos`): it wraps the freshly built protocol so a
 deterministic fault — including SIGKILL of this very process mid-cell —
-can be injected at an exact reference count.
+can be injected at an exact reference count.  A hooked member builds
+its cells through a protocol factory, so they bypass the result cache.
 """
 
 from __future__ import annotations
 
-import json
+import copy
 import os
 import threading
 import uuid
@@ -42,10 +51,11 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro.core.simulator import Simulator
-from repro.engine.plan import build_protocol_for_cell
+from repro.engine.core import Engine
+from repro.engine.observer import OutcomeLog
+from repro.engine.plan import ExecutionPlan, UnbuiltTrace, protocol_factory
 from repro.engine.policies import RetryPolicy
-from repro.runner.cache import ResultCache, cache_key
-from repro.runner.checkpoint import result_to_json
+from repro.runner.cache import InFlightTable, ResultCache
 from repro.service.spec import TraceSpec
 
 from repro.fabric.queue import DurableCellQueue, LeasedCell
@@ -93,6 +103,30 @@ class _Heartbeat(threading.Thread):
         self.join(timeout=5.0)
 
 
+class _JobTrace:
+    """A leased cell's trace spec, built at most once per job.
+
+    Workload traces are held for the rest of the job's cells; file
+    traces are re-read per cell, since their content can change.  Every
+    other attribute is the spec's, so the engine resolves it as one.
+    """
+
+    def __init__(self, spec: TraceSpec, held: dict[TraceSpec, Any]) -> None:
+        self.spec = spec
+        self.held = held
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.spec, name)
+
+    def build(self) -> Any:
+        if self.spec.path is not None:
+            return self.spec.build()
+        trace = self.held.get(self.spec)
+        if trace is None:
+            trace = self.held[self.spec] = self.spec.build()
+        return trace
+
+
 class FabricWorker:
     """One fleet member pulling cells from a durable queue.
 
@@ -100,7 +134,8 @@ class FabricWorker:
         queue: the shared :class:`DurableCellQueue` (or a db path).
         worker_id: fleet-unique name; generated when omitted.
         result_cache: shared content-addressed result cache (the
-            fleet-wide dedup layer); optional.
+            fleet-wide dedup layer); optional.  The member uses a copy
+            with its own in-flight table.
         retry: failure-classification and backoff policy.  Defaults to
             the engine policy with **full jitter** seeded per worker, so
             a restarted fleet spreads its retries instead of
@@ -132,6 +167,12 @@ class FabricWorker:
             queue = DurableCellQueue(queue)
         self.queue = queue
         self.worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        if result_cache is not None:
+            # Same directory and fingerprint memo, own in-flight table:
+            # waiting on the claim of the job engine that offered this
+            # member the cell would deadlock the two.
+            result_cache = copy.copy(result_cache)
+            result_cache.inflight = InFlightTable()
         self.result_cache = result_cache
         if retry is None:
             retry = RetryPolicy(
@@ -157,7 +198,7 @@ class FabricWorker:
         self._simulators: dict[str, Simulator] = {}
         #: Workload traces of the job being leased from, dropped on a job
         #: switch or an empty queue: built once per job, never kept after.
-        self._job_traces: tuple[str | None, dict[str, Any]] = (None, {})
+        self._job_traces: tuple[str | None, dict[TraceSpec, Any]] = (None, {})
 
     # ------------------------------------------------------------------
 
@@ -198,62 +239,38 @@ class FabricWorker:
             self._simulators[sharer_key] = simulator
         return simulator
 
-    def _job_trace(self, cell: LeasedCell, tspec: TraceSpec, built: Any) -> Any:
-        """The trace *cell* simulates; *built* is the memo's, if it built one.
+    def _scheme_spec(self, cell: LeasedCell) -> Any:
+        """The cell's scheme spec: a registry spec, or with a protocol
+        hook a factory applying it (uncacheable, as factories are)."""
+        name = cell.scheme["name"]
+        options = cell.scheme.get("options") or {}
+        spec = (name, options) if options else name
+        if self.protocol_hook is None:
+            return spec
+        factory = protocol_factory(spec)
 
-        Workload traces are kept for the rest of the cell's job; file
-        traces are re-read per cell, since their content can change.
-        """
-        if self._job_traces[0] != cell.job_id:
-            self._job_traces = (cell.job_id, {})
-        held = self._job_traces[1]
-        key = json.dumps(cell.trace_spec, sort_keys=True)
-        trace = held.get(key, built)
-        if trace is None:
-            trace = tspec.build()
-        if tspec.path is None:
-            held[key] = trace
-        return trace
+        def hooked(num_caches: int) -> Any:
+            protocol = factory(num_caches)
+            return self.protocol_hook(self, cell, protocol) or protocol
 
-    @staticmethod
-    def _scheme_spec(scheme: dict[str, Any]) -> Any:
-        name = scheme["name"]
-        options = scheme.get("options") or {}
-        return (name, options) if options else name
+        return hooked
 
     def run_cell(self, cell: LeasedCell) -> None:
         """Run one leased cell to settlement (never raises for cell errors)."""
-        simulator = self._simulator(cell.sharer_key)
-        scheme_spec = self._scheme_spec(cell.scheme)
-        trace = cache_id = None
         try:
             tspec = TraceSpec(**cell.trace_spec)
-            if self.result_cache is not None:
-                # Only a cache lookup needs the fingerprint; the cache's
-                # memo also holds the ones its other users computed.
-                _, trace_fp, trace = self.result_cache.fingerprints.lookup(tspec)
-                cache_id = cache_key(scheme_spec, simulator, trace_fp)
         except Exception as exc:
-            # The trace cannot be built: permanent, contained failure.
-            self._settle_error(cell, exc)
+            # A malformed row: permanent, contained failure.
+            self._settle_error(cell, type(exc).__name__, str(exc))
             return
-
-        if cache_id is not None:
-            cached = self.result_cache.get_json(cache_id)
-            if cached is not None:
-                result_json = {
-                    **cached,
-                    "scheme": cell.scheme_key,
-                    "trace_name": cell.trace_label,
-                }
-                self._settle_ok(cell, result_json, "cache")
-                return
-        try:
-            trace = self._job_trace(cell, tspec, trace)
-        except Exception as exc:
-                self._settle_error(cell, exc)
-                return
-
+        if self._job_traces[0] != cell.job_id:
+            self._job_traces = (cell.job_id, {})
+        plan = ExecutionPlan(
+            traces=[_JobTrace(tspec, self._job_traces[1])],
+            schemes=[self._scheme_spec(cell)],
+            simulator=self._simulator(cell.sharer_key),
+        )
+        log = OutcomeLog()
         heartbeat = _Heartbeat(
             self.queue,
             cell,
@@ -263,55 +280,51 @@ class FabricWorker:
         )
         heartbeat.start()
         try:
-            protocol = build_protocol_for_cell(simulator, scheme_spec, trace)
-            if self.protocol_hook is not None:
-                protocol = self.protocol_hook(self, cell, protocol) or protocol
-            result = simulator.run(trace, protocol, trace_name=cell.trace_label)
-            result.scheme = cell.scheme_key
-            result_json = result_to_json(result)
-        except (KeyboardInterrupt, SystemExit):
+            Engine(
+                retry=RetryPolicy(max_attempts=1),
+                result_cache=self.result_cache,
+                observer=log,
+            ).run(plan)
+        finally:
             heartbeat.stop()
-            raise
-        except Exception as exc:
-            heartbeat.stop()
-            if self.retry.is_retryable(exc):
-                # Requeue behind a jittered backoff gate; dead-letters
-                # automatically once the attempt budget is spent.
-                self.queue.retry_cell(
-                    cell.id,
-                    self.worker_id,
-                    category=type(exc).__name__,
-                    message=str(exc),
-                    backoff_s=self.retry.delay(cell.attempts),
-                )
-                self.settled["error"] += 1
-            else:
-                self._settle_error(cell, exc)
-            return
-        heartbeat.stop()
 
-        if cache_id is not None:
-            try:
-                # Cache before settling, so any reassigned twin of this
-                # cell finds the result instead of re-simulating it.
-                self.result_cache.put_json(cache_id, result_json)
-            except Exception:
-                pass  # the cache can only skip work, not break a cell
-        self._settle_ok(cell, result_json, "simulated")
+        [outcome] = log.outcomes.values()
+        built = not isinstance(outcome.task.trace, UnbuiltTrace)
+        if outcome.ok:
+            result_json = {
+                **outcome.json_result(),
+                "scheme": cell.scheme_key,
+                "trace_name": cell.trace_label,
+            }
+            self._settle_ok(cell, result_json, outcome.source)
+        elif built and self.retry.is_retryable(outcome.error):
+            # Requeue behind a jittered backoff gate; dead-letters
+            # automatically once the attempt budget is spent.
+            self.queue.retry_cell(
+                cell.id,
+                self.worker_id,
+                category=outcome.category,
+                message=outcome.message,
+                backoff_s=self.retry.delay(cell.attempts),
+            )
+            self.settled["error"] += 1
+        else:
+            # Permanent, or the trace cannot be built: contained failure.
+            self._settle_error(cell, outcome.category, outcome.message)
 
     def _settle_ok(self, cell: LeasedCell, result_json: Any, source: str) -> None:
         payload = {"status": "ok", "result": result_json, "attempts": cell.attempts}
         if self.queue.settle(cell.id, self.worker_id, payload, source=source):
             self.settled[source] += 1
 
-    def _settle_error(self, cell: LeasedCell, exc: BaseException) -> None:
+    def _settle_error(self, cell: LeasedCell, category: str, message: str) -> None:
         self.queue.settle(
             cell.id,
             self.worker_id,
             {
                 "status": "error",
-                "category": type(exc).__name__,
-                "message": str(exc),
+                "category": category,
+                "message": message,
                 "attempts": cell.attempts,
             },
         )

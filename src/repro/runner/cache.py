@@ -30,6 +30,8 @@ Engines that share a cache in one process also share its
 :class:`InFlightTable` (the first claimant of a key computes the cell,
 later claimants wait for its outcome) and its :class:`FingerprintMemo`
 (a repeated trace spec finds its cached cells without being built).
+A fabric fleet member is the exception: it runs the cells a job engine
+has claimed, so its copy of the cache has a table of its own.
 """
 
 from __future__ import annotations
@@ -175,9 +177,10 @@ class FingerprintMemo:
     """A bounded memo from trace spec to ``(trace name, fingerprint)``.
 
     The only trace state a long-lived cache user keeps between sweeps.
-    The engine and the fabric worker both reach it through their result
-    cache (``cache.fingerprints``), so they follow one rule and share
-    what either computed:
+    Every engine reaches it through its result cache
+    (``cache.fingerprints``) — a service job's and an in-process fleet
+    member's alike — so they follow one rule and share what either
+    computed:
 
     * workload specs are keyed by their canonical spec (generation is
       deterministic);
@@ -273,45 +276,24 @@ class ResultCache:
 
     def get(self, key: str) -> SimulationResult | None:
         """The cached result for *key*, or ``None`` on any kind of miss."""
-        payload = self.get_json(key)
-        if payload is None:
-            return None
-        try:
-            return result_from_json(payload)
-        except Exception:
-            # Valid JSON that is not a result payload: same treatment
-            # as any other corrupt entry.
-            self.hits -= 1
-            self.misses += 1
-            self._quarantine(self._path_for(key))
-            return None
-
-    def get_json(self, key: str) -> dict[str, Any] | None:
-        """The cached *serialized* result for *key*, or ``None`` on a miss.
-
-        The JSON-level twin of :meth:`get`, for callers that transport
-        payloads rather than live results (fabric workers, the service)
-        — it skips the deserialize/reserialize round trip entirely.
-        """
         path = self._path_for(key)
         try:
             payload = json.loads(path.read_text("utf-8"))
-            result_json = payload["result"]
             if payload.get("version") != CACHE_VERSION:
                 raise CheckpointError("cache entry version mismatch")
-            if not isinstance(result_json, dict):
-                raise CheckpointError("cache entry result is not an object")
+            result = result_from_json(payload["result"])
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, CheckpointError):
-            # A corrupt/truncated entry is a miss: quarantine it and let
-            # the caller re-simulate (the slot is free to be rewritten).
+        except Exception:
+            # A corrupt/truncated entry, or valid JSON that is not a
+            # result payload, is a miss: quarantine it and let the
+            # caller re-simulate (the slot is free to be rewritten).
             self.misses += 1
             self._quarantine(path)
             return None
         self.hits += 1
-        return result_json
+        return result
 
     def put(self, key: str, result: SimulationResult) -> None:
         """Store *result* under *key* (atomic; best-effort on I/O errors)."""

@@ -456,14 +456,6 @@ class FaultInjector:
             inner, trigger_after, mode=mode, failures_left=failures_left
         )
 
-    def process_killer(
-        self, inner: CoherenceProtocol, kill_after: int | None = None
-    ) -> ProcessKiller:
-        """Wrap a protocol to SIGKILL its own process after N data refs."""
-        if kill_after is None:
-            kill_after = self._rng.randrange(1, 1000)
-        return ProcessKiller(inner, kill_after)
-
     def kill_plan(
         self, workers: int, max_lease: int = 3, max_refs: int = 500
     ) -> tuple[int, int, int]:

@@ -48,9 +48,9 @@ from repro.engine import (
     EngineMetrics,
     EngineObserver,
     ExecutionPlan,
+    InlineBackend,
     ObserverGroup,
     RetryPolicy,
-    backend_for,
 )
 from repro.errors import ServiceUnavailableError
 from repro.runner.cache import ResultCache
@@ -456,25 +456,30 @@ class Scheduler:
                     self._idle.notify_all()
 
     def _run_job(self, job: Job) -> None:
-        job.set_state(RUNNING)
-        self._persist_job(job)
         job_dir = self._job_dir(job.id)
-        if self.fabric is not None:
-            from repro.fabric.queue import FleetBackend
-
-            backend = FleetBackend(self.fabric, job)
-        else:
-            backend = backend_for(self.sim_jobs, self.retry)
-        engine = Engine(
-            retry=self.retry,
-            checkpoint=CheckpointManager(job_dir) if job_dir is not None else None,
-            resume=job_dir is not None,
-            result_cache=self.result_cache,
-            # First, so a stop raised at cell_started counts no cell.
-            observer=ObserverGroup([_JobEvents(job), self.metrics]),
-            backend=backend,
-        )
         try:
+            # Inside the containment: a job that cannot even start fails
+            # like any other, and the worker thread lives on.
+            job.set_state(RUNNING)
+            self._persist_job(job)
+            if self.fabric is not None:
+                from repro.fabric.queue import FleetBackend
+
+                backend = FleetBackend(self.fabric, job)
+            elif self.sim_jobs == 1:
+                backend = InlineBackend(self.retry)
+            else:
+                backend = None  # a process pool of ``sim_jobs`` workers
+            engine = Engine(
+                retry=self.retry,
+                checkpoint=CheckpointManager(job_dir) if job_dir is not None else None,
+                resume=job_dir is not None,
+                jobs=self.sim_jobs,
+                result_cache=self.result_cache,
+                # First, so a stop raised at cell_started counts no cell.
+                observer=ObserverGroup([_JobEvents(job), self.metrics]),
+                backend=backend,
+            )
             engine.run(_JobPlan(job.spec))
         except JobStopped:
             # Stopped at a cell boundary: back to queued, resumable.

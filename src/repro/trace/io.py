@@ -247,23 +247,6 @@ def _pack_record(record: TraceRecord) -> bytes:
     )
 
 
-def _unpack_record(buffer: bytes) -> TraceRecord:
-    cpu, pid, type_code, flags, _reserved, address = _RECORD.unpack(buffer)
-    try:
-        ref_type = _INT_TO_TYPE[type_code]
-    except KeyError:
-        raise TraceFormatError(f"unknown binary reference type code {type_code}") from None
-    return TraceRecord(
-        cpu=cpu,
-        pid=pid,
-        ref_type=ref_type,
-        address=address,
-        system=bool(flags & _FLAG_SYSTEM),
-        lock=bool(flags & _FLAG_LOCK),
-        spin=bool(flags & _FLAG_SPIN),
-    )
-
-
 def write_trace_binary(records: Iterable[TraceRecord], path: str | Path) -> int:
     """Write records to *path* in the binary format.  Returns the record count."""
     body = io.BytesIO()

@@ -20,10 +20,9 @@ them as **one gate**:
   path** — the bare protocol through an uninstrumented
   :class:`Simulator`, so the columnar loop or a state-table kernel
   runs it — and must reproduce the checked cell's result exactly;
-* cells fan out through the engine's execution backends
-  (:func:`repro.engine.backends.backend_for`), so ``--jobs`` parallelism
-  and failure containment come from the same layer every other sweep
-  uses.
+* the cells run as one :class:`~repro.engine.plan.ExecutionPlan` on
+  the :class:`~repro.engine.core.Engine`, so ``--jobs`` parallelism and
+  failure containment come from the same layer every other sweep uses.
 
 Reports are canonically serializable: :meth:`ConformanceReport.digest`
 hashes a key-sorted JSON form, so two runs with the same seed are
@@ -40,8 +39,9 @@ from typing import Any, Iterable, Sequence
 from repro.core.simulator import Simulator
 from repro.core.oracle import CoherentOracle
 from repro.core.statespace import default_caches_for, explore_block_states
-from repro.engine.backends import backend_for
-from repro.engine.plan import CellTask, num_caches_for
+from repro.engine.core import Engine
+from repro.engine.observer import OutcomeLog
+from repro.engine.plan import CellTask, ExecutionPlan, num_caches_for
 from repro.engine.policies import RetryPolicy
 from repro.errors import ConformanceError, ConfigurationError, UnknownSchemeError
 from repro.protocols.events import EventType
@@ -236,8 +236,8 @@ class ConformanceChecker:
         sharer_key: trace-sharer view, as in :class:`Simulator`.
         check_interval: invariant-check cadence in data references
             (1 = every reference, the strictest setting).
-        jobs: worker processes for the sweep; cells fan out through the
-            same engine backends as every other sweep.
+        jobs: worker processes for the sweep; the engine fans cells out
+            as it does for every other sweep.
     """
 
     def __init__(
@@ -312,57 +312,43 @@ class ConformanceChecker:
         if not trace_list or not specs:
             return report
 
-        cells = []
-        index = 0
-        for spec in specs:
-            for trace in trace_list:
-                cells.append(
-                    CellTask(
-                        spec=spec,
-                        scheme_key=spec.scheme_key,
-                        trace=trace,
-                        trace_name=trace.name,
-                        index=index,
-                    )
-                )
-                index += 1
-        report.cells = len(cells)
-
         # Conformance failures are permanent, so retry is a single
         # attempt: an injected TransientError must surface as a finding,
         # not be absorbed by the retry middleware.
-        backend = backend_for(self.jobs, RetryPolicy(max_attempts=1))
-        outcomes = backend.run(self._simulator(), cells)
+        log = OutcomeLog()
+        plan = ExecutionPlan(
+            traces=trace_list, schemes=specs, simulator=self._simulator()
+        )
+        engine = Engine(
+            retry=RetryPolicy(max_attempts=1), jobs=self.jobs, observer=log
+        )
+        engine.run(plan)
+        report.cells = len(specs) * len(trace_list)
 
-        for position in sorted(outcomes):
-            task = cells[position]
-            payload = outcomes[position]
-            if payload["status"] == "ok":
+        for _, cell in sorted(log.outcomes.items()):
+            task = cell.task
+            if cell.ok:
+                result = cell.json_result()
                 report.summaries.setdefault(task.trace_name, {})[task.scheme_key] = (
-                    summarize_events(payload["result"])
+                    summarize_events(result)
                 )
                 if task.spec.saboteur_trigger is None:
-                    finding = self._fast_path(task, payload["result"])
+                    finding = self._fast_path(task, result)
                     if finding is not None:
                         report.findings.append(finding)
             else:
-                category = payload.get("category", "ReproError")
                 report.findings.append(
                     Finding(
                         trace_name=task.trace_name,
                         scheme=task.scheme_key,
-                        kind=_CATEGORY_KINDS.get(category, "error"),
-                        message=f"{category}: {payload.get('message', '')}",
+                        kind=_CATEGORY_KINDS.get(cell.category, "error"),
+                        message=f"{cell.category}: {cell.message}",
                     )
                 )
 
         if differential:
             report.findings.extend(self._differentials(report.summaries))
         return report
-
-    def check_trace(self, trace: Trace, **kwargs: Any) -> ConformanceReport:
-        """Convenience: :meth:`check` over a single trace."""
-        return self.check([trace], **kwargs)
 
     def _fast_path(self, task: CellTask, checked: dict[str, Any]) -> Finding | None:
         """Re-run a clean cell on the fast path; a finding on any mismatch.

@@ -21,7 +21,6 @@ from repro.engine import (
     ObserverGroup,
     ProcessPoolBackend,
     RetryPolicy,
-    backend_for,
     rehydrate_failure,
     run_cell,
     run_with_retry,
@@ -265,13 +264,6 @@ def test_engine_configuration_validation():
         Engine(batch=0)  # rejected even for serial sweeps, which never batch
     with pytest.raises(ConfigurationError):
         ProcessPoolBackend(jobs=0)
-    with pytest.raises(ConfigurationError):
-        backend_for(0, RetryPolicy())
-
-
-def test_backend_for_selects_by_jobs():
-    assert isinstance(backend_for(1, RetryPolicy()), InlineBackend)
-    assert isinstance(backend_for(3, RetryPolicy()), ProcessPoolBackend)
 
 
 def test_metrics_observe_serial_run_and_cache_round_trip(tmp_path, traces):

@@ -18,11 +18,12 @@ import weakref
 import pytest
 
 from repro.engine.policies import RetryPolicy, run_with_retry
-from repro.errors import ConfigurationError, TransientError
+from repro.errors import ConfigurationError, ProtocolError, TransientError
 from repro.fabric.chaos import canonical_digest, serial_results
 from repro.fabric.queue import DurableCellQueue
 from repro.fabric.worker import FabricWorker
 from repro.runner.cache import ResultCache
+from repro.runner.faults import SaboteurProtocol
 from repro.service.spec import TraceSpec, parse_job_spec
 
 SPEC = {
@@ -141,6 +142,80 @@ class TestFleetParity:
         assert list(assembled["results"]["dir0b"]) == ["pops"]
         # A permanent failure settles once; it never crash-loops.
         assert queue.stats()["dead_letters"] == 0
+
+
+class TestFailureRouting:
+    """A member's failed cell is requeued or settled, never both."""
+
+    SPEC = {
+        "schemes": ["dir0b"],
+        "traces": [{"workload": "pops", "length": 400, "seed": 1}],
+    }
+
+    def one_cell_queue(self, tmp_path):
+        queue = DurableCellQueue(tmp_path / "fabric.db")
+        queue.submit(parse_job_spec(dict(self.SPEC)), "job-1")
+        return queue
+
+    def test_transient_error_requeues_then_dead_letters(self, tmp_path, monkeypatch):
+        queue = self.one_cell_queue(tmp_path)
+        hooked = []
+
+        def flaky(worker, cell, protocol):
+            hooked.append(cell.attempts)
+            return SaboteurProtocol(protocol, 50, mode="transient")
+
+        backoffs = []
+        retry_cell = queue.retry_cell
+
+        def spy(cell_id, worker_id, **kwargs):
+            backoffs.append(kwargs["backoff_s"])
+            return retry_cell(cell_id, worker_id, **kwargs)
+
+        monkeypatch.setattr(queue, "retry_cell", spy)
+        retry = RetryPolicy(backoff_base=0.01, backoff_max=0.04)
+        worker = FabricWorker(
+            queue, worker_id="w0", retry=retry, poll_s=0.01, protocol_hook=flaky
+        )
+        assert worker.run(max_cells=1) == 1
+        [row] = queue.cell_outcomes("job-1")
+        assert (row["state"], row["attempts"]) == ("pending", 1)
+        assert row["last_category"] == "TransientError"
+
+        worker.run()  # the default budget: three leases in all
+        [row] = queue.cell_outcomes("job-1")
+        assert (row["state"], row["attempts"]) == ("dead", 3)
+        assert row["payload"] is None
+        # One attempt per lease, backed off by the lease count.
+        assert hooked == [1, 2, 3]
+        assert backoffs == [retry.delay(1), retry.delay(2), retry.delay(3)]
+        assert worker.settled == {"simulated": 0, "cache": 0, "error": 3}
+        assert queue.stats()["dead_letters"] == 1
+
+    def test_protocol_error_settles_failed_once(self, tmp_path):
+        queue = self.one_cell_queue(tmp_path)
+        hooked = []
+
+        def broken(worker, cell, protocol):
+            hooked.append(cell.attempts)
+            raise ProtocolError("no such transition")
+
+        worker = FabricWorker(
+            queue, worker_id="w0", poll_s=0.01, protocol_hook=broken
+        )
+        assert worker.run() == 1
+        [row] = queue.cell_outcomes("job-1")
+        assert row["state"] == "failed"
+        assert row["payload"] == {
+            "status": "error",
+            "category": "ProtocolError",
+            "message": "no such transition",
+            "attempts": 1,
+        }
+        assert hooked == [1]
+        assert worker.settled["error"] == 1
+        assert queue.stats()["dead_letters"] == 0
+        assert queue.job_state("job-1") == "failed"
 
 
 class TestTraceLifetime:

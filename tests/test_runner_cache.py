@@ -121,5 +121,5 @@ def test_concurrent_puts_of_one_key_use_separate_temp_files(
     monkeypatch.undo()
 
     assert len(set(temp_paths)) == 2
-    assert cache.get_json(key) == payload
+    assert result_to_json(cache.get(key)) == payload
     assert cache.quarantined == 0

@@ -161,6 +161,42 @@ class TestFabricMode:
         finally:
             server.stop()
 
+    def test_concurrent_jobs_sharing_a_cell_simulate_it_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Each job engine claims its cells in the scheduler's in-flight
+        # table before offering them to the fleet; a member waiting on
+        # such a claim would deadlock with the job that offered it.
+        from repro.core.simulator import Simulator
+
+        simulated = []
+        real_run = Simulator.run
+
+        def counting_run(self, trace, protocol, *args, **kwargs):
+            simulated.append(type(protocol).__name__)
+            return real_run(self, trace, protocol, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        scheduler = Scheduler(
+            workers=2, fabric_db=tmp_path / "fabric.db", fabric_workers=2
+        )
+        scheduler.start()
+        try:
+            first, _ = scheduler.submit(
+                parse_job_spec(dict(SPEC, schemes=["dir0b", "wti"]))
+            )
+            second, _ = scheduler.submit(
+                parse_job_spec(dict(SPEC, schemes=["dir0b", "dragon"]))
+            )
+            wait_terminal(first, timeout=60.0)
+            wait_terminal(second, timeout=60.0)
+            assert (first.state, second.state) == ("done", "done")
+            assert first.results["dir0b"] == second.results["dir0b"]
+            # dir0b, wti and dragon: the shared cell simulated once.
+            assert len(simulated) == 3
+        finally:
+            scheduler.shutdown(mode="checkpoint")  # bounded, even if deadlocked
+
     def test_dlq_route_without_fabric_reports_disabled(self):
         scheduler = Scheduler(workers=1)
         server = ServiceServer(scheduler, port=0)

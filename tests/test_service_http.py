@@ -261,3 +261,46 @@ def test_finished_job_is_served_byte_identically(tmp_path):
         ) == (live_status, live_events)
     finally:
         restarted.stop(mode="drain", timeout=30.0)
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_job_that_cannot_start_fails_and_its_worker_runs_the_next(monkeypatch):
+    """A job whose start raises (here: persisting its running state) fails
+    with the error instead of killing its worker thread, which then runs
+    the next queued job."""
+    persist = Scheduler._persist_job
+    threads = set()
+
+    def persist_or_fail(self, job):
+        if job.state == "running":
+            threads.add(threading.get_ident())
+            if dict(job.spec.tags).get("n") == "doomed":
+                raise OSError("state dir is read-only")
+        persist(self, job)
+
+    monkeypatch.setattr(Scheduler, "_persist_job", persist_or_fail)
+    server = ServiceServer(Scheduler(workers=1, sim_jobs=1), port=0)
+    server.start()
+    try:
+        client = ServiceClient(server.url, timeout=15.0)
+        doomed = client.submit(dict(SPEC, tags={"n": "doomed"}))
+        after = client.submit(dict(SPEC, tags={"n": "after"}))
+
+        def terminal(job_id):
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                body = client.job(job_id)
+                if body["state"] in ("done", "failed", "cancelled"):
+                    return body
+                time.sleep(0.02)
+            return body
+
+        failed = terminal(doomed["id"])
+        assert failed["state"] == "failed"
+        assert failed["error"] == "OSError: state dir is read-only"
+        assert terminal(after["id"])["state"] == "done"
+        assert len(threads) == 1  # both jobs ran on the one worker thread
+        jobs = client.stats()["jobs"]
+        assert (jobs["running"], jobs["failed"], jobs["done"]) == (0, 1, 1)
+    finally:
+        server.stop(mode="drain", timeout=30.0)

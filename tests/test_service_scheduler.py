@@ -389,7 +389,7 @@ def test_abandoned_claim_is_simulated_by_its_waiter(scheduler, monkeypatch):
     assert job.state == DONE
     assert job.cell_sources["simulated"] == 1
     assert job.results == direct_results(["dir0b"])
-    assert scheduler.result_cache.get_json(key) is not None
+    assert scheduler.result_cache.get(key) is not None
 
 
 # ----------------------------------------------------------------------
