@@ -37,13 +37,18 @@ fuzz:
 chaos:
 	PYTHONPATH=src python -m repro chaos --workers 3 --seed 0
 
+# Every coherence scheme, for the pooled-equals-serial roster step of ci.
+ROSTER = adaptive berkeley coarse-vector dir0b dir1nb dirib dirinb dirnnb dragon illinois write-once wti yenfu
+
 # What CI runs (.github/workflows/ci.yml): the tier-1 suite (failing on
 # a leaked shared-memory segment: the resource tracker's warning, which
 # pytest's default fd capture would swallow, or a new /dev/shm name), the
 # end-to-end benchmark's smoke tests, a streamed .ctrc generation
 # re-hashed against its stored fingerprint (4096-record chunks split
 # scheduling rounds), the streaming example end to end (its windowed
-# checkpoint run must match the streamed run), exhaustive protocol
+# checkpoint run must match the streamed run), a roster sweep of all 13
+# schemes pooled (--jobs 2, narrow columns through shared memory) that
+# must print the serial sweep's table, exhaustive protocol
 # verification, and the
 # conformance fuzz with mutation testing on infinite caches and on the
 # finite-parity job's evicting 4x2 geometry (fuzz cells re-run on the
@@ -61,6 +66,9 @@ ci:
 	rm -rf build/ci-ckpt
 	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes dir1nb wti dir0b dragon --checkpoint build/ci-ckpt --checkpoint-every 7000 > build/ci-ckpt.txt
 	cmp build/ci-plain.txt build/ci-ckpt.txt
+	PYTHONPATH=src python -m repro run --workloads pops thor --length 50000 --schemes $(ROSTER) --jobs 1 > build/ci-roster-serial.txt
+	PYTHONPATH=src python -m repro run --workloads pops thor --length 50000 --schemes $(ROSTER) --jobs 2 > build/ci-roster-pooled.txt
+	cmp build/ci-roster-serial.txt build/ci-roster-pooled.txt
 	PYTHONPATH=src python -m repro verify
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation

@@ -52,7 +52,7 @@ from repro.core.simulator import SimulationContext
 from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import CheckpointManager, result_from_json
-from repro.trace.columnar import COLUMN_FORMATS, ColumnarTrace, columnar_chunks
+from repro.trace.columnar import COLUMNS, ColumnarTrace, columnar_chunks
 
 from repro.engine.backends import ProcessPoolBackend, run_cell
 from repro.engine.observer import NULL_OBSERVER, EngineObserver
@@ -116,7 +116,8 @@ def _windows(chunks: Iterable[ColumnarTrace], size: int) -> Iterator[ColumnarTra
 
     A window inside one chunk is a slice of it.  A window that spans
     chunks is copied out of them as they stream past, so each chunk is
-    dropped before the next one decodes.
+    dropped before the next one decodes.  Its columns take each chunk's
+    width, widened if a later chunk's column is wider.
     """
     carried: list[array] = []  # the columns of a window begun earlier
     for chunk in chunks:
@@ -127,10 +128,12 @@ def _windows(chunks: Iterable[ColumnarTrace], size: int) -> Iterator[ColumnarTra
             if take == size:
                 yield chunk[offset : offset + size]
             else:
-                carried = carried or [array(fmt) for _, fmt in COLUMN_FORMATS]
                 piece = chunk[offset : offset + take]
-                for buffer, (column, _) in zip(carried, COLUMN_FORMATS):
-                    buffer.frombytes(memoryview(getattr(piece, column)).cast("B"))
+                buffers = carried or [array("B") for _ in COLUMNS]
+                carried = [
+                    _carry(buffer, getattr(piece, name))
+                    for buffer, name in zip(buffers, COLUMNS)
+                ]
                 del piece  # a view of the chunk
                 if held + take == size:
                     yield ColumnarTrace("window", *carried)
@@ -139,6 +142,18 @@ def _windows(chunks: Iterable[ColumnarTrace], size: int) -> Iterator[ColumnarTra
         del chunk  # drop it before the next one decodes
     if carried:
         yield ColumnarTrace("window", *carried)
+
+
+def _carry(buffer: array, column: Any) -> array:
+    """*buffer* extended by *column*'s values, widened if *column* is wider."""
+    view = memoryview(column)
+    if view.itemsize > buffer.itemsize:
+        buffer = array(view.format, buffer)
+    if view.format == buffer.typecode:
+        buffer.frombytes(view.cast("B"))
+    else:
+        buffer.extend(view)
+    return buffer
 
 
 def _build_trace(task: CellTask) -> CellOutcome | None:

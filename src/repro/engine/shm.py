@@ -7,8 +7,8 @@ A :class:`TraceArena` removes the trace from the dispatch path
 entirely.  Cell descriptors name a trace by index into a small
 picklable descriptor, and the descriptor names, per trace, the
 :class:`multiprocessing.shared_memory.SharedMemory` segment and the
-offsets its five columns live at — a few bytes on the pipe regardless
-of trace length.
+offset and item format of each of its five columns — a few bytes on
+the pipe regardless of trace length.
 
 **Copy once.**  :meth:`TraceArena.create` moves every
 :class:`~repro.trace.columnar.ColumnarTrace` that no live segment holds
@@ -22,9 +22,10 @@ copies nothing.  Moved traces behave as before in the parent (the
 simulator, fingerprinting and pickling all accept ``memoryview``
 columns), except that their columns can no longer be assigned to.
 
-Worker-side reconstruction is zero-copy: the ``Q`` columns come back
-as ``memoryview.cast("Q")`` views over the mapped segment and the byte
-columns as plain ``memoryview`` slices.  Only the simulator's
+Worker-side reconstruction is zero-copy: each column comes back as a
+``memoryview`` over the mapped segment cast to the format it was
+copied in with (a generated trace's ``B`` cpu and pid and ``I``
+addresses stay one and four bytes wide).  Only the simulator's
 per-sharer data view — a compressed copy of the data references — is
 materialized, once per (worker, trace) for as long as the worker keeps
 the segment attached.
@@ -64,26 +65,21 @@ from __future__ import annotations
 import atexit
 import functools
 import os
+import struct
 import weakref
 from typing import Any, Sequence
 
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import COLUMNS, ColumnarTrace, column_format
 
-_WORD = 8  # array('Q') item size on every supported platform
+#: Every column starts on a multiple of this, so any cast is aligned.
+_ALIGN = 8
 
-#: Column order within a trace's run: the word columns first keeps every
-#: 'Q' cast 8-byte aligned.
-_WORD_COLUMNS = ("cpu", "pid", "address")
-_COLUMNS = _WORD_COLUMNS + ("type_code", "flags")
+#: A trace's layout: column name -> (byte offset, item format).
+Layout = dict[str, tuple[int, str]]
 
 
-def _column_bytes(column: Any) -> bytes | memoryview:
-    """The raw little-endian buffer behind one trace column."""
-    if isinstance(column, memoryview):
-        return column.cast("B") if column.format != "B" else column
-    if isinstance(column, (bytes, bytearray)):
-        return column
-    return memoryview(column).cast("B")  # array('Q')
+def _aligned(size: int) -> int:
+    return (size + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
 @functools.cache
@@ -121,19 +117,18 @@ class _Segment:
         self.finalizers: list[Any] = []
         _LIVE[shm.name] = self
 
-    def adopt(self, trace: ColumnarTrace, layout: dict[str, int]) -> None:
+    def adopt(self, trace: ColumnarTrace, layout: Layout) -> None:
         """Copy *trace*'s columns in at *layout*, re-pointing each as it lands."""
         buf = self.shm.buf
         n = len(trace)
         finalizers = []
-        for column in _COLUMNS:
-            start = layout[column]
-            word = column in _WORD_COLUMNS
-            end = start + (n * _WORD if word else n)
-            # Raises ValueError for a column of another item size.
-            buf[start:end] = _column_bytes(getattr(trace, column))
-            view = buf[start:end].cast("Q") if word else buf[start:end]
-            view = view.toreadonly()
+        for column in COLUMNS:
+            start, fmt = layout[column]
+            end = start + n * struct.calcsize(fmt)
+            # Raises TypeError or ValueError for a column that is not a
+            # contiguous buffer of n items of its format.
+            buf[start:end] = memoryview(getattr(trace, column)).cast("B")
+            view = buf[start:end].cast(fmt).toreadonly()
             setattr(trace, column, view)
             finalizer = weakref.finalize(
                 view, self._view_died, id(view) if column == "cpu" else None
@@ -168,10 +163,10 @@ _LIVE: dict[str, _Segment] = {}
 
 #: id(cpu view) -> (segment, layout, one finalizer per column view) for
 #: every trace moved into a segment; entries leave with their cpu view.
-_HELD: dict[int, tuple[_Segment, dict[str, int], tuple[Any, ...]]] = {}
+_HELD: dict[int, tuple[_Segment, Layout, tuple[Any, ...]]] = {}
 
 
-def _held_by(trace: ColumnarTrace) -> tuple[str, dict[str, int]] | None:
+def _held_by(trace: ColumnarTrace) -> tuple[str, Layout] | None:
     """(segment name, layout) of the live segment holding *trace*, if any.
 
     A trace is held only while every one of its columns is still the
@@ -183,7 +178,7 @@ def _held_by(trace: ColumnarTrace) -> tuple[str, dict[str, int]] | None:
     segment, layout, finalizers = held
     if _LIVE.get(segment.shm.name) is not segment:
         return None  # released early (dispose)
-    for column, finalizer in zip(_COLUMNS, finalizers):
+    for column, finalizer in zip(COLUMNS, finalizers):
         alive = finalizer.peek()
         if alive is None or alive[0] is not getattr(trace, column):
             return None
@@ -215,20 +210,14 @@ class _Mapping:
             n = entry["length"]
             buf = self.shm.buf
 
-            def words(column: str) -> memoryview:
-                return buf[columns[column] : columns[column] + n * _WORD].cast("Q")
-
-            def raw(column: str) -> memoryview:
-                return buf[columns[column] : columns[column] + n]
+            def view(column: str) -> memoryview:
+                start, fmt = columns[column]
+                return buf[start : start + n * struct.calcsize(fmt)].cast(fmt)
 
             trace = ColumnarTrace(
                 entry["name"],
-                words("cpu"),
-                words("pid"),
-                raw("type_code"),
-                words("address"),
-                raw("flags"),
-                entry["description"],
+                *(view(column) for column in COLUMNS),
+                description=entry["description"],
             )
             self.traces[key] = trace
         return trace
@@ -246,7 +235,7 @@ class TraceArena:
     workers rebuild traces with :func:`attach_arena` /
     :meth:`trace_from`.  The descriptor is ``{"traces": {index:
     entry}}`` where each entry names the trace's segment, length,
-    column offsets, name and description.
+    each column's ``(offset, format)``, name and description.
     """
 
     def __init__(
@@ -265,9 +254,10 @@ class TraceArena:
         """Name *traces* in shared memory, moving in those not held yet.
 
         Returns None if a segment is needed and cannot be made.  The new
-        segment's layout is one contiguous run per trace — cpu, pid,
-        address (8-byte words), then type_code and flags (bytes),
-        padded to a word.
+        segment's layout is one contiguous run per trace, its five
+        columns in constructor order, each in its own item format and
+        padded to 8 bytes so every cast is aligned: a generated trace
+        takes 8 bytes per reference plus at most 8 bytes per column.
         """
         entries: dict[int, dict[str, Any]] = {}
         moves: list[tuple[ColumnarTrace, dict[str, Any]]] = []
@@ -284,10 +274,10 @@ class TraceArena:
                 "columns": layout,
             }
             if held is None:
-                for column in _COLUMNS:
-                    layout[column] = size
-                    size += n * _WORD if column in _WORD_COLUMNS else n
-                size = (size + _WORD - 1) & ~(_WORD - 1)
+                for column in COLUMNS:
+                    fmt = column_format(getattr(trace, column))
+                    layout[column] = (size, fmt)
+                    size = _aligned(size + n * struct.calcsize(fmt))
                 moves.append((trace, entry))
 
         if moves:
@@ -300,7 +290,7 @@ class TraceArena:
                     segment.adopt(trace, entry["columns"])
                     entry["segment"] = segment.shm.name
             except (TypeError, ValueError):
-                # A column that is not a buffer of its layout's size.
+                # A column that is not a contiguous buffer of its format.
                 # Columns already moved stay valid over the still-mapped
                 # views; without a name the sweep pickles them instead.
                 segment.release()

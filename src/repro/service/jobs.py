@@ -129,6 +129,12 @@ class Job:
                 )
             self._cond.notify_all()
 
+    def record_error(self, error: str) -> None:
+        """Note *error* on the job whatever its state (a terminal job's
+        last steps can still fail)."""
+        with self._cond:
+            self.error = error
+
     def request_stop(self) -> None:
         """Ask the running sweep to stop at the next cell boundary."""
         with self._cond:

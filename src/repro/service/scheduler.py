@@ -444,12 +444,11 @@ class Scheduler:
             if job is None:
                 continue
             try:
-                if self._checkpoint_mode:
-                    # Popped during a checkpoint shutdown: leave it queued.
-                    self._persist_job(job)
-                else:
+                # Popped during a checkpoint shutdown: left queued.
+                if not self._checkpoint_mode:
                     self._run_job(job)
             finally:
+                self._settle(job)
                 # One submitted job is terminal or parked: unblock drainers.
                 with self._idle:
                     self._outstanding -= 1
@@ -492,7 +491,16 @@ class Scheduler:
             job.set_state(FAILED, error=f"{type(exc).__name__}: {exc}")
         else:
             job.set_state(DONE)
-        finally:
+
+    def _settle(self, job: Job) -> None:
+        """Persist a finished or parked job, and retire a finished one.
+
+        A failure here (a full disk, a read-only state directory) is
+        recorded on the job and goes no further: the job stays in the
+        store, terminal (or queued) and answerable, and the worker
+        thread lives on.
+        """
+        try:
             if job.finished:
                 self.queue.job_finished(job)
                 if self.fabric is not None:
@@ -505,3 +513,5 @@ class Scheduler:
             self._persist_job(job)
             if job.finished:
                 self.jobs.retire(job)
+        except Exception as exc:
+            job.record_error(f"{type(exc).__name__}: {exc}")

@@ -144,7 +144,12 @@ class StreamingTraceWriter:
     def append_columns(
         self, cpu: Any, pid: Any, type_code: Any, address: Any, flags: Any
     ) -> None:
-        """Append a run of parallel columns (the bulk packing path)."""
+        """Append a run of parallel columns (the bulk packing path).
+
+        Integer columns of any width are widened to the file's 64-bit
+        words in C (see :func:`_words`), so narrow in-memory columns
+        write the same bytes as ``Q`` ones.
+        """
         lengths = {len(cpu), len(pid), len(type_code), len(address), len(flags)}
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {sorted(lengths)}")
@@ -153,9 +158,9 @@ class StreamingTraceWriter:
         while position < total:
             take = min(self.chunk_records - len(self._type), total - position)
             stop = position + take
-            self._cpu.extend(cpu[position:stop])
-            self._pid.extend(pid[position:stop])
-            self._address.extend(address[position:stop])
+            self._cpu.extend(_words(cpu[position:stop]))
+            self._pid.extend(_words(pid[position:stop]))
+            self._address.extend(_words(address[position:stop]))
             self._type.extend(type_code[position:stop])
             self._flags.extend(flags[position:stop])
             position = stop
@@ -300,6 +305,12 @@ class StreamingTraceWriter:
             self.close()
         else:
             self.abort()
+
+
+def _words(values: Any) -> Any:
+    """*values* as ``array('Q').extend`` takes them: a ``Q`` array as is
+    (one copy), any other width or sequence item by item in C."""
+    return values if getattr(values, "typecode", None) == "Q" else iter(values)
 
 
 def write_stream(

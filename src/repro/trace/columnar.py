@@ -2,10 +2,12 @@
 
 A :class:`ColumnarTrace` stores the same information as a
 :class:`~repro.trace.stream.Trace`, but as packed parallel columns
-(``array('Q')`` for cpu/pid/address, ``bytes`` for the reference-type
-codes and flag bitmasks) instead of one ``TraceRecord`` object per
-reference.  That layout cuts memory per record from a ~200-byte
-dataclass to 26 bytes and, more importantly, lets
+(unsigned arrays for cpu/pid/address, each of the narrowest typecode
+that holds its values, and ``bytes`` for the reference-type codes and
+flag bitmasks) instead of one ``TraceRecord`` object per reference.
+That layout cuts memory per record from a ~200-byte dataclass to 8
+bytes for a generated trace (one byte each for cpu, pid, type and
+flags, four for a 32-bit address) and, more importantly, lets
 :meth:`repro.core.simulator.Simulator.run` iterate raw ints at C speed
 instead of doing attribute and enum dispatch per record — see
 ``docs/PERFORMANCE.md`` for the design and the bit-identity guarantee.
@@ -36,11 +38,51 @@ TYPE_INSTR, TYPE_READ, TYPE_WRITE = 0, 1, 2
 _TYPE_TO_CODE = {RefType.INSTR: TYPE_INSTR, RefType.READ: TYPE_READ, RefType.WRITE: TYPE_WRITE}
 _CODE_TO_TYPE = (RefType.INSTR, RefType.READ, RefType.WRITE)
 
-#: The columns of a :class:`ColumnarTrace` and their item formats, in
-#: constructor order.
-COLUMN_FORMATS = (
-    ("cpu", "Q"), ("pid", "Q"), ("type_code", "B"), ("address", "Q"), ("flags", "B"),
-)
+#: The columns of a :class:`ColumnarTrace`, in constructor order.
+COLUMNS = ("cpu", "pid", "type_code", "address", "flags")
+
+#: (typecode, exclusive bound) of the unsigned array types, narrowest first.
+_UNSIGNED = tuple((code, 1 << 8 * array(code).itemsize) for code in "BHIQ")
+
+
+def narrowest_typecode(largest: int) -> str:
+    """The narrowest unsigned array typecode that holds *largest*.
+
+    ``Q`` for anything wider, so appending a value beyond 64 bits (or a
+    negative one, to any of them) still raises ``OverflowError``.
+    """
+    for code, bound in _UNSIGNED:
+        if largest < bound:
+            return code
+    return "Q"
+
+
+def column_format(column: Any) -> str:
+    """The item format of a column: an array's typecode or a view's format.
+
+    ``bytes`` and ``bytearray`` columns are ``"B"``.
+    """
+    return getattr(column, "typecode", None) or getattr(column, "format", "B")
+
+
+def narrowed(column: array) -> array:
+    """*column* in the narrowest unsigned typecode that holds its values
+    (the column itself when that is its own typecode)."""
+    code = narrowest_typecode(max(column, default=0))
+    return column if code == column.typecode else array(code, column)
+
+
+def narrow_column(values: Iterable[int]) -> array:
+    """*values* as an array of the narrowest unsigned typecode holding them."""
+    if isinstance(values, (bytes, bytearray)):
+        return array("B", values)
+    return narrowed(array("Q", values))
+
+
+def _selected(column: Any, selectors: bytes) -> array:
+    """The items of *column* whose selector is set, in the column's width."""
+    return array(column_format(column), compress(column, selectors))
+
 
 #: Bits of the flags column: system mode, lock access, spin test read.
 FLAG_SYSTEM, FLAG_LOCK, FLAG_SPIN = 0x1, 0x2, 0x4
@@ -94,16 +136,25 @@ class ColumnarTrace:
     Attributes:
         name: short identifier (matches :class:`Trace`).
         description: free-form provenance note.
-        cpu: per-record issuing CPU numbers (``array('Q')``).
-        pid: per-record process identifiers (``array('Q')``).
+        cpu: per-record issuing CPU numbers (an unsigned ``array``).
+        pid: per-record process identifiers (an unsigned ``array``).
         type_code: per-record reference-type codes (``bytes`` of
             :data:`TYPE_INSTR`/:data:`TYPE_READ`/:data:`TYPE_WRITE`).
-        address: per-record byte addresses (``array('Q')``).
+        address: per-record byte addresses (an unsigned ``array``).
         flags: per-record system/lock/spin bitmasks (``bytes``).
 
-    Any column may instead be a ``memoryview`` of the same format: a
-    pooled sweep moves a trace's columns into shared memory as
-    read-only views (:mod:`repro.engine.shm`).
+    Each integer column is one array of the narrowest typecode (``B``,
+    ``H``, ``I`` or ``Q``) that holds its values, chosen by whoever
+    builds it: a generated trace has ``B`` cpu and pid and ``I``
+    addresses, a binary file load ``H`` cpu and pid (the file's own
+    width), a ``.ctrc`` chunk ``Q`` throughout.  Consumers read the
+    width from the column, never assume it, and values (so results and
+    fingerprints) do not depend on it.  An array column is kept as
+    given; any other iterable is packed at its narrowest width.
+
+    Any column may instead be a ``memoryview`` of its format: a pooled
+    sweep moves a trace's columns into shared memory as read-only views
+    (:mod:`repro.engine.shm`).
     """
 
     __slots__ = (
@@ -127,13 +178,15 @@ class ColumnarTrace:
         # arena (repro.engine.shm) reconstructs traces as zero-copy
         # views over one mapped segment, so coercing here would defeat
         # the pickle-free dispatch path.
-        self.cpu = cpu if isinstance(cpu, (array, memoryview)) else array("Q", cpu)
-        self.pid = pid if isinstance(pid, (array, memoryview)) else array("Q", pid)
+        self.cpu = cpu if isinstance(cpu, (array, memoryview)) else narrow_column(cpu)
+        self.pid = pid if isinstance(pid, (array, memoryview)) else narrow_column(pid)
         self.type_code = (
             type_code if isinstance(type_code, memoryview) else bytes(type_code)
         )
         self.address = (
-            address if isinstance(address, (array, memoryview)) else array("Q", address)
+            address
+            if isinstance(address, (array, memoryview))
+            else narrow_column(address)
         )
         if flags is None:
             self.flags = bytes(len(self.type_code))
@@ -167,7 +220,11 @@ class ColumnarTrace:
         name: str = "stream",
         description: str = "",
     ) -> "ColumnarTrace":
-        """Pack a record stream into columns (one pass, lossless)."""
+        """Pack a record stream into columns (one pass, lossless).
+
+        The integer columns are narrowed once the stream ends (see
+        :func:`narrowed`).
+        """
         cpus = array("Q")
         pids = array("Q")
         types = bytearray()
@@ -184,7 +241,10 @@ class ColumnarTrace:
                 | (FLAG_LOCK if record.lock else 0)
                 | (FLAG_SPIN if record.spin else 0)
             )
-        return cls(name, cpus, pids, types, addresses, flags, description)
+        return cls(
+            name, narrowed(cpus), narrowed(pids), types, narrowed(addresses), flags,
+            description,
+        )
 
     @classmethod
     def from_trace(cls, trace: "Trace | ColumnarTrace") -> "ColumnarTrace":
@@ -308,15 +368,19 @@ class ColumnarTrace:
         # The memoized data views are derived state; rebuilding them in
         # the unpickling process is cheaper than shipping them.  Any
         # memoryview columns (shared-memory-backed traces) are
-        # materialized: a view into another process's segment cannot
-        # cross a pickle boundary.
-        def materialize(value):
+        # materialized in their own format: a view into another
+        # process's segment cannot cross a pickle boundary.
+        def materialize(slot, value):
             if not isinstance(value, memoryview):
                 return value
-            return bytes(value) if value.format == "B" else array("Q", value)
+            if slot in ("type_code", "flags"):
+                return bytes(value)
+            column = array(value.format)
+            column.frombytes(value.cast("B"))
+            return column
 
         return {
-            slot: materialize(getattr(self, slot))
+            slot: materialize(slot, getattr(self, slot))
             for slot in self.__slots__
             if slot != "_data_views"
         }
@@ -344,10 +408,10 @@ class ColumnarTrace:
         keep = bytes(self.flags).translate(unflagged)
         return ColumnarTrace(
             self.name,
-            compress(self.cpu, keep),
-            compress(self.pid, keep),
+            _selected(self.cpu, keep),
+            _selected(self.pid, keep),
             compress(self.type_code, keep),
-            compress(self.address, keep),
+            _selected(self.address, keep),
             compress(self.flags, keep),
             self.description,
         )
@@ -363,8 +427,9 @@ class ColumnarTrace:
         the columns cover only data references (instruction fetches
         carry no coherence traffic, so the fast path counts them in
         bulk instead of branching per record).  ``sharers`` is the pid
-        or cpu column according to *sharer_key*.  Views are computed
-        once and cached per sharer key.
+        or cpu column according to *sharer_key*; both arrays keep their
+        column's width.  Views are computed once and cached per sharer
+        key.
         """
         view = self._data_views.get(sharer_key)
         if view is None:
@@ -372,8 +437,8 @@ class ColumnarTrace:
             sharer_col = self.pid if sharer_key == "pid" else self.cpu
             # TYPE_INSTR == 0, so the type column is its own selector.
             data_types = bytes(compress(types, types))
-            sharers = array("Q", compress(sharer_col, types))
-            addresses = array("Q", compress(self.address, types))
+            sharers = _selected(sharer_col, types)
+            addresses = _selected(self.address, types)
             view = (len(types) - len(data_types), data_types, sharers, addresses)
             self._data_views[sharer_key] = view
         return view
@@ -426,7 +491,7 @@ def _view(columns: ColumnarTrace, start: int) -> ColumnarTrace:
     """*columns* from record *start* on, sharing their buffers."""
     if not start:
         return columns
-    views = (memoryview(getattr(columns, name))[start:] for name, _ in COLUMN_FORMATS)
+    views = (memoryview(getattr(columns, name))[start:] for name in COLUMNS)
     return ColumnarTrace(columns.name, *views, description=columns.description)
 
 

@@ -81,7 +81,7 @@ class TraceHasher:
     ) -> None:
         """Hash one run of parallel columns (the columnar layouts).
 
-        Accepts any sliceable int sequences (``array('Q')``, ``bytes``,
+        Accepts any sliceable int sequences (arrays of any width, ``bytes``,
         ``memoryview`` casts); produces exactly the bytes
         :meth:`update_records` would for the equivalent records.
         """

@@ -359,8 +359,9 @@ def read_trace_binary_columns(
 ) -> tuple["array", "array", bytes, "array", bytes]:
     """Decode a binary trace into packed per-field columns in one pass.
 
-    Returns ``(cpus, pids, type_codes, addresses, flags)`` where the
-    integer columns are ``array('Q')`` instances and the type/flag
+    Returns ``(cpus, pids, type_codes, addresses, flags)``: the cpu
+    and pid columns are ``array('H')`` and the addresses ``array('Q')``,
+    the widths the file itself stores them in, and the type/flag
     columns are ``bytes``.  This is the bulk-loading path behind
     :class:`repro.trace.columnar.ColumnarTrace`: each 16-byte record is
     reinterpreted as two little-endian 64-bit words and the fields are
@@ -369,8 +370,8 @@ def read_trace_binary_columns(
     """
     from array import array
 
-    cpus = array("Q")
-    pids = array("Q")
+    cpus = array("H")
+    pids = array("H")
     types = bytearray()
     addresses = array("Q")
     flag_col = bytearray()

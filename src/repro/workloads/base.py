@@ -50,6 +50,7 @@ from repro.trace.columnar import (
     ColumnarTrace,
     check_flags,
     iter_column_records,
+    narrowest_typecode,
 )
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
@@ -156,21 +157,49 @@ class WorkloadConfig:
 #: Flags of a spinning test read of a lock word.
 _SPIN = FLAG_LOCK | FLAG_SPIN
 
+#: Words of code each process loops over, in user and in system mode.
+_INSTR_WORDS = 2048
+_KERNEL_INSTR_WORDS = 4096
+
+
+def _highest_address(config: "WorkloadConfig") -> int:
+    """An upper bound on every address *config*'s generator emits."""
+    layout = config.layout
+    last_pid = config.num_processes - 1
+    last_lock = max(0, config.num_locks - 1)
+    return max(
+        layout.instr_address(last_pid, _INSTR_WORDS - 1),
+        layout.kernel_text_address(_KERNEL_INSTR_WORDS - 1),
+        layout.private_address(last_pid, layout.private_blocks - 1),
+        layout.kernel_private_address(last_pid, layout.kernel_private_blocks - 1),
+        layout.shared_read_address(layout.shared_read_blocks - 1),
+        layout.kernel_shared_address(layout.kernel_shared_blocks - 1),
+        layout.migratory_address(layout.migratory_blocks - 1),
+        layout.buffer_address(layout.buffer_blocks - 1),
+        layout.lock_address(last_lock),
+        layout.protected_address(last_lock, layout.protected_blocks_per_lock - 1),
+    )
+
 
 class _Columns:
     """The generated reference stream, one packed column per field.
 
-    ``flushed`` counts rows a streaming consumer has already taken and
-    cleared, so :attr:`total` is the number of rows generated so far.
+    Each integer column has the narrowest typecode that holds every
+    value *config* can generate: cpu and pid lie in
+    ``range(num_processes)`` and addresses in the layout's 32-bit
+    space, so a reference costs 8 bytes.  ``flushed`` counts rows a
+    streaming consumer has already taken and cleared, so :attr:`total`
+    is the number of rows generated so far.
     """
 
     __slots__ = ("cpu", "pid", "type_code", "address", "flags", "flushed")
 
-    def __init__(self) -> None:
-        self.cpu = array("Q")
-        self.pid = array("Q")
+    def __init__(self, config: "WorkloadConfig") -> None:
+        sharer = narrowest_typecode(config.num_processes - 1)
+        self.cpu = array(sharer)
+        self.pid = array(sharer)
         self.type_code = bytearray()
-        self.address = array("Q")
+        self.address = array(narrowest_typecode(_highest_address(config)))
         self.flags = bytearray()
         self.flushed = 0
 
@@ -418,7 +447,7 @@ class _Process:
                 if flags & FLAG_SYSTEM:
                     offset = self.kernel_instr_offset
                     while fetches:
-                        offset = (offset + 1) % 4096
+                        offset = (offset + 1) % _KERNEL_INSTR_WORDS
                         type_append(TYPE_INSTR)
                         address_append(kernel_text_base + 4 * offset)
                         flags_append(FLAG_SYSTEM)
@@ -427,7 +456,7 @@ class _Process:
                 else:
                     offset = self.instr_offset
                     while fetches:
-                        offset = (offset + 1) % 2048
+                        offset = (offset + 1) % _INSTR_WORDS
                         type_append(TYPE_INSTR)
                         address_append(instr_base + 4 * offset)
                         flags_append(0)
@@ -451,10 +480,12 @@ class _Process:
             system = flags & FLAG_SYSTEM
             for _ in range(fetches):
                 if system:
-                    self.kernel_instr_offset = (self.kernel_instr_offset + 1) % 4096
+                    self.kernel_instr_offset = (
+                        self.kernel_instr_offset + 1
+                    ) % _KERNEL_INSTR_WORDS
                     fetch = self.kernel_text_base + 4 * self.kernel_instr_offset
                 else:
-                    self.instr_offset = (self.instr_offset + 1) % 2048
+                    self.instr_offset = (self.instr_offset + 1) % _INSTR_WORDS
                     fetch = self.instr_base + 4 * self.instr_offset
                 self._type_column(TYPE_INSTR)
                 self._address_column(fetch)
@@ -594,7 +625,10 @@ class SyntheticWorkload:
         ]
         # cpu and pid are constant over a quantum, and both lie in
         # range(num_processes): fill them from one-row arrays.
-        one_row = [array("Q", (value,)) for value in range(config.num_processes)]
+        one_row = [
+            array(columns.cpu.typecode, (value,))
+            for value in range(config.num_processes)
+        ]
         type_code = columns.type_code
         cpu_extend = columns.cpu.extend
         pid_extend = columns.pid.extend
@@ -630,7 +664,7 @@ class SyntheticWorkload:
         :func:`~repro.trace.columnar.check_flags`.  One workload
         instance supports one iteration at a time.
         """
-        columns = _Columns()
+        columns = _Columns(self.config)
         for _ in self._rounds(columns):
             yield columns.fields()
             columns.clear()
@@ -643,7 +677,7 @@ class SyntheticWorkload:
         adopts the columns without copying until then.
         """
         config = self.config
-        columns = _Columns()
+        columns = _Columns(config)
         for _ in self._rounds(columns):
             pass
         check_flags(columns.flags)

@@ -13,6 +13,7 @@ from repro.runner.checkpoint import result_to_json
 from repro.engine.backends import ProcessPoolBackend
 from repro.engine.plan import ExecutionPlan
 from repro.service import Scheduler, ServiceClient, ServiceServer, parse_job_spec
+from repro.service.jobs import JobStore
 from repro.workloads.registry import make_trace
 
 SPEC = {
@@ -302,5 +303,63 @@ def test_job_that_cannot_start_fails_and_its_worker_runs_the_next(monkeypatch):
         assert len(threads) == 1  # both jobs ran on the one worker thread
         jobs = client.stats()["jobs"]
         assert (jobs["running"], jobs["failed"], jobs["done"]) == (0, 1, 1)
+    finally:
+        server.stop(mode="drain", timeout=30.0)
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("step", ["retire", "persist"])
+def test_job_whose_last_steps_fail_stays_answerable_and_its_worker_runs_the_next(
+    monkeypatch, step
+):
+    """A finished job whose record cannot be written (retiring it, or
+    persisting its terminal state, raises) stays done and answerable
+    with the error on it, and its worker thread runs the next job."""
+    run_job = Scheduler._run_job
+    persist = Scheduler._persist_job
+    retire = JobStore.retire
+    threads = set()
+    failures = []
+
+    def doomed(job):
+        return dict(job.spec.tags).get("n") == "doomed" and not failures
+
+    def run_job_on_thread(self, job):
+        threads.add(threading.get_ident())
+        run_job(self, job)
+
+    def persist_or_fail(self, job):
+        if step == "persist" and job.state == "done" and doomed(job):
+            failures.append(job.id)
+            raise OSError("no space left on device")
+        persist(self, job)
+
+    def retire_or_fail(self, job):
+        if step == "retire" and doomed(job):
+            failures.append(job.id)
+            raise OSError("no space left on device")
+        retire(self, job)
+
+    monkeypatch.setattr(Scheduler, "_run_job", run_job_on_thread)
+    monkeypatch.setattr(Scheduler, "_persist_job", persist_or_fail)
+    monkeypatch.setattr(JobStore, "retire", retire_or_fail)
+    server = ServiceServer(Scheduler(workers=1, sim_jobs=1), port=0)
+    server.start()
+    try:
+        client = ServiceClient(server.url, timeout=15.0)
+        first = client.submit(dict(SPEC, tags={"n": "doomed"}))
+        after = client.submit(dict(SPEC, tags={"n": "after"}))
+
+        deadline = time.monotonic() + 30.0
+        while client.job(after["id"])["state"] != "done":
+            assert time.monotonic() < deadline, "the next job never finished"
+            time.sleep(0.02)
+        assert failures == [first["id"]]
+        assert len(threads) == 1  # both jobs ran on the one worker thread
+        kept = client.job(first["id"])
+        assert kept["state"] == "done"
+        assert kept["error"] == "OSError: no space left on device"
+        jobs = client.stats()["jobs"]
+        assert (jobs["running"], jobs["done"]) == (0, 2)
     finally:
         server.stop(mode="drain", timeout=30.0)

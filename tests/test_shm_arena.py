@@ -29,7 +29,7 @@ from repro.engine.backends import (
 from repro.engine.plan import ExecutionPlan
 from repro.engine.shm import TraceArena, attach_arena, detach_all
 from repro.protocols.registry import available_protocols
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import COLUMNS, ColumnarTrace, column_format
 from repro.workloads.registry import make_trace
 
 TRACE_LENGTH = 2500
@@ -71,13 +71,21 @@ def test_arena_round_trips_traces(columnar, columnar_thor):
 
 
 def test_arena_traces_are_zero_copy_views(columnar):
+    formats = [column_format(getattr(columnar, name)) for name in COLUMNS]
+    assert formats == ["B", "B", "B", "I", "B"]  # a generated trace's widths
     arena = TraceArena.create([columnar])
     try:
         rebuilt = arena.trace_from(0)
-        assert isinstance(rebuilt.address, memoryview)
-        assert rebuilt.address.format == "Q"
-        assert isinstance(rebuilt.type_code, memoryview)
-        del rebuilt  # release the views so dispose() can unmap cleanly
+        segment = arena.descriptor["traces"][0]["segment"]
+        mapped = arena._mappings[segment].shm.buf.obj
+        for name, fmt in zip(COLUMNS, formats):
+            view = getattr(rebuilt, name)
+            # Each column keeps its source's width and is a view of the
+            # mapped segment, not a copy.
+            assert isinstance(view, memoryview)
+            assert view.format == fmt
+            assert view.obj is mapped
+        del rebuilt, view  # release the views so dispose() can unmap cleanly
     finally:
         arena.dispose()
 
@@ -232,9 +240,10 @@ def test_moved_trace_simulates_as_before_in_the_parent():
         assert Simulator().run(trace, scheme) == result, scheme
 
 
-def test_column_of_another_item_size_ships_pickled():
-    """A 4-byte column cannot be named as 8-byte words: the sweep falls
-    back to pickling instead of shipping misread values."""
+def test_column_of_another_item_size_travels_in_its_own_width():
+    """A column of any width is named with its format: a 4-byte pid
+    column travels through shared memory, not by pickle, and reads the
+    same values as inline."""
     from array import array
 
     (base, _) = _local_traces()
@@ -246,7 +255,7 @@ def test_column_of_another_item_size_ships_pickled():
     assert ProcessPoolBackend(jobs=2).run(Simulator(), cells) == InlineBackend().run(
         Simulator(), cells
     )
-    assert isinstance(trace.pid, array)
+    assert isinstance(trace.pid, memoryview) and trace.pid.format == "I"
 
 
 def test_names_still_held_at_exit_are_unlinked_quietly():

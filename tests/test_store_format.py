@@ -10,6 +10,7 @@ within an error budget and quarantines their stored bytes beside the
 file, mirroring the text decoder's lenient mode.
 """
 
+import hashlib
 import json
 import struct
 import zlib
@@ -28,7 +29,7 @@ from repro.store.format import (
 )
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import DecodeReport
-from repro.workloads.registry import make_trace
+from repro.workloads.registry import make_trace, stream_trace
 
 CHUNK_RECORDS = 500
 
@@ -302,3 +303,30 @@ def test_strict_mode_raises_on_first_corrupt_chunk(store):
     corrupt_chunk(store, 0)
     with pytest.raises(TraceFormatError, match="chunk 0"):
         list(ChunkedTrace(store).iter_chunks())
+
+
+# ----------------------------------------------------------------------
+# The .ctrc bytes do not move
+# ----------------------------------------------------------------------
+
+#: sha256 of small .ctrc files, pinned when every in-memory column was
+#: 64 bits wide: the generator's narrow columns must write the same bytes.
+CTRC_SHA256 = {
+    ("thor", "stream"): "b69faa1d9e563eea5bbfe4c86492c8d6740ec46c0d0cfd23720e05d9ea03ee14",
+    ("thor", "pack"): "145719daabecde5d4ac7180de29c21ffeacc51415467ae447e88ca559dc61f72",
+    ("pero", "stream"): "afcca264cc9feef4bc888501387d4d3cb202661ace5ae734cdd87c3e366eeda4",
+    ("pero", "pack"): "156cd3684ce8df5fb5880d605bba173579189aeba4540370ae69ec06ff523c56",
+}
+
+
+@pytest.mark.parametrize("name", ["thor", "pero"])
+def test_ctrc_bytes_are_pinned(name, tmp_path):
+    streamed = tmp_path / "s.ctrc"
+    packed = tmp_path / "p.ctrc"
+    write_stream(
+        stream_trace(name, length=3000), streamed, name=name, chunk_records=1024
+    )
+    pack_trace(make_trace(name, length=3000), packed, chunk_records=1024)
+    for kind, path in (("stream", streamed), ("pack", packed)):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == CTRC_SHA256[(name, kind)], kind

@@ -126,7 +126,7 @@ class TestPinnedFingerprints:
 
 def first_round_rows(config) -> int:
     """Rows the scheduler's first round emits for *config*."""
-    columns = _Columns()
+    columns = _Columns(config)
     rounds = SyntheticWorkload(replace(config, length=10**9))._rounds(columns)
     next(rounds)
     return columns.total
@@ -176,13 +176,14 @@ class TestThreePathsAgree:
     def test_rounds_concatenate_to_the_built_columns(self, name):
         built = make_trace(name, length=7000).columns
         rounds = [
-            [bytes(column) for column in fields]
+            [list(column) for column in fields]
             for fields in stream_trace(name, length=7000).iter_columns()
         ]
         for index, column in enumerate(
             (built.cpu, built.pid, built.type_code, built.address, built.flags)
         ):
-            assert b"".join(fields[index] for fields in rounds) == bytes(column)
+            streamed = [value for fields in rounds for value in fields[index]]
+            assert streamed == list(column)
 
     def test_a_stream_replays_identically(self):
         stream = stream_trace("thor", length=2500)
@@ -411,8 +412,11 @@ class TestValidationKept:
 
     def test_negative_values_rejected_by_the_columns(self):
         columns = make_trace("pops", length=100).columns
-        for column in (columns.cpu, columns.pid, columns.address):
-            assert isinstance(column, array) and column.typecode == "Q"
+        for column, typecode in (
+            (columns.cpu, "B"), (columns.pid, "B"), (columns.address, "I"),
+        ):
+            # The narrowest unsigned typecode: 4 processes, 32-bit addresses.
+            assert isinstance(column, array) and column.typecode == typecode
             with pytest.raises(OverflowError):
                 column.append(-1)
 
