@@ -53,7 +53,8 @@ ROSTER = adaptive berkeley coarse-vector dir0b dir1nb dirib dirinb dirnnb dragon
 # conformance fuzz with mutation testing on infinite caches and on the
 # finite-parity job's evicting 4x2 geometry (fuzz cells re-run on the
 # fast path, so the state-table kernels see adversarial traces in both
-# cache models), without needing an install.
+# cache models), and a regenerated RESULTS.md that must equal the
+# committed one, without needing an install.
 ci:
 	PYTHONPATH=src python tools/check_shm_leaks.py python -m pytest -x -q --capture=sys
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
@@ -73,6 +74,8 @@ ci:
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation
 	PYTHONPATH=src python -m repro verify --fuzz 15 --seed 2 --finite-geometry 4x2 --mutation
+	PYTHONPATH=src $(MAKE) report
+	git diff --exit-code RESULTS.md
 
 # Regenerate the machine-derived protocol reference.
 docs:

@@ -300,11 +300,15 @@ class ResultCache:
         self.put_json(key, result_to_json(result))
 
     def put_json(self, key: str, result_json: dict[str, Any]) -> None:
-        """Store an already-serialized result payload under *key*."""
+        """Store an already-serialized result payload under *key*.
+
+        Keys keep their insertion order: a result's cost floats are
+        summed in ``op_units`` order, so a re-sorted entry could read
+        back a different last digit than the fresh result.
+        """
         payload = json.dumps(
             {"version": CACHE_VERSION, "key": key, "result": result_json},
             indent=1,
-            sort_keys=True,
         )
         path = self._path_for(key)
         # Unique per writer: service threads, or a fabric worker and its

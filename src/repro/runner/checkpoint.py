@@ -152,8 +152,12 @@ class CheckpointManager:
         }
 
     def save_manifest(self, manifest: dict[str, Any]) -> None:
-        """Atomically persist the manifest."""
-        payload = json.dumps(manifest, indent=1, sort_keys=True)
+        """Atomically persist the manifest.
+
+        Unsorted, like a cache entry: a restored result keeps its
+        ``op_units`` order and so sums its cycles exactly as it did fresh.
+        """
+        payload = json.dumps(manifest, indent=1)
         _atomic_write_bytes(self._manifest_path, payload.encode("utf-8"))
 
     def load_manifest(self, fingerprint: dict[str, Any] | None = None) -> dict[str, Any]:

@@ -8,6 +8,12 @@ validation.  (The optional :meth:`ServiceClient.results` helper does
 import the checkpoint codec to hand back real
 :class:`~repro.core.result.SimulationResult` objects.)
 
+The transport is imported by the first request, not by this module:
+``urllib.request`` pulls in ``http.client``, ``ssl`` and ``email``
+(7 MB of resident memory in a bare interpreter), and a process that
+imports the client without calling it, such as a benchmark harness
+child, should not pay for them.
+
 Typical use::
 
     client = ServiceClient("http://127.0.0.1:8642")
@@ -21,9 +27,7 @@ Typical use::
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import (
     JobNotFoundError,
@@ -31,6 +35,9 @@ from repro.errors import (
     ServiceError,
     ServiceUnavailableError,
 )
+
+if TYPE_CHECKING:
+    import urllib.error
 
 _ERROR_BY_STATUS = {
     400: JobSpecError,
@@ -55,24 +62,32 @@ class ServiceClient:
 
     # -- transport -----------------------------------------------------
 
-    def _request(
-        self, method: str, path: str, body: dict[str, Any] | None = None
-    ) -> Any:
+    def _open(self, method: str, path: str, data: bytes | None = None) -> Any:
+        """Send one request; the open response, or the matching error."""
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             self.base_url + path,
             method=method,
-            data=None if body is None else json.dumps(body).encode("utf-8"),
+            data=data,
             headers={"Content-Type": "application/json"},
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+            return urllib.request.urlopen(request, timeout=self.timeout)
         except urllib.error.HTTPError as exc:
             raise self._as_service_error(exc) from None
         except urllib.error.URLError as exc:
             raise ServiceUnavailableError(
                 f"service at {self.base_url} unreachable: {exc.reason}"
             ) from None
+
+    def _request(
+        self, method: str, path: str, body: dict[str, Any] | None = None
+    ) -> Any:
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        with self._open(method, path, data) as response:
+            return json.loads(response.read().decode("utf-8"))
 
     @staticmethod
     def _as_service_error(exc: urllib.error.HTTPError) -> ServiceError:
@@ -112,18 +127,7 @@ class ServiceClient:
         The iterator ends when the server closes the stream (job reached
         a terminal state, or the server is shutting down).
         """
-        request = urllib.request.Request(
-            f"{self.base_url}/jobs/{job_id}/events", method="GET"
-        )
-        try:
-            response = urllib.request.urlopen(request, timeout=self.timeout)
-        except urllib.error.HTTPError as exc:
-            raise self._as_service_error(exc) from None
-        except urllib.error.URLError as exc:
-            raise ServiceUnavailableError(
-                f"service at {self.base_url} unreachable: {exc.reason}"
-            ) from None
-        with response:
+        with self._open("GET", f"/jobs/{job_id}/events") as response:
             for line in response:
                 line = line.strip()
                 if line:

@@ -29,12 +29,13 @@ PACKAGES = sorted(
 SUBMODULE_EXPORTS = {("repro.report", "experiments")}
 
 
-def loaded_after(code: str, package: str = "repro") -> set[str]:
-    """The *package* modules a fresh interpreter holds after running *code*."""
+def loaded_after(code: str, *packages: str) -> set[str]:
+    """The modules of *packages* (default ``repro``) a fresh interpreter
+    holds after running *code*."""
     probe = (
         f"{code}\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        f" if m.split('.')[0] == {package!r})))"
+        f" if m.split('.')[0] in {packages or ('repro',)!r})))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -159,3 +160,60 @@ scheduler.shutdown()
 assert job.state == "done", job.state
 """
     assert "concurrent.futures.process" not in loaded_after(code, "concurrent")
+
+
+#: What ``urllib.request`` loads: ``http.client`` brings ``ssl`` (libssl)
+#: and ``email`` with it.  ``urllib.parse`` and the ``http`` status enum
+#: are cheap and loaded by unrelated modules, so they do not count.
+HTTP_TRANSPORT = ("http.client", "urllib.request", "urllib.error", "ssl", "email")
+
+
+def http_transport_after(code: str) -> set[str]:
+    """The HTTP transport modules a fresh interpreter holds after *code*."""
+    loaded = loaded_after(code, "http", "urllib", "ssl", "email")
+    return {name for name in loaded if name.startswith(HTTP_TRANSPORT)}
+
+
+def test_service_client_loads_no_http_stack_until_it_sends():
+    idle = "from repro.service.client import ServiceClient\nServiceClient('http://127.0.0.1:9')"
+    assert http_transport_after(idle) == set()
+
+    # The first request imports the transport, here on its error path.
+    refused = """
+import socket
+from repro.errors import ServiceUnavailableError
+from repro.service.client import ServiceClient
+
+with socket.socket() as probe:
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+try:
+    ServiceClient(f"http://127.0.0.1:{port}", timeout=5.0).health()
+except ServiceUnavailableError:
+    pass
+else:
+    raise AssertionError("a closed port answered")
+"""
+    assert {"http.client", "urllib.request", "ssl"} <= http_transport_after(refused)
+
+
+def test_library_process_loads_no_http_stack():
+    # A simulation, a streamed .ctrc sweep and the paper experiments
+    # never talk HTTP, so none of them may pay for its import.
+    code = """
+import tempfile
+from pathlib import Path
+from repro.engine import Engine, ExecutionPlan
+from repro.report.experiments import PaperExperiments
+from repro.store import ChunkedTrace, write_stream
+from repro.workloads.registry import make_trace, stream_trace
+
+trace = make_trace("pops", length=2000)
+assert Engine().run(ExecutionPlan(traces=[trace], schemes=["dir0b"])).ok
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "thor.ctrc"
+    write_stream(stream_trace("thor", length=2000), path, "thor")
+    with ChunkedTrace(path) as chunked:
+        assert Engine().run(ExecutionPlan(traces=[chunked], schemes=["dir0b", "wti"])).ok
+"""
+    assert http_transport_after(code) == set()

@@ -7,9 +7,10 @@ import threading
 import pytest
 
 from repro.core.simulator import Simulator
-from repro.engine import Engine, ExecutionPlan
+from repro.cost.bus import non_pipelined_bus, pipelined_bus
+from repro.engine import Engine, EngineMetrics, ExecutionPlan
 from repro.runner.cache import CACHE_VERSION, ResultCache, cache_key, trace_fingerprint
-from repro.runner.checkpoint import result_to_json
+from repro.runner.checkpoint import CheckpointManager, result_to_json
 from repro.workloads.registry import make_trace
 
 
@@ -122,4 +123,63 @@ def test_concurrent_puts_of_one_key_use_separate_temp_files(
 
     assert len(set(temp_paths)) == 2
     assert result_to_json(cache.get(key)) == payload
+    assert cache.quarantined == 0
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    traces = [make_trace(name, length=20000) for name in ("pops", "thor")]
+    return ExecutionPlan(traces=traces, schemes=["dir0b", "dragon", "yenfu", "berkeley"])
+
+
+def reread_engines(kind, directory, observer):
+    """A fresh engine and one that re-reads its results from *directory*."""
+    if kind == "cache":
+        return (
+            Engine(result_cache=ResultCache(directory)),
+            Engine(result_cache=ResultCache(directory), observer=observer),
+        )
+    return (
+        Engine(checkpoint=CheckpointManager(directory)),
+        Engine(checkpoint=CheckpointManager(directory), resume=True, observer=observer),
+    )
+
+
+@pytest.mark.parametrize("kind", ["cache", "checkpoint"])
+def test_reread_cells_print_the_fresh_cycles_per_reference(tmp_path, sweep, kind):
+    # A result sums its cost floats in op_units order, so a file that
+    # re-sorted the payload made berkeley on thor read 0.05375 instead
+    # of the fresh 0.053750000000000006 (0.0537 vs 0.0538 in the table).
+    metrics = EngineMetrics()
+    first, second = reread_engines(kind, tmp_path / kind, metrics)
+    fresh, reread = first.run(sweep), second.run(sweep)
+    assert metrics.get(f"cells_{kind}") == 8
+    assert metrics.get("cells_ok") == 0
+    buses = (pipelined_bus(), non_pipelined_bus())
+    for scheme in sweep.schemes:
+        for trace in sweep.traces:
+            want = fresh.result(scheme, trace.name)
+            got = reread.result(scheme, trace.name)
+            assert got == want
+            for bus in buses:
+                assert got.bus_cycles_per_reference(bus) == (
+                    want.bus_cycles_per_reference(bus)
+                ), (scheme, trace.name, bus.name)
+
+
+def test_entry_with_sorted_keys_still_loads(tmp_path, simulator, trace):
+    # Entries written before insertion order was kept have sorted keys;
+    # they still load, in their old order.
+    cache = ResultCache(tmp_path / "cache")
+    key = cache_key("berkeley", simulator, trace_fingerprint(trace))
+    result = run_cell(simulator, trace, "berkeley")
+    cache._path_for(key).write_text(
+        json.dumps(
+            {"version": CACHE_VERSION, "key": key, "result": result_to_json(result)},
+            indent=1,
+            sort_keys=True,
+        ),
+        "utf-8",
+    )
+    assert cache.get(key) == result
     assert cache.quarantined == 0
