@@ -20,17 +20,17 @@ bench:
 # .ctrc simulated serial/pooled/resumed under a 64 MB RSS ceiling with
 # bit-identical digests (docs/TRACESTORE.md).
 bigtrace:
-	python tools/bigtrace_smoke.py
+	PYTHONPATH=src python tools/bigtrace_smoke.py
 
 # Exhaustive single-block model checking of every protocol.
 verify:
-	python -m repro verify
+	PYTHONPATH=src python -m repro verify
 
 # Seeded conformance fuzz campaign + golden corpus replay + mutation
 # testing (docs/VERIFICATION.md). Deterministic for a fixed seed.
 fuzz:
-	python -m repro verify --fuzz 100 --seed 1 --jobs 4
-	python -m repro verify --corpus tests/corpus --mutation
+	PYTHONPATH=src python -m repro verify --fuzz 100 --seed 1 --jobs 4
+	PYTHONPATH=src python -m repro verify --corpus tests/corpus --mutation
 
 # Durable-fleet crash-recovery drill: SIGKILL a real worker mid-cell,
 # assert bit-identical recovery (docs/SERVICE.md "Durable fleet").
@@ -74,15 +74,15 @@ ci:
 	PYTHONPATH=src python -m repro verify --corpus tests/corpus
 	PYTHONPATH=src python -m repro verify --fuzz 25 --seed 1 --mutation
 	PYTHONPATH=src python -m repro verify --fuzz 15 --seed 2 --finite-geometry 4x2 --mutation
-	PYTHONPATH=src $(MAKE) report
+	$(MAKE) report
 	git diff --exit-code RESULTS.md
 
 # Regenerate the machine-derived protocol reference.
 docs:
-	python tools/gen_protocol_docs.py
+	PYTHONPATH=src python tools/gen_protocol_docs.py
 
 # Regenerate the committed full-length evaluation report.
 report:
-	python -m repro report RESULTS.md --length 200000
+	PYTHONPATH=src python -m repro report RESULTS.md --length 200000
 
 all: install test bench verify docs report

@@ -1,6 +1,6 @@
 """``repro.fabric``: the durable, crash-safe work-distribution layer.
 
-The service's in-memory queue (:mod:`repro.service.queue`) dies with
+The service's job queue (:class:`repro.service.jobs.JobStore`) lives in
 its process.  The fabric replaces that single point of loss with one
 SQLite file (WAL mode, stdlib :mod:`sqlite3`) holding every job and its
 expanded (scheme × trace) cells:

@@ -401,7 +401,7 @@ class DurableCellQueue:
                     cell_id,
                     worker_id,
                     source,
-                    json.dumps(payload, sort_keys=True),
+                    json.dumps(payload),
                     now,
                 ),
             )

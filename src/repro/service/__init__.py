@@ -7,8 +7,9 @@ fingerprints, and a pool of simulation workers warm, and multiplexes
 many callers onto them:
 
 * :mod:`repro.service.spec` — the JSON job-spec format and validation.
-* :mod:`repro.service.jobs` — job lifecycle + append-only event log.
-* :mod:`repro.service.queue` — priority queue with job-level dedup.
+* :mod:`repro.service.jobs` — job lifecycle + append-only event log,
+  and the :class:`JobStore` that queues (by priority, with job-level
+  dedup) and files every job.
 * :mod:`repro.service.scheduler` — worker threads running each job as
   one :class:`~repro.engine.plan.ExecutionPlan` on the engine, with
   checkpointed graceful shutdown and restart-resume.
@@ -32,7 +33,6 @@ _EXPORTS = {
     "RUNNING": "repro.service.jobs",
     "TERMINAL_STATES": "repro.service.jobs",
     "Job": "repro.service.jobs",
-    "JobQueue": "repro.service.queue",
     "JobSpec": "repro.service.spec",
     "JobStore": "repro.service.jobs",
     "Scheduler": "repro.service.scheduler",

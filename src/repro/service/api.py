@@ -106,7 +106,7 @@ def _make_handler(server: ServiceServer) -> type[BaseHTTPRequestHandler]:
             pass  # the service logs through events, not per-request lines
 
         def _send_json(self, status: int, body: dict[str, Any]) -> None:
-            payload = json.dumps(body, sort_keys=True).encode("utf-8")
+            payload = json.dumps(body).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -146,7 +146,7 @@ def _make_handler(server: ServiceServer) -> type[BaseHTTPRequestHandler]:
                     self._send_json(
                         200,
                         {
-                            "status": "stopping" if scheduler.stopping else "ok",
+                            "status": "stopping" if scheduler.jobs.stopping else "ok",
                             "uptime_s": scheduler.uptime_s,
                         },
                     )
@@ -169,8 +169,7 @@ def _make_handler(server: ServiceServer) -> type[BaseHTTPRequestHandler]:
                     job = scheduler.jobs.get(job_id)
                     self._send_json(200, job.status())
                 else:
-                    self._send_json(404, {"error": f"no such route {path!r}",
-                                          "category": "JobNotFoundError"})
+                    raise JobNotFoundError(f"no such route {path!r}")
             except BrokenPipeError:
                 pass
             except Exception as exc:
@@ -197,8 +196,7 @@ def _make_handler(server: ServiceServer) -> type[BaseHTTPRequestHandler]:
                     server.request_shutdown(mode)
                     self._send_json(202, {"stopping": True, "mode": mode})
                 else:
-                    self._send_json(404, {"error": f"no such route {path!r}",
-                                          "category": "JobNotFoundError"})
+                    raise JobNotFoundError(f"no such route {path!r}")
             except BrokenPipeError:
                 pass
             except Exception as exc:
@@ -214,7 +212,7 @@ def _make_handler(server: ServiceServer) -> type[BaseHTTPRequestHandler]:
             self.end_headers()
             try:
                 for event in job.stream_events(poll=0.5, stop=server.stop_event):
-                    line = json.dumps(event, sort_keys=True) + "\n"
+                    line = json.dumps(event) + "\n"
                     self.wfile.write(line.encode("utf-8"))
                     self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError, OSError):

@@ -12,26 +12,31 @@ The scheduler's worker threads append events and flip states; HTTP
 handler threads only ever read (snapshot) or block waiting for the next
 event.
 
-:class:`JobStore` holds only the jobs that are queued or running.  A
-finished job leaves memory: its record (the final status body and the
-event log) is written to ``<root>/<id>/record.json``, and a lookup
-rebuilds the job from that file, so a finished job answers exactly as
-it did while it was live.  The root is the service's ``STATE_DIR/jobs``
-or, without a state dir, a private temporary directory the store
-removes when it closes.  Per-state counters keep ``/stats`` whole.
+:class:`JobStore` is the one owner of a job's memory and files.  It
+queues jobs by priority, deduplicates identical specs when asked, and
+holds only the queued and running jobs.  A finished job leaves memory:
+its record (final status body and event log) goes to
+``<root>/<id>/record.json``, and a lookup rebuilds the job from it, so
+a finished job answers exactly as it did while it was live.  The root
+is the service's ``STATE_DIR/jobs``, where each job's ``job.json`` also
+follows its state for a restarted server to resume, or, without a state
+dir, a private temporary directory the store removes when it closes.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import os
 import tempfile
 import threading
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterable, Iterator
 
-from repro.errors import JobNotFoundError
+from repro.errors import JobNotFoundError, ServiceUnavailableError
+from repro.runner.checkpoint import CheckpointManager
 from repro.service.spec import JobSpec, parse_job_spec
 
 #: Job lifecycle states.
@@ -46,6 +51,9 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 #: How a cell outcome was obtained (the engine's ``CellOutcome.source``).
 CELL_SOURCES = ("simulated", "cache", "coalesced", "checkpoint", "fabric")
+
+#: A job's spec and state, under its job directory (durable stores only).
+JOB_FILE = "job.json"
 
 #: A finished job's record file, under its job directory.
 RECORD_FILE = "record.json"
@@ -266,21 +274,23 @@ class Job:
 
 
 class JobStore:
-    """Thread-safe id → :class:`Job` map of the queued and running jobs.
+    """The one table of the service's jobs: queue, dedup index and files.
+
+    One lock guards the live jobs, the heap that orders the queued ones
+    (larger priority first, FIFO within a priority), the dedup index
+    (spec hash → live job) and the finished jobs' per-state counts.
+    Every file in a job directory ``<root>/<id>/`` but the engine's
+    checkpoint is written here: ``job.json`` and ``record.json``.
 
     Args:
-        root: where finished jobs' records live, one directory per job;
-            None makes a private temporary directory that :meth:`close`
-            removes.
-        restore: rebuilds a finished job that has no record file (one
-            written by an older server), or returns None.
+        root: the job directories' parent, normally ``STATE_DIR/jobs``;
+            the store is then durable: each job's ``job.json`` follows
+            its state, and :meth:`recover` re-queues it after a
+            restart.  None makes a private temporary directory, for
+            finished jobs' records only, that :meth:`close` removes.
     """
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        restore: Callable[[str], Job | None] | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path | None = None) -> None:
         self._private: tempfile.TemporaryDirectory | None = None
         if root is None:
             self._private = tempfile.TemporaryDirectory(
@@ -288,30 +298,181 @@ class JobStore:
             )
             root = self._private.name
         self.root = Path(root)
-        self._restore = restore
+        self.durable = self._private is None
         self._jobs: dict[str, Job] = {}
+        self._heap: list[tuple[int, int, Job]] = []
+        self._seq = itertools.count()
+        #: spec hash -> live job, for dedup.
+        self._active: dict[str, Job] = {}
         self._finished: dict[str, int] = {state: 0 for state in TERMINAL_STATES}
-        self._lock = threading.Lock()
+        #: set by :meth:`stop`: submissions are refused from then on.
+        self.stopping = False
+        self._cond = threading.Condition()
 
-    def add(self, job: Job) -> None:
-        with self._lock:
+    # -- the queue -----------------------------------------------------
+
+    def submit(self, job: Job) -> tuple[Job, bool]:
+        """File *job* and queue it; returns ``(job, deduplicated)``.
+
+        When the job's spec has ``dedup`` set and an identical spec is
+        queued or running, that job is returned with
+        ``deduplicated=True`` and *job* is discarded.  Otherwise the job
+        is in the table and its ``job.json`` on disk before any worker
+        can pop it.
+        """
+        spec_hash = job.spec.spec_hash()
+        with self._cond:
+            if self.stopping:
+                raise ServiceUnavailableError("service is shutting down")
+            existing = self._active.get(spec_hash)
+            if job.spec.dedup and existing is not None and not existing.finished:
+                return existing, True
+            self._file_job(job)
             self._jobs[job.id] = job
+            self._active[spec_hash] = job
+            heapq.heappush(self._heap, (-job.spec.priority, next(self._seq), job))
+            self._cond.notify_all()
+            return job, False
+
+    def pop(self, timeout: float = 0.5) -> Job | None:
+        """The next queued job by priority, or None on timeout.
+
+        A stopped, empty queue returns at once: workers noticing
+        shutdown must not sit out the full timeout first.
+        """
+        with self._cond:
+            if not self._heap and not self.stopping:
+                self._cond.wait(timeout)
+            if not self._heap:
+                return None
+            return heapq.heappop(self._heap)[2]
+
+    def start(self, job: Job) -> None:
+        """Mark a popped job running, and file that."""
+        job.set_state(RUNNING)
+        self._file_job(job)
+
+    def settle(self, job: Job) -> None:
+        """File a job its worker is done with: retire a finished one; a
+        parked one (stopped at a cell boundary) stays, queued on disk."""
+        try:
+            self._file_job(job)
+            if job.finished:
+                self.retire(job)
+        finally:
+            with self._cond:
+                self._cond.notify_all()  # wake wait_idle
 
     def retire(self, job: Job) -> None:
         """Write a finished job's record, then forget the job."""
-        self._write_record(job.id, job.record())
-        with self._lock:
-            del self._jobs[job.id]
+        self._write(job.id, RECORD_FILE, json.dumps(job.record()))
+        with self._cond:
+            self._jobs.pop(job.id, None)
+            if self._active.get(job.spec.spec_hash()) is job:
+                del self._active[job.spec.spec_hash()]
             self._finished[job.state] += 1
 
-    def count_finished(self, state: str) -> None:
-        """Count a finished job found on disk at startup."""
-        with self._lock:
-            self._finished[state] += 1
+    def stop(self) -> None:
+        """Refuse further submissions and wake blocked workers."""
+        with self._cond:
+            self.stopping = True
+            self._cond.notify_all()
+
+    def drain(self) -> list[Job]:
+        """Remove and return every queued job, in priority order."""
+        with self._cond:
+            jobs = [job for _, _, job in sorted(self._heap)]
+            self._heap.clear()
+            return jobs
+
+    def wait_idle(self, timeout: float | None = None) -> bool:
+        """Block until no job is queued or running; False on timeout."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: not any(
+                    job.state in (QUEUED, RUNNING) for job in self._jobs.values()
+                ),
+                timeout,
+            )
+
+    def queue_depth(self) -> int:
+        """Jobs waiting to be popped."""
+        with self._cond:
+            return len(self._heap)
+
+    # -- files ---------------------------------------------------------
+
+    def directory(self, job_id: str) -> Path | None:
+        """A durable job's directory (its checkpoint lives there too)."""
+        return self.root / job_id if self.durable else None
+
+    def _file_job(self, job: Job) -> None:
+        """Write the job's spec and state to its ``job.json`` (durable only)."""
+        if not self.durable:
+            return
+        payload = {
+            "id": job.id,
+            "state": job.state,
+            "error": job.error,
+            "spec": job.spec.canonical(),
+        }
+        self._write(job.id, JOB_FILE, json.dumps(payload, indent=1, sort_keys=True))
+
+    def _write(self, job_id: str, name: str, text: str) -> None:
+        directory = self.root / job_id
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / name
+        # Unique per writer: two threads may write one file at once (two
+        # lookups rebuilding one record), and a shared tmp name would let
+        # one replace() lose the file.
+        tmp = path.with_name(f"{name}.{threading.get_ident()}.tmp")
+        tmp.write_text(text, "utf-8")
+        os.replace(tmp, path)
+
+    def recover(self, pending: Iterable[dict[str, Any]]) -> None:
+        """Take back the jobs a previous server left: count the finished
+        ones, queue the rest.
+
+        The ``job.json`` files come first: they name the finished jobs,
+        which stay on disk until looked up.  *pending* (the fabric db's
+        unfinished jobs, ``{"id", "spec", "state"}`` each) then adds the
+        jobs it outlived, e.g. ones submitted to a service with no
+        state dir and orphaned by a crash.
+        """
+        found: dict[str, dict[str, Any]] = {}
+        if self.durable and self.root.is_dir():
+            for directory in sorted(self.root.iterdir()):
+                try:
+                    persisted = json.loads((directory / JOB_FILE).read_text("utf-8"))
+                except Exception:
+                    continue  # a corrupt job file never blocks startup
+                found[persisted.get("id") or directory.name] = persisted
+        for persisted in pending:
+            found.setdefault(persisted["id"], persisted)  # the job file wins
+        # Jobs submitted before recovery are filed and already queued.
+        live = {job.id for job in self.all()}
+        for job_id, persisted in found.items():
+            if job_id in live:
+                continue
+            if persisted.get("state") in TERMINAL_STATES:
+                with self._cond:
+                    self._finished[persisted["state"]] += 1
+                continue
+            try:
+                job = Job(parse_job_spec(persisted["spec"]), job_id=job_id)
+            except Exception:
+                continue  # nor does a corrupt spec, from either source
+            if self.submit(job)[1]:
+                # Two persisted copies of one dedup'd spec: keep one.
+                job.set_state(CANCELLED, error="deduplicated on recovery")
+                self._file_job(job)
+                self.retire(job)
+
+    # -- lookups -------------------------------------------------------
 
     def get(self, job_id: str) -> Job:
         """The live job, or a finished one rebuilt from its record."""
-        with self._lock:
+        with self._cond:
             job = self._jobs.get(job_id)
         # Only a plain name can be a job directory under the root.
         plain = job_id not in ("", ".", "..") and Path(job_id).name == job_id
@@ -322,27 +483,45 @@ class JobStore:
         return job
 
     def _load(self, job_id: str) -> Job | None:
-        path = self.root / job_id / RECORD_FILE
         try:
-            return Job.from_record(json.loads(path.read_text("utf-8")))
+            record = (self.root / job_id / RECORD_FILE).read_text("utf-8")
         except FileNotFoundError:
-            pass
-        job = self._restore(job_id) if self._restore is not None else None
-        if job is not None:
-            self._write_record(job_id, job.record())
-        return job
+            job = self._from_manifest(job_id)
+            if job is not None:
+                self._write(job_id, RECORD_FILE, json.dumps(job.record()))
+            return job
+        return Job.from_record(json.loads(record))
 
-    def _write_record(self, job_id: str, record: dict[str, Any]) -> None:
+    def _from_manifest(self, job_id: str) -> Job | None:
+        """A finished job an older server filed with no record, its
+        results rebuilt from its checkpoint manifest."""
         directory = self.root / job_id
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / RECORD_FILE
-        tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True), "utf-8")
-        os.replace(tmp, path)
+        try:
+            persisted = json.loads((directory / JOB_FILE).read_text("utf-8"))
+            if persisted.get("state") not in TERMINAL_STATES:
+                return None
+            job = Job(parse_job_spec(persisted["spec"]), job_id=job_id)
+        except Exception:
+            return None
+        try:
+            manifest = CheckpointManager(directory).load_manifest()
+        except Exception:
+            manifest = {"completed": {}}
+        for scheme, per_trace in manifest.get("completed", {}).items():
+            for trace_name, result_json in per_trace.items():
+                job.record_cell(
+                    scheme=scheme,
+                    trace_name=trace_name,
+                    index=-1,
+                    source="checkpoint",
+                    payload={"status": "ok", "result": result_json, "attempts": 1},
+                )
+        job.set_state(persisted["state"], error=persisted.get("error"))
+        return job
 
     def all(self) -> list[Job]:
         """Every queued or running job."""
-        with self._lock:
+        with self._cond:
             return list(self._jobs.values())
 
     def state_counts(self) -> dict[str, int]:
@@ -350,7 +529,7 @@ class JobStore:
         counts: dict[str, int] = {
             state: 0 for state in (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
         }
-        with self._lock:
+        with self._cond:
             for state, count in self._finished.items():
                 counts[state] += count
             for job in self._jobs.values():
@@ -358,7 +537,7 @@ class JobStore:
         return counts
 
     def __len__(self) -> int:
-        with self._lock:
+        with self._cond:
             return len(self._jobs) + sum(self._finished.values())
 
     def close(self) -> None:

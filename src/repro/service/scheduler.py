@@ -1,7 +1,7 @@
 """The scheduler: worker threads that turn queued jobs into results.
 
 Each worker thread pops one job at a time from the
-:class:`~repro.service.queue.JobQueue` and runs it as one
+:class:`~repro.service.jobs.JobStore` and runs it as one
 :class:`~repro.engine.plan.ExecutionPlan` (the job's schemes × its
 trace specs) through a single ``Engine(...).run(plan)`` call, like
 every other sweep in the repo.  The engine restores cells from the
@@ -16,12 +16,11 @@ Between jobs the scheduler keeps only the ``ResultCache``; its
 fingerprint memo maps trace specs to (trace name, fingerprint), all a
 cell's cache key needs.  A trace is built only when its spec is new or
 one of its cells must simulate in this process, and nothing holds it
-once its job ends.  Nor is the job itself held: once a job is terminal
-its record goes to disk (see :class:`~repro.service.jobs.JobStore`) and
-the ``Job`` is dropped, so memory follows the running jobs, not the
-server's history.  In fabric mode each accepted job is mirrored into
-the fabric db, marked terminal there when it finishes, and recovered
-from it at startup in the same pass that reads ``state_dir``.
+once its job ends.  Nor is a finished job: the ``JobStore``, which
+queues, deduplicates and files every job, writes its record and drops
+it.  In fabric mode each accepted job is mirrored into the fabric db,
+marked terminal there when it finishes, and recovered from it at
+startup in the same pass that reads ``state_dir``.
 
 Graceful shutdown has two modes.  ``drain`` finishes every queued and
 running job, then stops.  ``checkpoint`` stops running jobs at the next
@@ -34,7 +33,6 @@ the remainder recomputed deterministically.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import threading
@@ -52,15 +50,10 @@ from repro.engine import (
     ObserverGroup,
     RetryPolicy,
 )
-from repro.errors import ServiceUnavailableError
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import CheckpointManager
-from repro.service.jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job
-from repro.service.jobs import TERMINAL_STATES, JobStopped, JobStore
-from repro.service.queue import JobQueue
-from repro.service.spec import JobSpec, parse_job_spec
-
-JOB_FILE = "job.json"
+from repro.service.jobs import DONE, FAILED, QUEUED, Job, JobStopped, JobStore
+from repro.service.spec import JobSpec
 
 
 class _JobPlan(ExecutionPlan):
@@ -98,7 +91,7 @@ class _JobEvents(EngineObserver):
 
 
 class Scheduler:
-    """Owns the queue, the workers, and the shared result cache.
+    """Owns the job store, the workers, and the shared result cache.
 
     Args:
         workers: concurrent jobs (one worker thread each).
@@ -156,18 +149,13 @@ class Scheduler:
             from repro.fabric.queue import DurableCellQueue
 
             self.fabric = DurableCellQueue(fabric_db)
-        self.queue = JobQueue()
         self.jobs = JobStore(
-            self.state_dir / "jobs" if self.state_dir is not None else None,
-            restore=self._restore_terminal,
+            self.state_dir / "jobs" if self.state_dir is not None else None
         )
 
         self._threads: list[threading.Thread] = []
         self._quit = threading.Event()
         self._checkpoint_mode = False
-        #: jobs submitted but not yet terminal/parked (drain waits on 0).
-        self._outstanding = 0
-        self._idle = threading.Condition()
         self._started_at = time.monotonic()
 
         #: Engine instrumentation for every job's cells, plus the job
@@ -180,7 +168,7 @@ class Scheduler:
 
     def start(self) -> None:
         """Recover persisted jobs, then launch the worker threads."""
-        self._recover()
+        self.jobs.recover(self.fabric.pending_jobs() if self.fabric is not None else ())
         if self.fabric is not None:
             self._start_fleet()
         for number in range(self.workers):
@@ -229,19 +217,16 @@ class Scheduler:
         """
         if mode not in ("drain", "checkpoint"):
             raise ValueError(f"shutdown mode must be drain/checkpoint, got {mode!r}")
-        self.queue.close()
+        self.jobs.stop()
         if mode == "checkpoint":
             self._checkpoint_mode = True
             for job in self.jobs.all():
                 if not job.finished:
                     job.request_stop()
         else:
-            with self._idle:
-                self._idle.wait_for(lambda: not self._outstanding, timeout)
+            self.jobs.wait_idle(timeout)
         self._quit.set()
-        for job in self.queue.drain():
-            # Still queued at quit: stays persisted for the next start.
-            self._persist_job(job)
+        self.jobs.drain()  # still queued at quit: filed for the next start
         for thread in self._threads:
             thread.join(timeout=10.0)
         for thread in self._fabric_threads:
@@ -256,10 +241,6 @@ class Scheduler:
         self.jobs.close()
 
     @property
-    def stopping(self) -> bool:
-        return self.queue.closed
-
-    @property
     def uptime_s(self) -> float:
         return round(time.monotonic() - self._started_at, 3)
 
@@ -269,21 +250,13 @@ class Scheduler:
 
     def submit(self, spec: JobSpec, job_id: str | None = None) -> tuple[Job, bool]:
         """Queue a validated spec; returns ``(job, deduplicated)``."""
-        if self._quit.is_set():
-            raise ServiceUnavailableError("service is shutting down")
-        job = Job(spec, job_id=job_id)
-        accepted, deduplicated = self.queue.submit(job)
+        accepted, deduplicated = self.jobs.submit(Job(spec, job_id=job_id))
         self.metrics.bump("jobs_submitted")
         if deduplicated:
             self.metrics.bump("jobs_deduplicated")
-        else:
-            if self.fabric is not None:
-                # Job row only: the FleetBackend adds the cells it runs.
-                self.fabric.submit(accepted.spec, accepted.id, expand=False)
-            self.jobs.add(accepted)
-            with self._idle:
-                self._outstanding += 1
-            self._persist_job(accepted)
+        elif self.fabric is not None:
+            # Job row only: the FleetBackend adds the cells it runs.
+            self.fabric.submit(accepted.spec, accepted.id, expand=False)
         return accepted, deduplicated
 
     def stats(self) -> dict[str, Any]:
@@ -299,9 +272,9 @@ class Scheduler:
             "uptime_s": self.uptime_s,
             "workers": self.workers,
             "sim_jobs": self.sim_jobs,
-            "queue_depth": len(self.queue),
+            "queue_depth": self.jobs.queue_depth(),
             "inflight_cells": len(self.result_cache.inflight),
-            "stopping": self.stopping,
+            "stopping": self.jobs.stopping,
             "jobs": {
                 **self.jobs.state_counts(),
                 "total": len(self.jobs),
@@ -327,121 +300,15 @@ class Scheduler:
         }
 
     # ------------------------------------------------------------------
-    # Persistence + recovery
-    # ------------------------------------------------------------------
-
-    def _job_dir(self, job_id: str) -> Path | None:
-        if self.state_dir is None:
-            return None
-        return self.state_dir / "jobs" / job_id
-
-    def _persist_job(self, job: Job) -> None:
-        """Write the job's spec + state to its directory (atomic)."""
-        directory = self._job_dir(job.id)
-        if directory is None:
-            return
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "id": job.id,
-                "state": job.state,
-                "error": job.error,
-                "spec": job.spec.canonical(),
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        path = directory / JOB_FILE
-        # Unique per writer: the submitting thread and a worker thread
-        # can persist the same job concurrently (queued vs running),
-        # and a shared tmp name would let one replace() lose the file.
-        tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
-        tmp.write_text(payload, "utf-8")
-        os.replace(tmp, path)
-
-    def _recover(self) -> None:
-        """Count persisted finished jobs; unfinished ones go back on the queue.
-
-        The ``state_dir`` job files come first: they name the finished
-        jobs, which stay on disk until looked up.  The fabric db then
-        adds the unfinished jobs it outlived, e.g. ones submitted to a
-        service with no ``state_dir`` and orphaned by a crash.
-        """
-        records: list[dict[str, Any]] = []
-        jobs_root = self.state_dir / "jobs" if self.state_dir is not None else None
-        if jobs_root is not None and jobs_root.is_dir():
-            for directory in sorted(jobs_root.iterdir()):
-                try:
-                    persisted = json.loads((directory / JOB_FILE).read_text("utf-8"))
-                except Exception:
-                    continue  # a corrupt job record never blocks startup
-                persisted["id"] = persisted.get("id") or directory.name
-                records.append(persisted)
-        if self.fabric is not None:
-            records += self.fabric.pending_jobs()
-        # Jobs submitted before start() are persisted and already queued.
-        recovered = {job.id for job in self.jobs.all()}
-        for persisted in records:
-            if persisted["id"] in recovered:
-                continue  # the state_dir record already restored this job
-            if persisted.get("state") in TERMINAL_STATES:
-                recovered.add(persisted["id"])
-                self.jobs.count_finished(persisted["state"])
-                continue
-            try:
-                spec = parse_job_spec(persisted["spec"])
-            except Exception:
-                continue  # nor does a corrupt spec, from either source
-            recovered.add(persisted["id"])
-            job = Job(spec, job_id=persisted["id"])
-            self.jobs.add(job)
-            _, deduplicated = self.queue.submit(job)
-            if deduplicated:
-                # Two persisted copies of one dedup'd spec: keep one.
-                job.set_state(CANCELLED, error="deduplicated on recovery")
-                self._persist_job(job)
-                self.jobs.retire(job)
-            else:
-                with self._idle:
-                    self._outstanding += 1
-
-    def _restore_terminal(self, job_id: str) -> Job | None:
-        """A finished job an older server persisted with no record file,
-        its results rebuilt from its manifest."""
-        directory = self._job_dir(job_id)
-        if directory is None:
-            return None
-        try:
-            persisted = json.loads((directory / JOB_FILE).read_text("utf-8"))
-            if persisted.get("state") not in TERMINAL_STATES:
-                return None
-            job = Job(parse_job_spec(persisted["spec"]), job_id=job_id)
-        except Exception:
-            return None
-        try:
-            manifest = CheckpointManager(directory).load_manifest()
-        except Exception:
-            manifest = {"completed": {}}
-        for scheme, per_trace in manifest.get("completed", {}).items():
-            for trace_name, result_json in per_trace.items():
-                job.record_cell(
-                    scheme=scheme,
-                    trace_name=trace_name,
-                    index=-1,
-                    source="checkpoint",
-                    payload={"status": "ok", "result": result_json, "attempts": 1},
-                )
-        job.set_state(persisted["state"], error=persisted.get("error"))
-        return job
-
-    # ------------------------------------------------------------------
     # Worker loop
     # ------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
         while not self._quit.is_set():
-            job = self.queue.pop(timeout=0.2)
+            job = self.jobs.pop(timeout=0.2)
             if job is None:
+                if self.jobs.stopping:
+                    return  # stopped and empty: no job can come
                 continue
             try:
                 # Popped during a checkpoint shutdown: left queued.
@@ -449,18 +316,13 @@ class Scheduler:
                     self._run_job(job)
             finally:
                 self._settle(job)
-                # One submitted job is terminal or parked: unblock drainers.
-                with self._idle:
-                    self._outstanding -= 1
-                    self._idle.notify_all()
 
     def _run_job(self, job: Job) -> None:
-        job_dir = self._job_dir(job.id)
+        job_dir = self.jobs.directory(job.id)
         try:
             # Inside the containment: a job that cannot even start fails
             # like any other, and the worker thread lives on.
-            job.set_state(RUNNING)
-            self._persist_job(job)
+            self.jobs.start(job)
             if self.fabric is not None:
                 from repro.fabric.queue import FleetBackend
 
@@ -493,25 +355,20 @@ class Scheduler:
             job.set_state(DONE)
 
     def _settle(self, job: Job) -> None:
-        """Persist a finished or parked job, and retire a finished one.
+        """File a finished or parked job, and retire a finished one.
 
-        A failure here (a full disk, a read-only state directory) is
-        recorded on the job and goes no further: the job stays in the
-        store, terminal (or queued) and answerable, and the worker
+        A failure (a full disk, a read-only state directory) is noted on
+        the job, which stays in the store and answerable; the worker
         thread lives on.
         """
+        if job.finished and self.fabric is not None:
+            # Settled cells already flip the fabric job terminal; this
+            # covers jobs that sent no cell to the fleet.
+            try:
+                self.fabric.finish_job(job.id, job.state)
+            except Exception:
+                pass  # accounting only; never fail the settle path
         try:
-            if job.finished:
-                self.queue.job_finished(job)
-                if self.fabric is not None:
-                    # Settled cells already flip the fabric job terminal;
-                    # this covers jobs that sent no cell to the fleet.
-                    try:
-                        self.fabric.finish_job(job.id, job.state)
-                    except Exception:
-                        pass  # accounting only; never fail the settle path
-            self._persist_job(job)
-            if job.finished:
-                self.jobs.retire(job)
+            self.jobs.settle(job)
         except Exception as exc:
             job.record_error(f"{type(exc).__name__}: {exc}")

@@ -397,6 +397,7 @@ def test_removed_parallel_shim_names_are_gone():
         ("repro.engine", "ProgressObserver"),
         ("repro.fabric", "Reaper"),
         ("repro.fabric", "DurableJobQueue"),
+        ("repro.service", "JobQueue"),
     ]
     for package, name in removed:
         with pytest.raises(AttributeError):
@@ -406,6 +407,7 @@ def test_removed_parallel_shim_names_are_gone():
         "repro.runner.resilient",
         "repro.fabric.reaper",
         "repro.fabric.bridge",
+        "repro.service.queue",
     ):
         with pytest.raises(ImportError):
             __import__(module)

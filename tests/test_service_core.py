@@ -1,5 +1,6 @@
-"""Queue, coalescing table, and job event-log mechanics."""
+"""Job store (queue and files), coalescing table, and job event-log mechanics."""
 
+import sys
 import threading
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from repro.errors import ServiceUnavailableError
 from repro.runner.cache import InFlightTable
 from repro.service.jobs import DONE, FAILED, Job, JobStore, QUEUED, RUNNING
-from repro.service.queue import JobQueue
 from repro.service.spec import parse_job_spec
 
 pytestmark = pytest.mark.service
@@ -23,71 +23,119 @@ def make_spec(**overrides):
 
 
 # ----------------------------------------------------------------------
-# JobQueue
+# JobStore as the queue
 # ----------------------------------------------------------------------
 
-def test_queue_orders_by_priority_then_fifo():
-    queue = JobQueue()
+@pytest.fixture
+def store():
+    instance = JobStore()
+    yield instance
+    instance.close()
+
+
+def test_queue_orders_by_priority_then_fifo(store):
     low = Job(make_spec(priority=0, tags={"n": "low"}))
     high = Job(make_spec(priority=10, tags={"n": "high"}))
     mid_a = Job(make_spec(priority=5, tags={"n": "a"}))
     mid_b = Job(make_spec(priority=5, tags={"n": "b"}))
     for job in (low, mid_a, mid_b, high):
-        queue.submit(job)
-    popped = [queue.pop(timeout=0.1) for _ in range(4)]
+        store.submit(job)
+    popped = [store.pop(timeout=0.1) for _ in range(4)]
     assert popped == [high, mid_a, mid_b, low]
 
 
-def test_queue_pop_times_out_empty():
-    queue = JobQueue()
-    assert queue.pop(timeout=0.01) is None
+def test_queue_pop_times_out_empty(store):
+    assert store.pop(timeout=0.01) is None
 
 
-def test_queue_dedups_identical_active_specs_when_asked():
-    queue = JobQueue()
+def test_queue_dedups_identical_active_specs_when_asked(store):
     first = Job(make_spec(dedup=True))
     second = Job(make_spec(dedup=True))
-    accepted, deduplicated = queue.submit(first)
+    accepted, deduplicated = store.submit(first)
     assert (accepted, deduplicated) == (first, False)
-    accepted, deduplicated = queue.submit(second)
+    accepted, deduplicated = store.submit(second)
     assert (accepted, deduplicated) == (first, True)
-    assert len(queue) == 1
+    assert store.queue_depth() == 1
+    assert store.all() == [first]
 
 
-def test_queue_without_dedup_flag_keeps_copies():
-    queue = JobQueue()
-    queue.submit(Job(make_spec()))
-    _, deduplicated = queue.submit(Job(make_spec()))
+def test_queue_without_dedup_flag_keeps_copies(store):
+    store.submit(Job(make_spec()))
+    _, deduplicated = store.submit(Job(make_spec()))
     assert not deduplicated
-    assert len(queue) == 2
+    assert store.queue_depth() == 2
 
 
-def test_queue_dedup_releases_after_job_finished():
-    queue = JobQueue()
+def test_queue_dedup_releases_after_job_finished(store):
     first = Job(make_spec(dedup=True))
-    queue.submit(first)
-    first.set_state(RUNNING)
+    store.submit(first)
+    assert store.pop(timeout=0.1) is first
+    store.start(first)
     first.set_state(DONE)
-    queue.job_finished(first)
-    accepted, deduplicated = queue.submit(Job(make_spec(dedup=True)))
+    store.settle(first)
+    accepted, deduplicated = store.submit(Job(make_spec(dedup=True)))
     assert not deduplicated and accepted is not first
 
 
-def test_closed_queue_refuses_submissions():
-    queue = JobQueue()
-    queue.close()
+def test_closed_queue_refuses_submissions(store):
+    store.stop()
     with pytest.raises(ServiceUnavailableError):
-        queue.submit(Job(make_spec()))
+        store.submit(Job(make_spec()))
 
 
-def test_drain_empties_queue_in_priority_order():
-    queue = JobQueue()
+def test_drain_empties_queue_in_priority_order(store):
     a = Job(make_spec(priority=1, tags={"n": "a"}))
     b = Job(make_spec(priority=9, tags={"n": "b"}))
-    queue.submit(a)
-    queue.submit(b)
-    assert queue.drain() == [b, a]
-    assert len(queue) == 0
+    store.submit(a)
+    store.submit(b)
+    assert store.drain() == [b, a]
+    assert store.queue_depth() == 0
+
+
+def test_store_under_concurrent_submitters_and_workers(store):
+    # More threads than cores and a short switch interval: every accepted
+    # job is popped once, retired once and counted once; a dedup'd
+    # submission always returns a job that was accepted.
+    submitted, accepted, deduplicated, popped = [], [], [], []
+    done = threading.Event()
+
+    def submitter(number):
+        for copy in range(20):
+            job = Job(make_spec(dedup=copy % 2 == 0, tags={"n": number % 3}))
+            submitted.append(job)
+            got, dedup = store.submit(job)
+            (deduplicated if dedup else accepted).append(got)
+
+    def worker():
+        while not done.is_set():
+            job = store.pop(timeout=0.01)
+            if job is not None:
+                popped.append(job)
+                store.start(job)
+                job.set_state(DONE)
+                store.settle(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(4)]
+        submitters = [threading.Thread(target=submitter, args=(n,)) for n in range(6)]
+        for thread in workers + submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(timeout=30.0)
+        assert store.wait_idle(timeout=30.0)
+        done.set()
+        for thread in workers:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers + submitters)
+    assert len(submitted) == len(accepted) + len(deduplicated) == 120
+    assert sorted(map(id, popped)) == sorted(map(id, accepted))
+    assert {id(job) for job in deduplicated} <= {id(job) for job in accepted}
+    assert store.all() == [] and store.queue_depth() == 0
+    assert len(store) == store.state_counts()[DONE] == len(accepted)
 
 
 # ----------------------------------------------------------------------
@@ -183,28 +231,27 @@ def test_job_terminal_state_is_sticky():
     assert job.state == DONE
 
 
-def test_job_store_state_counts():
-    store = JobStore()
+def test_job_store_state_counts(store):
     a, b = Job(make_spec()), Job(make_spec())
-    store.add(a)
-    store.add(b)
+    store.submit(a)
+    store.submit(b)
     b.set_state(RUNNING)
     counts = store.state_counts()
     assert counts[QUEUED] == 1 and counts[RUNNING] == 1
     assert len(store) == 2
 
 
-def test_job_store_unknown_id_raises():
+def test_job_store_unknown_id_raises(store):
     from repro.errors import JobNotFoundError
 
     with pytest.raises(JobNotFoundError):
-        JobStore().get("nope")
+        store.get("nope")
 
 
 def test_job_store_retires_a_finished_job_to_its_record():
     store = JobStore()
     job = Job(make_spec(schemes=["dir0b", "dragon"]))
-    store.add(job)
+    store.submit(job)
     job.record_cell(scheme="dir0b", trace_name="pops", index=0, source="cache",
                     payload={"status": "ok", "result": {"refs": 1}})
     job.record_cell(scheme="dragon", trace_name="pops", index=1, source="simulated",

@@ -19,8 +19,7 @@ from repro.errors import JobSpecError
 from repro.fabric.chaos import canonical_digest, serial_results
 from repro.fabric.queue import DurableCellQueue
 from repro.service.api import ServiceServer
-from repro.service.jobs import Job
-from repro.service.queue import JobQueue
+from repro.service.jobs import Job, JobStore
 from repro.service.scheduler import Scheduler
 from repro.service.spec import parse_job_spec
 
@@ -229,16 +228,18 @@ class TestSpecMaxAttempts:
 
 class TestPopAfterClose:
     def test_pop_on_a_closed_empty_queue_returns_immediately(self):
-        queue = JobQueue()
-        queue.close()
+        store = JobStore()
+        store.stop()
         start = time.monotonic()
-        assert queue.pop(timeout=5.0) is None
+        assert store.pop(timeout=5.0) is None
         assert time.monotonic() - start < 1.0
+        store.close()
 
     def test_pop_still_drains_jobs_queued_before_close(self):
-        queue = JobQueue()
+        store = JobStore()
         job = Job(parse_job_spec(dict(SPEC)))
-        queue.submit(job)
-        queue.close()
-        assert queue.pop(timeout=5.0) is job
-        assert queue.pop(timeout=5.0) is None
+        store.submit(job)
+        store.stop()
+        assert store.pop(timeout=5.0) is job
+        assert store.pop(timeout=5.0) is None
+        store.close()

@@ -237,9 +237,10 @@ def test_finished_job_is_served_byte_identically(tmp_path):
     try:
         job, _ = server.scheduler.submit(parse_job_spec(SPEC))
         ServiceClient(server.url, timeout=15.0).wait(job.id)
-        live_status = json.dumps(job.status(), sort_keys=True).encode("utf-8")
+        # As the API sends them: in the order the job built them.
+        live_status = json.dumps(job.status()).encode("utf-8")
         live_events = "".join(
-            json.dumps(event, sort_keys=True) + "\n" for event in job.events_since(0)
+            json.dumps(event) + "\n" for event in job.events_since(0)
         ).encode("utf-8")
         deadline = time.monotonic() + 15.0
         while server.scheduler.jobs.all() and time.monotonic() < deadline:
@@ -266,10 +267,10 @@ def test_finished_job_is_served_byte_identically(tmp_path):
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 def test_job_that_cannot_start_fails_and_its_worker_runs_the_next(monkeypatch):
-    """A job whose start raises (here: persisting its running state) fails
+    """A job whose start raises (here: filing its running state) fails
     with the error instead of killing its worker thread, which then runs
     the next queued job."""
-    persist = Scheduler._persist_job
+    persist = JobStore._file_job
     threads = set()
 
     def persist_or_fail(self, job):
@@ -279,7 +280,7 @@ def test_job_that_cannot_start_fails_and_its_worker_runs_the_next(monkeypatch):
                 raise OSError("state dir is read-only")
         persist(self, job)
 
-    monkeypatch.setattr(Scheduler, "_persist_job", persist_or_fail)
+    monkeypatch.setattr(JobStore, "_file_job", persist_or_fail)
     server = ServiceServer(Scheduler(workers=1, sim_jobs=1), port=0)
     server.start()
     try:
@@ -316,7 +317,7 @@ def test_job_whose_last_steps_fail_stays_answerable_and_its_worker_runs_the_next
     persisting its terminal state, raises) stays done and answerable
     with the error on it, and its worker thread runs the next job."""
     run_job = Scheduler._run_job
-    persist = Scheduler._persist_job
+    persist = JobStore._file_job
     retire = JobStore.retire
     threads = set()
     failures = []
@@ -341,7 +342,7 @@ def test_job_whose_last_steps_fail_stays_answerable_and_its_worker_runs_the_next
         retire(self, job)
 
     monkeypatch.setattr(Scheduler, "_run_job", run_job_on_thread)
-    monkeypatch.setattr(Scheduler, "_persist_job", persist_or_fail)
+    monkeypatch.setattr(JobStore, "_file_job", persist_or_fail)
     monkeypatch.setattr(JobStore, "retire", retire_or_fail)
     server = ServiceServer(Scheduler(workers=1, sim_jobs=1), port=0)
     server.start()
@@ -363,3 +364,58 @@ def test_job_whose_last_steps_fail_stays_answerable_and_its_worker_runs_the_next
         assert (jobs["running"], jobs["done"]) == (0, 2)
     finally:
         server.stop(mode="drain", timeout=30.0)
+
+
+def test_served_results_print_the_fresh_cycles_per_reference(tmp_path):
+    """A result fetched from the service, live or from its record, sums its
+    cost floats in the fresh order (0.05375 from a re-sorted payload)."""
+    from repro.cost.bus import pipelined_bus
+    from repro.runner.checkpoint import result_from_json
+
+    spec = {"schemes": ["berkeley"], "traces": [{"workload": "thor", "length": 20000}]}
+    fresh = Simulator().run(make_trace("thor", length=20000), "berkeley")
+    want = fresh.bus_cycles_per_reference(pipelined_bus())
+    assert want == 0.053750000000000006
+    server = ServiceServer(Scheduler(workers=1, state_dir=tmp_path / "state"), port=0)
+    server.start()
+    try:
+        client = ServiceClient(server.url, timeout=15.0)
+        job_id = client.submit(spec)["id"]
+        assert client.wait(job_id)["state"] == "done"
+        live = client.results(job_id)["berkeley"]["thor"]
+        deadline = time.monotonic() + 15.0
+        while server.scheduler.jobs.all() and time.monotonic() < deadline:
+            time.sleep(0.02)  # the terminal event precedes the record
+        assert server.scheduler.jobs.all() == []
+        served = client.results(job_id)["berkeley"]["thor"]
+        rebuilt = result_from_json(
+            server.scheduler.jobs.get(job_id).results["berkeley"]["thor"]
+        )
+        for result in (live, served, rebuilt):
+            assert result == fresh
+            assert result.bus_cycles_per_reference(pipelined_bus()) == want
+    finally:
+        server.stop(mode="drain", timeout=30.0)
+
+
+def test_record_with_sorted_keys_still_loads(tmp_path):
+    # Records written before insertion order was kept have sorted keys;
+    # they still load, in their old order.
+    state = tmp_path / "state"
+    scheduler = Scheduler(workers=1, state_dir=state)
+    scheduler.start()
+    try:
+        job, _ = scheduler.submit(parse_job_spec(SPEC))
+        deadline = time.monotonic() + 30.0
+        while scheduler.jobs.all() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        record = state / "jobs" / job.id / "record.json"
+        record.write_text(
+            json.dumps(json.loads(record.read_text("utf-8")), sort_keys=True), "utf-8"
+        )
+        loaded = scheduler.jobs.get(job.id)
+        assert loaded.state == "done"
+        assert loaded.results == job.results
+        assert loaded.events_since(0) == job.events_since(0)
+    finally:
+        scheduler.shutdown(mode="drain", timeout=30.0)

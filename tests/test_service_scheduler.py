@@ -100,6 +100,31 @@ def test_disk_cache_survives_scheduler_restart(tmp_path):
         second.shutdown(mode="drain", timeout=30.0)
 
 
+def test_job_finished_before_submit_returns_is_retired_once(scheduler, monkeypatch):
+    # A repeat served from the cache can finish while submit() is still
+    # counting it; it must already be filed, or retiring it fails and the
+    # job stays live with "KeyError: '<id>'".
+    run_job(scheduler, make_spec())
+    bump = scheduler.metrics.bump
+
+    def slow_bump(name, amount=1):
+        if name == "jobs_submitted":
+            time.sleep(1.0)
+        bump(name, amount)
+
+    monkeypatch.setattr(scheduler.metrics, "bump", slow_bump)
+    repeat, _ = scheduler.submit(make_spec())
+    assert wait_for(lambda: repeat.finished)
+    assert repeat.state == DONE
+    assert repeat.error is None
+    assert repeat.cell_sources["cache"] == 2
+    assert wait_for(lambda: scheduler.jobs.all() == [])
+    assert scheduler.stats()["jobs"] == {
+        "queued": 0, "running": 0, "done": 2, "failed": 0, "cancelled": 0,
+        "total": 2, "submitted": 2, "deduplicated": 0,
+    }
+
+
 def test_job_level_dedup_returns_same_job(scheduler):
     spec = make_spec(dedup=True, traces=[{"workload": "thor", "length": 2000}])
     first, dedup_first = scheduler.submit(spec)
@@ -488,6 +513,35 @@ def test_stats_job_counts_cover_finished_jobs(tmp_path, monkeypatch):
         assert second.jobs.get(jobs[0].id).error == "RuntimeError: no plan"
     finally:
         second.shutdown(mode="drain", timeout=30.0)
+
+
+def test_idle_workers_exit_once_the_store_is_stopped_and_empty(monkeypatch):
+    # A worker polling a stopped, empty store would spin and take the GIL
+    # from the job a drain waits for.
+    gate = threading.Event()
+    job_plan = scheduler_module._JobPlan
+
+    def held(spec):
+        assert gate.wait(30.0)
+        return job_plan(spec)
+
+    monkeypatch.setattr(scheduler_module, "_JobPlan", held)
+    scheduler = Scheduler(workers=3)
+    scheduler.start()
+    try:
+        job, _ = scheduler.submit(make_spec())
+        assert wait_for(lambda: job.state == "running")
+        scheduler.jobs.stop()
+        assert wait_for(
+            lambda: sum(thread.is_alive() for thread in scheduler._threads) == 1,
+            timeout=5.0,
+        )
+        gate.set()
+        assert wait_for(lambda: job.finished)
+        assert job.state == DONE
+    finally:
+        gate.set()
+        scheduler.shutdown(mode="drain", timeout=30.0)
 
 
 def test_finished_job_without_a_record_answers_from_its_manifest(tmp_path):
