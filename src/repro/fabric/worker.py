@@ -45,7 +45,6 @@ from __future__ import annotations
 import copy
 import os
 import threading
-import uuid
 import zlib
 from dataclasses import replace
 from typing import Any, Callable
@@ -166,7 +165,7 @@ class FabricWorker:
         if not isinstance(queue, DurableCellQueue):
             queue = DurableCellQueue(queue)
         self.queue = queue
-        self.worker_id = worker_id or f"worker-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        self.worker_id = worker_id or f"worker-{os.getpid()}-{os.urandom(3).hex()}"
         if result_cache is not None:
             # Same directory and fingerprint memo, own in-flight table:
             # waiting on the claim of the job engine that offered this

@@ -31,9 +31,8 @@ import json
 import os
 import tempfile
 import threading
-import uuid
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import JobNotFoundError, ServiceUnavailableError
 from repro.runner.checkpoint import CheckpointManager
@@ -64,8 +63,8 @@ class JobStopped(Exception):
 
 
 def new_job_id() -> str:
-    """A fresh, URL-safe job id."""
-    return uuid.uuid4().hex[:12]
+    """A fresh, URL-safe job id: 12 random hex digits."""
+    return os.urandom(6).hex()
 
 
 class Job:
@@ -288,9 +287,16 @@ class JobStore:
             its state, and :meth:`recover` re-queues it after a
             restart.  None makes a private temporary directory, for
             finished jobs' records only, that :meth:`close` removes.
+        mirror: called with each job :meth:`submit` files, right after
+            its ``job.json`` and before any worker can pop it (the
+            scheduler's fabric mode writes the job's fabric row here).
     """
 
-    def __init__(self, root: str | Path | None = None) -> None:
+    def __init__(
+        self,
+        root: str | Path | None = None,
+        mirror: Callable[[Job], None] | None = None,
+    ) -> None:
         self._private: tempfile.TemporaryDirectory | None = None
         if root is None:
             self._private = tempfile.TemporaryDirectory(
@@ -299,6 +305,7 @@ class JobStore:
             root = self._private.name
         self.root = Path(root)
         self.durable = self._private is None
+        self._mirror = mirror
         self._jobs: dict[str, Job] = {}
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = itertools.count()
@@ -317,8 +324,8 @@ class JobStore:
         When the job's spec has ``dedup`` set and an identical spec is
         queued or running, that job is returned with
         ``deduplicated=True`` and *job* is discarded.  Otherwise the job
-        is in the table and its ``job.json`` on disk before any worker
-        can pop it.
+        is in the table, its ``job.json`` on disk and its mirror written
+        before any worker can pop it.
         """
         spec_hash = job.spec.spec_hash()
         with self._cond:
@@ -328,6 +335,8 @@ class JobStore:
             if job.spec.dedup and existing is not None and not existing.finished:
                 return existing, True
             self._file_job(job)
+            if self._mirror is not None:
+                self._mirror(job)
             self._jobs[job.id] = job
             self._active[spec_hash] = job
             heapq.heappush(self._heap, (-job.spec.priority, next(self._seq), job))

@@ -150,7 +150,15 @@ class Scheduler:
 
             self.fabric = DurableCellQueue(fabric_db)
         self.jobs = JobStore(
-            self.state_dir / "jobs" if self.state_dir is not None else None
+            self.state_dir / "jobs" if self.state_dir is not None else None,
+            # The fabric job row is written before the job can run, so a
+            # job that finishes at once still finds it to mark terminal.
+            # Job row only: the FleetBackend adds the cells it runs.
+            mirror=(
+                (lambda job: self.fabric.submit(job.spec, job.id, expand=False))
+                if self.fabric is not None
+                else None
+            ),
         )
 
         self._threads: list[threading.Thread] = []
@@ -254,9 +262,6 @@ class Scheduler:
         self.metrics.bump("jobs_submitted")
         if deduplicated:
             self.metrics.bump("jobs_deduplicated")
-        elif self.fabric is not None:
-            # Job row only: the FleetBackend adds the cells it runs.
-            self.fabric.submit(accepted.spec, accepted.id, expand=False)
         return accepted, deduplicated
 
     def stats(self) -> dict[str, Any]:

@@ -217,3 +217,40 @@ with tempfile.TemporaryDirectory() as tmp:
         assert Engine().run(ExecutionPlan(traces=[chunked], schemes=["dir0b", "wti"])).ok
 """
     assert http_transport_after(code) == set()
+
+
+def test_service_server_loads_no_http_stack():
+    # The server parses its HTTP/1.0 subset itself, on ``socketserver``,
+    # and draws job ids from ``os.urandom``: no request, job or reply
+    # loads an HTTP library, a MIME table or ``uuid``.
+    code = """
+import json, socket, time
+from repro.service.api import ServiceServer
+from repro.service.scheduler import Scheduler
+
+def exchange(server, data):
+    with socket.create_connection((server.host, server.port), timeout=15.0) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\\r\\n\\r\\n")
+    assert head.split()[1] in (b"200", b"202"), head
+    return json.loads(body)
+
+server = ServiceServer(Scheduler(workers=1, sim_jobs=1), port=0)
+server.start()
+assert exchange(server, b"GET /healthz HTTP/1.0\\r\\n\\r\\n")["status"] == "ok"
+spec = json.dumps({"schemes": ["dir0b"], "traces": [{"workload": "pops", "length": 300}]})
+job = exchange(server, b"POST /jobs HTTP/1.0\\r\\nContent-Length: %d\\r\\n\\r\\n%s"
+               % (len(spec), spec.encode()))
+status = b"GET /jobs/%s HTTP/1.0\\r\\n\\r\\n" % job["id"].encode()
+deadline = time.monotonic() + 30.0
+while exchange(server, status)["state"] != "done":
+    assert time.monotonic() < deadline, "the job never finished"
+    time.sleep(0.02)
+server.stop()
+"""
+    stack = ("http.server", "http.client", "email", "ssl", "uuid", "mimetypes", "html")
+    loaded = loaded_after(code, "http", "email", "ssl", "uuid", "mimetypes", "html")
+    assert not {name for name in loaded if name.startswith(stack)}, sorted(loaded)

@@ -90,6 +90,48 @@ class TestFabricMode:
         finally:
             scheduler.shutdown()
 
+    def test_job_finished_before_submit_returns_leaves_no_pending_row(
+        self, tmp_path
+    ):
+        """A cache-served repeat can finish while ``submit`` is still
+        counting it: its fabric row must already exist to be marked
+        terminal, or a restarted server on the db runs the job again."""
+        db = tmp_path / "fabric.db"
+        scheduler = Scheduler(workers=1, fabric_db=db, fabric_workers=1)
+        scheduler.start()
+        try:
+            first, _ = scheduler.submit(parse_job_spec(dict(SPEC)))
+            wait_terminal(first)
+            bump = scheduler.metrics.bump
+
+            def slow_bump(name, *args, **kwargs):
+                if name == "jobs_submitted":
+                    time.sleep(1.0)  # the repeat settles meanwhile
+                bump(name, *args, **kwargs)
+
+            scheduler.metrics.bump = slow_bump
+            repeat, _ = scheduler.submit(parse_job_spec(dict(SPEC)))
+            assert repeat.state == "done"
+            assert repeat.cell_sources["cache"] == 2
+            assert scheduler.jobs.wait_idle(30.0)
+        finally:
+            scheduler.shutdown()
+
+        fabric = DurableCellQueue(db)
+        assert fabric.job_state(repeat.id) == "done"
+        assert repeat.id not in {row["id"] for row in fabric.pending_jobs()}
+        restarted = Scheduler(workers=1, fabric_db=db, fabric_workers=1)
+        restarted.start()
+        try:
+            assert len(restarted.jobs) == 0  # nothing recovered, nothing to run
+            assert restarted.jobs.wait_idle(30.0)
+            assert restarted.stats()["cells"] == dict.fromkeys(
+                ("simulated", "cache", "coalesced", "checkpoint", "fabric", "errors"),
+                0,
+            )
+        finally:
+            restarted.shutdown()
+
     def test_restarted_scheduler_recovers_jobs_from_the_fabric(self, tmp_path):
         db = tmp_path / "fabric.db"
         # No in-process workers and no external fleet: the job's cells

@@ -1,6 +1,8 @@
 """The HTTP API and client, end to end over a real socket."""
 
 import json
+import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -13,6 +15,7 @@ from repro.runner.checkpoint import result_to_json
 from repro.engine.backends import ProcessPoolBackend
 from repro.engine.plan import ExecutionPlan
 from repro.service import Scheduler, ServiceClient, ServiceServer, parse_job_spec
+from repro.service.api import MAX_BODY
 from repro.service.jobs import JobStore
 from repro.workloads.registry import make_trace
 
@@ -419,3 +422,126 @@ def test_record_with_sorted_keys_still_loads(tmp_path):
         assert loaded.events_since(0) == job.events_since(0)
     finally:
         scheduler.shutdown(mode="drain", timeout=30.0)
+
+
+# -- requests outside the API's HTTP subset, over a plain socket ---------
+
+
+def raw_exchange(server, data, *, half_close=False):
+    """Send *data* on a fresh connection; the reply's status and JSON body.
+
+    The 5 s timeout turns a server that waits for more input into a
+    failure instead of a hang.
+    """
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", str(MAX_BODY + 1)])
+def test_bad_content_length_is_a_400_job_spec_error(server, client, length):
+    # "-1" once reached ``rfile.read(-1)``: the reply waited for the
+    # client to close, and the body had no bound.
+    status, body = raw_exchange(
+        server, f"POST /jobs HTTP/1.0\r\nContent-Length: {length}\r\n\r\n".encode()
+    )
+    assert status == 400
+    assert body["category"] == "JobSpecError"
+    assert length in body["error"]
+    assert client.health()["status"] == "ok"
+
+
+def test_body_ending_before_its_length_is_a_400(server, client):
+    # The 2 bytes sent parse as ``{}``, a valid shutdown request, but the
+    # request declared 10: it is refused, and the server keeps running.
+    status, body = raw_exchange(
+        server,
+        b"POST /shutdown HTTP/1.0\r\nContent-Length: 10\r\n\r\n{}",
+        half_close=True,
+    )
+    assert (status, body["category"]) == (400, "JobSpecError")
+    assert "ended after 2 of 10 bytes" in body["error"]
+    assert not server.stop_event.is_set()
+    assert client.health()["status"] == "ok"
+
+
+def test_shutdown_body_that_is_not_an_object_is_a_400(server):
+    status, body = raw_exchange(
+        server, b"POST /shutdown HTTP/1.0\r\nContent-Length: 2\r\n\r\n[]"
+    )
+    assert (status, body["category"]) == (400, "JobSpecError")
+    assert not server.stop_event.is_set()
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"GARBAGE\r\n\r\n",
+        b"GET /healthz\r\n\r\n",
+        b"GET /healthz HTTP/one\r\n\r\n",
+        b"GET / healthz HTTP/1.0\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\nno colon here\r\n\r\n",
+        b"GET /" + b"x" * 65536 + b" HTTP/1.0\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\nX-Big: " + b"x" * 65536 + b"\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n",
+    ],
+    ids=[
+        "one-word", "no-version", "bad-version", "four-words", "bad-header",
+        "long-line", "long-header", "101-headers",
+    ],
+)
+def test_malformed_request_gets_a_json_400(server, client, request_bytes):
+    status, body = raw_exchange(server, request_bytes)
+    assert status == 400
+    assert set(body) == {"error", "category"}
+    assert body["category"] == "BadRequest"
+    assert client.health()["status"] == "ok"
+
+
+def test_unsupported_method_gets_a_json_501(server):
+    status, body = raw_exchange(server, b"DELETE /jobs/abc HTTP/1.0\r\n\r\n")
+    assert status == 501
+    assert body["category"] == "NotImplemented"
+    assert "DELETE" in body["error"]
+
+
+def test_100_headers_with_64_kib_lines_are_accepted_in_any_case(server):
+    # At the limits: 100 header lines, one of them 64 KiB long, and the
+    # one header the API reads, ``Content-Length``, in mixed case.
+    payload = json.dumps(SPEC).encode()
+    request_bytes = (
+        b"POST /jobs HTTP/1.1\r\n"
+        + b"X-Many: 1\r\n" * 98
+        + b"X-Big: " + b"x" * (65536 - len("X-Big: \r\n")) + b"\r\n"
+        + b"cOnTeNt-LeNgTh: %d\r\n\r\n" % len(payload)
+        + payload
+    )
+    status, body = raw_exchange(server, request_bytes)
+    assert status == 202, body
+    assert body["state"] in ("queued", "running", "done")
+
+
+def test_a_vanished_client_leaves_no_traceback(server, client, capfd):
+    # The client sends half a body, then resets the connection: the
+    # server's read fails, and so would the error reply it once tried to
+    # write, with a traceback from the stdlib's handler on stderr.
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(b"POST /jobs HTTP/1.0\r\nContent-Length: 100\r\n\r\n{")
+        time.sleep(0.2)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    deadline = time.monotonic() + 5.0
+    while any(
+        thread.name.endswith("(process_request_thread)")
+        for thread in threading.enumerate()
+    ):
+        assert time.monotonic() < deadline, "the handler thread never ended"
+        time.sleep(0.02)
+    assert client.health()["status"] == "ok"
+    assert "Traceback" not in capfd.readouterr().err
