@@ -37,8 +37,11 @@ fuzz:
 chaos:
 	PYTHONPATH=src python -m repro chaos --workers 3 --seed 0
 
-# Every coherence scheme, for the pooled-equals-serial roster step of ci.
+# Every coherence scheme, for the checkpointed and pooled roster steps of ci.
 ROSTER = adaptive berkeley coarse-vector dir0b dir1nb dirib dirinb dirnnb dragon illinois write-once wti yenfu
+
+# Finite geometries the checkpointed sweep of ci adds to the roster.
+FINITE_CHECKS = dragon@256x2 adaptive@256x2 dir0b@1024x4
 
 # What CI runs (.github/workflows/ci.yml): the tier-1 suite (failing on
 # a leaked shared-memory segment: the resource tracker's warning, which
@@ -46,13 +49,14 @@ ROSTER = adaptive berkeley coarse-vector dir0b dir1nb dirib dirinb dirnnb dragon
 # end-to-end benchmark's smoke tests, a streamed .ctrc generation
 # re-hashed against its stored fingerprint (4096-record chunks split
 # scheduling rounds), the streaming example end to end (its windowed
-# checkpoint run must match the streamed run), a roster sweep of all 13
-# schemes pooled (--jobs 2, narrow columns through shared memory) that
+# checkpoint run must match the streamed run), a checkpointed sweep of
+# every scheme plus three finite geometries that must print the plain
+# sweep's table, a roster sweep of all 13 schemes pooled (--jobs 2, narrow columns through shared memory) that
 # must print the serial sweep's table, exhaustive protocol
 # verification, and the
 # conformance fuzz with mutation testing on infinite caches and on the
 # finite-parity job's evicting 4x2 geometry (fuzz cells re-run on the
-# fast path, so the state-table kernels see adversarial traces in both
+# fast path, so the transition tables see adversarial traces in both
 # cache models), and a regenerated RESULTS.md that must equal the
 # committed one, without needing an install.
 ci:
@@ -63,9 +67,9 @@ ci:
 	PYTHONPATH=src python -m repro trace info build/ci-thor.ctrc --verify
 	PYTHONPATH=src python examples/stream_billion.py 20000
 	PYTHONPATH=src python -m repro generate pops build/ci-pops.bin --length 50000 --format binary
-	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes dir1nb wti dir0b dragon > build/ci-plain.txt
+	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes $(ROSTER) $(FINITE_CHECKS) > build/ci-plain.txt
 	rm -rf build/ci-ckpt
-	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes dir1nb wti dir0b dragon --checkpoint build/ci-ckpt --checkpoint-every 7000 > build/ci-ckpt.txt
+	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes $(ROSTER) $(FINITE_CHECKS) --checkpoint build/ci-ckpt --checkpoint-every 7000 > build/ci-ckpt.txt
 	cmp build/ci-plain.txt build/ci-ckpt.txt
 	PYTHONPATH=src python -m repro run --workloads pops thor --length 50000 --schemes $(ROSTER) --jobs 1 > build/ci-roster-serial.txt
 	PYTHONPATH=src python -m repro run --workloads pops thor --length 50000 --schemes $(ROSTER) --jobs 2 > build/ci-roster-pooled.txt

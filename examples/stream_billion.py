@@ -73,7 +73,7 @@ def main() -> None:
                 f"fingerprint {meta['fingerprint'][:16]}..."
             )
 
-            # 3. Simulate chunk by chunk.  The table-driven kernels
+            # 3. Simulate chunk by chunk.  The transition tables
             # carry their state across chunk boundaries, so the result
             # is bit-identical to a whole-trace in-memory run.
             simulator = Simulator()

@@ -72,7 +72,7 @@ def decompose_finite_cost(
             *geometry* when both are given.
         geometry: any :func:`~repro.memory.geometry.parse_geometry`
             spelling — the first-class way to pick the finite shape
-            (engages the capacity-aware kernels and result caching).
+            (engages the transition tables' LRU layer and result caching).
     """
     simulator = simulator or Simulator()
     infinite = simulator.run(trace, scheme)

@@ -635,7 +635,7 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     """``repro bench``: measured throughput with history and gates.
 
-    Measures cold-start processes, the serial columnar/kernel fast path
+    Measures cold-start processes, the serial transition-table fast path
     per scheme, every protocol's ``Simulator.run`` throughput, trace
     generation per paper trace, and the pooled sweep at several worker
     counts (warmup + best-of-repeats),
@@ -703,7 +703,7 @@ def cmd_bench(args) -> int:
                 )
                 for scheme, entry in finite["schemes"].items()
             ],
-            title=f"finite-capacity kernels ({finite['geometry']})",
+            title=f"finite-capacity tables ({finite['geometry']})",
         ))
     streaming = report.get("streaming")
     if streaming is not None:

@@ -27,7 +27,7 @@ from repro.core.result import SimulationResult
 from repro.errors import ConfigurationError
 from repro.memory.address import BlockMapper
 from repro.protocols.base import CoherenceProtocol
-from repro.protocols.kernels import kernel_run, open_kernel_session
+from repro.protocols.tables import kernel_run, open_kernel_session
 from repro.protocols.registry import make_protocol
 from repro.trace.columnar import TYPE_READ, ColumnarTrace, columnar_chunks
 from repro.trace.record import RefType, TraceRecord
@@ -101,7 +101,7 @@ class Simulator:
         """Simulate *protocol* over *trace* and return the measurements.
 
         The simulator picks the representation: every trace runs on the
-        columnar path (a state-table kernel where one applies).  A
+        columnar path (the transition tables where they apply).  A
         column-backed :class:`~repro.trace.stream.Trace` hands over its
         columns, a record-backed one is packed, and a lazily read file
         or a chunked store streams a chunk at a time
@@ -135,10 +135,10 @@ class Simulator:
             return self._run_records(records, built, result, context)
         if isinstance(trace, ColumnarTrace) or getattr(trace, "in_memory", False):
             columns = ColumnarTrace.from_trace(trace)
-            # State-table kernels for the exact stock protocols; they
-            # bail (return None) on wrappers, mixed or subclassed
-            # caches, bounded directories, or any state outside their
-            # verified encoding.
+            # Transition tables for the exact stock protocols; they
+            # bail (return None) on wrappers, subclasses, mixed or
+            # subclassed caches, bounded directories, or a held block
+            # the context has never seen.
             ran = kernel_run(self, columns, built, result, context)
             if ran is not None:
                 return ran
@@ -305,9 +305,9 @@ class Simulator:
     ) -> SimulationResult:
         """Bounded-memory simulation of a trace that arrives in chunks.
 
-        When a state-table kernel applies, the protocol state is
-        imported into the compact encoding once and stays resident
-        across chunks (:class:`~repro.protocols.kernels.KernelSession`);
+        When the transition tables apply, each block's state is read
+        into the session once and stays resident across chunks as one
+        table state (:class:`~repro.protocols.tables.TableSession`);
         otherwise each chunk runs through the generic columnar loop with
         the shared context and result, which — because accumulation is
         purely additive and the context carries all cross-chunk state —

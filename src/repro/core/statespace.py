@@ -6,8 +6,9 @@ reach for a single block on an n-cache machine — breadth-first over all
 (cache, read/write) actions — and validates the coherence invariants in
 each one, the way a Murphi-style model checker would.
 
-The global state is the pair (per-cache line states, directory state),
-fingerprinted structurally; protocols are branched with ``deepcopy``.
+The global state is the protocol's per-block snapshot (per-cache line
+states, directory entry, protocol bits); protocols are branched with
+``deepcopy``.
 State counts are tiny (tens of states for the protocols here), so the
 exploration is exhaustive in milliseconds and makes a strong
 complement to the randomized property tests.
@@ -21,13 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.invariants import InvariantChecker
 from repro.errors import ConfigurationError
-from repro.memory.directory import (
-    CoarseVectorDirectory,
-    FullMapDirectory,
-    LimitedPointerDirectory,
-    TwoBitDirectory,
-)
-from repro.protocols.base import CoherenceProtocol, DirectoryProtocol
+from repro.protocols.base import CoherenceProtocol
 from repro.protocols.registry import make_protocol
 
 _BLOCK = 0
@@ -47,42 +42,14 @@ def default_caches_for(scheme: str, num_caches: int) -> int:
     return num_caches
 
 
-def _directory_fingerprint(protocol: CoherenceProtocol):
-    if not isinstance(protocol, DirectoryProtocol):
-        return None
-    directory = protocol.directory
-    if isinstance(directory, TwoBitDirectory):
-        return directory.state_of(_BLOCK).value
-    if isinstance(directory, LimitedPointerDirectory):
-        stored = directory._entries.get(_BLOCK)
-        if stored is None:
-            return ("lp", False, (), False)
-        return ("lp", stored.dirty, tuple(stored.pointers), stored.broadcast)
-    if isinstance(directory, CoarseVectorDirectory):
-        code = directory.code_of(_BLOCK)
-        return ("cv", code.digits, directory._dirty.get(_BLOCK, False))
-    if isinstance(directory, FullMapDirectory):
-        entry = directory.entry(_BLOCK)
-        sharers = tuple(sorted(entry.sharers)) if entry.sharers else ()
-        return ("fm", entry.dirty, sharers)
-    raise ConfigurationError(
-        f"no fingerprint handler for directory type {type(directory).__name__}"
-    )
-
-
 def fingerprint(protocol: CoherenceProtocol):
-    """A hashable, structural snapshot of one block's global state."""
-    holders = tuple(
-        sorted(
-            (cache, state.value)
-            for cache, state in protocol.holders(_BLOCK).items()
-        )
-    )
-    extra = None
-    single_bits = getattr(protocol, "_single_bits", None)
-    if single_bits is not None:
-        extra = tuple(sorted(key for key in single_bits if key[1] == _BLOCK))
-    return holders, _directory_fingerprint(protocol), extra
+    """A hashable snapshot of one block's global state.
+
+    The protocol's own per-block snapshot
+    (:meth:`~repro.protocols.base.CoherenceProtocol.snapshot_block`),
+    the same state the transition tables key by.
+    """
+    return protocol.snapshot_block(_BLOCK)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ProtocolError
 from repro.memory.coding import CoarseVector
@@ -134,6 +134,13 @@ class DirectoryOrganization(ABC):
     def bits_per_block(self) -> int:
         """Directory storage per memory block, in bits (Section 6)."""
 
+    def block_maps(self) -> list[dict]:
+        """The dicts holding this directory's per-block state, keyed by
+        block.  Their values are immutable, so a per-block snapshot
+        (:meth:`~repro.protocols.base.CoherenceProtocol.snapshot_block`)
+        can share them."""
+        return []
+
     def check_capacity(self, block: int, cache: int) -> bool:
         """True if a clean copy for *cache* fits without losing precision.
 
@@ -149,10 +156,13 @@ class DirectoryOrganization(ABC):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FullMapEntry:
     dirty: bool = False
-    holders: set[int] = field(default_factory=set)
+    holders: frozenset[int] = frozenset()
+
+
+_NO_FULL_MAP_ENTRY = _FullMapEntry()
 
 
 class FullMapDirectory(DirectoryOrganization):
@@ -167,12 +177,9 @@ class FullMapDirectory(DirectoryOrganization):
         super().__init__(num_caches)
         self._entries: dict[int, _FullMapEntry] = {}
 
-    def _get(self, block: int) -> _FullMapEntry:
-        entry = self._entries.get(block)
-        if entry is None:
-            entry = _FullMapEntry()
-            self._entries[block] = entry
-        return entry
+    def block_maps(self) -> list[dict]:
+        """Per-block state; see :class:`DirectoryOrganization`."""
+        return [self._entries]
 
     def entry(self, block: int) -> DirectoryEntry:
         """The directory's current view of one block."""
@@ -183,49 +190,43 @@ class FullMapDirectory(DirectoryOrganization):
         return DirectoryEntry(
             dirty=stored.dirty,
             owner=owner,
-            sharers=frozenset(stored.holders),
+            sharers=stored.holders,
             cached=True,
         )
 
     def note_clean_copy(self, block: int, cache: int) -> None:
         """Record a clean copy; see :class:`DirectoryOrganization`."""
-        entry = self._get(block)
-        entry.dirty = False
-        entry.holders.add(cache)
+        holders = self._entries.get(block, _NO_FULL_MAP_ENTRY).holders
+        self._entries[block] = _FullMapEntry(False, holders | {cache})
 
     def note_dirty_owner(self, block: int, cache: int) -> None:
         """Record the sole dirty owner; see :class:`DirectoryOrganization`."""
-        entry = self._get(block)
-        entry.dirty = True
-        entry.holders = {cache}
+        self._entries[block] = _FullMapEntry(True, frozenset((cache,)))
 
     def note_writeback(self, block: int, cache: int, keep_clean: bool) -> None:
         """Record a write-back; see :class:`DirectoryOrganization`."""
-        entry = self._get(block)
+        entry = self._entries.get(block, _NO_FULL_MAP_ENTRY)
         if not entry.dirty or cache not in entry.holders:
             raise ProtocolError(
                 f"writeback of block {block} from cache {cache} which is not the dirty owner"
             )
-        entry.dirty = False
-        if not keep_clean:
-            entry.holders.discard(cache)
+        holders = entry.holders if keep_clean else entry.holders - {cache}
+        self._entries[block] = _FullMapEntry(False, holders)
 
     def note_invalidated(self, block: int, cache: int) -> None:
         """Record one invalidated copy; see :class:`DirectoryOrganization`."""
         entry = self._entries.get(block)
         if entry is not None:
-            entry.holders.discard(cache)
-            if not entry.holders:
-                entry.dirty = False
+            holders = entry.holders - {cache}
+            self._entries[block] = _FullMapEntry(entry.dirty and bool(holders), holders)
 
     def note_all_invalidated(self, block: int, keep: int | None = None) -> None:
         """Record a full invalidation; see :class:`DirectoryOrganization`."""
         entry = self._entries.get(block)
         if entry is None:
             return
-        entry.holders = {keep} if keep is not None and keep in entry.holders else set()
-        if not entry.holders:
-            entry.dirty = False
+        holders = frozenset((keep,)) if keep in entry.holders else frozenset()
+        self._entries[block] = _FullMapEntry(entry.dirty and bool(holders), holders)
 
     def plan_invalidation(self, block: int, requester: int) -> InvalidationPlan:
         """Plan how to reach all other copies; see :class:`DirectoryOrganization`."""
@@ -294,6 +295,10 @@ class TwoBitDirectory(DirectoryOrganization):
     def __init__(self, num_caches: int) -> None:
         super().__init__(num_caches)
         self._states: dict[int, TwoBitState] = {}
+
+    def block_maps(self) -> list[dict]:
+        """Per-block state; see :class:`DirectoryOrganization`."""
+        return [self._states]
 
     def state_of(self, block: int) -> TwoBitState:
         """The raw two-bit state of *block* (exposed for tests/analyses)."""
@@ -386,11 +391,14 @@ class PointerEvictionPolicy(enum.Enum):
     LOWEST_INDEX = "lowest-index"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PointerEntry:
     dirty: bool = False
-    pointers: list[int] = field(default_factory=list)  # insertion order
+    pointers: tuple[int, ...] = ()  # insertion order
     broadcast: bool = False
+
+
+_NO_POINTER_ENTRY = _PointerEntry()
 
 
 class LimitedPointerDirectory(DirectoryOrganization):
@@ -418,12 +426,9 @@ class LimitedPointerDirectory(DirectoryOrganization):
         self.eviction_policy = eviction_policy
         self._entries: dict[int, _PointerEntry] = {}
 
-    def _get(self, block: int) -> _PointerEntry:
-        entry = self._entries.get(block)
-        if entry is None:
-            entry = _PointerEntry()
-            self._entries[block] = entry
-        return entry
+    def block_maps(self) -> list[dict]:
+        """Per-block state; see :class:`DirectoryOrganization`."""
+        return [self._entries]
 
     def entry(self, block: int) -> DirectoryEntry:
         """The directory's current view of one block."""
@@ -458,60 +463,50 @@ class LimitedPointerDirectory(DirectoryOrganization):
 
     def note_clean_copy(self, block: int, cache: int) -> None:
         """Record a clean copy; see :class:`DirectoryOrganization`."""
-        stored = self._get(block)
-        stored.dirty = False
-        if stored.broadcast:
-            return
-        if cache in stored.pointers:
-            return
-        if len(stored.pointers) < self.num_pointers:
-            stored.pointers.append(cache)
+        stored = self._entries.get(block, _NO_POINTER_ENTRY)
+        pointers, broadcast = stored.pointers, stored.broadcast
+        if broadcast or cache in pointers:
+            pass
+        elif len(pointers) < self.num_pointers:
+            pointers += (cache,)
         elif self.broadcast_bit:
-            stored.broadcast = True
-            stored.pointers = []
+            pointers, broadcast = (), True
         else:
             raise ProtocolError(
                 f"pointer overflow on no-broadcast directory for block {block}; "
                 f"protocol must evict a sharer first"
             )
+        self._entries[block] = _PointerEntry(False, pointers, broadcast)
 
     def note_dirty_owner(self, block: int, cache: int) -> None:
         """Record the sole dirty owner; see :class:`DirectoryOrganization`."""
-        stored = self._get(block)
-        stored.dirty = True
-        stored.broadcast = False
-        stored.pointers = [cache]
+        self._entries[block] = _PointerEntry(True, (cache,), False)
 
     def note_writeback(self, block: int, cache: int, keep_clean: bool) -> None:
         """Record a write-back; see :class:`DirectoryOrganization`."""
-        stored = self._get(block)
-        if not stored.dirty or stored.pointers != [cache]:
+        stored = self._entries.get(block, _NO_POINTER_ENTRY)
+        if not stored.dirty or stored.pointers != (cache,):
             raise ProtocolError(
                 f"writeback of block {block} from cache {cache} which is not the dirty owner"
             )
-        stored.dirty = False
-        if not keep_clean:
-            stored.pointers = []
+        pointers = stored.pointers if keep_clean else ()
+        self._entries[block] = _PointerEntry(False, pointers, stored.broadcast)
 
     def note_invalidated(self, block: int, cache: int) -> None:
         """Record one invalidated copy; see :class:`DirectoryOrganization`."""
         stored = self._entries.get(block)
-        if stored is None or stored.broadcast:
+        if stored is None or stored.broadcast or cache not in stored.pointers:
             return
-        if cache in stored.pointers:
-            stored.pointers.remove(cache)
-            if not stored.pointers:
-                stored.dirty = False
+        pointers = tuple(pointer for pointer in stored.pointers if pointer != cache)
+        self._entries[block] = _PointerEntry(stored.dirty and bool(pointers), pointers)
 
     def note_all_invalidated(self, block: int, keep: int | None = None) -> None:
         """Record a full invalidation; see :class:`DirectoryOrganization`."""
         stored = self._entries.get(block)
         if stored is None:
             return
-        stored.broadcast = False
-        stored.pointers = [keep] if keep is not None else []
-        if not stored.pointers:
-            stored.dirty = False
+        pointers = () if keep is None else (keep,)
+        self._entries[block] = _PointerEntry(stored.dirty and bool(pointers), pointers)
 
     def plan_invalidation(self, block: int, requester: int) -> InvalidationPlan:
         """Plan how to reach all other copies; see :class:`DirectoryOrganization`."""
@@ -547,7 +542,11 @@ class CoarseVectorDirectory(DirectoryOrganization):
         # Ground truth kept only to classify wasted invalidations; a
         # real implementation would not have it, and the protocol never
         # uses it for correctness decisions.
-        self._true_sharers: dict[int, set[int]] = {}
+        self._true_sharers: dict[int, frozenset[int]] = {}
+
+    def block_maps(self) -> list[dict]:
+        """Per-block state; see :class:`DirectoryOrganization`."""
+        return [self._codes, self._dirty, self._true_sharers]
 
     def code_of(self, block: int) -> CoarseVector:
         """The stored ternary code for *block* (exposed for tests)."""
@@ -567,13 +566,13 @@ class CoarseVectorDirectory(DirectoryOrganization):
         """Record a clean copy; see :class:`DirectoryOrganization`."""
         self._codes[block] = self.code_of(block).add(cache)
         self._dirty[block] = False
-        self._true_sharers.setdefault(block, set()).add(cache)
+        self._true_sharers[block] = self._true_sharers.get(block, frozenset()) | {cache}
 
     def note_dirty_owner(self, block: int, cache: int) -> None:
         """Record the sole dirty owner; see :class:`DirectoryOrganization`."""
         self._codes[block] = CoarseVector.single(self._num_caches, cache)
         self._dirty[block] = True
-        self._true_sharers[block] = {cache}
+        self._true_sharers[block] = frozenset((cache,))
 
     def note_writeback(self, block: int, cache: int, keep_clean: bool) -> None:
         """Record a write-back; see :class:`DirectoryOrganization`."""
@@ -582,13 +581,13 @@ class CoarseVectorDirectory(DirectoryOrganization):
         self._dirty[block] = False
         if not keep_clean:
             self._codes[block] = CoarseVector.empty(self._num_caches)
-            self._true_sharers[block] = set()
+            self._true_sharers[block] = frozenset()
 
     def note_invalidated(self, block: int, cache: int) -> None:
         # The ternary code cannot remove one member; precision is only
         # restored by a full invalidation.  Track ground truth anyway.
         """Record one invalidated copy; see :class:`DirectoryOrganization`."""
-        self._true_sharers.setdefault(block, set()).discard(cache)
+        self._true_sharers[block] = self._true_sharers.get(block, frozenset()) - {cache}
         code = self.code_of(block)
         if code.is_exact_single and code.contains(cache):
             self._codes[block] = CoarseVector.empty(self._num_caches)
@@ -598,17 +597,17 @@ class CoarseVectorDirectory(DirectoryOrganization):
         """Record a full invalidation; see :class:`DirectoryOrganization`."""
         if keep is None:
             self._codes[block] = CoarseVector.empty(self._num_caches)
-            self._true_sharers[block] = set()
+            self._true_sharers[block] = frozenset()
             self._dirty[block] = False
         else:
             self._codes[block] = CoarseVector.single(self._num_caches, keep)
-            self._true_sharers[block] = {keep}
+            self._true_sharers[block] = frozenset((keep,))
 
     def plan_invalidation(self, block: int, requester: int) -> InvalidationPlan:
         """Plan how to reach all other copies; see :class:`DirectoryOrganization`."""
         code = self.code_of(block)
         targets = tuple(sorted(c for c in code.decode() if c != requester))
-        true_sharers = self._true_sharers.get(block, set())
+        true_sharers = self._true_sharers.get(block, frozenset())
         wasted = tuple(c for c in targets if c not in true_sharers)
         return InvalidationPlan(targets=targets, broadcast=False, wasted_targets=wasted)
 

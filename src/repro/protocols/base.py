@@ -92,6 +92,74 @@ class CoherenceProtocol(ABC):
         self._check_cache_index(cache)
         return {block: self._caches[cache].get(block) for block in self._caches[cache].blocks()}
 
+    # -- finite capacity -------------------------------------------------
+
+    def _install(self, cache: int, block: int, state, ops: list) -> None:
+        """Put a line for *block* into *cache*.
+
+        The only way a protocol adds a line to a cache, so every line a
+        finite cache displaces reaches :meth:`_evicted`.
+        """
+        victim = self._caches[cache].put(block, state)
+        if victim is not None:
+            self._evicted(cache, victim[0], victim[1], ops)
+
+    def _evicted(self, cache: int, block: int, state, ops: list) -> None:
+        """*cache* dropped its *state* copy of *block* to make room.
+
+        The one victim hook: a dirty copy is written back (its op joins
+        the referencing outcome's *ops*).
+        """
+        if state.is_dirty:
+            ops.append(write_back())
+
+    # -- per-block state -------------------------------------------------
+
+    def _block_maps(self) -> list[dict]:
+        """The dicts, keyed by block, holding per-block state outside
+        the caches (directory entries, protocol bits).
+
+        Their values are immutable, so snapshots can share them.
+        """
+        return []
+
+    def snapshot_block(self, block: int) -> tuple:
+        """Everything the machine holds about *block*, as one hashable value.
+
+        Each cache's line state (None when absent), then each block
+        map's entry (None when absent).  This is the one definition of a
+        block's state: the transition tables
+        (:mod:`repro.protocols.tables`) key their states by it, hand
+        state across trace segments with it, and the exhaustive
+        state-space search (:mod:`repro.core.statespace`) fingerprints
+        with it.
+        """
+        return (
+            tuple(cache.get(block) for cache in self._caches),
+            tuple(entries.get(block) for entries in self._block_maps()),
+        )
+
+    def restore_block(self, block: int, snapshot: tuple) -> None:
+        """Make *block*'s state the one :meth:`snapshot_block` returned."""
+        lines, entries = snapshot
+        for cache, line in zip(self._caches, lines):
+            if line is None:
+                cache.evict(block)
+            else:
+                cache.put(block, line)
+        for stored, entry in zip(self._block_maps(), entries):
+            if entry is None:
+                stored.pop(block, None)
+            else:
+                stored[block] = entry
+
+    def known_blocks(self) -> set[int]:
+        """Every block that some cache or block map holds state for."""
+        blocks = self.tracked_blocks()
+        for entries in self._block_maps():
+            blocks.update(entries)
+        return blocks
+
 
 class SnoopyProtocol(CoherenceProtocol):
     """Marker base class for bus-snooping protocols (WTI, Dragon)."""
@@ -137,6 +205,17 @@ class DirectoryProtocol(CoherenceProtocol):
     def directory_bits_per_block(self) -> int:
         """Storage cost of this protocol's directory (Section 6)."""
         return self._directory.bits_per_block()
+
+    def _block_maps(self) -> list[dict]:
+        return self._directory.block_maps()
+
+    def _evicted(self, cache: int, block: int, state, ops: list) -> None:
+        """Write a dirty victim back and tell the directory the copy left."""
+        super()._evicted(cache, block, state, ops)
+        if state.is_dirty:
+            self._directory.note_writeback(block, cache, keep_clean=False)
+        else:
+            self._directory.note_invalidated(block, cache)
 
     # -- finite directory capacity (sparse-directory extension) --------
 

@@ -61,16 +61,6 @@ class Dir1NBProtocol(DirectoryProtocol):
             return None
         return holder, state
 
-    def _install(self, cache: int, block: int, state: LineState, ops: list) -> None:
-        victim = self._caches[cache].put(block, state)
-        if victim is not None:
-            victim_block, victim_state = victim
-            if victim_state is LineState.DIRTY:
-                ops.append(write_back())
-                self._directory.note_writeback(victim_block, cache, keep_clean=False)
-            else:
-                self._directory.note_invalidated(victim_block, cache)
-
     def _take_block(
         self, cache: int, block: int, first_ref: bool, install_state: LineState, ops: list
     ) -> tuple[EventType, int]:

@@ -85,17 +85,6 @@ class MultiCopyDirectoryProtocol(DirectoryProtocol):
             if index != cache and other.get(block) is not None
         ]
 
-    def _handle_victim(self, cache: int, victim, ops: list) -> None:
-        """Process a finite-cache eviction victim returned by ``put``."""
-        if victim is None:
-            return
-        victim_block, victim_state = victim
-        if victim_state is LineState.DIRTY:
-            ops.append(write_back())
-            self._directory.note_writeback(victim_block, cache, keep_clean=False)
-        else:
-            self._directory.note_invalidated(victim_block, cache)
-
     def _ensure_pointer_capacity(self, block: int, cache: int, ops: list) -> int:
         """Displace sharers until the directory can track *cache* (DiriNB).
 
@@ -113,15 +102,13 @@ class MultiCopyDirectoryProtocol(DirectoryProtocol):
     def _grant_clean(self, cache: int, block: int, ops: list) -> int:
         """Install a clean copy at *cache*, enforcing pointer capacity."""
         evictions = self._ensure_pointer_capacity(block, cache, ops)
-        victim = self._caches[cache].put(block, LineState.CLEAN)
-        self._handle_victim(cache, victim, ops)
+        self._install(cache, block, LineState.CLEAN, ops)
         self._directory.note_clean_copy(block, cache)
         return evictions
 
     def _grant_dirty(self, cache: int, block: int, ops: list) -> None:
         """Install a dirty (exclusive) copy at *cache*."""
-        victim = self._caches[cache].put(block, LineState.DIRTY)
-        self._handle_victim(cache, victim, ops)
+        self._install(cache, block, LineState.DIRTY, ops)
         self._directory.note_dirty_owner(block, cache)
 
     # ------------------------------------------------------------------

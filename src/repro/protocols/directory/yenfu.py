@@ -48,10 +48,8 @@ class YenFuProtocol(DirNNBProtocol):
     # Single-bit bookkeeping
     # ------------------------------------------------------------------
 
-    @property
-    def _single_bits(self) -> set[tuple[int, int]]:
-        """The (cache, block) pairs whose single bit is set."""
-        return {(cache, block) for block, cache in self._single_of.items()}
+    def _block_maps(self) -> list[dict]:
+        return super()._block_maps() + [self._single_of]
 
     def single_bit(self, cache: int, block: int) -> bool:
         """True if *cache*'s copy of *block* carries a set single bit."""

@@ -44,21 +44,32 @@ class AdaptiveProtocol(DragonProtocol):
             raise ValueError(f"update_limit must be >= 1, got {update_limit}")
         super().__init__(num_caches, cache_factory=cache_factory)
         self.update_limit = update_limit
-        # (cache, block) -> updates received since that cache's last read.
-        self._dead_updates: dict[tuple[int, int], int] = {}
+        # block -> per-cache updates received since that cache's last
+        # use; a block whose counts are all zero has no entry.
+        self._dead_updates: dict[int, tuple[int, ...]] = {}
+
+    def _block_maps(self) -> list[dict]:
+        return [self._dead_updates]
+
+    def _set_dead_updates(self, cache: int, block: int, count: int) -> None:
+        counts = list(self._dead_updates.get(block, (0,) * self._num_caches))
+        counts[cache] = count
+        if any(counts):
+            self._dead_updates[block] = tuple(counts)
+        else:
+            self._dead_updates.pop(block, None)
 
     def _note_local_use(self, cache: int, block: int) -> None:
-        self._dead_updates.pop((cache, block), None)
+        counts = self._dead_updates.get(block)
+        if counts is not None and counts[cache]:
+            self._set_dead_updates(cache, block, 0)
 
     def _count_update(self, cache: int, block: int) -> bool:
         """Count one received update; True if the copy should be dropped."""
-        key = (cache, block)
-        count = self._dead_updates.get(key, 0) + 1
-        if count >= self.update_limit:
-            self._dead_updates.pop(key, None)
-            return True
-        self._dead_updates[key] = count
-        return False
+        count = self._dead_updates.get(block, (0,) * self._num_caches)[cache] + 1
+        drop = count >= self.update_limit
+        self._set_dead_updates(cache, block, 0 if drop else count)
+        return drop
 
     def on_read(self, cache: int, block: int, first_ref: bool) -> ProtocolResult:
         """Handle a data read; see :meth:`CoherenceProtocol.on_read`."""

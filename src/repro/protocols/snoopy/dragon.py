@@ -24,7 +24,6 @@ from repro.protocols.events import (
     ProtocolResult,
     cache_access,
     mem_access,
-    write_back,
     write_word,
 )
 
@@ -61,15 +60,6 @@ class DragonProtocol(SnoopyProtocol):
                 self._caches[holder].put(block, DragonLineState.SHARED_CLEAN)
             elif state is DragonLineState.DIRTY:
                 self._caches[holder].put(block, DragonLineState.SHARED_DIRTY)
-
-    def _install(self, cache: int, block: int, state: DragonLineState, ops: list) -> None:
-        victim = self._caches[cache].put(block, state)
-        if victim is not None:
-            victim_block, victim_state = victim
-            if victim_state.is_owner:
-                # Finite-cache extension: the owner flushes the dirty
-                # line to memory on replacement.
-                ops.append(write_back())
 
     def on_read(self, cache: int, block: int, first_ref: bool) -> ProtocolResult:
         """Handle a data read; see :meth:`CoherenceProtocol.on_read`."""

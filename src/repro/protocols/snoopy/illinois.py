@@ -70,13 +70,6 @@ class IllinoisProtocol(SnoopyProtocol):
                 return index
         return None
 
-    def _install(self, cache: int, block: int, state: MESIState, ops: list) -> None:
-        victim = self._caches[cache].put(block, state)
-        if victim is not None:
-            victim_block, victim_state = victim
-            if victim_state is MESIState.MODIFIED:
-                ops.append(write_back())
-
     def on_read(self, cache: int, block: int, first_ref: bool) -> ProtocolResult:
         """Handle a data read; see :meth:`CoherenceProtocol.on_read`."""
         self._check_cache_index(cache)

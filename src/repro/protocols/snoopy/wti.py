@@ -42,13 +42,6 @@ class WTIProtocol(SnoopyProtocol):
             if index != cache and other.get(block) is not None
         ]
 
-    def _install(self, cache: int, block: int, ops: list) -> None:
-        victim = self._caches[cache].put(block, LineState.CLEAN)
-        if victim is not None:
-            # Write-through caches never hold dirty data, so finite-cache
-            # victims are dropped silently.
-            pass
-
     def on_read(self, cache: int, block: int, first_ref: bool) -> ProtocolResult:
         """Handle a data read; see :meth:`CoherenceProtocol.on_read`."""
         self._check_cache_index(cache)
@@ -63,7 +56,7 @@ class WTIProtocol(SnoopyProtocol):
             # miss is served by memory regardless of other copies.
             event = EventType.RM_BLK_CLN
             ops.append(mem_access())
-        self._install(cache, block, ops)
+        self._install(cache, block, LineState.CLEAN, ops)
         return ProtocolResult(event, tuple(ops))
 
     def on_write(self, cache: int, block: int, first_ref: bool) -> ProtocolResult:
@@ -89,7 +82,7 @@ class WTIProtocol(SnoopyProtocol):
             # block is fetched from (always-current) memory.
             event = EventType.WM_BLK_CLN
             ops.append(mem_access())
-        self._install(cache, block, ops)
+        self._install(cache, block, LineState.CLEAN, ops)
         return ProtocolResult(
             event,
             tuple(ops),

@@ -69,9 +69,9 @@ _COUNT_AT_EXIT = (
 #: Headline metrics where lower is better (all others are rates).
 LOWER_IS_BETTER = ("_s", ".modules")
 
-#: Ceiling on a kernel's finite-cache slowdown vs its infinite-cache
-#: run — the LRU layer does strictly more work (LRU maintenance,
-#: victim write-backs) but must stay on the same fast path.
+#: Ceiling on a scheme's finite-cache slowdown vs its infinite-cache
+#: run — the tables' LRU layer does strictly more work (LRU
+#: maintenance, victim write-backs) but must stay on the same fast path.
 FINITE_SLOWDOWN_LIMIT = 2.0
 
 #: Record-path throughput of the seed revision (pre-fast-path) on the
@@ -162,9 +162,9 @@ def measure_finite(
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
 ) -> dict[str, Any]:
-    """Kernel columnar throughput on finite vs infinite caches.
+    """Transition-table throughput on finite vs infinite caches.
 
-    Runs each scheme's state-table kernel with its LRU layer engaged
+    Runs each scheme's transition table with its LRU layer engaged
     (LRU sets, replacement write-backs) against the same trace its
     infinite-cache run measures, after asserting the columnar finite
     result matches the record path bit for bit.
@@ -300,11 +300,11 @@ def measure_generic(
 ) -> dict[str, dict[str, Any]]:
     """Serial ``Simulator.run`` throughput for every registered protocol.
 
-    ``path`` says whether a state-table kernel or the generic columnar
+    ``path`` says whether the transition tables or the generic columnar
     loop ran it, so a protocol far below its peers stands out.
     """
     from repro.core.simulator import Simulator
-    from repro.protocols.kernels import has_kernel
+    from repro.protocols.tables import has_table
     from repro.protocols.registry import available_protocols, make_protocol
     from repro.trace.columnar import ColumnarTrace
 
@@ -318,7 +318,7 @@ def measure_generic(
         )
         entries[scheme] = {
             "refs_per_sec": round(len(columnar) / seconds),
-            "path": "kernel" if has_kernel(make_protocol(scheme, 1)) else "generic",
+            "path": "table" if has_table(make_protocol(scheme, 1)) else "generic",
         }
     return entries
 
@@ -414,11 +414,11 @@ def build_report(
     """Measure everything; returns the BENCH_throughput.json payload.
 
     The headline ``parallel_sweep`` uses the same composition as the
-    pooled seed anchor (the kernel-accelerated hot four over pops +
-    thor) so ``speedup_vs_seed_pooled`` is apples-to-apples.  A second
+    pooled seed anchor (the paper's four schemes over pops + thor) so
+    ``speedup_vs_seed_pooled`` is apples-to-apples.  A second
     ``parallel_sweep_full_roster`` section sweeps **every** registered
-    protocol — the realistic paper sweep mixing kernel-fast cells with
-    object-model ones — as context, not as a gated metric.
+    protocol — the realistic paper sweep — as context, not as a gated
+    metric.
     """
     from repro.protocols.registry import available_protocols
     from repro.workloads.registry import make_trace
@@ -585,16 +585,16 @@ def find_regressions(
 def finite_kernel_violations(
     report: dict[str, Any], limit: float = FINITE_SLOWDOWN_LIMIT
 ) -> list[str]:
-    """Schemes whose finite kernel runs more than *limit*x slower than
-    the infinite kernel (empty when the finite fast path holds)."""
+    """Schemes whose finite-cache run is more than *limit*x slower than
+    their infinite-cache run (empty when the finite fast path holds)."""
     violations: list[str] = []
     finite = report.get("finite", {})
     for scheme, entry in finite.get("schemes", {}).items():
         slowdown = entry.get("slowdown_vs_infinite")
         if slowdown is not None and slowdown > limit:
             violations.append(
-                f"finite kernel for {scheme} at {finite.get('geometry')} is "
-                f"{slowdown:.2f}x slower than the infinite kernel "
+                f"finite tables for {scheme} at {finite.get('geometry')} are "
+                f"{slowdown:.2f}x slower than infinite ones "
                 f"(limit {limit:.1f}x)"
             )
     return violations

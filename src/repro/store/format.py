@@ -74,7 +74,7 @@ FOOTER = struct.Struct("<QQII8s")
 CHUNK_CODECS = ("raw", "zlib")
 
 #: Default references per chunk (~6.5 MiB raw): large enough that the
-#: per-chunk kernel/session overhead is negligible, small enough that a
+#: per-chunk table-session overhead is negligible, small enough that a
 #: zlib chunk decodes into a modest heap allocation.
 DEFAULT_CHUNK_RECORDS = 262_144
 

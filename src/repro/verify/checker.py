@@ -18,8 +18,8 @@ them as **one gate**:
   *trace*, so every correct protocol must report identical values;
 * every clean plain cell is then simulated once more on the **fast
   path** — the bare protocol through an uninstrumented
-  :class:`Simulator`, so the columnar loop or a state-table kernel
-  runs it — and must reproduce the checked cell's result exactly;
+  :class:`Simulator`, so the transition tables or the columnar loop
+  run it — and must reproduce the checked cell's result exactly;
 * the cells run as one :class:`~repro.engine.plan.ExecutionPlan` on
   the :class:`~repro.engine.core.Engine`, so ``--jobs`` parallelism and
   failure containment come from the same layer every other sweep uses.
@@ -356,7 +356,7 @@ class ConformanceChecker:
         The checked cell ran the oracle-wrapped protocol with invariant
         checks, which forces the record loop.  Here the bare protocol
         runs through a plain :class:`Simulator`, so the columnar loop —
-        or a state-table kernel, where one applies — simulates the same
+        or the transition tables, where they apply — simulates the same
         trace, and its result (labels aside) must match exactly.
         """
         simulator = Simulator(sharer_key=self.sharer_key)

@@ -34,7 +34,6 @@ from repro.workloads.layout import AddressSpaceLayout
 from repro.workloads.registry import make_trace, workload_config
 
 TRACE_LENGTH = 3000
-KERNEL_SCHEMES = ("dir0b", "dir1nb", "wti", "dragon")
 GEOMETRIES = (None, "256x2")
 
 
@@ -84,8 +83,8 @@ def wide(narrow):
 def test_results_do_not_depend_on_width(
     narrow, wide, scheme, path, geometry, monkeypatch
 ):
-    """Every protocol, on the kernel path where one applies and on the
-    generic loop, gives the same result bit for bit at any width."""
+    """Every protocol, on the transition tables and on the generic
+    loop, gives the same result bit for bit at any width."""
     engaged = []
     kernel_run = simulator_module.kernel_run
 
@@ -101,8 +100,8 @@ def test_results_do_not_depend_on_width(
     wide_result = simulator.run(wide, scheme, **options)
     assert canonical(narrow_result) == canonical(wide_result)
     assert narrow_result == wide_result
-    kernel = path == "default" and scheme in KERNEL_SCHEMES
-    assert engaged == [kernel, kernel]
+    table = path == "default"  # every stock protocol runs on the tables
+    assert engaged == [table, table]
 
 
 @pytest.mark.parametrize("scheme", available_protocols())

@@ -127,9 +127,6 @@ def test_trace_name_override(trace_tiny):
 # The simulator picks the representation
 # ----------------------------------------------------------------------
 
-KERNEL_SCHEMES = ("dir0b", "dir1nb", "wti", "dragon")
-
-
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """The results ``kernel_run`` returned inside ``Simulator.run``."""
@@ -147,7 +144,7 @@ def kernel_runs(monkeypatch):
     return returned
 
 
-@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+@pytest.mark.parametrize("scheme", available_protocols())
 def test_column_backed_trace_runs_the_kernel(kernel_runs, scheme):
     from repro.workloads.registry import make_trace
 

@@ -6,7 +6,7 @@ Two guarantees make finite capacity a trustworthy sweep axis:
   finite cache whose capacity covers the trace's whole block footprint
   (and whose sets never overflow) produces a result digest-identical to
   the infinite-cache run, on every execution backend (serial record
-  path, columnar/kernel fast path, pooled multiprocess sweep, and
+  path, columnar/table fast path, pooled multiprocess sweep, and
   chunk-streamed ``.ctrc``);
 * **scarce capacity only adds cost** — shrinking a nested
   fully-associative geometry never lowers bus cycles per reference, and
@@ -66,7 +66,7 @@ def test_ample_capacity_is_digest_identical(trace, ample, scheme):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_ample_capacity_identical_on_columnar_backend(columnar, ample, scheme):
-    """The columnar path (kernels where they exist) agrees too."""
+    """The columnar path (the transition tables) agrees too."""
     simulator = Simulator()
     infinite = simulator.run(columnar, scheme)
     finite = simulator.run(columnar, scheme, geometry=ample.canonical())

@@ -8,8 +8,8 @@ finite↔infinite differential harness relies on:
 * directory-capacity protocols keep their sharer bookkeeping
   consistent through evictions and recalls (every reference is
   invariant-checked, and the LRU book never exceeds the bound);
-* the capacity-aware state-table kernels remain bit-identical to the
-  generic object model — results *and* end state — after arbitrary
+* the transition tables with their LRU layer remain bit-identical to
+  the generic object model — results *and* end state — after arbitrary
   reference prefixes, not just the curated workload traces.
 """
 
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.invariants import InvariantChecker
 from repro.core.simulator import SimulationContext, Simulator
 from repro.memory.cache import FiniteCache
-from repro.protocols.registry import make_protocol
+from repro.protocols.registry import available_protocols, make_protocol
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
@@ -166,7 +166,7 @@ def test_invariants_hold_with_bounded_directory(refs, scheme):
 
 
 # ----------------------------------------------------------------------
-# Kernel vs generic object model on random finite prefixes
+# Transition tables vs generic object model on random finite prefixes
 # ----------------------------------------------------------------------
 
 
@@ -185,10 +185,10 @@ def _snapshot(protocol):
 
 
 @settings(max_examples=40, deadline=None)
-@given(refs=refs_strategy, scheme=st.sampled_from(KERNEL_SCHEMES))
+@given(refs=refs_strategy, scheme=st.sampled_from(available_protocols()))
 def test_finite_kernel_matches_generic_on_random_prefixes(refs, scheme):
     from repro.core.result import SimulationResult
-    from repro.protocols.kernels import kernel_run
+    from repro.core.simulator import kernel_run
 
     trace = Trace("prefix", _records_from(refs))
     columnar = ColumnarTrace.from_trace(trace)
@@ -202,7 +202,7 @@ def test_finite_kernel_matches_generic_on_random_prefixes(refs, scheme):
     ran = kernel_run(
         simulator, columnar, via_kernel, kernel_result, SimulationContext()
     )
-    assert ran is kernel_result  # the finite kernel engaged
+    assert ran is kernel_result  # the tables engaged
 
     via_generic = make_protocol(scheme, NUM_CACHES, cache_factory=factory)
     generic_result = simulator._run_columnar(

@@ -1,33 +1,36 @@
-"""Differential tests for the state-table kernels.
+"""The ``kernel_run`` contract, kept by the transition tables.
 
-``repro.protocols.kernels`` reimplements the dir0b/dir1nb/wti/dragon
-inner loops as table lookups over a compact state encoding, one kernel
-per protocol for infinite caches and uniform finite caches alike.  The
-contract is strict bit-identity with the object model plus a guarantee
-that the kernel *refuses* (returns None, state untouched) whenever the
-protocol, caches, or live state fall outside its verified encoding —
-so wrappers, subclassed or mixed caches, bounded directories, and
-mutation-tested variants always exercise the real state machines.
+``repro.core.simulator.kernel_run`` is the simulator's fast path: it
+runs a trace on the per-block transition tables
+(:mod:`repro.protocols.tables`) for every stock protocol, on infinite
+caches and uniform finite caches alike.  The contract is strict
+bit-identity with the object model plus a guarantee that it *refuses*
+(returns None, state untouched) whenever the protocol, caches, or live
+state fall outside what the tables take — so wrappers, subclassed or
+mixed caches, bounded directories, and mutation-tested variants always
+exercise the real state machines.  The all-protocol, all-geometry
+differential lives in ``test_table_differential.py``.
 """
 
 import pytest
 
 from conftest import record_loop
-from repro.core.simulator import SimulationContext, Simulator
+from repro.core.simulator import SimulationContext, Simulator, kernel_run
 from repro.core.result import merge_results
 from repro.errors import ConfigurationError
 from repro.memory.cache import FiniteCache
-from repro.protocols.kernels import has_kernel, kernel_run
-from repro.protocols.registry import make_protocol
+from repro.protocols.registry import available_protocols, make_protocol
+from repro.protocols.tables import has_table
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads.registry import make_trace
 
+#: The paper's four schemes, which get every check of this file.
 KERNEL_SCHEMES = ("dir0b", "dir1nb", "wti", "dragon")
 TRACE_LENGTH = 6000
 
-#: Each kernel scheme on infinite caches (bare scheme id) and on an
-#: evicting finite geometry, so both cache models of the one kernel get
-#: the same checks.
+#: Each scheme on infinite caches (bare scheme id) and on an evicting
+#: finite geometry, so both cache models of the one table get the same
+#: checks.
 KERNEL_CASES = [
     pytest.param(
         scheme, geometry, id=scheme if geometry is None else f"{scheme}-{geometry}"
@@ -67,36 +70,20 @@ def write_heavy():
 
 
 # ----------------------------------------------------------------------
-# Engagement: the kernels actually run for the stock protocols
+# Engagement: the tables run every stock protocol
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
+@pytest.mark.parametrize("scheme", available_protocols())
 def test_kernel_engages_for_stock_protocol(columnar, scheme):
     simulator = Simulator()
     protocol = make_protocol(scheme, num_caches=len(columnar.pids))
-    assert has_kernel(protocol)
+    assert has_table(protocol)
     from repro.core.result import SimulationResult
 
     result = SimulationResult(scheme=protocol.name, trace_name=columnar.name)
     ran = kernel_run(simulator, columnar, protocol, result, SimulationContext())
     assert ran is result  # did not bail to the generic path
-
-
-def test_no_kernel_for_other_protocols(columnar):
-    for scheme in ("dirnnb", "dirib", "coarse-vector", "write-once", "illinois"):
-        protocol = make_protocol(scheme, num_caches=4)
-        assert not has_kernel(protocol)
-        assert (
-            kernel_run(
-                Simulator(),
-                columnar,
-                protocol,
-                object(),
-                SimulationContext(),
-            )
-            is None
-        )
 
 
 # ----------------------------------------------------------------------
@@ -155,10 +142,10 @@ def test_kernel_matches_with_cpu_sharers(trace, columnar, scheme, geometry):
 def test_kernel_segmented_run_matches_continuous(trace, columnar, scheme, geometry):
     """Checkpoint-shaped execution: one protocol + context, many windows.
 
-    Every window after the first imports live state the previous
-    window's kernel exported, so this round-trips the full encoding
-    (dirty owners, shared masks, directory entries, and under finite
-    caches the LRU sets) at odd boundaries.
+    Every window after the first reads in the per-block snapshots the
+    previous window wrote back, so this round-trips every block's state
+    (lines, directory entries, and under finite caches the LRU sets) at
+    odd boundaries.
     """
     simulator = Simulator()
     whole = record_loop(simulator, trace, scheme, geometry=geometry)
@@ -180,7 +167,7 @@ def test_kernel_segmented_run_matches_continuous(trace, columnar, scheme, geomet
 
 @pytest.mark.parametrize("scheme, geometry", KERNEL_CASES)
 def test_kernel_export_matches_object_model_state(columnar, scheme, geometry):
-    """After a run, the kernel-exported caches equal the generic path's."""
+    """After a run, the caches the tables wrote back equal the generic path's."""
     from repro.core.result import SimulationResult
 
     simulator = Simulator()
@@ -189,7 +176,7 @@ def test_kernel_export_matches_object_model_state(columnar, scheme, geometry):
     via_kernel = make_protocol(scheme, num_caches=num_caches, geometry=geometry)
     result = SimulationResult(scheme=via_kernel.name, trace_name=columnar.name)
     ran = kernel_run(simulator, columnar, via_kernel, result, SimulationContext())
-    assert ran is result  # the kernel engaged
+    assert ran is result  # the tables engaged
 
     via_generic = make_protocol(scheme, num_caches=num_caches, geometry=geometry)
     simulator._run_columnar(
@@ -208,7 +195,7 @@ def test_kernel_export_matches_object_model_state(columnar, scheme, geometry):
 
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_finite_kernel_engages_for_uniform_geometry(columnar, scheme):
-    """Exact FiniteCaches of one geometry run the kernel's LRU layer."""
+    """Exact FiniteCaches of one geometry run the tables' LRU layer."""
     from repro.core.result import SimulationResult
 
     simulator = Simulator()
@@ -217,14 +204,14 @@ def test_finite_kernel_engages_for_uniform_geometry(columnar, scheme):
         num_caches=len(columnar.pids),
         cache_factory=lambda: FiniteCache(num_sets=4, associativity=1),
     )
-    assert has_kernel(protocol)
+    assert has_table(protocol)
     result = SimulationResult(scheme=protocol.name, trace_name=columnar.name)
     ran = kernel_run(simulator, columnar, protocol, result, SimulationContext())
     assert ran is result
 
 
 def test_kernel_bails_on_subclassed_finite_cache(columnar):
-    """A FiniteCache subclass is outside both kernels' verified model."""
+    """A FiniteCache subclass is outside what the tables take."""
 
     class TracingFiniteCache(FiniteCache):
         pass
@@ -259,7 +246,7 @@ def test_kernel_bails_on_mixed_geometry(columnar):
 
 
 def test_finite_cache_columnar_run_still_correct(trace, columnar):
-    """Finite kernel and generic record path agree on finite caches."""
+    """Finite tables and generic record path agree on finite caches."""
     simulator = Simulator()
 
     def factory():
@@ -279,8 +266,8 @@ def test_finite_cache_columnar_run_still_correct(trace, columnar):
 def test_kernel_bails_on_bounded_directory(trace, columnar, scheme):
     """Directory recalls (``dir_capacity``) stay on the generic path.
 
-    The kernels do not model recalls, so with infinite caches too they
-    must refuse rather than ignore the bound.
+    Recalls couple blocks, so with infinite caches too the tables must
+    refuse rather than ignore the bound.
     """
     protocol = make_protocol(scheme, num_caches=len(columnar.pids), dir_capacity=4)
     before = _snapshot(protocol)
@@ -314,7 +301,7 @@ def test_kernel_bails_on_wrapped_protocol(columnar):
 
     inner = make_protocol("dir0b", num_caches=len(columnar.pids))
     wrapped = SaboteurProtocol(inner, trigger_after=10**9)
-    assert not has_kernel(wrapped)
+    assert not has_table(wrapped)
 
 
 def test_invariant_checking_bypasses_kernel(trace, columnar):

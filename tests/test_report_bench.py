@@ -59,8 +59,8 @@ def test_generic_section_covers_every_protocol():
 
     section = bench.measure_generic(make_trace("pops", length=500), repeats=1, warmup=0)
     assert sorted(section) == available_protocols()
-    kernels = sorted(s for s, entry in section.items() if entry["path"] == "kernel")
-    assert kernels == ["dir0b", "dir1nb", "dragon", "wti"]
+    tables = sorted(s for s, entry in section.items() if entry["path"] == "table")
+    assert tables == available_protocols()
     assert all(entry["refs_per_sec"] > 0 for entry in section.values())
 
 

@@ -4,9 +4,9 @@ The claims under test (docs/TRACESTORE.md):
 
 * simulating a ``.ctrc`` chunk by chunk produces a result identical to
   simulating the same references in memory — for **every** registered
-  protocol (the table-kernel protocols carry state across chunk
-  boundaries in a resident session; the rest accumulate per chunk
-  through a shared context);
+  protocol (the transition tables carry each block's state across
+  chunk boundaries in a resident session; anything they refuse
+  accumulates per chunk through a shared context);
 * the parity survives pooled dispatch (chunk handles across the pickle
   boundary) and a checkpoint/resume cycle whose snapshot lands
   mid-chunk;

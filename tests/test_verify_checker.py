@@ -94,11 +94,11 @@ def test_saboteur_specs_surface_as_findings():
 
 
 def test_miscounting_fast_path_is_a_fast_path_finding(monkeypatch):
-    """Clean oracle cells re-run on the fast path, kernels included.
+    """Clean oracle cells re-run on the fast path, the tables included.
 
     The oracle-wrapped cell takes the record loop, so only the re-run
-    reaches the (here deliberately miscounting) state-table kernel, for
-    infinite and finite caches alike.
+    reaches the (here deliberately miscounting) transition tables, for
+    every stock protocol on infinite and finite caches alike.
     """
     import repro.core.simulator as simulator_module
 
@@ -116,6 +116,8 @@ def test_miscounting_fast_path_is_a_fast_path_finding(monkeypatch):
     assert {(f.scheme, f.kind) for f in report.findings} == {
         ("dir0b", "fast-path"),
         ("dir0b@4x2", "fast-path"),
+        ("dirnnb", "fast-path"),
+        ("dirnnb@4x2", "fast-path"),
     }
     assert all("event_counts" in f.message for f in report.findings)
 

@@ -6,7 +6,7 @@ ceiling, then proves the bounded-memory claim three independent ways —
 each phase running in its own subprocess with ``RLIMIT_DATA`` set, so
 an unbounded allocation fails loudly instead of quietly paging:
 
-1. **serial** — the chunk-streamed kernel path (``Simulator.run`` over
+1. **serial** — the chunk-streamed table path (``Simulator.run`` over
    ``iter_chunks``);
 2. **pooled** — an ``Engine(jobs=N)`` sweep fanning the same cell across a
    process pool (chunk *handles* cross the pickle boundary);
