@@ -57,8 +57,8 @@ FINITE_CHECKS = dragon@256x2 adaptive@256x2 dir0b@1024x4
 # conformance fuzz with mutation testing on infinite caches and on the
 # finite-parity job's evicting 4x2 geometry (fuzz cells re-run on the
 # fast path, so the transition tables see adversarial traces in both
-# cache models), and a regenerated RESULTS.md that must equal the
-# committed one, without needing an install.
+# cache models), and a regenerated RESULTS.md and docs/PROTOCOLS.md
+# that must equal the committed ones, without needing an install.
 ci:
 	PYTHONPATH=src python tools/check_shm_leaks.py python -m pytest -x -q --capture=sys
 	PYTHONPATH=src python -m pytest benchmarks/e2e -q
@@ -80,6 +80,8 @@ ci:
 	PYTHONPATH=src python -m repro verify --fuzz 15 --seed 2 --finite-geometry 4x2 --mutation
 	$(MAKE) report
 	git diff --exit-code RESULTS.md
+	$(MAKE) docs
+	git diff --exit-code docs/PROTOCOLS.md
 
 # Regenerate the machine-derived protocol reference.
 docs:

@@ -671,14 +671,14 @@ def cmd_bench(args) -> int:
     rows = [
         (
             scheme,
-            entry["record_refs_per_sec"],
-            entry["columnar_refs_per_sec"],
-            entry["speedup_columnar_vs_record"],
+            entry["generic_refs_per_sec"],
+            entry["table_refs_per_sec"],
+            entry["speedup_table_vs_generic"],
         )
         for scheme, entry in report["schemes"].items()
     ]
     print(format_table(
-        ["scheme", "record refs/s", "columnar refs/s", "speedup"],
+        ["scheme", "generic refs/s", "table refs/s", "speedup"],
         rows,
         title=f"serial throughput ({args.length} refs, best of {args.repeats})",
     ))

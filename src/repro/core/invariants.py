@@ -14,7 +14,7 @@ satisfies the protocol's declared invariants:
   shared state's owner-half inconsistently.
 
 The simulator can run the checker after every data reference (tests do)
-or at an interval.
+or at an interval, through :class:`CheckedProtocol`.
 """
 
 from __future__ import annotations
@@ -176,3 +176,34 @@ class InvariantChecker:
                 # cannot observe individual evictions; under infinite
                 # caches copies never silently vanish, so flag it.
                 self._fail(block, "directory CLEAN_MANY but no holders exist")
+
+
+class CheckedProtocol:
+    """A protocol whose every *interval*-th data reference is checked.
+
+    What ``Simulator(check_invariants=N)`` runs, one wrapper per ``run``
+    call: ``on_read``/``on_write`` forward to *protocol*, and every
+    *interval*-th reference checks the referenced block.  Being no stock
+    protocol type, it is refused by the transition tables and runs on
+    the generic columnar loop.
+    """
+
+    def __init__(self, protocol: CoherenceProtocol, interval: int) -> None:
+        self.protocol = protocol  # what unwrap_protocol follows
+        self.name = protocol.name
+        self.num_caches = protocol.num_caches
+        self._check = InvariantChecker(protocol).check_block
+        self._interval = self._left = interval
+
+    def _counted(self, outcome, block: int):
+        self._left -= 1
+        if not self._left:
+            self._left = self._interval
+            self._check(block)
+        return outcome
+
+    def on_read(self, cache: int, block: int, first_ref: bool):
+        return self._counted(self.protocol.on_read(cache, block, first_ref), block)
+
+    def on_write(self, cache: int, block: int, first_ref: bool):
+        return self._counted(self.protocol.on_write(cache, block, first_ref), block)

@@ -59,32 +59,11 @@ class SimulationResult:
     # Accumulation (used by the simulator)
     # ------------------------------------------------------------------
 
-    def record(self, result) -> None:
-        """Accumulate one :class:`~repro.protocols.events.ProtocolResult`."""
-        self.total_refs += 1
-        self.event_counts[result.event] += 1
-        if result.ops:
-            self.bus_transactions += 1
-            units = self.op_units.setdefault(result.event, Counter())
-            for op in result.ops:
-                units[op.kind] += op.count
-        if result.clean_write_sharers is not None:
-            self.clean_write_histogram[result.clean_write_sharers] += 1
-        self.wasted_invalidations += result.wasted_invalidations
-        self.pointer_evictions += result.pointer_evictions
-        self.directory_recalls += result.directory_recalls
-
-    def record_instruction(self) -> None:
-        """Accumulate one instruction fetch (never reaches the protocol)."""
-        self.total_refs += 1
-        self.event_counts[EventType.INSTR] += 1
-
     def record_batch(self, result, count: int) -> None:
         """Accumulate one :class:`ProtocolResult` *count* times at once.
 
-        Equivalent to calling :meth:`record` *count* times with the same
-        outcome; the simulator's columnar fast path uses this to batch
-        runs of identical (shared-instance) outcomes.
+        The simulator's loops batch runs of identical (shared-instance)
+        outcomes; a count of 1 records a single reference.
         """
         if count <= 0:
             return

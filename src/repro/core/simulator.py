@@ -15,14 +15,19 @@ Methodology choices match the paper:
 * **Instructions** cause no coherence traffic and are not charged.
 * **Sharing is keyed by process** (pid) by default; ``sharer_key="cpu"``
   switches to the processor-sharing view (Section 4.4).
+
+Every trace runs on columns: the per-block transition tables
+(:mod:`repro.protocols.tables`) for the exact stock protocols, and the
+generic columnar loop for anything else, invariant-checked runs
+included.  The record-at-a-time loop, one protocol call per record, is
+the differential reference the tests keep (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Any, Iterable
 
-from repro.core.invariants import InvariantChecker
+from repro.core.invariants import CheckedProtocol
 from repro.core.result import SimulationResult
 from repro.errors import ConfigurationError
 from repro.memory.address import BlockMapper
@@ -30,7 +35,7 @@ from repro.protocols.base import CoherenceProtocol
 from repro.protocols.tables import kernel_run, open_kernel_session
 from repro.protocols.registry import make_protocol
 from repro.trace.columnar import TYPE_READ, ColumnarTrace, columnar_chunks
-from repro.trace.record import RefType, TraceRecord
+from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 
 _SHARER_KEYS = ("pid", "cpu")
@@ -65,7 +70,8 @@ class Simulator:
         check_invariants: if truthy, run the
             :class:`~repro.core.invariants.InvariantChecker` on the
             referenced block after every data reference (``True``), or
-            after every N-th reference (an integer interval).
+            after every N-th data reference of each ``run`` call (an
+            integer interval).
     """
 
     def __init__(
@@ -80,14 +86,9 @@ class Simulator:
             )
         self.block_mapper = block_mapper or BlockMapper()
         self.sharer_key = sharer_key
-        if check_invariants is True:
-            self.check_interval = 1
-        elif check_invariants is False:
-            self.check_interval = 0
-        else:
-            if check_invariants < 0:
-                raise ConfigurationError("check_invariants interval must be >= 0")
-            self.check_interval = int(check_invariants)
+        if check_invariants < 0:
+            raise ConfigurationError("check_invariants interval must be >= 0")
+        self.check_interval = int(check_invariants)  # True is 1, False 0
 
     def run(
         self,
@@ -103,11 +104,12 @@ class Simulator:
         The simulator picks the representation: every trace runs on the
         columnar path (the transition tables where they apply).  A
         column-backed :class:`~repro.trace.stream.Trace` hands over its
-        columns, a record-backed one is packed, and a lazily read file
-        or a chunked store streams a chunk at a time
-        (:func:`~repro.trace.columnar.columnar_chunks`).  Bare record
-        iterables and invariant checking take the record loop, the
-        reference implementation (see ``docs/PERFORMANCE.md``).
+        columns, a record-backed one is packed, and a lazily read file,
+        a chunked store or a bare record iterable streams a chunk at a
+        time (:func:`~repro.trace.columnar.columnar_chunks`).  Invariant
+        checking wraps the protocol in a
+        :class:`~repro.core.invariants.CheckedProtocol`, which only the
+        generic columnar loop runs.
 
         Args:
             trace: a :class:`~repro.trace.stream.Trace`, a
@@ -122,17 +124,14 @@ class Simulator:
                 same context and protocol instance to every segment).
             protocol_options: forwarded to the protocol factory.
         """
-        named = isinstance(trace, (Trace, ColumnarTrace)) or hasattr(trace, "iter_chunks")
-        name = trace_name or (trace.name if named else "stream")
-
+        name = trace_name or getattr(trace, "name", "stream")
         built = self._resolve_protocol(protocol, trace, num_caches, protocol_options)
         result = SimulationResult(scheme=built.name, trace_name=name)
         context = context or SimulationContext()
-        if self.check_interval or not named:
-            # Invariant checking needs the record loop's per-data-ref
-            # cadence; a bare record iterable has no columns to read.
-            records = trace.records if named else trace
-            return self._run_records(records, built, result, context)
+        if self.check_interval:
+            # A wrapper type, so the tables refuse it: checked runs take
+            # the generic loop, and the unchecked loops test nothing.
+            built = CheckedProtocol(built, self.check_interval)
         if isinstance(trace, ColumnarTrace) or getattr(trace, "in_memory", False):
             columns = ColumnarTrace.from_trace(trace)
             # Transition tables for the exact stock protocols; they
@@ -145,70 +144,6 @@ class Simulator:
             return self._run_columnar(columns, built, result, context)
         return self._run_chunked(columnar_chunks(trace), built, result, context)
 
-    def _run_records(
-        self,
-        records: Iterable[TraceRecord],
-        built: CoherenceProtocol,
-        result: SimulationResult,
-        context: SimulationContext,
-    ) -> SimulationResult:
-        """The record loop: one protocol call per data record.
-
-        The reference implementation: simple enough to check by eye,
-        and the only path that runs the invariant checker.
-        """
-        checker = InvariantChecker(built) if self.check_interval else None
-        sharer_index = context.sharer_index
-        seen_blocks = context.seen_blocks
-        seen_add = seen_blocks.add
-        data_refs = 0
-
-        # Hoisted per-record overheads: the sharer key resolves to one
-        # attrgetter per run instead of a string compare per record,
-        # and the sharer -> cache-index mapping uses a plain get instead
-        # of allocating a setdefault default.
-        sharer_of = attrgetter(self.sharer_key)
-        sharer_lookup = sharer_index.get
-        block_of = self.block_mapper.block_of
-        num_caches_limit = built.num_caches
-        on_read = built.on_read
-        on_write = built.on_write
-        record_outcome = result.record
-        instr = RefType.INSTR
-        read = RefType.READ
-
-        for record in records:
-            context.records_done += 1
-            if record.ref_type is instr:
-                result.record_instruction()
-                continue
-
-            sharer = sharer_of(record)
-            cache = sharer_lookup(sharer)
-            if cache is None:
-                cache = len(sharer_index)
-                if cache >= num_caches_limit:
-                    raise ConfigurationError(
-                        f"trace contains more than num_caches={num_caches_limit} "
-                        f"distinct sharers (sharer id {sharer})"
-                    )
-                sharer_index[sharer] = cache
-            block = block_of(record.address)
-            first_ref = block not in seen_blocks
-            seen_add(block)
-
-            if record.ref_type is read:
-                outcome = on_read(cache, block, first_ref)
-            else:
-                outcome = on_write(cache, block, first_ref)
-            record_outcome(outcome)
-
-            data_refs += 1
-            if checker is not None and data_refs % self.check_interval == 0:
-                checker.check_block(block)
-
-        return result
-
     def _run_columnar(
         self,
         trace: ColumnarTrace,
@@ -218,11 +153,12 @@ class Simulator:
     ) -> SimulationResult:
         """The columnar fast path: iterate packed columns, not records.
 
-        Produces a result identical to the record path (the differential
-        test in ``tests/test_columnar_differential.py`` holds this for
-        every registered protocol): the same protocol calls are made in
-        the same order with the same arguments, and accumulation is
-        batched only across runs of the *same* shared outcome instance.
+        Produces a result identical to the record loop, the reference
+        that ``tests/conftest.py::record_loop`` keeps (the differential
+        tests hold this for every registered protocol): the same
+        protocol calls are made in the same order with the same
+        arguments, and accumulation is batched only across runs of the
+        *same* shared outcome instance.
         Instruction fetches never reach the protocol and are counted in
         bulk.  ``context.records_done`` is updated once per call, so on
         an exception mid-run the context must be discarded (callers that

@@ -6,24 +6,27 @@ reach for a single block on an n-cache machine — breadth-first over all
 (cache, read/write) actions — and validates the coherence invariants in
 each one, the way a Murphi-style model checker would.
 
-The global state is the protocol's per-block snapshot (per-cache line
-states, directory entry, protocol bits); protocols are branched with
-``deepcopy``.
-State counts are tiny (tens of states for the protocols here), so the
-exploration is exhaustive in milliseconds and makes a strong
-complement to the randomized property tests.
+The search walks the same automaton the simulator runs: an unmemoized
+:class:`~repro.protocols.tables.TransitionTable`, whose states are the
+protocol's per-block snapshots (per-cache line states, directory entry,
+protocol bits) and whose moves the object model fills.  Each reached
+state is checked on its representative, a fresh protocol holding only
+that state.  State counts are tiny (tens of states for the protocols
+here), so the exploration is exhaustive in milliseconds and makes a
+strong complement to the randomized property tests.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.invariants import InvariantChecker
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.protocols.base import CoherenceProtocol
 from repro.protocols.registry import make_protocol
+from repro.protocols.tables import TransitionTable
 
 _BLOCK = 0
 
@@ -52,22 +55,6 @@ def fingerprint(protocol: CoherenceProtocol):
     return protocol.snapshot_block(_BLOCK)
 
 
-@dataclass
-class ExplorationReport:
-    """Outcome of one exhaustive exploration."""
-
-    scheme: str
-    num_caches: int
-    states: int = 0
-    transitions: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        """True when every reachable state satisfied the invariants."""
-        return not self.violations
-
-
 @dataclass(frozen=True)
 class Transition:
     """One deduplicated protocol transition, from the requester's view.
@@ -92,6 +79,31 @@ class Transition:
     requester_after: str | None
 
 
+@dataclass
+class ExplorationReport:
+    """Outcome of one exhaustive exploration.
+
+    ``rows`` holds the distinct transitions of the actions that passed.
+    """
+
+    scheme: str
+    num_caches: int
+    states: int = 0
+    transitions: int = 0
+    violations: list[str] = field(default_factory=list)
+    rows: set[Transition] = field(default_factory=set, repr=False, compare=False)
+
+    @property
+    def clean(self) -> bool:
+        """True when every reachable state satisfied the invariants."""
+        return not self.violations
+
+
+def _line(holders: dict, cache: int) -> str | None:
+    """*cache*'s line state value in *holders*, None when it holds none."""
+    return holders[cache].value if cache in holders else None
+
+
 def enumerate_transitions(
     scheme: str,
     num_caches: int = 3,
@@ -100,64 +112,29 @@ def enumerate_transitions(
 ) -> list[Transition]:
     """Derive a protocol's transition table by exhaustive probing.
 
-    Walks the same reachable state space as :func:`explore_block_states`
-    and records each distinct (requester state, other copies, action)
-    situation with its observable outcome — an automatically generated,
-    provably complete protocol specification table.
+    Lists the rows :func:`explore_block_states` finds: each distinct
+    (requester state, other copies, action) situation with its
+    observable outcome, one row per outcome where hidden state (such
+    as adaptive's dead-update count or a coarse vector's groups) gives
+    a situation several: an automatically generated, complete protocol
+    specification table.  A protocol that fails the search (an
+    invariant violation, or an action that raises) has no such table:
+    :class:`~repro.errors.ProtocolError` names its first violation.
     """
-    initial = make_protocol(scheme, num_caches, **protocol_options)
-    seen_states = {(False, fingerprint(initial))}
-    frontier = deque([(initial, False)])
-    transitions: dict[tuple, Transition] = {}
-    states = 0
-
-    while frontier:
-        protocol, touched = frontier.popleft()
-        states += 1
-        if states > max_states:
-            raise ConfigurationError(
-                f"state space of {scheme!r} exceeded max_states={max_states}"
-            )
-        for cache in range(num_caches):
-            for operation in ("r", "w"):
-                branch = copy.deepcopy(protocol)
-                holders = branch.holders(_BLOCK)
-                requester_state = (
-                    holders[cache].value if cache in holders else None
-                )
-                others = tuple(
-                    sorted(
-                        state.value
-                        for holder, state in holders.items()
-                        if holder != cache
-                    )
-                )
-                first_ref = not touched
-                if operation == "r":
-                    result = branch.on_read(cache, _BLOCK, first_ref)
-                else:
-                    result = branch.on_write(cache, _BLOCK, first_ref)
-                after = branch.holders(_BLOCK)
-                transition = Transition(
-                    requester_state=requester_state,
-                    others=others,
-                    operation=operation,
-                    first_ref=first_ref,
-                    event=result.event.value,
-                    ops=tuple((op.kind.value, op.count) for op in result.ops),
-                    requester_after=(
-                        after[cache].value if cache in after else None
-                    ),
-                )
-                key = (requester_state, others, operation, first_ref)
-                transitions.setdefault(key, transition)
-                state_key = (True, fingerprint(branch))
-                if state_key not in seen_states:
-                    seen_states.add(state_key)
-                    frontier.append((branch, True))
+    report = explore_block_states(
+        scheme, num_caches, max_states, **protocol_options
+    )
+    if report.violations:
+        raise ProtocolError(
+            f"{scheme}: {len(report.violations)} violation(s), first: "
+            f"{report.violations[0]}"
+        )
     return sorted(
-        transitions.values(),
-        key=lambda t: (t.operation, t.first_ref, str(t.requester_state), t.others),
+        report.rows,
+        key=lambda t: (
+            t.operation, t.first_ref, str(t.requester_state), t.others,
+            str(t.requester_after), t.event, t.ops,
+        ),
     )
 
 
@@ -170,9 +147,12 @@ def explore_block_states(
 ) -> ExplorationReport:
     """Enumerate and validate every reachable single-block global state.
 
-    Starts from the untouched block (first references included as the
-    initial actions) and applies every (cache, read/write) pair from
-    every discovered state.
+    A breadth-first search over ``(table state, touched)`` nodes, from
+    the untouched block (whether the block has been referenced decides
+    the first-reference flag of the next action).  Every (cache,
+    read/write) action is tried from every node; a state that fails
+    the invariants, or an action that raises, is reported and not
+    searched further.
 
     Args:
         scheme: protocol registry name.
@@ -183,45 +163,49 @@ def explore_block_states(
             instead of collecting all of them.
         protocol_options: forwarded to the protocol factory.
     """
-    initial = make_protocol(scheme, num_caches, **protocol_options)
+    table = TransitionTable(partial(make_protocol, scheme, num_caches, **protocol_options))
     report = ExplorationReport(scheme=scheme, num_caches=num_caches)
-
-    # State key includes whether the block has been touched yet, since
-    # that changes the legal first_ref flag of the next action.
-    start_key = (False, fingerprint(initial))
-    seen = {start_key}
-    frontier = deque([(initial, False)])
-    actions = [
-        (cache, operation)
-        for cache in range(num_caches)
-        for operation in ("r", "w")
-    ]
-
+    holders = {0: table.representative(0).holders(_BLOCK)}  # of checked states
+    seen = {(0, False)}
+    frontier = deque(seen)
     while frontier:
-        protocol, touched = frontier.popleft()
+        state, touched = frontier.popleft()
         report.states += 1
         if report.states > max_states:
             raise ConfigurationError(
                 f"state space of {scheme!r} exceeded max_states={max_states}"
             )
-        for cache, operation in actions:
-            branch = copy.deepcopy(protocol)
-            first_ref = not touched
-            try:
-                if operation == "r":
-                    branch.on_read(cache, _BLOCK, first_ref)
-                else:
-                    branch.on_write(cache, _BLOCK, first_ref)
-                InvariantChecker(branch).check_block(_BLOCK)
-            except Exception as exc:  # collect, don't mask, violations
-                message = f"{operation} by cache {cache}: {exc}"
-                report.violations.append(message)
-                if stop_on_violation:
-                    return report
-                continue
-            report.transitions += 1
-            key = (True, fingerprint(branch))
-            if key not in seen:
-                seen.add(key)
-                frontier.append((branch, True))
+        first_ref = not touched
+        before = holders[state]
+        for cache in range(num_caches):
+            for operation, code in (("r", 1), ("w", 2)):
+                try:
+                    after, outcome, _ = table.move(
+                        state, (cache << 2) + (code << 1) + first_ref
+                    )
+                    if after not in holders:
+                        representative = table.representative(after)
+                        InvariantChecker(representative).check_block(_BLOCK)
+                        holders[after] = representative.holders(_BLOCK)
+                except Exception as exc:  # collect, don't mask, violations
+                    report.violations.append(f"{operation} by cache {cache}: {exc}")
+                    if stop_on_violation:
+                        return report
+                    continue
+                report.transitions += 1
+                result = table.outcomes[outcome]
+                report.rows.add(Transition(
+                    requester_state=_line(before, cache),
+                    others=tuple(sorted(
+                        line.value for other, line in before.items() if other != cache
+                    )),
+                    operation=operation,
+                    first_ref=first_ref,
+                    event=result.event.value,
+                    ops=tuple((op.kind.value, op.count) for op in result.ops),
+                    requester_after=_line(holders[after], cache),
+                ))
+                if (after, True) not in seen:
+                    seen.add((after, True))
+                    frontier.append((after, True))
     return report

@@ -25,9 +25,11 @@ result's dicts keep the object model's key order.
 
 One table per (type, machine size, options) serves infinite caches and
 every uniform geometry, and tables live in a per-process memo of at
-most :data:`MEMO_TABLES`.  The tables take exact stock protocol types
-only, on caches that are all infinite or all finite of one geometry,
-without a directory-entry bound.  Anything else (a saboteur, a
+most :data:`MEMO_TABLES`.  The exhaustive state-space search
+(:mod:`repro.core.statespace`) walks a table of its own, outside the
+memo.  The tables take exact stock protocol types only, on caches that
+are all infinite or all finite of one geometry, without a
+directory-entry bound.  Anything else (a saboteur, a
 subclass, a wrapper, mixed geometry, ``dir_capacity``), and invariant
 checking, runs the generic loop.  So does a protocol holding a block
 its context has never seen.  Segments hand state over through the
@@ -44,7 +46,8 @@ import pickle
 import threading
 from collections import OrderedDict, defaultdict
 from dataclasses import replace
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.memory.cache import FiniteCache, InfiniteCache
@@ -89,17 +92,20 @@ class _RecordingCache(InfiniteCache):
 class TransitionTable:
     """One protocol configuration's per-block automaton, filled lazily.
 
-    A state is a small int, its index in :attr:`snapshots`.  Each state
-    has a row of moves indexed by the action ``(cache << 2) + (code << 1)
-    + first`` (a columnar type code, read 1 or write 2, and a
-    first-reference bit), and a row of evict actions indexed by cache.
+    *clone* returns a blank copy of the protocol, which a representative
+    starts from.  A state is a small int, its index in :attr:`snapshots`.
+    Each state has a row of moves indexed by the action ``(cache << 2)
+    + (code << 1) + first`` (a columnar type code, read 1 or write 2,
+    and a first-reference bit), and a row of evict actions indexed by
+    cache.
     A move is ``(next state, outcome index, effects)``: *effects* lists
     the ``(cache, REFRESH | INSTALL | DROP)`` changes to the block's
     lines, in the order the protocol made them.  An empty slot is None.
     """
 
-    def __init__(self, blank_pickle: bytes, blank: Any) -> None:
-        self._blank = blank_pickle
+    def __init__(self, clone: Callable[[], Any]) -> None:
+        self._clone = clone
+        blank = clone()
         self.num_caches = blank.num_caches
         self.snapshots: list[tuple] = []
         self.moves: list[list] = []
@@ -127,7 +133,7 @@ class TransitionTable:
 
     def representative(self, state: int) -> Any:
         """A fresh protocol holding only block 0, in *state*."""
-        protocol = pickle.loads(self._blank)
+        protocol = self._clone()
         protocol.restore_block(0, self.snapshots[state])
         return protocol
 
@@ -245,7 +251,7 @@ def table_for(protocol: Any) -> TransitionTable:
     with _tables_lock:
         table = _tables.get(key)
         if table is None:
-            table = _tables[key] = TransitionTable(key, blank)
+            table = _tables[key] = TransitionTable(partial(pickle.loads, key))
             if len(_tables) > MEMO_TABLES:
                 _tables.popitem(last=False)
         else:

@@ -354,10 +354,10 @@ class ConformanceChecker:
         """Re-run a clean cell on the fast path; a finding on any mismatch.
 
         The checked cell ran the oracle-wrapped protocol with invariant
-        checks, which forces the record loop.  Here the bare protocol
-        runs through a plain :class:`Simulator`, so the columnar loop —
-        or the transition tables, where they apply — simulates the same
-        trace, and its result (labels aside) must match exactly.
+        checks, on the generic columnar loop.  Here the bare protocol
+        runs through a plain :class:`Simulator`, so the transition
+        tables, where they apply, simulate the same trace, and their
+        result (labels aside) must match exactly.
         """
         simulator = Simulator(sharer_key=self.sharer_key)
         protocol = task.spec.build(num_caches_for(simulator, task.trace))

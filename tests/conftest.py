@@ -6,6 +6,9 @@ import pytest
 from hypothesis import settings
 
 from repro.core.invariants import InvariantChecker
+from repro.core.result import SimulationResult
+from repro.core.simulator import SimulationContext
+from repro.errors import ConfigurationError
 from repro.protocols.base import CoherenceProtocol
 from repro.protocols.events import ProtocolResult
 from repro.trace.columnar import ColumnarTrace
@@ -63,20 +66,55 @@ def make_records(spec) -> list[TraceRecord]:
     ]
 
 
-def record_loop(simulator, trace, protocol, **kwargs):
-    """Simulate *trace* on the record loop, the reference implementation.
+def record_loop(simulator, trace, protocol, num_caches=None, trace_name=None,
+                context=None, **options):
+    """Simulate *trace* one record at a time: the differential reference.
 
-    ``Simulator.run`` puts every trace on the columnar path; only a bare
-    record iterable reaches the record loop, so this passes the trace's
-    records as a list, with the machine size and name the trace itself
-    would have given.  The trace keeps its columns.
+    One protocol call per data record, in trace order, and, when the
+    simulator checks invariants, the checker on the referenced block
+    after every N-th data reference of the call: simple enough to check
+    by eye, and what every ``Simulator.run`` path must equal.  *trace*
+    is a trace (it keeps its columns) or a record iterable, for which
+    *num_caches* is needed when *protocol* is a name.
     """
-    if isinstance(protocol, str) and "num_caches" not in kwargs:
-        sharers = trace.pids if simulator.sharer_key == "pid" else trace.cpus
-        kwargs["num_caches"] = max(1, len(sharers))
-    kwargs.setdefault("trace_name", trace.name)
-    records = ColumnarTrace.from_trace(trace).to_records()
-    return simulator.run(records, protocol, **kwargs)
+    named = isinstance(trace, (Trace, ColumnarTrace))
+    protocol = simulator._resolve_protocol(protocol, trace, num_caches, options)
+    result = SimulationResult(
+        scheme=protocol.name,
+        trace_name=trace_name or (trace.name if named else "stream"),
+    )
+    context = context or SimulationContext()
+    records = ColumnarTrace.from_trace(trace).to_records() if named else trace
+    checker = InvariantChecker(protocol)
+    interval = simulator.check_interval
+    data_refs = 0
+    for record in records:
+        context.records_done += 1
+        if record.ref_type is RefType.INSTR:
+            result.record_instructions(1)
+            continue
+        sharer = getattr(record, simulator.sharer_key)
+        cache = context.sharer_index.get(sharer)
+        if cache is None:
+            cache = len(context.sharer_index)
+            if cache >= protocol.num_caches:
+                raise ConfigurationError(
+                    f"trace contains more than num_caches={protocol.num_caches} "
+                    f"distinct sharers (sharer id {sharer})"
+                )
+            context.sharer_index[sharer] = cache
+        block = simulator.block_mapper.block_of(record.address)
+        first_ref = block not in context.seen_blocks
+        context.seen_blocks.add(block)
+        if record.ref_type is RefType.READ:
+            outcome = protocol.on_read(cache, block, first_ref)
+        else:
+            outcome = protocol.on_write(cache, block, first_ref)
+        result.record_batch(outcome, 1)
+        data_refs += 1
+        if interval and data_refs % interval == 0:
+            checker.check_block(block)
+    return result
 
 
 def tiny_trace(name: str = "tiny") -> Trace:

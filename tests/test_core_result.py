@@ -17,20 +17,21 @@ from repro.protocols.events import (
 
 def build_result():
     result = SimulationResult(scheme="test", trace_name="t")
-    result.record_instruction()
-    result.record(ProtocolResult(EventType.RD_HIT))
-    result.record(
-        ProtocolResult(EventType.RM_BLK_CLN, (mem_access(),))
+    result.record_instructions(1)
+    result.record_batch(ProtocolResult(EventType.RD_HIT), 1)
+    result.record_batch(
+        ProtocolResult(EventType.RM_BLK_CLN, (mem_access(),)), 1
     )
-    result.record(
+    result.record_batch(
         ProtocolResult(
             EventType.WH_BLK_CLN,
             (dir_check(), invalidate(2)),
             clean_write_sharers=2,
-        )
+        ),
+        1,
     )
-    result.record(
-        ProtocolResult(EventType.RM_BLK_DRTY, (write_back(),))
+    result.record_batch(
+        ProtocolResult(EventType.RM_BLK_DRTY, (write_back(),)), 1
     )
     return result
 
@@ -82,8 +83,9 @@ def test_event_cycles_attribution():
 def test_invalidation_histogram_and_single_fraction():
     result = SimulationResult(scheme="s", trace_name="t")
     for sharers in (0, 0, 1, 3):
-        result.record(
-            ProtocolResult(EventType.WH_BLK_CLN, (dir_check(),), clean_write_sharers=sharers)
+        result.record_batch(
+            ProtocolResult(EventType.WH_BLK_CLN, (dir_check(),), clean_write_sharers=sharers),
+            1,
         )
     distribution = result.invalidation_distribution()
     assert distribution[0] == pytest.approx(0.5)
@@ -121,10 +123,10 @@ def test_merge_rejects_mixed_schemes():
 
 def test_merge_is_reference_weighted():
     small = SimulationResult(scheme="s", trace_name="small")
-    small.record(ProtocolResult(EventType.RM_BLK_CLN, (mem_access(),)))
+    small.record_batch(ProtocolResult(EventType.RM_BLK_CLN, (mem_access(),)), 1)
     big = SimulationResult(scheme="s", trace_name="big")
     for _ in range(9):
-        big.record(ProtocolResult(EventType.RD_HIT))
+        big.record_batch(ProtocolResult(EventType.RD_HIT), 1)
     merged = merge_results([small, big])
     # 5 cycles over 10 refs, not the mean of per-trace costs (5 and 0).
     assert merged.bus_cycles_per_reference(PAPER_PIPELINED) == pytest.approx(0.5)

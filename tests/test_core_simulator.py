@@ -7,9 +7,10 @@ from repro.errors import ConfigurationError
 from repro.memory.address import BlockMapper
 from repro.protocols.events import EventType
 from repro.protocols.registry import available_protocols, make_protocol
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.stream import Trace
 
-from conftest import make_records, tiny_trace
+from conftest import make_records, record_loop, tiny_trace
 
 
 def test_instructions_bypass_the_protocol(trace_tiny):
@@ -160,8 +161,8 @@ def test_record_backed_trace_matches_the_record_loop(scheme):
 
     records = list(make_trace("thor", length=3000, seed=9).records)
     trace = Trace("thor", records)
-    reference = Simulator().run(
-        list(records), scheme, num_caches=len(trace.pids), trace_name="thor"
+    reference = record_loop(
+        Simulator(), records, scheme, num_caches=len(trace.pids), trace_name="thor"
     )
     assert Simulator().run(trace, scheme) == reference
 
@@ -188,22 +189,95 @@ def test_lazy_trace_file_streams_in_chunks(tmp_path, monkeypatch, scheme):
     lazy = LazyTraceFile(path)
     result = Simulator().run(lazy, scheme)
     assert chunks == [1000, 1000, 500]
-    reference = Simulator().run(
-        list(read_trace_file(path)), scheme,
+    reference = record_loop(
+        Simulator(), list(read_trace_file(path)), scheme,
         num_caches=len(lazy.pids), trace_name=lazy.name,
     )
     assert result == reference
 
 
-def test_invariant_checking_runs_the_record_loop(monkeypatch, kernel_runs):
+def test_invariant_checking_runs_the_generic_loop(monkeypatch, kernel_runs):
+    """A checked run never reaches the tables, whatever the input."""
+    from repro.core.invariants import CheckedProtocol
+    from repro.protocols.tables import TableSession
     from repro.workloads.registry import make_trace
 
     def refuse(*args):
-        raise AssertionError("the columnar loop ran")
+        raise AssertionError("the tables ran")
 
-    monkeypatch.setattr(Simulator, "_run_columnar", refuse)
-    monkeypatch.setattr(Simulator, "_run_chunked", refuse)
+    ran = []
+    real = Simulator._run_columnar
+
+    def spy(self, trace, protocol, *rest):
+        ran.append(type(protocol))
+        return real(self, trace, protocol, *rest)
+
+    monkeypatch.setattr(TableSession, "run_chunk", refuse)
+    monkeypatch.setattr(Simulator, "_run_columnar", spy)
     trace = make_trace("pops", length=2000)
     checked = Simulator(check_invariants=True).run(trace, "dir0b")
-    assert kernel_runs == []
-    assert checked.total_refs == 2000
+    assert kernel_runs == [None]
+    assert ran == [CheckedProtocol]
+    assert checked == record_loop(Simulator(), trace, "dir0b")
+
+    ran.clear()
+    records = ColumnarTrace.from_trace(trace).to_records()
+    streamed = Simulator(check_invariants=True).run(
+        iter(records), "dir0b", num_caches=len(trace.pids), trace_name=trace.name
+    )
+    assert ran == [CheckedProtocol]
+    assert streamed == checked
+
+
+@pytest.mark.parametrize("segment", [None, 777], ids=["whole", "segmented"])
+@pytest.mark.parametrize("interval", [1, 7])
+def test_checked_saboteur_fails_where_the_record_loop_does(interval, segment):
+    """The same data reference raises the same InvariantViolation."""
+    from repro.core.simulator import SimulationContext
+    from repro.errors import InvariantViolation
+    from repro.runner.faults import SaboteurProtocol
+    from repro.workloads.registry import make_trace
+
+    trace = ColumnarTrace.from_trace(make_trace("pops", length=6000, seed=3))
+    records = trace.to_records()
+    parts = [trace] if segment is None else [
+        records[start : start + segment] for start in range(0, len(records), segment)
+    ]
+    simulator = Simulator(check_invariants=interval)
+
+    def failure(run):
+        saboteur = SaboteurProtocol(
+            make_protocol("dir0b", len(trace.pids)), trigger_after=1500
+        )
+        context = SimulationContext()
+        with pytest.raises(InvariantViolation) as raised:
+            for part in parts:
+                run(part, saboteur, context)
+        return saboteur.refs_seen, str(raised.value)
+
+    fast = failure(lambda part, p, context: simulator.run(part, p, context=context))
+    reference = failure(
+        lambda part, p, context: record_loop(simulator, part, p, context=context)
+    )
+    assert fast == reference
+    assert fast[0] >= 1500
+
+
+def test_a_record_generator_runs_the_tables(monkeypatch):
+    import repro.core.simulator as simulator_module
+    from repro.workloads.registry import make_trace
+
+    sessions = []
+    real = simulator_module.open_kernel_session
+
+    def spy(*args):
+        sessions.append(real(*args))
+        return sessions[-1]
+
+    monkeypatch.setattr(simulator_module, "open_kernel_session", spy)
+    trace = make_trace("thor", length=3000, seed=4)
+    records = ColumnarTrace.from_trace(trace).to_records()
+    caches = len(trace.pids)
+    result = Simulator().run((record for record in records), "dragon", num_caches=caches)
+    assert len(sessions) == 1 and sessions[0] is not None
+    assert result == record_loop(Simulator(), records, "dragon", num_caches=caches)

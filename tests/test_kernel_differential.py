@@ -305,7 +305,7 @@ def test_kernel_bails_on_wrapped_protocol(columnar):
 
 
 def test_invariant_checking_bypasses_kernel(trace, columnar):
-    """check_invariants forces the record path; results still match."""
+    """check_invariants forces the generic loop; results still match."""
     checked = Simulator(check_invariants=100)
     plain = Simulator()
     assert checked.run(columnar, "dir0b") == plain.run(columnar, "dir0b")

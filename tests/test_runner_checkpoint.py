@@ -17,6 +17,7 @@ from repro.runner.checkpoint import (
     result_to_json,
 )
 from repro.runner.faults import KillPoint, SaboteurProtocol
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import LazyTraceFile, _LazyRecords, write_trace_binary
 from repro.workloads.registry import make_trace
 
@@ -262,11 +263,15 @@ def file_reads(monkeypatch):
     return reads
 
 
-def _refuse_record_loop(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the record loop ran")
+def _require_columnar_windows(monkeypatch):
+    """Fail unless every window reaches ``Simulator.run`` as columns."""
+    real = Simulator.run
 
-    monkeypatch.setattr(Simulator, "_run_records", refuse)
+    def columns_only(self, window, *args, **kwargs):
+        assert isinstance(window, ColumnarTrace), type(window)
+        return real(self, window, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", columns_only)
 
 
 def test_checkpointed_lazy_file_is_read_once_on_the_columnar_path(
@@ -278,7 +283,7 @@ def test_checkpointed_lazy_file_is_read_once_on_the_columnar_path(
     plain_reads = len(file_reads)
     file_reads.clear()
 
-    _refuse_record_loop(monkeypatch)
+    _require_columnar_windows(monkeypatch)
     checkpointed = Engine(
         checkpoint=CheckpointManager(tmp_path / "ckpt"), checkpoint_every=300
     ).run(ExecutionPlan(traces=[LazyTraceFile(lazy_path, "pops")], schemes=["dir0b"]))
@@ -316,7 +321,7 @@ def test_resumed_lazy_file_run_restarts_from_the_snapshot(
         return real_run(self, window, *args, **kwargs)
 
     monkeypatch.setattr(Simulator, "run", feeding)
-    _refuse_record_loop(monkeypatch)
+    _require_columnar_windows(monkeypatch)
     file_reads.clear()
     resumed = Engine(
         checkpoint=CheckpointManager(ckpt), checkpoint_every=300, resume=True
