@@ -31,7 +31,6 @@ same victim, the same lease, the same reference count.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import signal
@@ -49,6 +48,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import result_to_json
 from repro.runner.faults import FaultInjector, ProcessKiller
 from repro.service.spec import JobSpec, parse_job_spec
+from repro.trace.fingerprint import sha256
 
 from repro.fabric.queue import DurableCellQueue
 
@@ -283,11 +283,7 @@ def run_chaos(
             "seed": seed,
         },
         "exit_codes": exit_codes,
-        "serial_digest_sha": hashlib.sha256(
-            serial_digest.encode("utf-8")
-        ).hexdigest(),
-        "fabric_digest_sha": hashlib.sha256(
-            fabric_digest.encode("utf-8")
-        ).hexdigest(),
+        "serial_digest_sha": sha256(serial_digest.encode("utf-8")).hexdigest(),
+        "fabric_digest_sha": sha256(fabric_digest.encode("utf-8")).hexdigest(),
         "stats": stats,
     }

@@ -36,7 +36,6 @@ has claimed, so its copy of the cache has a table of its own.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -50,7 +49,7 @@ from repro.errors import CheckpointError
 from repro.runner.checkpoint import result_from_json, result_to_json
 from repro.store.format import is_chunked_trace
 from repro.trace.fingerprint import FP_HEADER as _FP_HEADER  # noqa: F401
-from repro.trace.fingerprint import fingerprint_trace
+from repro.trace.fingerprint import fingerprint_trace, sha256
 
 #: Bump when the cached payload or key material changes incompatibly.
 CACHE_VERSION = 1
@@ -97,7 +96,7 @@ def cache_key(
         },
         sort_keys=True,
     )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return sha256(material.encode("utf-8")).hexdigest()
 
 
 class InFlightCell:

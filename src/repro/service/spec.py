@@ -31,7 +31,6 @@ that machine-readable listing without importing this package.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -40,6 +39,7 @@ from typing import Any
 from repro.core.experiment import scheme_key
 from repro.errors import JobSpecError
 from repro.protocols.registry import available_protocols
+from repro.trace.fingerprint import sha256
 from repro.trace.stream import Trace
 from repro.workloads.registry import DEFAULT_LENGTH, known_workloads, make_any_trace
 
@@ -129,7 +129,7 @@ class JobSpec:
     def spec_hash(self) -> str:
         """SHA-256 of the canonical JSON — the queue's dedup identity."""
         payload = json.dumps(self.canonical(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
     # -- sweep shape ---------------------------------------------------
 

@@ -18,10 +18,20 @@ entries and fabric dedup keys remain valid
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Iterable
 
-import hashlib
+# CPython's built-in SHA-256 rather than OpenSSL's: the standard hash
+# module maps libcrypto, about 4 MB of peak RSS, while the built-in one
+# costs almost nothing and gives the same digests.  ``random`` imports
+# its ``_sha512`` the same way.  This is the one SHA-256 of the package;
+# every content hash imports it from here.
+try:
+    from _sha256 import sha256  # Python 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from repro.trace.record import RefType, TraceRecord
 
@@ -33,7 +43,7 @@ _REF_CODES = {RefType.INSTR: 0, RefType.READ: 1, RefType.WRITE: 2}
 #: Records per hashed batch when feeding columns.  Each batch is one
 #: ``%``-format of a repeated line template over the batch's values, so
 #: the per-record work runs in C; 4,096 records keep the batch's value
-#: tuple and text under 1 MB while the per-batch Python overhead stays
+#: list and text under 1 MB while the per-batch Python overhead stays
 #: amortized.
 _BATCH = 4096
 
@@ -54,7 +64,7 @@ class TraceHasher:
     __slots__ = ("_digest",)
 
     def __init__(self) -> None:
-        self._digest = hashlib.sha256(FP_HEADER)
+        self._digest = sha256(FP_HEADER)
 
     def update_records(self, records: Iterable[TraceRecord]) -> None:
         """Hash a run of :class:`TraceRecord` objects in order."""
@@ -87,23 +97,22 @@ class TraceHasher:
         """
         update = self._digest.update
         total = len(type_code)
+        # One value list per call, reused by every full batch: each
+        # column lands in its record field by one extended-slice
+        # assignment, so no per-record tuple is built.
+        values: list[int] = []
         for start in range(0, total, _BATCH):
             stop = min(start + _BATCH, total)
-            template = (
-                _BATCH_TEMPLATE if stop - start == _BATCH else _LINE * (stop - start)
-            )
-            values = tuple(
-                chain.from_iterable(
-                    zip(
-                        cpu[start:stop],
-                        pid[start:stop],
-                        type_code[start:stop],
-                        address[start:stop],
-                        flags[start:stop],
-                    )
-                )
-            )
-            update(template % values)
+            count = stop - start
+            if len(values) != 5 * count:
+                values = [0] * (5 * count)
+            values[0::5] = cpu[start:stop]
+            values[1::5] = pid[start:stop]
+            values[2::5] = type_code[start:stop]
+            values[3::5] = address[start:stop]
+            values[4::5] = flags[start:stop]
+            template = _BATCH_TEMPLATE if count == _BATCH else _LINE * count
+            update(template % tuple(values))
 
     def hexdigest(self) -> str:
         """The digest over everything fed so far (non-destructive)."""

@@ -31,7 +31,6 @@ byte-comparable end to end.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -48,6 +47,7 @@ from repro.protocols.events import EventType
 from repro.protocols.registry import available_protocols, make_protocol
 from repro.runner.checkpoint import result_to_json
 from repro.runner.faults import SaboteurProtocol
+from repro.trace.fingerprint import sha256
 from repro.trace.stream import Trace
 
 #: Event groups that are trace properties: every correct protocol must
@@ -203,7 +203,7 @@ class ConformanceReport:
     def digest(self) -> str:
         """SHA-256 of the canonical JSON form; equal runs hash equal."""
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        return sha256(payload.encode("ascii")).hexdigest()
 
     def raise_on_failure(self) -> None:
         """Raise :class:`~repro.errors.ConformanceError` unless clean."""

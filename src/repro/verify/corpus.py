@@ -13,12 +13,12 @@ fuzz campaigns that find the same minimal trace converge on one file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
+from repro.trace.fingerprint import sha256
 from repro.trace.io import format_record, load_trace, write_trace_file
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
@@ -30,7 +30,7 @@ _META_SUFFIX = ".json"
 def _content_key(records: Sequence[TraceRecord]) -> str:
     """Short content hash of a record list (the dedup key)."""
     text = "\n".join(format_record(record) for record in records)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
+    return sha256(text.encode("ascii")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,14 @@ assert job.state == "done", job.state
 HTTP_TRANSPORT = ("http.client", "urllib.request", "urllib.error", "ssl", "email")
 
 
+#: ``hashlib`` and its ``_hashlib`` map OpenSSL's libcrypto.  Every
+#: content hash in ``repro`` (fingerprints, cache keys, job-spec hashes)
+#: uses CPython's built-in SHA-256 instead.  A pooled sweep still loads
+#: them, through ``multiprocessing.shared_memory`` -> ``secrets`` ->
+#: ``hmac``; that is the standard library's cost, not ours.
+OPENSSL_HASH = ("hashlib", "_hashlib")
+
+
 def http_transport_after(code: str) -> set[str]:
     """The HTTP transport modules a fresh interpreter holds after *code*."""
     loaded = loaded_after(code, "http", "urllib", "ssl", "email")
@@ -199,7 +207,8 @@ else:
 
 def test_library_process_loads_no_http_stack():
     # A simulation, a streamed .ctrc sweep and the paper experiments
-    # never talk HTTP, so none of them may pay for its import.
+    # never talk HTTP, so none of them may pay for its import; the
+    # .ctrc writer's fingerprint hashes without OpenSSL.
     code = """
 import tempfile
 from pathlib import Path
@@ -217,12 +226,14 @@ with tempfile.TemporaryDirectory() as tmp:
         assert Engine().run(ExecutionPlan(traces=[chunked], schemes=["dir0b", "wti"])).ok
 """
     assert http_transport_after(code) == set()
+    assert not loaded_after(code, *OPENSSL_HASH)
 
 
-def test_service_server_loads_no_http_stack():
+def test_service_server_loads_no_http_stack_or_openssl():
     # The server parses its HTTP/1.0 subset itself, on ``socketserver``,
-    # and draws job ids from ``os.urandom``: no request, job or reply
-    # loads an HTTP library, a MIME table or ``uuid``.
+    # draws job ids from ``os.urandom`` and hashes traces, cache keys and
+    # specs with the built-in SHA-256: no request, job or reply loads an
+    # HTTP library, a MIME table, ``uuid`` or OpenSSL.
     code = """
 import json, socket, time
 from repro.service.api import ServiceServer
@@ -252,5 +263,25 @@ while exchange(server, status)["state"] != "done":
 server.stop()
 """
     stack = ("http.server", "http.client", "email", "ssl", "uuid", "mimetypes", "html")
-    loaded = loaded_after(code, "http", "email", "ssl", "uuid", "mimetypes", "html")
-    assert not {name for name in loaded if name.startswith(stack)}, sorted(loaded)
+    loaded = loaded_after(
+        code, "http", "email", "ssl", "uuid", "mimetypes", "html", *OPENSSL_HASH
+    )
+    assert not {name for name in loaded if name.startswith(stack + OPENSSL_HASH)}, sorted(
+        loaded
+    )
+
+
+def test_serial_repro_run_loads_no_openssl(tmp_path):
+    # ``python -m repro run`` with a result cache fingerprints each trace
+    # and keys each cell, both without OpenSSL.
+    code = f"""
+import runpy, sys
+sys.argv = ["repro", "run", "--workloads", "pops", "--length", "2000",
+            "--schemes", "dir0b", "wti", "--result-cache", {str(tmp_path / "cache")!r}]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert not stop.code, stop.code
+"""
+    assert not loaded_after(code, *OPENSSL_HASH)
+    assert any((tmp_path / "cache").rglob("*.json"))

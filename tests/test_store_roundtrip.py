@@ -12,6 +12,8 @@ Two invariants carry the whole store design:
 """
 
 import pickle
+from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,11 +117,12 @@ def test_incremental_hasher_differential():
 
 
 @pytest.mark.parametrize(
-    "length", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 3]
+    "length", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 3, 100 + 2 * _BATCH + 1]
 )
 def test_column_hash_matches_records_at_batch_boundaries(length):
     """update_columns == update_records on either side of a batch edge,
-    for array/bytes columns and for read-only memoryview columns."""
+    for array/bytes columns, for read-only memoryview columns, for each
+    explicit address width, and for columns fed in uneven pieces."""
     records = [
         TraceRecord(cpu=i % 4, pid=i % 6, ref_type=list(RefType)[i % 3],
                     address=(i * 7919) << 20, system=bool(i % 2),
@@ -138,6 +141,26 @@ def test_column_hash_matches_records_at_batch_boundaries(length):
         hasher = TraceHasher()
         hasher.update_columns(*feed)
         assert hasher.hexdigest() == expected.hexdigest()
+
+    # One hasher, three calls: a short batch, one full batch, then a full
+    # batch and a one-record batch, so the reused value list is resized.
+    pieces = TraceHasher()
+    for start, stop in ((0, 100), (100, 100 + _BATCH), (100 + _BATCH, length)):
+        pieces.update_columns(*(column[start:stop] for column in columns))
+    assert pieces.hexdigest() == expected.hexdigest()
+
+    for typecode in "BHIQ":
+        limit = 1 << (8 * array(typecode).itemsize)
+        narrow = [replace(record, address=(i * 2654435761) % limit)
+                  for i, record in enumerate(records)]
+        want = TraceHasher()
+        want.update_records(narrow)
+        hasher = TraceHasher()
+        hasher.update_columns(
+            columnar.cpu, columnar.pid, columnar.type_code,
+            array(typecode, [record.address for record in narrow]), columnar.flags,
+        )
+        assert hasher.hexdigest() == want.hexdigest(), typecode
 
 
 def test_empty_trace_roundtrip(tmp_path):
