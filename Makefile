@@ -51,7 +51,8 @@ FINITE_CHECKS = dragon@256x2 adaptive@256x2 dir0b@1024x4
 # scheduling rounds), the streaming example end to end (its windowed
 # checkpoint run must match the streamed run), a checkpointed sweep of
 # every scheme plus three finite geometries that must print the plain
-# sweep's table, a roster sweep of all 13 schemes pooled (--jobs 2, narrow columns through shared memory) that
+# sweep's table, as must the same sweep over a text copy of the trace
+# and over the binary file packed to .ctrc, a roster sweep of all 13 schemes pooled (--jobs 2, narrow columns through shared memory) that
 # must print the serial sweep's table, exhaustive protocol
 # verification, and the
 # conformance fuzz with mutation testing on infinite caches and on the
@@ -71,6 +72,12 @@ ci:
 	rm -rf build/ci-ckpt
 	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.bin --schemes $(ROSTER) $(FINITE_CHECKS) --checkpoint build/ci-ckpt --checkpoint-every 7000 > build/ci-ckpt.txt
 	cmp build/ci-plain.txt build/ci-ckpt.txt
+	PYTHONPATH=src python -m repro generate pops build/ci-pops.trace --length 50000
+	PYTHONPATH=src python -m repro trace pack build/ci-pops.bin build/ci-pops.ctrc
+	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.trace --schemes $(ROSTER) $(FINITE_CHECKS) > build/ci-text.txt
+	PYTHONPATH=src python -m repro run --trace-files build/ci-pops.ctrc --schemes $(ROSTER) $(FINITE_CHECKS) > build/ci-ctrc.txt
+	cmp build/ci-plain.txt build/ci-text.txt
+	cmp build/ci-plain.txt build/ci-ctrc.txt
 	PYTHONPATH=src python -m repro run --workloads pops thor --length 50000 --schemes $(ROSTER) --jobs 1 > build/ci-roster-serial.txt
 	PYTHONPATH=src python -m repro run --workloads pops thor --length 50000 --schemes $(ROSTER) --jobs 2 > build/ci-roster-pooled.txt
 	cmp build/ci-roster-serial.txt build/ci-roster-pooled.txt

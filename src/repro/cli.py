@@ -89,25 +89,13 @@ _SCHEME_NAMES = (
 )
 
 
-def _load_trace(path: str, lenient: bool = False, lazy: bool = False) -> Trace:
-    """Read a trace file, auto-detecting text vs binary format."""
-    from repro.trace.io import DecodeReport, load_trace
-
-    if lazy:
-        return load_trace(path, lazy=True, lenient=lenient)
-    report = DecodeReport()
-    trace = load_trace(path, lenient=lenient, report=report)
-    if report.skipped:
-        print(f"warning: {path}: {report.summary()}", file=sys.stderr)
-    return trace
-
-
 def _resolve_trace(args) -> Trace:
     """A trace from ``--trace-file`` or generated from ``--workload``."""
+    from repro.trace.io import load_trace
     from repro.workloads.registry import make_any_trace
 
     if getattr(args, "trace_file", None):
-        return _load_trace(args.trace_file)
+        return load_trace(args.trace_file)
     return make_any_trace(args.workload, length=args.length)
 
 
@@ -159,8 +147,9 @@ def cmd_generate(args) -> int:
 def cmd_trace_pack(args) -> int:
     """``repro trace pack``: convert any trace file to a ``.ctrc`` store."""
     from repro.store import pack_trace
+    from repro.trace.io import load_trace
 
-    trace = _load_trace(args.input, lenient=args.lenient, lazy=True)
+    trace = load_trace(args.input, lazy=True, lenient=args.lenient)
     meta = pack_trace(
         trace,
         args.output,
@@ -168,6 +157,8 @@ def cmd_trace_pack(args) -> int:
         chunk_records=args.chunk_records,
         level=args.level,
     )
+    if trace.report.skipped:
+        print(f"warning: {args.input}: {trace.report.summary()}", file=sys.stderr)
     print(
         f"packed {meta['records']:,} records of '{meta['name']}' into "
         f"{len(meta['chunks'])} {args.codec} chunks at {args.output}"
@@ -557,13 +548,14 @@ def cmd_run(args) -> int:
     from repro.report.tables import format_table
     from repro.runner.cache import ResultCache
     from repro.runner.checkpoint import CheckpointManager
+    from repro.trace.io import load_trace
     from repro.workloads.registry import make_any_trace
 
     # Trace files are read lazily so a corrupt file is contained inside
     # its own cells instead of aborting the whole sweep at load time.
     traces = []
     for path in args.trace_files or []:
-        traces.append(_load_trace(path, lenient=args.lenient, lazy=True))
+        traces.append(load_trace(path, lazy=True, lenient=args.lenient))
     for workload in args.workloads or []:
         traces.append(make_any_trace(workload, length=args.length))
     if not traces:

@@ -15,17 +15,13 @@ _EXPORTS = {
     "Trace": "repro.trace.stream",
     "ColumnarTrace": "repro.trace.columnar",
     "columnar_trace": "repro.trace.columnar",
-    "read_trace_binary_columns": "repro.trace.io",
     "data_refs": "repro.trace.record",
     "is_data": "repro.trace.record",
-    "count_records": "repro.trace.stream",
-    "merge_streams": "repro.trace.stream",
     "take": "repro.trace.stream",
     "DecodeReport": "repro.trace.io",
     "LazyTraceFile": "repro.trace.io",
     "is_binary_trace": "repro.trace.io",
     "load_trace": "repro.trace.io",
-    "read_any_trace_file": "repro.trace.io",
     "read_trace_file": "repro.trace.io",
     "write_trace_file": "repro.trace.io",
     "read_trace_binary": "repro.trace.io",

@@ -14,17 +14,14 @@ instead of doing attribute and enum dispatch per record — see
 
 Conversion is lossless in both directions: ``ColumnarTrace.from_trace``
 / ``from_records`` pack any record stream, and :meth:`to_records` /
-:meth:`to_trace` round-trip back to the record representation.  Binary
-trace files load directly into columns via
-:func:`repro.trace.io.read_trace_binary_columns` without materializing
-records at all.
+:meth:`to_trace` round-trip back to the record representation.  Trace
+files decode into columns through :func:`repro.trace.io.read_trace_chunks`.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import compress, islice
-from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.store.format import DEFAULT_CHUNK_RECORDS
@@ -88,7 +85,7 @@ def _selected(column: Any, selectors: bytes) -> array:
 FLAG_SYSTEM, FLAG_LOCK, FLAG_SPIN = 0x1, 0x2, 0x4
 
 #: flags byte -> (system, lock, spin) record fields.  All 256 bytes are
-#: covered: binary trace files carry an unconstrained flags byte.
+#: covered: a ``.ctrc`` chunk's flags byte is not checked on read.
 _FLAG_FIELDS = tuple(
     (bool(flags & FLAG_SYSTEM), bool(flags & FLAG_LOCK), bool(flags & FLAG_SPIN))
     for flags in range(256)
@@ -270,37 +267,6 @@ class ColumnarTrace:
             description=getattr(trace, "description", ""),
         )
 
-    @classmethod
-    def from_binary_file(
-        cls, path: str | Path, name: str | None = None
-    ) -> "ColumnarTrace":
-        """Load a binary-format trace file directly into columns.
-
-        Uses the bulk ``struct.iter_unpack``-based decoder, so no
-        per-record ``TraceRecord`` objects are created.
-        """
-        from repro.trace.io import read_trace_binary_columns
-
-        file_path = Path(path)
-        cpus, pids, types, addresses, flags = read_trace_binary_columns(file_path)
-        return cls(
-            name or file_path.stem, cpus, pids, types, addresses, flags,
-            description=f"columnar load of {file_path}",
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path, name: str | None = None) -> "ColumnarTrace":
-        """Load any trace file (text or binary, auto-detected) as columns."""
-        from repro.trace.io import is_binary_trace, read_trace_file
-
-        file_path = Path(path)
-        if is_binary_trace(file_path):
-            return cls.from_binary_file(file_path, name)
-        return cls.from_records(
-            read_trace_file(file_path), name=name or file_path.stem,
-            description=f"columnar load of {file_path}",
-        )
-
     # ------------------------------------------------------------------
     # Round-trip back to records
     # ------------------------------------------------------------------
@@ -445,9 +411,10 @@ class ColumnarTrace:
 
 
 def pack_chunks(
-    records: Iterable[TraceRecord], chunk_records: int
+    records: Iterable[TraceRecord], chunk_records: int | None
 ) -> Iterator[ColumnarTrace]:
-    """Pack a record stream into consecutive chunks of *chunk_records*.
+    """Pack a record stream into consecutive chunks of *chunk_records*
+    (None: one chunk of the whole stream).
 
     Only one chunk's records are read ahead, so a stream decoded from a
     file is simulated in bounded memory, and its decode errors surface
@@ -467,10 +434,11 @@ def columnar_chunks(trace: Any, start: int = 0) -> Iterator[ColumnarTrace]:
 
     The one function that tells trace representations apart.  A
     columnar or column-backed trace is one chunk, a view of its columns;
-    a ``.ctrc`` store yields its chunks through ``iter_chunks`` from the
-    one that holds *start*; anything else (a record list, a lazily read
-    file, a bare record iterable) is packed ``DEFAULT_CHUNK_RECORDS`` at
-    a time.  Each chunk is dropped before the next is produced.
+    a ``.ctrc`` store or a lazily read file yields its chunks through
+    ``iter_chunks`` from the one that holds *start*; anything else (a
+    record list, a bare record iterable) is packed
+    ``DEFAULT_CHUNK_RECORDS`` at a time.  Each chunk is dropped before
+    the next is produced.
     """
     if hasattr(trace, "iter_chunks"):
         first, offset = trace.position_of(start)

@@ -27,6 +27,7 @@ import io
 import itertools
 import struct
 import sys
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
@@ -35,6 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.chunked import ChunkedTrace
 
 from repro.errors import TraceFormatError
+from repro.store.format import DEFAULT_CHUNK_RECORDS
+from repro.trace.columnar import (
+    FLAG_LOCK,
+    FLAG_SPIN,
+    FLAG_SYSTEM,
+    TYPE_WRITE,
+    ColumnarTrace,
+    pack_chunks,
+)
 from repro.trace.record import RefType, TraceRecord, ref_type_from_code
 from repro.trace.stream import Trace
 
@@ -47,11 +57,17 @@ _HEADER = struct.Struct("<4sHHQ")  # magic, version, reserved, record count
 _RECORD = struct.Struct("<HHBBHQ")  # cpu, pid, type, flags, reserved, address
 
 _TYPE_TO_INT = {RefType.INSTR: 0, RefType.READ: 1, RefType.WRITE: 2}
-_INT_TO_TYPE = {value: key for key, value in _TYPE_TO_INT.items()}
 
-_FLAG_SYSTEM = 0x1
-_FLAG_LOCK = 0x2
-_FLAG_SPIN = 0x4
+#: type byte -> 1 where it names no reference type.
+_BAD_TYPE = bytes(int(code > TYPE_WRITE) for code in range(256))
+
+#: flags byte -> 1 where no record carries it: a bit beyond
+#: system/lock/spin, or a spin reference that is not a lock reference.
+_BAD_FLAGS = bytes(
+    int(flags > FLAG_SYSTEM | FLAG_LOCK | FLAG_SPIN
+        or flags & (FLAG_SPIN | FLAG_LOCK) == FLAG_SPIN)
+    for flags in range(256)
+)
 
 
 def _format_flags(record: TraceRecord) -> str:
@@ -237,11 +253,11 @@ def read_trace_file(
 def _pack_record(record: TraceRecord) -> bytes:
     flags = 0
     if record.system:
-        flags |= _FLAG_SYSTEM
+        flags |= FLAG_SYSTEM
     if record.lock:
-        flags |= _FLAG_LOCK
+        flags |= FLAG_LOCK
     if record.spin:
-        flags |= _FLAG_SPIN
+        flags |= FLAG_SPIN
     return _RECORD.pack(
         record.cpu, record.pid, _TYPE_TO_INT[record.ref_type], flags, 0, record.address
     )
@@ -260,35 +276,16 @@ def write_trace_binary(records: Iterable[TraceRecord], path: str | Path) -> int:
     return count
 
 
-def _read_exact(handle: IO[bytes], size: int, what: str) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise TraceFormatError(f"truncated binary trace while reading {what}")
-    return data
-
-
-def _read_up_to(handle: IO[bytes], size: int) -> bytes:
-    """Read *size* bytes, tolerating short reads; returns what was available."""
-    chunks = []
-    remaining = size
-    while remaining:
-        data = handle.read(remaining)
-        if not data:
-            break
-        chunks.append(data)
-        remaining -= len(data)
-    return b"".join(chunks) if len(chunks) != 1 else chunks[0]
-
-
-#: Records decoded per bulk ``struct.iter_unpack`` batch (1 MiB of body).
+#: Records read from a binary body per ``read`` (1 MiB of body).
 DECODE_CHUNK_RECORDS = 65_536
 
 
 def _read_binary_header(handle: IO[bytes]) -> int:
     """Validate the binary header on *handle* and return the record count."""
-    magic, version, _reserved, count = _HEADER.unpack(
-        _read_exact(handle, _HEADER.size, "header")
-    )
+    header = handle.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise TraceFormatError("truncated binary trace while reading header")
+    magic, version, _reserved, count = _HEADER.unpack(header)
     if magic != _BINARY_MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}; not a repro binary trace")
     if version != _BINARY_VERSION:
@@ -296,185 +293,145 @@ def _read_binary_header(handle: IO[bytes]) -> int:
     return count
 
 
-def _attach_path(exc: TraceFormatError, path: str | Path) -> TraceFormatError:
-    """Re-raiseable copy of *exc* with the file path attached."""
-    return TraceFormatError(
-        exc.message, path=str(path), line=exc.line, record=exc.record
-    )
+def _decode_binary_body(
+    handle: IO[bytes], first: int, size: int, count: int
+) -> ColumnarTrace:
+    """Decode the next *size* records (from record *first*) into columns.
+
+    Each 16-byte ``<HHBBHQ`` record is read as eight little-endian
+    halfwords (cpu, pid, ...) and as two 64-bit words (..., address), so
+    every column is a strided slice and no record object is built.  The
+    columns keep the file's widths: ``H`` cpu and pid, ``Q`` addresses.
+    """
+    cpus, pids, addresses = array("H"), array("H"), array("Q")
+    types, flags = bytearray(), bytearray()
+    done = 0
+    while done < size:
+        want = min(size - done, DECODE_CHUNK_RECORDS)
+        body = handle.read(want * _RECORD.size)
+        if len(body) < want * _RECORD.size:
+            raise TraceFormatError(
+                "truncated binary trace (file ends mid-body; header "
+                f"promised {count} records)",
+                record=first + done + len(body) // _RECORD.size,
+            )
+        batch_types, batch_flags = body[4::16], body[5::16]
+        bad = batch_types.translate(_BAD_TYPE).find(1)
+        if bad != -1:
+            raise TraceFormatError(
+                f"unknown binary reference type code {batch_types[bad]}",
+                record=first + done + bad,
+            )
+        bad = batch_flags.translate(_BAD_FLAGS).find(1)
+        if bad != -1:
+            raise TraceFormatError(
+                f"invalid binary flags byte {batch_flags[bad]:#04x} (bits beyond "
+                "system/lock/spin, or spin without lock)",
+                record=first + done + bad,
+            )
+        halves, words = array("H", body), array("Q", body)
+        if sys.byteorder == "big":  # pragma: no cover - the file is little-endian
+            halves.byteswap()
+            words.byteswap()
+        cpus += halves[0::8]
+        pids += halves[1::8]
+        addresses += words[1::2]
+        types += batch_types
+        flags += batch_flags
+        done += want
+    return ColumnarTrace("stream", cpus, pids, types, addresses, flags)
+
+
+def _binary_chunks(
+    path: str | Path, chunk_records: int | None
+) -> Iterator[ColumnarTrace]:
+    """The binary file at *path* as chunks of *chunk_records* (None: one).
+
+    Every chunk comes from :func:`_decode_binary_body`, the only
+    binary-body decoder.  Truncation, bad magic, version skew and
+    undecodable records are :class:`TraceFormatError` with the path
+    attached; body errors also carry the 0-based record index (the
+    exception's ``record`` attribute), as text errors carry line numbers.
+    """
+    with _open_binary(path, "r") as handle:
+        try:
+            count = _read_binary_header(handle)
+            step = chunk_records or max(count, 1)
+            for first in range(0, count, step):
+                size = min(step, count - first)
+                yield _decode_binary_body(handle, first, size, count)
+        except TraceFormatError as exc:
+            raise TraceFormatError(
+                exc.message, path=str(path), record=exc.record
+            ) from exc
 
 
 def read_trace_binary(path: str | Path) -> Iterator[TraceRecord]:
     """Lazily read records from a binary-format trace file.
 
-    Records are decoded in bulk with ``struct.iter_unpack`` over
-    megabyte-sized chunks rather than one ``read``/``unpack`` pair per
-    record.  Truncation, bad magic, version skew, and undecodable
-    records are all reported as :class:`TraceFormatError` with the file
-    path attached; body errors also carry the 0-based record index (the
-    exception's ``record`` attribute), mirroring how text-format errors
-    carry line numbers.
+    The records of :func:`read_trace_chunks`' binary chunks, so they
+    carry the same errors.
     """
-    record_size = _RECORD.size
-    int_to_type = _INT_TO_TYPE
-    with _open_binary(path, "r") as handle:
-        try:
-            count = _read_binary_header(handle)
-            index = 0
-            while index < count:
-                want = min(count - index, DECODE_CHUNK_RECORDS)
-                chunk = _read_up_to(handle, want * record_size)
-                complete = len(chunk) // record_size
-                if complete < want:
-                    raise TraceFormatError(
-                        "truncated binary trace (file ends mid-body; header "
-                        f"promised {count} records)",
-                        record=index + complete,
-                    )
-                for cpu, pid, type_code, flags, _res, address in _RECORD.iter_unpack(chunk):
-                    try:
-                        ref_type = int_to_type[type_code]
-                    except KeyError:
-                        raise TraceFormatError(
-                            f"unknown binary reference type code {type_code}",
-                            record=index,
-                        ) from None
-                    yield TraceRecord(
-                        cpu=cpu,
-                        pid=pid,
-                        ref_type=ref_type,
-                        address=address,
-                        system=bool(flags & _FLAG_SYSTEM),
-                        lock=bool(flags & _FLAG_LOCK),
-                        spin=bool(flags & _FLAG_SPIN),
-                    )
-                    index += 1
-        except TraceFormatError as exc:
-            if exc.path is not None:
-                raise
-            raise _attach_path(exc, path) from exc
+    for chunk in _binary_chunks(path, DECODE_CHUNK_RECORDS):
+        yield from chunk
+        del chunk  # drop it before the next one decodes
 
-
-def read_trace_binary_columns(
-    path: str | Path,
-) -> tuple["array", "array", bytes, "array", bytes]:
-    """Decode a binary trace into packed per-field columns in one pass.
-
-    Returns ``(cpus, pids, type_codes, addresses, flags)``: the cpu
-    and pid columns are ``array('H')`` and the addresses ``array('Q')``,
-    the widths the file itself stores them in, and the type/flag
-    columns are ``bytes``.  This is the bulk-loading path behind
-    :class:`repro.trace.columnar.ColumnarTrace`: each 16-byte record is
-    reinterpreted as two little-endian 64-bit words and the fields are
-    extracted with integer arithmetic, avoiding a ``TraceRecord``
-    allocation per record.  Errors match :func:`read_trace_binary`.
-    """
-    from array import array
-
-    cpus = array("H")
-    pids = array("H")
-    types = bytearray()
-    addresses = array("Q")
-    flag_col = bytearray()
-    record_size = _RECORD.size
-    little_endian = sys.byteorder == "little"
-    with _open_binary(path, "r") as handle:
-        try:
-            count = _read_binary_header(handle)
-            index = 0
-            while index < count:
-                want = min(count - index, DECODE_CHUNK_RECORDS)
-                chunk = _read_up_to(handle, want * record_size)
-                complete = len(chunk) // record_size
-                if complete < want:
-                    raise TraceFormatError(
-                        "truncated binary trace (file ends mid-body; header "
-                        f"promised {count} records)",
-                        record=index + complete,
-                    )
-                if little_endian:
-                    # struct layout <HHBBHQ == two native uint64 words on
-                    # little-endian hosts: cpu|pid<<16|type<<32|flags<<40,
-                    # then the address word.
-                    words = array("Q", chunk)
-                    heads = words[0::2]
-                    addresses.extend(words[1::2])
-                    cpus.extend(word & 0xFFFF for word in heads)
-                    pids.extend((word >> 16) & 0xFFFF for word in heads)
-                    types.extend((word >> 32) & 0xFF for word in heads)
-                    flag_col.extend((word >> 40) & 0xFF for word in heads)
-                else:  # pragma: no cover - big-endian fallback
-                    for cpu, pid, code, flags, _res, address in _RECORD.iter_unpack(chunk):
-                        cpus.append(cpu)
-                        pids.append(pid)
-                        types.append(code)
-                        addresses.append(address)
-                        flag_col.append(flags)
-                index += want
-            if types and max(types) > max(_INT_TO_TYPE):
-                bad = next(i for i, code in enumerate(types) if code not in _INT_TO_TYPE)
-                raise TraceFormatError(
-                    f"unknown binary reference type code {types[bad]}", record=bad
-                )
-        except TraceFormatError as exc:
-            if exc.path is not None:
-                raise
-            raise _attach_path(exc, path) from exc
-    return cpus, pids, bytes(types), addresses, bytes(flag_col)
-
-
-# ----------------------------------------------------------------------
-# Format auto-detection and lazy file-backed traces
-# ----------------------------------------------------------------------
 
 def is_binary_trace(path: str | Path) -> bool:
     """True when *path* holds a binary-format trace (magic sniffed)."""
-    opener = gzip.open if _is_gzip(path) else open
     try:
-        with opener(path, "rb") as handle:
+        with _open_binary(path, "r") as handle:
             return handle.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
     except (OSError, gzip.BadGzipFile):
         return False
 
 
-def read_any_trace_file(
+def read_trace_chunks(
     path: str | Path,
+    chunk_records: int | None,
     *,
     lenient: bool = False,
     error_budget: int = DEFAULT_ERROR_BUDGET,
     report: DecodeReport | None = None,
-) -> Iterator[TraceRecord]:
-    """Lazily read a trace file, auto-detecting text vs binary format."""
+) -> Iterator[ColumnarTrace]:
+    """Decode a text or binary trace file (auto-detected) into columns.
+
+    Yields :class:`ColumnarTrace` chunks of *chunk_records* references
+    (the last may be shorter), or the whole file as one chunk when
+    *chunk_records* is None.  A binary file decodes straight into
+    columns; a text file's :func:`read_trace_file` records (with its
+    lenient mode, error budget and *report*) are packed a chunk at a
+    time.  Every trace-file load path reads its file here.
+    """
     if is_binary_trace(path):
-        return read_trace_binary(path)
-    return read_trace_file(
+        return _binary_chunks(path, chunk_records)
+    records = read_trace_file(
         path, lenient=lenient, error_budget=error_budget, report=report
     )
+    return pack_chunks(records, chunk_records)
 
+
+# ----------------------------------------------------------------------
+# Lazy file-backed traces and loading
+# ----------------------------------------------------------------------
 
 class _LazyRecords:
-    """A re-iterable record sequence streamed from a trace file.
+    """The records of a :class:`LazyTraceFile`, streamed from its chunks.
 
-    Each iteration re-reads the file, so parse errors surface wherever
-    the records are actually consumed — which lets an error-isolated
-    sweep contain a corrupt trace inside the failing cell instead of
-    dying at load time.  Length and indexing are computed by streaming.
+    Each pass decodes the file again, so parse errors surface wherever
+    the records are actually consumed.  Length and indexing stream too.
     """
 
-    def __init__(self, path: Path, lenient: bool, error_budget: int) -> None:
-        self.path = path
-        self.lenient = lenient
-        self.error_budget = error_budget
-        self._count: int | None = None
+    def __init__(self, trace: "LazyTraceFile") -> None:
+        self._trace = trace
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return read_any_trace_file(
-            self.path, lenient=self.lenient, error_budget=self.error_budget
-        )
+        for chunk in self._trace.iter_chunks():
+            yield from chunk
+            del chunk  # drop it before the next one decodes
 
     def __len__(self) -> int:
-        if self._count is None:
-            self._count = sum(1 for _ in self)
-        return self._count
+        return sum(len(chunk) for chunk in self._trace.iter_chunks())
 
     def __getitem__(self, index: int) -> TraceRecord:
         if index < 0:
@@ -488,9 +445,12 @@ class _LazyRecords:
 class LazyTraceFile(Trace):
     """A :class:`~repro.trace.stream.Trace` backed by an unread file.
 
-    Nothing is parsed until the records are iterated, so a malformed
-    file fails inside whatever unit consumes it (e.g. one sweep cell)
-    rather than up front.  Re-iteration re-reads the file.
+    Nothing is parsed until the trace is read, so a malformed file fails
+    inside whatever unit consumes it (e.g. one sweep cell) rather than
+    up front.  Every pass decodes the file again through
+    :meth:`iter_chunks`, which :func:`~repro.trace.columnar.columnar_chunks`
+    streams as it streams a ``.ctrc`` store; ``report`` describes the
+    latest pass.
     """
 
     def __init__(
@@ -501,10 +461,44 @@ class LazyTraceFile(Trace):
         lenient: bool = False,
         error_budget: int = DEFAULT_ERROR_BUDGET,
     ) -> None:
-        file_path = Path(path)
-        self.name = name or file_path.stem
-        self.records = _LazyRecords(file_path, lenient, error_budget)
-        self.description = f"lazily read from {file_path}"
+        self.path = Path(path)
+        self.name = name or self.path.stem
+        self.description = f"lazily read from {self.path}"
+        self.lenient = lenient
+        self.error_budget = error_budget
+        self.report = DecodeReport()
+        self.records = _LazyRecords(self)
+
+    def iter_chunks(self, start: int = 0) -> Iterator[ColumnarTrace]:
+        """Decode the file, yielding its chunks from chunk *start* on."""
+        self.report = DecodeReport()
+        chunks = read_trace_chunks(
+            self.path, DEFAULT_CHUNK_RECORDS, lenient=self.lenient,
+            error_budget=self.error_budget, report=self.report,
+        )
+        return itertools.islice(chunks, start, None)
+
+    def position_of(self, record_index: int) -> tuple[int, int]:
+        """Map a record index to ``(chunk index, offset in chunk)``."""
+        return divmod(record_index, DEFAULT_CHUNK_RECORDS)
+
+    def _distinct(self, column: str) -> list[int]:
+        """The sorted values of one integer column, in one pass."""
+        values: set[int] = set()
+        for chunk in self.iter_chunks():
+            values.update(getattr(chunk, column))
+            del chunk  # drop it before the next one decodes
+        return sorted(values)
+
+    @property
+    def cpus(self) -> list[int]:
+        """Sorted CPU numbers, read in one pass over the file."""
+        return self._distinct("cpu")
+
+    @property
+    def pids(self) -> list[int]:
+        """Sorted process identifiers, read in one pass over the file."""
+        return self._distinct("pid")
 
 
 def load_trace(
@@ -523,7 +517,10 @@ def load_trace(
         lenient: skip malformed text lines within the error budget.
         report: eager text decodes record their skip counts here.
 
-    Chunked store files (``.ctrc``, magic-sniffed) return a
+    An eager load decodes the file once into one
+    :class:`~repro.trace.columnar.ColumnarTrace` and returns it as a
+    column-backed :class:`~repro.trace.stream.Trace`.  Chunked store
+    files (``.ctrc``, magic-sniffed) return a
     :class:`~repro.store.chunked.ChunkedTrace` — inherently lazy
     (only the index is read here) and duck-compatible with
     :class:`~repro.trace.stream.Trace`, so every path-taking entry
@@ -540,5 +537,7 @@ def load_trace(
         )
     if lazy:
         return LazyTraceFile(file_path, name, lenient=lenient)
-    records = list(read_any_trace_file(file_path, lenient=lenient, report=report))
-    return Trace(name or file_path.stem, records)
+    chunks = read_trace_chunks(file_path, None, lenient=lenient, report=report)
+    columns = next(chunks, None) or ColumnarTrace.from_records(())
+    columns.name = name or file_path.stem
+    return Trace.from_columns(columns)

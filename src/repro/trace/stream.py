@@ -1,4 +1,4 @@
-"""Trace containers and stream utilities.
+"""Trace containers.
 
 A :class:`Trace` is a named sequence of
 :class:`~repro.trace.record.TraceRecord` objects, materialized on first
@@ -9,9 +9,7 @@ multi-trace experiments the paper runs (POPS, THOR, PERO).
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.trace.record import TraceRecord
@@ -29,7 +27,7 @@ class Trace:
         description: free-form provenance note.
 
     A trace made by :meth:`from_columns` (the synthetic workload
-    generator's output) holds a
+    generator's output, and an eager trace-file load's) holds a
     :class:`~repro.trace.columnar.ColumnarTrace` and builds its
     :class:`~repro.trace.record.TraceRecord` objects only when
     ``records``, iteration or indexing first asks for them.  The columns
@@ -133,66 +131,6 @@ class Trace:
         return Trace(self.name, take(self.records, n), self.description)
 
 
-def count_records(records: Iterable[TraceRecord]) -> int:
-    """Count records in a stream without materializing it."""
-    return sum(1 for _ in records)
-
-
 def take(records: Iterable[TraceRecord], n: int) -> list[TraceRecord]:
     """Materialize the first *n* records of a stream."""
     return list(itertools.islice(records, n))
-
-
-def merge_streams(
-    streams: Sequence[Iterable[tuple[int, TraceRecord]]],
-) -> Iterator[TraceRecord]:
-    """Merge timestamped per-CPU streams into one global-time-ordered stream.
-
-    Each element of *streams* yields ``(timestamp, record)`` pairs that
-    are individually time-ordered.  Ties are broken by stream index so
-    the merge is deterministic.  This mirrors how multiprocessor ATUM
-    interleaves the per-CPU address streams.
-    """
-    def keyed(index: int, stream):
-        """Tag one stream's items with (timestamp, stream index)."""
-        for timestamp, record in stream:
-            yield timestamp, index, record
-
-    merged = heapq.merge(*(keyed(i, stream) for i, stream in enumerate(streams)))
-    for _timestamp, _index, record in merged:
-        yield record
-
-
-@dataclass
-class RoundRobinInterleaver:
-    """Interleave per-CPU record streams a fixed quantum at a time.
-
-    A simple deterministic stand-in for hardware trace interleaving:
-    pull *quantum* records from each stream in turn until all streams
-    are exhausted.  Used by workload generators that produce one stream
-    per processor.
-    """
-
-    quantum: int = 1
-
-    def __post_init__(self) -> None:
-        if self.quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {self.quantum}")
-
-    def interleave(
-        self, streams: Sequence[Iterable[TraceRecord]]
-    ) -> Iterator[TraceRecord]:
-        """Merge streams quantum records at a time."""
-        iterators = [iter(stream) for stream in streams]
-        live = list(range(len(iterators)))
-        while live:
-            finished = []
-            for index in live:
-                for _ in range(self.quantum):
-                    try:
-                        yield next(iterators[index])
-                    except StopIteration:
-                        finished.append(index)
-                        break
-            for index in finished:
-                live.remove(index)

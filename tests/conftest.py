@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import settings
 
@@ -64,6 +66,16 @@ def make_records(spec) -> list[TraceRecord]:
         TraceRecord(cpu=cpu, pid=pid, ref_type=types[op], address=address)
         for cpu, pid, op, address in spec
     ]
+
+
+def write_flagged_binary(path, flags: int) -> None:
+    """A 2-record binary trace whose second record has flags byte *flags*."""
+    record = struct.Struct("<HHBBHQ")  # cpu, pid, type, flags, reserved, address
+    path.write_bytes(
+        struct.pack("<4sHHQ", b"RPTR", 1, 0, 2)
+        + record.pack(0, 1, 1, 0, 0, 0x40)
+        + record.pack(1, 2, 2, flags, 0, 0x80)
+    )
 
 
 def record_loop(simulator, trace, protocol, num_caches=None, trace_name=None,

@@ -253,6 +253,36 @@ def test_address_wider_than_64_bits_exits_3(tmp_path, capsys, argv):
     assert "error [trace-format]:" in err and f"{wide}:2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("trace", "pack", "{path}", "{out}"), ("simulate", "--trace-file", "{path}")],
+)
+@pytest.mark.parametrize("flags", [0x08, 0x04])
+def test_bad_binary_flags_exit_3(tmp_path, capsys, argv, flags):
+    """An unknown flag bit, or spin without lock, is a located format error."""
+    from conftest import write_flagged_binary
+
+    path = tmp_path / "flags.bin"
+    write_flagged_binary(path, flags)
+    out = tmp_path / "flags.ctrc"
+    code, _out, err = run_cli(
+        capsys, *(arg.format(path=path, out=out) for arg in argv)
+    )
+    assert code == 3
+    assert f"error [trace-format]: {path}:record 1:" in err
+
+
+def test_lenient_trace_pack_warns_about_skipped_lines(tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_text("0 1 r 0x10\ngarbage\n1 2 w 0x20\n")
+    code, out, err = run_cli(
+        capsys, "trace", "pack", str(bad), str(tmp_path / "bad.ctrc"), "--lenient"
+    )
+    assert code == 0
+    assert "packed 2 records" in out
+    assert f"warning: {bad}: 2 records, skipped 1 malformed line (first: {bad}:2:" in err
+
+
 def test_run_rejects_the_removed_columnar_flag():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--columnar"])

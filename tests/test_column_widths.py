@@ -27,7 +27,7 @@ from repro.runner.cache import cache_key, trace_fingerprint
 from repro.runner.checkpoint import CheckpointManager, result_to_json
 from repro.store import ChunkedTrace, pack_trace
 from repro.trace.columnar import COLUMNS, ColumnarTrace, column_format
-from repro.trace.io import write_trace_binary
+from repro.trace.io import load_trace, write_trace_binary
 from repro.trace.record import RefType, TraceRecord
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.layout import AddressSpaceLayout
@@ -250,7 +250,7 @@ def test_from_records_still_rejects_values_beyond_64_bits():
 def test_binary_file_loads_cpu_and_pid_as_h(tmp_path):
     records = make_trace("pops", length=500).records
     write_trace_binary(records, tmp_path / "t.bin")
-    trace = ColumnarTrace.from_binary_file(tmp_path / "t.bin")
+    trace = load_trace(tmp_path / "t.bin").columns
     assert formats(trace) == ["H", "H", "B", "Q", "B"]
     assert trace.to_records() == list(records)
 

@@ -169,29 +169,30 @@ def test_record_backed_trace_matches_the_record_loop(scheme):
 
 @pytest.mark.parametrize("scheme", ["dir0b", "dirnnb"])
 def test_lazy_trace_file_streams_in_chunks(tmp_path, monkeypatch, scheme):
-    """A lazily read file is packed and simulated a chunk at a time."""
-    import repro.trace.columnar as columnar_module
+    """A lazily read file is decoded and simulated a chunk at a time."""
+    import repro.trace.io as io_module
     from repro.trace.io import LazyTraceFile, read_trace_file, write_trace_file
     from repro.workloads.registry import make_trace
 
     path = tmp_path / "long.trace"
     write_trace_file(make_trace("pero", length=2500).records, path)
     chunks = []
-    real = columnar_module.pack_chunks
+    real = io_module.read_trace_chunks
 
-    def counting(records, chunk_records):
-        for chunk in real(records, chunk_records):
+    def counting(*args, **kwargs):
+        for chunk in real(*args, **kwargs):
             chunks.append(len(chunk))
             yield chunk
 
-    monkeypatch.setattr(columnar_module, "DEFAULT_CHUNK_RECORDS", 1000)
-    monkeypatch.setattr(columnar_module, "pack_chunks", counting)
+    monkeypatch.setattr(io_module, "DEFAULT_CHUNK_RECORDS", 1000)
     lazy = LazyTraceFile(path)
-    result = Simulator().run(lazy, scheme)
+    num_caches = len(lazy.pids)
+    monkeypatch.setattr(io_module, "read_trace_chunks", counting)
+    result = Simulator().run(lazy, scheme, num_caches=num_caches)
     assert chunks == [1000, 1000, 500]
     reference = record_loop(
         Simulator(), list(read_trace_file(path)), scheme,
-        num_caches=len(lazy.pids), trace_name=lazy.name,
+        num_caches=num_caches, trace_name=lazy.name,
     )
     assert result == reference
 

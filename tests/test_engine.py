@@ -110,18 +110,18 @@ def test_machine_size_read_once_per_run(tmp_path, monkeypatch):
     Four schemes over one file: one sizing pass plus one simulation pass
     per scheme.
     """
-    from repro.trace.io import LazyTraceFile, _LazyRecords, write_trace_file
+    from repro.trace.io import LazyTraceFile, write_trace_file
 
     path = tmp_path / "pops.trace"
     write_trace_file(make_trace("pops", length=2000, seed=5), path)
     passes = []
-    real = _LazyRecords.__iter__
+    real = LazyTraceFile.iter_chunks
 
-    def counting(records):
-        passes.append(records.path)
-        return real(records)
+    def counting(trace, *args):
+        passes.append(trace.path)
+        return real(trace, *args)
 
-    monkeypatch.setattr(_LazyRecords, "__iter__", counting)
+    monkeypatch.setattr(LazyTraceFile, "iter_chunks", counting)
     schemes = ["dir1nb", "wti", "dir0b", "dragon"]
     outcome = Engine().run(
         ExecutionPlan(traces=[LazyTraceFile(path, "pops")], schemes=schemes)

@@ -18,7 +18,7 @@ from repro.runner.checkpoint import (
 )
 from repro.runner.faults import KillPoint, SaboteurProtocol
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.io import LazyTraceFile, _LazyRecords, write_trace_binary
+from repro.trace.io import LazyTraceFile, write_trace_binary
 from repro.workloads.registry import make_trace
 
 
@@ -253,13 +253,13 @@ def lazy_path(tmp_path, trace):
 def file_reads(monkeypatch):
     """Every pass a :class:`LazyTraceFile` makes over its file."""
     reads = []
-    real = _LazyRecords.__iter__
+    real = LazyTraceFile.iter_chunks
 
-    def counting(self):
+    def counting(self, *args):
         reads.append(self.path)
-        return real(self)
+        return real(self, *args)
 
-    monkeypatch.setattr(_LazyRecords, "__iter__", counting)
+    monkeypatch.setattr(LazyTraceFile, "iter_chunks", counting)
     return reads
 
 

@@ -18,6 +18,8 @@ from repro.trace.io import (
 )
 from repro.trace.record import RefType, TraceRecord
 
+from conftest import write_flagged_binary
+
 
 def _sample_records():
     return [
@@ -104,6 +106,8 @@ def test_binary_empty_trace(tmp_path):
     path = tmp_path / "empty.bin"
     assert write_trace_binary([], path) == 0
     assert list(read_trace_binary(path)) == []
+    assert len(load_trace(path)) == 0
+    assert list(load_trace(path, lazy=True)) == []
 
 
 def test_gzip_text_round_trip(tmp_path):
@@ -227,3 +231,50 @@ def test_lazy_trace_rejects_backward_access(tmp_path):
         trace.records[-1]
     with pytest.raises(TypeError):
         trace.records[::2]
+
+
+@pytest.mark.parametrize("flags", [0x08, 0x80 | 0x03, 0x04, 0x05])
+def test_bad_binary_flags_fail_on_every_load_path(tmp_path, flags):
+    """Flag bits beyond system/lock/spin, or spin without lock, are a
+    located format error however the file is read."""
+    path = tmp_path / "flags.bin"
+    write_flagged_binary(path, flags)
+    loads = [
+        lambda: list(read_trace_binary(path)),
+        lambda: load_trace(path),
+        lambda: list(load_trace(path, lazy=True).records),
+        lambda: list(columnar_chunks(load_trace(path, lazy=True))),
+    ]
+    for load in loads:
+        with pytest.raises(TraceFormatError, match="flags byte") as excinfo:
+            load()
+        assert (excinfo.value.path, excinfo.value.record) == (str(path), 1)
+
+
+def test_every_format_loads_to_the_same_trace(tmp_path):
+    """Text, text .gz, binary, binary .gz and a .ctrc packed from the
+    binary load, eager and lazy, to equal records, fingerprints and
+    results for the paper's four schemes."""
+    from repro.core.simulator import Simulator
+    from repro.runner.cache import trace_fingerprint
+    from repro.store import pack_trace
+    from repro.workloads.registry import make_trace
+
+    trace = make_trace("pops", length=3000)
+    schemes = ["dir1nb", "wti", "dir0b", "dragon"]
+    paths = []
+    for suffix, write in ((".trace", write_trace_file), (".bin", write_trace_binary)):
+        for gz in ("", ".gz"):
+            paths.append(tmp_path / f"pops{suffix}{gz}")
+            write(trace.records, paths[-1])
+    paths.append(tmp_path / "pops.ctrc")
+    pack_trace(load_trace(tmp_path / "pops.bin", lazy=True), paths[-1])
+
+    fingerprint = trace_fingerprint(trace)
+    results = [Simulator().run(trace, scheme) for scheme in schemes]
+    for path in paths:
+        for lazy in (False, True):
+            loaded = load_trace(path, "pops", lazy=lazy)
+            assert trace_fingerprint(loaded) == fingerprint, (path, lazy)
+            assert [Simulator().run(loaded, s) for s in schemes] == results, (path, lazy)
+            assert list(loaded.records) == list(trace.records), (path, lazy)

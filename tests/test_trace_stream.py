@@ -1,21 +1,8 @@
-"""Trace containers and stream merging."""
+"""Trace containers."""
 
-import pytest
-
-from repro.trace.record import RefType, TraceRecord
-from repro.trace.stream import (
-    RoundRobinInterleaver,
-    Trace,
-    count_records,
-    merge_streams,
-    take,
-)
+from repro.trace.stream import Trace, take
 
 from conftest import make_records
-
-
-def _r(cpu, address):
-    return TraceRecord(cpu=cpu, pid=cpu, ref_type=RefType.READ, address=address)
 
 
 def test_trace_basics():
@@ -45,34 +32,5 @@ def test_trace_filtered_and_head():
 
 def test_count_and_take():
     records = make_records([(0, 0, "r", i * 4) for i in range(10)])
-    assert count_records(iter(records)) == 10
     assert len(take(iter(records), 3)) == 3
-
-
-def test_merge_streams_orders_by_timestamp():
-    stream_a = [(0, _r(0, 0)), (2, _r(0, 8))]
-    stream_b = [(1, _r(1, 4)), (3, _r(1, 12))]
-    merged = list(merge_streams([stream_a, stream_b]))
-    assert [record.address for record in merged] == [0, 4, 8, 12]
-
-
-def test_merge_streams_breaks_ties_by_stream_index():
-    stream_a = [(5, _r(0, 0))]
-    stream_b = [(5, _r(1, 4))]
-    merged = list(merge_streams([stream_b, stream_a]))
-    assert [record.cpu for record in merged] == [1, 0]
-
-
-def test_round_robin_interleaver_quantum():
-    streams = [
-        [_r(0, 0), _r(0, 4), _r(0, 8), _r(0, 12)],
-        [_r(1, 100), _r(1, 104)],
-    ]
-    interleaver = RoundRobinInterleaver(quantum=2)
-    merged = list(interleaver.interleave(streams))
-    assert [record.address for record in merged] == [0, 4, 100, 104, 8, 12]
-
-
-def test_round_robin_interleaver_rejects_bad_quantum():
-    with pytest.raises(ValueError):
-        RoundRobinInterleaver(quantum=0)
+    assert len(take(iter(records), 20)) == 10  # a short stream is taken whole
